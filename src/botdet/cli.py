@@ -154,9 +154,8 @@ def cmd_preprocess(args) -> int:
                               window_seconds=args.window_seconds,
                               n_windows=args.n_windows, l_max=args.l_max,
                               log1p=args.log1p, strict=args.strict)
-    ext = "bin" if args.format == "bin" else "csv"
-    train_path = out / f"features-train.{ext}"
-    test_path = out / f"features-test.{ext}"
+    train_path = out / "features-train.csv"
+    test_path = out / "features-test.csv"
     fileio.write_features(train_path, res.meta, res.train.rows)
     fileio.write_features(test_path, res.meta, res.test.rows)
     manifest = pipeline.load_manifest(args.manifest)
@@ -164,7 +163,7 @@ def cmd_preprocess(args) -> int:
         out / "preprocess.run.json", "preprocess",
         _echo(args, ("manifest", "train_scenarios", "test_scenarios",
                      "scenario_filter", "window_seconds", "n_windows",
-                     "l_max", "log1p", "strict", "format")),
+                     "l_max", "log1p", "strict")),
         inputs=[manifest[s] for s in (*train_ids, *test_ids)],
         outputs=[train_path, test_path], seed=None)
     for name, split in (("train", res.train), ("test", res.test)):
@@ -352,7 +351,6 @@ _FLAGDEFS: dict[str, dict] = {
     "tie_rule": {"choices": ("malicious", "benign")},
     "arch": {"choices": ("rvae", "mlp")},
     "kfold": {"type": int, "help": "folds for time-blocked model selection"},
-    "format": {"choices": ("csv", "bin"), "help": "features encoding"},
     "train_scenarios": {"help": "comma-separated scenario ids"},
     "test_scenarios": {"help": "comma-separated scenario ids"},
     "scenario_filter": {"help": "keep only these scenario ids"},
@@ -381,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         "test_scenarios": Opt(required=True, cast=_as_str_list),
         "scenario_filter": Opt(cast=_as_str_list),
         "out_dir": Opt(required=True),
-        "format": Opt("csv", str),
         **_WINDOW_OPTS,
     }, "aggregate scenarios into normalized host-window features")
 

@@ -353,6 +353,20 @@ def classify(score: float, det: DetectorModel) -> Verdict:
                    likelihood_botnet=lb, out_of_support=out)
 
 
+def decision_record(src_addr: str, window_index: int, score: float,
+                    v: Verdict) -> dict:
+    """The JSON decision record of one host-window, batch and stream alike."""
+    return {
+        "src_addr": src_addr,
+        "window_index": window_index,
+        "score": score,
+        "likelihood_normal": v.likelihood_normal,
+        "likelihood_botnet": v.likelihood_botnet,
+        "verdict": "Malicious" if v.malicious else "NonMalicious",
+        "out_of_support": v.out_of_support,
+    }
+
+
 def fit_detector(normal_scores: Sequence[float], botnet_scores: Sequence[float],
                  min_samples: int = 100, bins: int = 200,
                  tie_rule: str = "malicious") -> DetectorModel:

@@ -10,7 +10,7 @@ training split, then chained into model-ready sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence as Seq
 
 import numpy as np
@@ -194,19 +194,6 @@ class AggBuilder:
         )
 
 
-def aggregate_window(flows: Seq[FlowRecord], window_idx: int) -> list[HostWindowAggregate]:
-    """Aggregate the flows of a single window, one result per source host."""
-    builders: dict[str, AggBuilder] = {}
-    for flow in flows:
-        b = builders.get(flow.src_addr)
-        if b is None:
-            b = builders[flow.src_addr] = AggBuilder(flow.src_addr, window_idx)
-        b.add(flow)
-    done = [b.finalize() for b in builders.values()]
-    done.sort(key=lambda a: (a.first_seen, a.src_addr))
-    return done
-
-
 def aggregate_flows(records: Iterable[FlowRecord], t0: float,
                     window_seconds: float) -> list[HostWindowAggregate]:
     """Bucket a flow stream into (host, window) aggregates.
@@ -329,20 +316,16 @@ def _span_chunks(members: list[FeatureRow], span_start: int, n_windows: int,
         )
 
 
-def build_sequences(rows: Seq[FeatureRow], n_windows: int, l_max: int,
-                    stride: int | None = None) -> list[Sequence]:
+def build_sequences(rows: Seq[FeatureRow], n_windows: int,
+                    l_max: int) -> list[Sequence]:
     """Chain host-window rows into sequences over spans of ``n_windows`` windows.
 
-    Spans start at window 0 and advance by ``stride`` (default: span
-    width, i.e. non-overlapping); members sort by (first_seen, src_addr)
-    and split into chunks of at most ``l_max``. With the default stride
+    Spans start at window 0 and do not overlap; members sort by
+    (first_seen, src_addr) and split into chunks of at most ``l_max``, so
     every row lands in exactly one sequence.
     """
     if n_windows < 1 or l_max < 1:
         raise ValueError("n_windows and l_max must be >= 1")
-    stride = n_windows if stride is None else stride
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     if not rows:
         return []
     by_window: dict[int, list[FeatureRow]] = {}
@@ -350,7 +333,7 @@ def build_sequences(rows: Seq[FeatureRow], n_windows: int, l_max: int,
         by_window.setdefault(r.window_index, []).append(r)
     max_w = max(by_window)
     out: list[Sequence] = []
-    for start in range(0, max_w + 1, stride):
+    for start in range(0, max_w + 1, n_windows):
         members: list[FeatureRow] = []
         for w in range(start, start + n_windows):
             members.extend(by_window.get(w, ()))

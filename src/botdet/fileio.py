@@ -2,9 +2,9 @@
 
 Every artifact is versioned and self-describing:
 
-- features file: header JSON (feature names, normalizer stats, window
-  config, t0) plus one record per host-window, as CSV (``#META`` first
-  line) or a compact length-prefixed binary
+- features file: CSV with a ``#META`` first line holding the header JSON
+  (feature names, normalizer stats, window config, t0), then one record
+  per host-window
 - model file: JSON with named flat parameter arrays; floats survive a
   save/load round trip bit for bit (shortest-repr encoding)
 - detector file: JSON with the two fitted densities
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import struct
+import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,10 +41,6 @@ from .scoring import ScoredWindow
 from .train import TrainedModel
 
 FORMAT_VERSION = 1
-
-_BINARY_MAGIC = b"BDFT"
-_LABEL_CODES = {GroundTruth.BACKGROUND: 0, GroundTruth.NORMAL: 1, GroundTruth.BOTNET: 2}
-_CODE_LABELS = {v: k for k, v in _LABEL_CODES.items()}
 
 
 def _to_jsonable(obj):
@@ -137,6 +133,16 @@ class FeaturesMeta:
                    l_max=int(header["l_max"]), t0=float(header["t0"]))
 
 
+def _open_text(p: Path) -> io.StringIO:
+    """A CSV artifact's text; bytes that are not UTF-8 raise DataError naming the line."""
+    data = p.read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{p}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _check_features_header(header: dict, path: str) -> None:
     if header.get("kind") != "features":
         raise DataError(f"{path}: expected a features file, "
@@ -146,8 +152,8 @@ def _check_features_header(header: dict, path: str) -> None:
                         f"{header.get('format_version')!r}")
 
 
-def write_features_csv(path: str | Path, meta: FeaturesMeta,
-                       rows: Iterable[FeatureRow]) -> None:
+def write_features(path: str | Path, meta: FeaturesMeta,
+                   rows: Iterable[FeatureRow]) -> None:
     header_json = json.dumps(meta.to_header(), sort_keys=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"#META {header_json}\n")
@@ -159,13 +165,16 @@ def write_features_csv(path: str | Path, meta: FeaturesMeta,
                              row.label.value, *[repr(float(v)) for v in row.values]])
 
 
-def read_features_csv(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
+def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
     p = Path(path)
-    with open(p, newline="") as fh:
+    with _open_text(p) as fh:
         first = fh.readline()
         if not first.startswith("#META "):
             raise DataError(f"{p}: missing #META header line")
-        header = json.loads(first[len("#META "):])
+        try:
+            header = json.loads(first[len("#META "):])
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{p}:1: #META header is not valid JSON ({exc})")
         _check_features_header(header, str(p))
         meta = FeaturesMeta.from_header(header, str(p))
         reader = csv.reader(fh)
@@ -176,73 +185,17 @@ def read_features_csv(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]
             raise DataError(f"{p}: column header does not match feature names")
         rows = []
         for rec in reader:
-            values = np.array([float(v) for v in rec[4:]], dtype=np.float64)
-            rows.append(FeatureRow(src_addr=rec[0], window_index=int(rec[1]),
-                                   first_seen=float(rec[2]),
-                                   label=GroundTruth(rec[3]), values=values))
+            try:
+                if len(rec) != len(expected):
+                    raise ValueError(f"{len(rec)} columns, expected {len(expected)}")
+                values = np.array([float(v) for v in rec[4:]], dtype=np.float64)
+                rows.append(FeatureRow(src_addr=rec[0], window_index=int(rec[1]),
+                                       first_seen=float(rec[2]),
+                                       label=GroundTruth(rec[3]), values=values))
+            except ValueError as exc:
+                # the reader started after the #META line
+                raise DataError(f"{p}:{reader.line_num + 1}: bad features row ({exc})")
     return meta, rows
-
-
-def write_features_binary(path: str | Path, meta: FeaturesMeta,
-                          rows: Sequence[FeatureRow]) -> None:
-    header = json.dumps(meta.to_header(), sort_keys=True).encode()
-    f_dim = len(meta.feature_names)
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<II", len(header), len(rows)))
-        fh.write(header)
-        for row in rows:
-            addr = row.src_addr.encode()
-            fh.write(struct.pack("<H", len(addr)))
-            fh.write(addr)
-            fh.write(struct.pack("<qdB", row.window_index, row.first_seen,
-                                 _LABEL_CODES[row.label]))
-            fh.write(struct.pack(f"<{f_dim}d", *row.values))
-
-
-def read_features_binary(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
-    p = Path(path)
-    data = p.read_bytes()
-    if data[:4] != _BINARY_MAGIC:
-        raise DataError(f"{p}: not a binary features file (bad magic)")
-    header_len, n_rows = struct.unpack_from("<II", data, 4)
-    offset = 12
-    header = json.loads(data[offset:offset + header_len].decode())
-    _check_features_header(header, str(p))
-    meta = FeaturesMeta.from_header(header, str(p))
-    offset += header_len
-    f_dim = len(meta.feature_names)
-    rows = []
-    try:
-        for _ in range(n_rows):
-            (addr_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            addr = data[offset:offset + addr_len].decode()
-            offset += addr_len
-            window_index, first_seen, code = struct.unpack_from("<qdB", data, offset)
-            offset += struct.calcsize("<qdB")
-            values = np.array(struct.unpack_from(f"<{f_dim}d", data, offset))
-            offset += 8 * f_dim
-            rows.append(FeatureRow(src_addr=addr, window_index=window_index,
-                                   first_seen=first_seen,
-                                   label=_CODE_LABELS[code], values=values))
-    except (struct.error, KeyError) as exc:
-        raise DataError(f"{p}: truncated or corrupt features file ({exc})")
-    return meta, rows
-
-
-def write_features(path: str | Path, meta: FeaturesMeta,
-                   rows: Sequence[FeatureRow]) -> None:
-    if str(path).endswith(".bin"):
-        write_features_binary(path, meta, rows)
-    else:
-        write_features_csv(path, meta, rows)
-
-
-def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
-    if str(path).endswith(".bin"):
-        return read_features_binary(path)
-    return read_features_csv(path)
 
 
 # ------------------------------------------------------------------ model
@@ -379,17 +332,20 @@ def write_scores_csv(path: str | Path, scored: Iterable[ScoredWindow]) -> None:
 
 def read_scores_csv(path: str | Path) -> list[ScoredWindow]:
     p = Path(path)
-    with open(p, newline="") as fh:
+    with _open_text(p) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(SCORES_HEADER):
             raise DataError(f"{p}: not a scores file (bad column header)")
         out = []
         for rec in reader:
-            out.append(ScoredWindow(src_addr=rec[0], window_index=int(rec[1]),
-                                    first_seen=float(rec[2]),
-                                    label=GroundTruth(rec[3]),
-                                    score=float(rec[4])))
+            try:
+                src_addr, window, first_seen, label, score = rec
+                out.append(ScoredWindow(src_addr=src_addr, window_index=int(window),
+                                        first_seen=float(first_seen),
+                                        label=GroundTruth(label), score=float(score)))
+            except ValueError as exc:
+                raise DataError(f"{p}:{reader.line_num}: bad scores row ({exc})")
     return out
 
 

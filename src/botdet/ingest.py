@@ -12,6 +12,7 @@ import csv
 import enum
 import heapq
 import io
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -130,6 +131,8 @@ def parse_flow(row: dict[str, str], path: str = "", line_no: int = 0) -> FlowRec
     except (ValueError, KeyError) as exc:
         raise bad("non-numeric Dur/TotPkts/TotBytes/SrcBytes") from exc
 
+    if not math.isfinite(duration):
+        raise bad(f"non-finite duration {duration}")
     if duration < 0:
         raise bad(f"negative duration {duration}")
     if tot_pkts < 0:
@@ -208,14 +211,6 @@ class IngestStats:
     @property
     def errors(self) -> int:
         return sum(f.errors for f in self.files)
-
-    def summary(self) -> str:
-        lines = [
-            f"{f.path}: {f.parsed}/{f.rows} rows parsed, {f.errors} skipped"
-            + (f" (first: {f.first_error})" if f.errors else "")
-            for f in self.files
-        ]
-        return "\n".join(lines)
 
 
 def _check_header(fieldnames: Sequence[str] | None, path: str) -> None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectorModel, classify, fit_detector
+from .detector import DetectorModel, classify, decision_record, fit_detector
 from .errors import DataError, UsageError
 from .features import (
     FEATURE_NAMES,
@@ -72,7 +72,6 @@ class SplitFeatures:
 
     rows: list[FeatureRow]
     stats: IngestStats
-    t0: float
 
 
 @dataclass
@@ -117,7 +116,7 @@ def preprocess(manifest_path: str | Path, train_ids: Sequence[str],
 
     train_aggs, train_stats, t0_train = _aggregate_split(
         train_paths, window_seconds, strict)
-    test_aggs, test_stats, t0_test = _aggregate_split(
+    test_aggs, test_stats, _ = _aggregate_split(
         test_paths, window_seconds, strict)
 
     raw = np.array([a.values for a in train_aggs], dtype=np.float64)
@@ -130,10 +129,8 @@ def preprocess(manifest_path: str | Path, train_ids: Sequence[str],
                         t0=float(t0_train))
     return PreprocessResult(
         meta=meta,
-        train=SplitFeatures(rows_from_aggregates(train_aggs, norm),
-                            train_stats, t0_train),
-        test=SplitFeatures(rows_from_aggregates(test_aggs, norm),
-                           test_stats, t0_test),
+        train=SplitFeatures(rows_from_aggregates(train_aggs, norm), train_stats),
+        test=SplitFeatures(rows_from_aggregates(test_aggs, norm), test_stats),
     )
 
 
@@ -247,19 +244,9 @@ def fit_detector_from_training(scored: Sequence[ScoredWindow], *,
 def classify_scores(scored: Sequence[ScoredWindow],
                     det: DetectorModel) -> list[dict]:
     """One decision record per scored host-window, ordered by (window, host)."""
-    out = []
-    for s in sorted(scored, key=lambda s: (s.window_index, s.src_addr)):
-        v = classify(s.score, det)
-        out.append({
-            "src_addr": s.src_addr,
-            "window_index": s.window_index,
-            "score": s.score,
-            "likelihood_normal": v.likelihood_normal,
-            "likelihood_botnet": v.likelihood_botnet,
-            "verdict": "Malicious" if v.malicious else "NonMalicious",
-            "out_of_support": v.out_of_support,
-        })
-    return out
+    return [decision_record(s.src_addr, s.window_index, s.score,
+                            classify(s.score, det))
+            for s in sorted(scored, key=lambda s: (s.window_index, s.src_addr))]
 
 
 # --------------------------------------------------------------- evaluate

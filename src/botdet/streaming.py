@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .detector import DetectorModel, classify
+from .detector import DetectorModel, classify, decision_record
 from .features import AggBuilder, FeatureRow, rows_from_aggregates, trailing_sequences, window_index
 from .ingest import FlowRecord
 from .scoring import score_sequences
@@ -66,17 +66,10 @@ def run_stream(model: TrainedModel, det: DetectorModel,
                         if s.target_window == w]
                 window_end = t0 + (w + 1) * model.window_seconds
                 for s in score_sequences(model.arch, model.params, seqs):
-                    v = classify(s.score, det)
-                    decisions.append({
-                        "src_addr": s.src_addr,
-                        "window_index": s.window_index,
-                        "score": s.score,
-                        "likelihood_normal": v.likelihood_normal,
-                        "likelihood_botnet": v.likelihood_botnet,
-                        "verdict": "Malicious" if v.malicious else "NonMalicious",
-                        "out_of_support": v.out_of_support,
-                        "emit_latency": max(watermark - window_end, 0.0),
-                    })
+                    record = decision_record(s.src_addr, s.window_index, s.score,
+                                             classify(s.score, det))
+                    record["emit_latency"] = max(watermark - window_end, 0.0)
+                    decisions.append(record)
                 decisions.sort(key=lambda d: d["src_addr"])
             history.append(rows)
             stats.decisions += len(decisions)
@@ -107,10 +100,3 @@ def run_stream(model: TrainedModel, det: DetectorModel,
             yield from flush(current_w, last_time)
 
     return gen(), stats
-
-
-def stream_decisions(model: TrainedModel, det: DetectorModel,
-                     flows: Iterable[FlowRecord]) -> tuple[list[dict], StreamStats]:
-    """Drain run_stream into a list; convenience for tests and batch diff."""
-    it, stats = run_stream(model, det, flows)
-    return list(it), stats

@@ -180,6 +180,13 @@ def test_data_errors_exit_2(chain, tmp_path):
     assert main(["score", "--model", str(chain["model"]),
                  "--features", str(tmp_path / "nope.csv"),
                  "--scores-out", str(tmp_path / "s.csv")]) == 2
+    truncated = tmp_path / "truncated.csv"
+    lines = chain["features_test"].read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:6])
+    truncated.write_text("\n".join(lines) + "\n")
+    assert main(["score", "--model", str(chain["model"]),
+                 "--features", str(truncated),
+                 "--scores-out", str(tmp_path / "s.csv")]) == 2
 
 
 def test_stage_mismatch_is_fatal_with_message(chain, tmp_path, capsys):

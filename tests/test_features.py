@@ -67,7 +67,7 @@ class TestAggregate:
             make_flow(t=3.0, dst="93.184.216.34", dport="80", proto="tcp",
                       state="FSPA_FSPA", dur=1.0, pkts=10, tot=1500, sb=700),
         ]
-        (agg,) = feat.aggregate_window(flows, window_idx=0)
+        (agg,) = feat.aggregate_flows(flows, t0=0.0, window_seconds=60.0)
         assert agg.src_addr == "10.0.0.1"
         assert agg.first_seen == 1.0
         assert agg.value("n_connections") == 3
@@ -92,7 +92,7 @@ class TestAggregate:
                       dport=rng.choice(["53", "80", "443", "25", "9999"]))
             for i in range(40)
         ]
-        (agg,) = feat.aggregate_window(flows, 0)
+        (agg,) = feat.aggregate_flows(flows, t0=0.0, window_seconds=60.0)
         n = agg.value("n_connections")
         for group in ("proto", "state", "service"):
             total = sum(agg.value(k) for k in FEATURE_NAMES if k.startswith(group + "_"))
@@ -104,17 +104,17 @@ class TestAggregate:
             make_flow(t=2.0, label="flow=From-Botnet-V1"),
             make_flow(t=3.0, label="flow=Background"),
         ]
-        (agg,) = feat.aggregate_window(flows, 0)
+        (agg,) = feat.aggregate_flows(flows, t0=0.0, window_seconds=60.0)
         assert agg.label is GroundTruth.BOTNET
 
     def test_normal_beats_background(self):
         flows = [make_flow(t=1.0, label="flow=Background"),
                  make_flow(t=2.0, label="flow=To-Normal")]
-        (agg,) = feat.aggregate_window(flows, 0)
+        (agg,) = feat.aggregate_flows(flows, t0=0.0, window_seconds=60.0)
         assert agg.label is GroundTruth.NORMAL
 
     def test_single_flow_aggregate(self):
-        (agg,) = feat.aggregate_window([make_flow(t=7.0)], 3)
+        (agg,) = feat.aggregate_flows([make_flow(t=7.0)], t0=0.0, window_seconds=2.0)
         assert agg.value("n_connections") == 1
         assert agg.window_index == 3
         assert agg.first_seen == 7.0

@@ -63,6 +63,16 @@ class TestParseFlow:
         with pytest.raises(ParseError, match="negative duration"):
             list(ingest.iter_flows(f, strict=True))
 
+    @pytest.mark.parametrize("dur", ["nan", "inf"])
+    def test_non_finite_duration_rejected(self, tmp_path, dur):
+        bad = ROW_UDP.replace(",3550.18,", f",{dur},")
+        f = write_csv(tmp_path / "a.csv", [bad, ROW_UDP])
+        with pytest.raises(ParseError, match="non-finite duration"):
+            list(ingest.iter_flows(f, strict=True))
+        stats = ingest.IngestStats()
+        assert len(list(ingest.iter_flows(f, stats=stats))) == 1
+        assert stats.errors == 1
+
     def test_src_bytes_above_total_rejected(self, tmp_path):
         bad = ROW_UDP.replace(",875,413,", ",875,999,")
         f = write_csv(tmp_path / "a.csv", [bad])

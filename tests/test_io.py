@@ -15,16 +15,12 @@ from botdet.fileio import (
     load_model,
     read_decisions_jsonl,
     read_features,
-    read_features_binary,
-    read_features_csv,
     read_run_manifest,
     read_scores_csv,
     save_detector,
     save_model,
     write_decisions_jsonl,
     write_features,
-    write_features_binary,
-    write_features_csv,
     write_run_manifest,
     write_scores_csv,
 )
@@ -52,16 +48,12 @@ def _rows(rng, n=17):
     ]
 
 
-@pytest.mark.parametrize("suffix,writer,reader", [
-    (".csv", write_features_csv, read_features_csv),
-    (".bin", write_features_binary, read_features_binary),
-], ids=["csv", "binary"])
-def test_features_roundtrip_is_bit_exact(tmp_path, suffix, writer, reader):
+def test_features_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     meta, rows = _meta(rng), _rows(rng)
-    path = tmp_path / f"features{suffix}"
-    writer(path, meta, rows)
-    meta2, rows2 = reader(path)
+    path = tmp_path / "features.csv"
+    write_features(path, meta, rows)
+    meta2, rows2 = read_features(path)
     assert meta2.feature_names == meta.feature_names
     assert np.array_equal(meta2.normalizer.vmin, meta.normalizer.vmin)
     assert np.array_equal(meta2.normalizer.vmax, meta.normalizer.vmax)
@@ -73,38 +65,42 @@ def test_features_roundtrip_is_bit_exact(tmp_path, suffix, writer, reader):
         assert np.array_equal(a.values, b.values)
 
 
-def test_write_features_dispatches_on_suffix(tmp_path):
-    rng = np.random.default_rng(1)
-    meta, rows = _meta(rng), _rows(rng, n=5)
-    for name in ("f.csv", "f.bin"):
-        write_features(tmp_path / name, meta, rows)
-        meta2, rows2 = read_features(tmp_path / name)
-        assert len(rows2) == 5
-    # the two encodings carry identical content
-    a = read_features(tmp_path / "f.csv")[1]
-    b = read_features(tmp_path / "f.bin")[1]
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.values, rb.values)
-
-
 def test_features_reader_rejects_foreign_files(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("src,dst\n1,2\n")
     with pytest.raises(DataError):
-        read_features_csv(p)
-    q = tmp_path / "x.bin"
-    q.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(DataError):
-        read_features_binary(q)
+        read_features(p)
     # wrong kind embedded in an otherwise valid header
     r = tmp_path / "y.csv"
     r.write_text('#META {"format_version": 1, "kind": "model"}\n')
     with pytest.raises(DataError):
-        read_features_csv(r)
+        read_features(r)
     s = tmp_path / "z.csv"
     s.write_text('#META {"format_version": 99, "kind": "features"}\n')
     with pytest.raises(DataError):
-        read_features_csv(s)
+        read_features(s)
+    # corrupt rows name the file line: #META, column header, then rows
+    rng = np.random.default_rng(2)
+    good = tmp_path / "good.csv"
+    write_features(good, _meta(rng), _rows(rng, n=5))
+    lines = good.read_text().splitlines()
+    fields = lines[3].split(",")
+    for name, row, reason in [
+        ("truncated", fields[:6], "6 columns, expected 29"),
+        ("extra", fields + ["0.5"], "30 columns, expected 29"),
+        ("window", [fields[0], "w1", *fields[2:]], "invalid literal"),
+        ("value", [*fields[:10], "0.5x", *fields[11:]], "could not convert"),
+        ("label", [*fields[:3], "Suspect", *fields[4:]], "not a valid GroundTruth"),
+    ]:
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join([*lines[:3], ",".join(row), *lines[4:]]) + "\n")
+        with pytest.raises(DataError, match=f"{name}.csv:4: .*{reason}"):
+            read_features(bad)
+    # a features file in the retired binary encoding
+    old = tmp_path / "features-train.bin"
+    old.write_bytes(b"BDFT\x8a\x05\x00\x00\x05\x00\x00\x00{")
+    with pytest.raises(DataError, match="features-train.bin:1: not UTF-8"):
+        read_features(old)
 
 
 def _trained_model(arch="rvae"):
@@ -218,6 +214,23 @@ def test_scores_roundtrip(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(DataError):
         read_scores_csv(bad)
+
+
+def test_scores_reader_rejects_corrupt_rows(tmp_path):
+    header = "src_addr,window_index,first_seen,label,score\n"
+    for name, row, reason in [
+        ("truncated", "10.0.0.1,2,1.0", "not enough values"),
+        ("window", "10.0.0.1,two,1.0,Normal,0.5", "invalid literal"),
+        ("label", "10.0.0.1,2,1.0,Suspect,0.5", "not a valid GroundTruth"),
+    ]:
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(header + "10.0.0.2,1,0.5,Normal,0.25\n" + row + "\n")
+        with pytest.raises(DataError, match=f"{name}.csv:3: .*{reason}"):
+            read_scores_csv(bad)
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(header.encode() + b"10.0.0.\xff,1,2.0,Normal,0.5\n")
+    with pytest.raises(DataError, match="raw.csv:2: not UTF-8"):
+        read_scores_csv(raw)
 
 
 def test_decisions_roundtrip(tmp_path):

@@ -11,12 +11,17 @@ from botdet.pipeline import (
     score_split,
     train_model,
 )
-from botdet.streaming import run_stream, stream_decisions
+from botdet.streaming import run_stream
 from botdet.synth import SynthConfig, make_fixture
 from botdet.train import TrainConfig
 
 FAST_CFG = TrainConfig(epochs=8, batch_size=16, lr=0.01, anneal_steps=40,
                        seed=0, hidden=12, latent=4, l_max=64)
+
+
+def stream_decisions(model, det, flows):
+    it, stats = run_stream(model, det, flows)
+    return list(it), stats
 
 
 def make_flow(t: float, src: str, dst: str = "198.18.0.9",
@@ -59,11 +64,11 @@ def test_stream_matches_batch_verdicts_exactly(fitted):
 
     def project(rows):
         return {(d["src_addr"], d["window_index"]):
-                (d["score"], d["likelihood_normal"], d["likelihood_botnet"],
-                 d["verdict"], d["out_of_support"])
+                {k: v for k, v in d.items() if k != "emit_latency"}
                 for d in rows}
 
     assert stats.late_dropped == 0
+    assert all("emit_latency" in d for d in streamed)
     assert project(streamed) == project(batch)
 
 
