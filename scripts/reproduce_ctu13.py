@@ -98,9 +98,7 @@ def run_duration(manifest: Path, train_ids, test_ids, duration: float,
     report = pipeline.evaluate_decisions(
         test_scored, decisions,
         config={"T": duration, "N": 3, "arch": arch})
-    fileio.dump_json({"format_version": fileio.FORMAT_VERSION,
-                      "kind": "metrics-report", **report.to_dict()},
-                     out / f"report-{arch}-T{duration:g}.json")
+    fileio.save_report(out / f"report-{arch}-T{duration:g}.json", report)
     pipeline.write_histogram_csv(out / f"hist-{arch}-T{duration:g}.csv",
                                  pipeline.score_histogram_rows(test_scored))
     print(f"[{arch} T={duration:g}s] done in {(time.time() - t_start) / 3600:.2f} h")

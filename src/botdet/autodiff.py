@@ -92,9 +92,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, idx):
-        return take(self, idx)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -205,19 +202,6 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _node(out, tuple(ts), vjp)
-
-
-def take(a, idx) -> Tensor:
-    """Basic slicing / integer indexing with gradient scatter-add."""
-    a = as_tensor(a)
-    out = a.data[idx]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _node(np.array(out, dtype=np.float64), (a,), vjp)
 
 
 def sigmoid(a) -> Tensor:

@@ -4,7 +4,8 @@ Eight subcommands cover the batch chain (preprocess, train, score,
 fitpdf, detect, evaluate, sweep) plus on-line detection (stream). Every
 flag has a config-file equivalent: pass ``--config file.json`` holding an
 object keyed by the flag names with underscores; explicit flags win over
-config values, which win over built-in defaults. Each batch stage writes
+config values, which win over built-in defaults, and a value from either
+source is cast and checked by the same option table. Each batch stage writes
 its artifact plus a ``*.run.json`` reproducibility manifest (config hash,
 input hashes, seed, library versions). Exit codes: 0 ok, 1 usage error,
 2 data error, 3 numeric failure.
@@ -13,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,27 +35,45 @@ class _CliParser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- opt merging
 
+def _cast(what: str, convert: Callable, *accepts: type) -> Callable:
+    """A cast taking only values of the listed JSON types; a flag is a str."""
+    def cast(v):
+        if type(v) not in accepts:
+            raise TypeError(f"expected {what}, got {v!r}")
+        x = convert(v)
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"expected a finite number, got {v!r}")
+        return x
+    return cast
+
+
+_as_text = _cast("a string", str, str)
+_as_int = _cast("an integer", int, int, str)
+_as_float = _cast("a number", float, int, float, str)
+_as_bool = _cast("true or false", bool, bool)
+_as_id = _cast("a string or an integer", str, str, int)
+
+
+def _listed(item: Callable) -> Callable:
+    """Cast for a list option: a comma-separated string or a JSON list."""
+    def cast(v) -> tuple:
+        if isinstance(v, str):
+            v = [s.strip() for s in v.split(",") if s.strip()]
+        elif not isinstance(v, (list, tuple)):
+            raise TypeError(f"expected a comma-separated string or a list, got {v!r}")
+        return tuple(item(s) for s in v)
+    return cast
+
+
 @dataclass(frozen=True)
 class Opt:
+    """One option; its cast and choices apply to flag and config values alike."""
+
     default: object = None
-    cast: Callable | None = None
+    cast: Callable = _as_text
     required: bool = False
-
-
-def _as_str_list(v) -> list[str]:
-    if isinstance(v, str):
-        return [s.strip() for s in v.split(",") if s.strip()]
-    return [str(s) for s in v]
-
-
-def _as_float_list(v) -> list[float]:
-    raw = v.split(",") if isinstance(v, str) else v
-    return [float(s) for s in raw]
-
-
-def _as_int_tuple(v) -> tuple[int, ...]:
-    raw = v.split(",") if isinstance(v, str) else v
-    return tuple(int(s) for s in raw)
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
 
 
 def _load_config_file(path: str) -> dict:
@@ -69,7 +89,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _finalize(args: argparse.Namespace) -> argparse.Namespace:
-    """Resolve each option as flag > config file > default."""
+    """Resolve each option as flag > config file > default, then cast and check it."""
     spec: dict[str, Opt] = args._spec
     cfg = _load_config_file(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(spec))
@@ -77,54 +97,59 @@ def _finalize(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError(f"config file has unknown keys {unknown}; "
                          f"valid keys: {sorted(spec)}")
     for name, opt in spec.items():
-        v = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
+        v = getattr(args, name)
         if v is None:
             v = cfg.get(name, opt.default)
         if v is None:
             if opt.required:
-                raise UsageError(f"missing required option --{name.replace('_', '-')}")
-        elif opt.cast is not None:
-            v = opt.cast(v)
+                raise UsageError(f"missing required option {flag}")
+        else:
+            try:
+                v = opt.cast(v)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"{flag}: {exc}") from None
+            if opt.choices and v not in opt.choices:
+                raise UsageError(f"{flag}: invalid choice {v!r} "
+                                 f"(choose from {', '.join(opt.choices)})")
         setattr(args, name, v)
     return args
 
 
+# l_max is not a train option: train reads it from the features header
+_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "l_max"]
+_CAST_BY_TYPE = {int: _as_int, float: _as_float, tuple: _listed(_as_int)}
+
 _TRAIN_HYPER: dict[str, Opt] = {
-    "arch": Opt("rvae", str),
-    "epochs": Opt(500, int),
-    "batch_size": Opt(128, int),
-    "lr": Opt(0.01, float),
-    "anneal_steps": Opt(500, int),
-    "beta_max": Opt(1.0, float),
-    "seed": Opt(0, int),
-    "grad_clip": Opt(5.0, float),
-    "hidden": Opt(64, int),
-    "latent": Opt(16, int),
-    "mlp_hidden": Opt((512, 512, 1024), _as_int_tuple),
+    "arch": Opt("rvae", choices=("rvae", "mlp")),
+    **{f.name: Opt(f.default, _CAST_BY_TYPE[type(f.default)]) for f in _TRAIN_FIELDS},
 }
 
 _PDF_OPTS: dict[str, Opt] = {
-    "bins": Opt(200, int),
-    "min_samples": Opt(100, int),
-    "tie_rule": Opt("malicious", str),
+    "bins": Opt(200, _as_int),
+    "min_samples": Opt(100, _as_int),
+    "tie_rule": Opt("malicious", choices=("malicious", "benign")),
 }
 
 _WINDOW_OPTS: dict[str, Opt] = {
-    "window_seconds": Opt(60.0, float),
-    "n_windows": Opt(3, int),
-    "l_max": Opt(128, int),
-    "log1p": Opt(False, bool),
-    "strict": Opt(False, bool),
+    "window_seconds": Opt(60.0, _as_float, help="window duration T in seconds"),
+    "n_windows": Opt(3, _as_int, help="sequence length N in windows"),
+    "l_max": Opt(128, _as_int, help="max elements per sequence"),
+    "log1p": Opt(False, _as_bool),
+    "strict": Opt(False, _as_bool),
+}
+
+_IDS = _listed(_as_id)
+_SCENARIO_OPTS: dict[str, Opt] = {
+    "manifest": Opt(required=True),
+    "train_scenarios": Opt(cast=_IDS, required=True, help="comma-separated scenario ids"),
+    "test_scenarios": Opt(cast=_IDS, required=True, help="comma-separated scenario ids"),
+    "scenario_filter": Opt(cast=_IDS, help="keep only these scenario ids"),
 }
 
 
 def _train_config(args, l_max: int) -> TrainConfig:
-    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                       lr=args.lr, anneal_steps=args.anneal_steps,
-                       beta_max=args.beta_max, seed=args.seed,
-                       grad_clip=args.grad_clip, hidden=args.hidden,
-                       latent=args.latent, l_max=l_max,
-                       mlp_hidden=args.mlp_hidden)
+    return TrainConfig(l_max=l_max, **_echo(args, [f.name for f in _TRAIN_FIELDS]))
 
 
 def _echo(args, names: Sequence[str]) -> dict:
@@ -161,9 +186,7 @@ def cmd_preprocess(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     fileio.write_run_manifest(
         out / "preprocess.run.json", "preprocess",
-        _echo(args, ("manifest", "train_scenarios", "test_scenarios",
-                     "scenario_filter", "window_seconds", "n_windows",
-                     "l_max", "log1p", "strict")),
+        _echo(args, (*_SCENARIO_OPTS, *_WINDOW_OPTS)),
         inputs=[manifest[s] for s in (*train_ids, *test_ids)],
         outputs=[train_path, test_path], seed=None)
     for name, split in (("train", res.train), ("test", res.test)):
@@ -187,7 +210,7 @@ def cmd_train(args) -> int:
     fileio.write_run_manifest(
         _run_manifest_path(model_out), "train",
         {"features": args.features, "kfold": args.kfold,
-         **cfg.to_dict(), "arch": args.arch},
+         **asdict(cfg), "arch": args.arch},
         inputs=[args.features], outputs=[model_out], seed=cfg.seed)
     print(f"trained {model.arch}: {model.train_summary}")
     return 0
@@ -249,8 +272,7 @@ def cmd_evaluate(args) -> int:
     report = pipeline.evaluate_decisions(scored, decisions, config=config,
                                          exclude_background=args.exclude_background)
     report_out = Path(args.report_out)
-    fileio.dump_json({"format_version": fileio.FORMAT_VERSION,
-                      "kind": "metrics-report", **report.to_dict()}, report_out)
+    fileio.save_report(report_out, report)
     inputs = [args.scores, args.decisions] + ([args.model] if args.model else [])
     fileio.write_run_manifest(
         _run_manifest_path(report_out), "evaluate",
@@ -277,9 +299,7 @@ def cmd_sweep(args) -> int:
         tag = f"{r.duration:g}s"
         report_path = out / f"report-T{tag}.json"
         hist_path = out / f"hist-T{tag}.csv"
-        fileio.dump_json({"format_version": fileio.FORMAT_VERSION,
-                          "kind": "metrics-report", **r.report.to_dict()},
-                         report_path)
+        fileio.save_report(report_path, r.report)
         pipeline.write_histogram_csv(hist_path, r.histogram)
         outputs += [report_path, hist_path]
     table = report_table([(f"T={r.duration:g}s", r.report) for r in results])
@@ -289,10 +309,9 @@ def cmd_sweep(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     fileio.write_run_manifest(
         out / "sweep.run.json", "sweep",
-        {**_echo(args, ("manifest", "train_scenarios", "test_scenarios",
-                        "scenario_filter", "durations", "n_windows", "l_max",
+        {**_echo(args, (*_SCENARIO_OPTS, "durations", "n_windows", "l_max",
                         "log1p", "strict", "exclude_background")),
-         **_echo(args, tuple(_PDF_OPTS)), **cfg.to_dict(), "arch": args.arch},
+         **_echo(args, tuple(_PDF_OPTS)), **asdict(cfg), "arch": args.arch},
         inputs=[manifest[s] for s in (*train_ids, *test_ids)],
         outputs=outputs, seed=cfg.seed)
     print(table)
@@ -327,37 +346,16 @@ def cmd_stream(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
-def _add_opts(sub: argparse.ArgumentParser, spec: dict[str, Opt],
-              flagdefs: dict[str, dict]) -> None:
+def _add_opts(sub: argparse.ArgumentParser, spec: dict[str, Opt]) -> None:
+    """Register every option as a raw flag; _finalize casts and checks it."""
     sub.add_argument("--config", help="JSON file with flag equivalents")
-    for name in spec:
-        flag = "--" + name.replace("_", "-")
-        kwargs = dict(flagdefs.get(name, {}))
-        if isinstance(spec[name].default, bool):
-            kwargs.setdefault("action", argparse.BooleanOptionalAction)
-        kwargs.setdefault("default", None)
-        sub.add_argument(flag, **kwargs)
-
-
-_FLAGDEFS: dict[str, dict] = {
-    "window_seconds": {"type": float, "help": "window duration T in seconds"},
-    "n_windows": {"type": int, "help": "sequence length N in windows"},
-    "l_max": {"type": int, "help": "max elements per sequence"},
-    "epochs": {"type": int}, "batch_size": {"type": int}, "lr": {"type": float},
-    "anneal_steps": {"type": int}, "beta_max": {"type": float},
-    "seed": {"type": int}, "grad_clip": {"type": float},
-    "hidden": {"type": int}, "latent": {"type": int},
-    "bins": {"type": int}, "min_samples": {"type": int},
-    "tie_rule": {"choices": ("malicious", "benign")},
-    "arch": {"choices": ("rvae", "mlp")},
-    "kfold": {"type": int, "help": "folds for time-blocked model selection"},
-    "train_scenarios": {"help": "comma-separated scenario ids"},
-    "test_scenarios": {"help": "comma-separated scenario ids"},
-    "scenario_filter": {"help": "keep only these scenario ids"},
-    "durations": {"help": "comma-separated window durations in seconds"},
-    "input": {"help": "comma-separated flow capture paths"},
-    "run_name": {"help": "row label in the metrics table"},
-}
+    for name, opt in spec.items():
+        kwargs = {"default": None, "help": opt.help}
+        if opt.choices:
+            kwargs["metavar"] = "{" + ",".join(opt.choices) + "}"
+        if isinstance(opt.default, bool):
+            kwargs["action"] = argparse.BooleanOptionalAction
+        sub.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,15 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sub(name, func, spec, help_):
         p = subs.add_parser(name, help=help_)
-        _add_opts(p, spec, _FLAGDEFS)
+        _add_opts(p, spec)
         p.set_defaults(func=func, _spec=spec)
         return p
 
     sub("preprocess", cmd_preprocess, {
-        "manifest": Opt(required=True),
-        "train_scenarios": Opt(required=True, cast=_as_str_list),
-        "test_scenarios": Opt(required=True, cast=_as_str_list),
-        "scenario_filter": Opt(cast=_as_str_list),
+        **_SCENARIO_OPTS,
         "out_dir": Opt(required=True),
         **_WINDOW_OPTS,
     }, "aggregate scenarios into normalized host-window features")
@@ -385,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub("train", cmd_train, {
         "features": Opt(required=True),
         "model_out": Opt(required=True),
-        "kfold": Opt(0, int),
+        "kfold": Opt(0, _as_int, help="folds for time-blocked model selection"),
         **_TRAIN_HYPER,
     }, "fit the VAE on non-malicious training rows")
 
@@ -412,28 +407,27 @@ def build_parser() -> argparse.ArgumentParser:
         "decisions": Opt(required=True),
         "report_out": Opt(required=True),
         "model": Opt(),
-        "run_name": Opt("run", str),
-        "exclude_background": Opt(False, bool),
+        "run_name": Opt("run", help="row label in the metrics table"),
+        "exclude_background": Opt(False, _as_bool),
     }, "metrics report from scores plus decisions")
 
     sub("sweep", cmd_sweep, {
-        "manifest": Opt(required=True),
-        "train_scenarios": Opt(required=True, cast=_as_str_list),
-        "test_scenarios": Opt(required=True, cast=_as_str_list),
-        "scenario_filter": Opt(cast=_as_str_list),
-        "durations": Opt(required=True, cast=_as_float_list),
+        **_SCENARIO_OPTS,
+        "durations": Opt(cast=_listed(_as_float), required=True,
+                         help="comma-separated window durations in seconds"),
         "out_dir": Opt(required=True),
-        "exclude_background": Opt(False, bool),
+        "exclude_background": Opt(False, _as_bool),
         **_WINDOW_OPTS, **_TRAIN_HYPER, **_PDF_OPTS,
     }, "re-run the whole pipeline per window duration")
 
     sub("stream", cmd_stream, {
         "model": Opt(required=True),
         "detector": Opt(required=True),
-        "input": Opt(cast=_as_str_list),
+        "input": Opt(cast=_listed(_as_text),
+                     help="comma-separated flow capture paths"),
         "manifest": Opt(),
-        "scenario_filter": Opt(cast=_as_str_list),
-        "strict": Opt(False, bool),
+        "scenario_filter": _SCENARIO_OPTS["scenario_filter"],
+        "strict": Opt(False, _as_bool),
     }, "emit JSON-lines decisions from a time-ordered flow stream")
 
     return parser

@@ -292,15 +292,14 @@ class Sequence:
     labels: tuple[GroundTruth, ...]
     first_seen: np.ndarray  # (L,)
     span_start: int
-    n_windows: int
     target_window: int | None = None  # set when built as trailing context
 
     def __len__(self) -> int:
         return len(self.src_addrs)
 
 
-def _span_chunks(members: list[FeatureRow], span_start: int, n_windows: int,
-                 l_max: int, target_window: int | None) -> Iterator[Sequence]:
+def _span_chunks(members: list[FeatureRow], span_start: int, l_max: int,
+                 target_window: int | None) -> Iterator[Sequence]:
     members = sorted(members, key=lambda r: (r.first_seen, r.src_addr))
     for lo in range(0, len(members), l_max):
         chunk = members[lo:lo + l_max]
@@ -311,7 +310,6 @@ def _span_chunks(members: list[FeatureRow], span_start: int, n_windows: int,
             labels=tuple(r.label for r in chunk),
             first_seen=np.array([r.first_seen for r in chunk], dtype=np.float64),
             span_start=span_start,
-            n_windows=n_windows,
             target_window=target_window,
         )
 
@@ -338,7 +336,7 @@ def build_sequences(rows: Seq[FeatureRow], n_windows: int,
         for w in range(start, start + n_windows):
             members.extend(by_window.get(w, ()))
         if members:
-            out.extend(_span_chunks(members, start, n_windows, l_max, None))
+            out.extend(_span_chunks(members, start, l_max, None))
     return out
 
 
@@ -363,7 +361,7 @@ def trailing_sequences(rows: Seq[FeatureRow], n_windows: int,
         members: list[FeatureRow] = []
         for wi in range(w - n_windows + 1, w + 1):
             members.extend(by_window.get(wi, ()))
-        out.extend(_span_chunks(members, w - n_windows + 1, n_windows, l_max, w))
+        out.extend(_span_chunks(members, w - n_windows + 1, l_max, w))
     return out
 
 

@@ -14,7 +14,8 @@ Every artifact is versioned and self-describing:
   timestamps, so reruns produce identical bytes
 
 Readers verify format_version and artifact kind and raise DataError with
-the offending path on any mismatch.
+the offending path on any mismatch, or on a payload that is missing a key
+or holds a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy
@@ -36,6 +37,7 @@ from .detector import DetectorModel, FittedPdf, family_by_name
 from .errors import DataError
 from .features import FeatureRow, Normalizer
 from .ingest import GroundTruth
+from .metrics import MetricsReport
 from .models import MlpVaeParams, RvaeParams
 from .scoring import ScoredWindow
 from .train import TrainedModel
@@ -60,7 +62,27 @@ def dump_json(payload: dict, path: str | Path) -> None:
     Path(path).write_text(text + "\n")
 
 
-def _load_json(path: str | Path, kind: str) -> dict:
+def _decode(payload, kind: str, path: Path, decode: Callable):
+    """Check an artifact's envelope, then build the object from its payload.
+
+    ``decode(payload, path)`` may index and convert freely: a missing key
+    or a value of the wrong type becomes a DataError naming path and kind.
+    """
+    got_kind = payload.get("kind") if isinstance(payload, dict) else None
+    if got_kind != kind:
+        raise DataError(f"{path}: expected a {kind} file, found kind={got_kind!r}")
+    version = payload.get("format_version")
+    if version != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported format_version {version!r}, "
+                        f"this build reads {FORMAT_VERSION}")
+    try:
+        return decode(payload, path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {kind} file "
+                        f"({type(exc).__name__}: {exc})") from None
+
+
+def _load_json(path: str | Path, kind: str, decode: Callable):
     p = Path(path)
     try:
         payload = json.loads(p.read_text())
@@ -68,14 +90,7 @@ def _load_json(path: str | Path, kind: str) -> dict:
         raise DataError(f"{p}: file not found")
     except json.JSONDecodeError as exc:
         raise DataError(f"{p}: not valid JSON ({exc})")
-    got_kind = payload.get("kind")
-    if got_kind != kind:
-        raise DataError(f"{p}: expected a {kind} file, found kind={got_kind!r}")
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DataError(f"{p}: unsupported format_version {version!r}, "
-                        f"this build reads {FORMAT_VERSION}")
-    return payload
+    return _decode(payload, kind, p, decode)
 
 
 def sha256_of(path: str | Path) -> str:
@@ -84,6 +99,22 @@ def sha256_of(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _normalizer_payload(nz: Normalizer) -> dict:
+    return {"min": nz.vmin.tolist(), "max": nz.vmax.tolist(),
+            "log1p": nz.log1p.tolist()}
+
+
+def _normalizer_from_payload(entry: dict, names: tuple[str, ...],
+                             path: Path) -> Normalizer:
+    nz = Normalizer(feature_names=names,
+                    vmin=np.asarray(entry["min"], dtype=np.float64),
+                    vmax=np.asarray(entry["max"], dtype=np.float64),
+                    log1p=np.asarray(entry["log1p"], dtype=bool))
+    if any(a.shape != (len(names),) for a in (nz.vmin, nz.vmax, nz.log1p)):
+        raise DataError(f"{path}: normalizer stats do not match feature names")
+    return nz
 
 
 # ---------------------------------------------------------------- features
@@ -104,11 +135,7 @@ class FeaturesMeta:
             "format_version": FORMAT_VERSION,
             "kind": "features",
             "feature_names": list(self.feature_names),
-            "normalizer": {
-                "min": self.normalizer.vmin.tolist(),
-                "max": self.normalizer.vmax.tolist(),
-                "log1p": self.normalizer.log1p.tolist(),
-            },
+            "normalizer": _normalizer_payload(self.normalizer),
             "window_seconds": self.window_seconds,
             "n_windows": self.n_windows,
             "l_max": self.l_max,
@@ -116,17 +143,9 @@ class FeaturesMeta:
         }
 
     @classmethod
-    def from_header(cls, header: dict, path: str) -> "FeaturesMeta":
+    def from_header(cls, header: dict, path: Path) -> "FeaturesMeta":
         names = tuple(header["feature_names"])
-        nz = header["normalizer"]
-        normalizer = Normalizer(
-            feature_names=names,
-            vmin=np.asarray(nz["min"], dtype=np.float64),
-            vmax=np.asarray(nz["max"], dtype=np.float64),
-            log1p=np.asarray(nz["log1p"], dtype=bool),
-        )
-        if normalizer.vmin.shape != (len(names),):
-            raise DataError(f"{path}: normalizer stats do not match feature names")
+        normalizer = _normalizer_from_payload(header["normalizer"], names, path)
         return cls(feature_names=names, normalizer=normalizer,
                    window_seconds=float(header["window_seconds"]),
                    n_windows=int(header["n_windows"]),
@@ -141,15 +160,6 @@ def _open_text(p: Path) -> io.StringIO:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{p}:{line}: not UTF-8 text ({exc.reason})") from None
-
-
-def _check_features_header(header: dict, path: str) -> None:
-    if header.get("kind") != "features":
-        raise DataError(f"{path}: expected a features file, "
-                        f"found kind={header.get('kind')!r}")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format_version "
-                        f"{header.get('format_version')!r}")
 
 
 def write_features(path: str | Path, meta: FeaturesMeta,
@@ -175,8 +185,7 @@ def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
             header = json.loads(first[len("#META "):])
         except json.JSONDecodeError as exc:
             raise DataError(f"{p}:1: #META header is not valid JSON ({exc})")
-        _check_features_header(header, str(p))
-        meta = FeaturesMeta.from_header(header, str(p))
+        meta = _decode(header, "features", p, FeaturesMeta.from_header)
         reader = csv.reader(fh)
         columns = next(reader, None)
         expected = ["src_addr", "window_index", "first_seen", "label",
@@ -200,32 +209,23 @@ def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
 
 # ------------------------------------------------------------------ model
 
-def _model_config(model: TrainedModel) -> dict:
-    cfg = {
-        "f_dim": model.params.f_dim,
-        "hidden": (model.params.hidden if isinstance(model.params, RvaeParams)
-                   else list(model.params.hidden)),
-        "latent": model.params.latent,
-        "l_max": model.l_max,
-        "window_seconds": model.window_seconds,
-        "n_windows": model.n_windows,
-    }
-    return cfg
-
-
 def save_model(path: str | Path, model: TrainedModel) -> None:
     named = model.params.named_parameters()
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": "model",
         "arch": model.arch,
-        "config": _model_config(model),
-        "feature_names": list(model.feature_names),
-        "normalizer": {
-            "min": model.normalizer.vmin.tolist(),
-            "max": model.normalizer.vmax.tolist(),
-            "log1p": model.normalizer.log1p.tolist(),
+        "config": {
+            "f_dim": model.params.f_dim,
+            "hidden": (model.params.hidden if isinstance(model.params, RvaeParams)
+                       else list(model.params.hidden)),
+            "latent": model.params.latent,
+            "l_max": model.l_max,
+            "window_seconds": model.window_seconds,
+            "n_windows": model.n_windows,
         },
+        "feature_names": list(model.feature_names),
+        "normalizer": _normalizer_payload(model.normalizer),
         "parameters": {
             name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
             for name, t in named.items()
@@ -237,8 +237,10 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    payload = _load_json(path, "model")
-    p = Path(path)
+    return _load_json(path, "model", _model_from_payload)
+
+
+def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
     arch = payload["arch"]
     cfg = payload["config"]
     rng = np.random.default_rng(0)  # placeholder init, overwritten below
@@ -265,13 +267,9 @@ def load_model(path: str | Path) -> TrainedModel:
                             f"expected {tensor.data.shape}")
         tensor.data = arr
     names = tuple(payload["feature_names"])
-    nz = payload["normalizer"]
-    normalizer = Normalizer(feature_names=names,
-                            vmin=np.asarray(nz["min"], dtype=np.float64),
-                            vmax=np.asarray(nz["max"], dtype=np.float64),
-                            log1p=np.asarray(nz["log1p"], dtype=bool))
     return TrainedModel(arch=arch, params=params, feature_names=names,
-                        normalizer=normalizer,
+                        normalizer=_normalizer_from_payload(payload["normalizer"],
+                                                            names, p),
                         window_seconds=float(cfg["window_seconds"]),
                         n_windows=int(cfg["n_windows"]), l_max=int(cfg["l_max"]),
                         seed=int(payload["rng_seed"]),
@@ -285,7 +283,7 @@ def _pdf_payload(fit: FittedPdf) -> dict:
             "scale": fit.scale, "sse": fit.sse, "n": fit.n_samples}
 
 
-def _pdf_from_payload(entry: dict, path: str) -> FittedPdf:
+def _pdf_from_payload(entry: dict) -> FittedPdf:
     family_by_name(entry["family"])  # validates the name
     return FittedPdf(family=entry["family"], shapes=tuple(entry["params"]),
                      loc=float(entry["loc"]), scale=float(entry["scale"]),
@@ -306,14 +304,24 @@ def save_detector(path: str | Path, det: DetectorModel) -> None:
 
 
 def load_detector(path: str | Path) -> DetectorModel:
-    payload = _load_json(path, "detector")
+    return _load_json(path, "detector", _detector_from_payload)
+
+
+def _detector_from_payload(payload: dict, path: Path) -> DetectorModel:
     return DetectorModel(
-        pdf_normal=_pdf_from_payload(payload["pdf_normal"], str(path)),
-        pdf_botnet=_pdf_from_payload(payload["pdf_botnet"], str(path)),
+        pdf_normal=_pdf_from_payload(payload["pdf_normal"]),
+        pdf_botnet=_pdf_from_payload(payload["pdf_botnet"]),
         tie_rule=payload["tie_rule"],
         bins=int(payload["bins"]),
         min_samples=int(payload["min_samples"]),
     )
+
+
+# ----------------------------------------------------------------- report
+
+def save_report(path: str | Path, report: MetricsReport) -> None:
+    dump_json({"format_version": FORMAT_VERSION, "kind": "metrics-report",
+               **report.to_dict()}, path)
 
 
 # ----------------------------------------------------------------- scores
@@ -406,4 +414,4 @@ def write_run_manifest(path: str | Path, stage: str, config: dict,
 
 
 def read_run_manifest(path: str | Path) -> dict:
-    return _load_json(path, "run-manifest")
+    return _load_json(path, "run-manifest", lambda payload, path: payload)

@@ -11,7 +11,7 @@ denominators mapping to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +30,8 @@ def _as_binary(values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _score_groups(scores, labels) -> Iterator[tuple[int, int]]:
-    """Yield (positives, negatives) per unique score, descending."""
+def _score_groups(scores, labels) -> list[tuple[int, int]]:
+    """(positives, negatives) per unique score, descending."""
     s = np.asarray(scores, dtype=np.float64)
     y = _as_binary(labels, "labels")
     if s.shape != y.shape:
@@ -42,18 +42,15 @@ def _score_groups(scores, labels) -> Iterator[tuple[int, int]]:
         raise DataError("scores contain non-finite values")
     order = np.argsort(-s, kind="mergesort")
     s, y = s[order], y[order]
-    start = 0
-    for i in range(1, s.size + 1):
-        if i == s.size or s[i] != s[start]:
-            block = y[start:i]
-            pos = int(block.sum())
-            yield pos, int(block.size - pos)
-            start = i
+    starts = np.flatnonzero(np.diff(s, prepend=np.nan) != 0)
+    pos = np.add.reduceat(y, starts)
+    size = np.diff(starts, append=s.size)
+    return list(zip(pos.tolist(), (size - pos).tolist()))
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve, with half credit for tied scores."""
-    groups = list(_score_groups(scores, labels))
+    groups = _score_groups(scores, labels)
     p = sum(g[0] for g in groups)
     n = sum(g[1] for g in groups)
     if p == 0 or n == 0:
@@ -68,7 +65,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 def pr_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Average precision over descending score thresholds."""
-    groups = list(_score_groups(scores, labels))
+    groups = _score_groups(scores, labels)
     p = sum(g[0] for g in groups)
     if p == 0:
         raise DataError("pr_auc needs at least one positive")

@@ -136,14 +136,6 @@ def preprocess(manifest_path: str | Path, train_ids: Sequence[str],
 
 # ------------------------------------------------------------------ train
 
-def _check_layout(meta_names: Sequence[str], model_names: Sequence[str],
-                  what: str) -> None:
-    if tuple(meta_names) != tuple(model_names):
-        raise DataError(
-            f"{what}: feature layout mismatch; "
-            f"got {list(meta_names)[:4]}... vs {list(model_names)[:4]}...")
-
-
 def train_model(meta: FeaturesMeta, rows: Sequence[FeatureRow],
                 cfg: TrainConfig, arch: str = ARCH_RVAE) -> TrainedModel:
     """Fit the chosen architecture on the split's non-malicious rows."""
@@ -214,7 +206,6 @@ def train_model_kfold(meta: FeaturesMeta, rows: Sequence[FeatureRow],
 
 def score_split(model: TrainedModel, meta: FeaturesMeta,
                 rows: Sequence[FeatureRow]) -> list[ScoredWindow]:
-    _check_layout(meta.feature_names, model.feature_names, "score")
     return score_rows(model, rows, meta.feature_names)
 
 

@@ -33,13 +33,17 @@ class ScoredWindow:
     score: float
 
 
-def anomaly_score(target: np.ndarray, recon: np.ndarray) -> float:
-    """Feature-summed BCE with clamped probabilities; 0 only at exact binary hits."""
+def anomaly_score(target: np.ndarray, recon: np.ndarray):
+    """BCE with clamped probabilities, summed over the last (feature) axis.
+
+    One score for a feature vector, one per row for an (L, F) matrix; 0
+    only at exact binary hits.
+    """
     y = np.asarray(target, dtype=np.float64)
     if y.min() < 0.0 or y.max() > 1.0:
         raise ValueError("anomaly_score: targets must lie in [0, 1]")
     p = np.clip(np.asarray(recon, dtype=np.float64), BCE_EPS, 1.0 - BCE_EPS)
-    return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    return -np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p), axis=-1)
 
 
 def reconstruct_sequence(arch: str, params, vectors: np.ndarray) -> np.ndarray:
@@ -55,9 +59,7 @@ def reconstruct_sequence(arch: str, params, vectors: np.ndarray) -> np.ndarray:
 
 
 def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:
-    recon = reconstruct_sequence(arch, params, vectors)
-    return np.array([anomaly_score(vectors[t], recon[t])
-                     for t in range(vectors.shape[0])])
+    return anomaly_score(vectors, reconstruct_sequence(arch, params, vectors))
 
 
 def score_sequences(arch: str, params,

@@ -41,15 +41,6 @@ class TrainConfig:
     l_max: int = 128
     mlp_hidden: tuple[int, ...] = (512, 512, 1024)
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "batch_size": self.batch_size, "lr": self.lr,
-            "anneal_steps": self.anneal_steps, "beta_max": self.beta_max,
-            "seed": self.seed, "grad_clip": self.grad_clip, "hidden": self.hidden,
-            "latent": self.latent, "l_max": self.l_max,
-            "mlp_hidden": list(self.mlp_hidden),
-        }
-
 
 @dataclass
 class TrainLog:

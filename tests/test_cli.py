@@ -222,3 +222,80 @@ def test_sweep_single_duration(fixture_dir, tmp_path, capsys):
                                              "F1", "AUPRC", "AUROC"]
     assert "T=60s" in table
     assert "T=60s" in capsys.readouterr().out
+
+
+def _config(tmp_path, payload) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,payload,named", [
+    ("preprocess", {"log1p": "false"}, "--log1p"),
+    ("train", {"epochs": "abc"}, "--epochs"),
+    ("fitpdf", {"tie_rule": "bogus"}, "--tie-rule"),
+    ("sweep", {"tie_rule": "bogus"}, "--tie-rule"),
+])
+def test_config_values_are_checked_like_flags(chain, fixture_dir, tmp_path, capsys,
+                                              command, payload, named):
+    scenarios = {"manifest": str(fixture_dir["manifest"]),
+                 "train_scenarios": "synth-train", "test_scenarios": "synth-test",
+                 "out_dir": str(tmp_path / "out")}
+    required = {
+        "preprocess": scenarios,
+        "train": {"features": str(chain["features_train"]),
+                  "model_out": str(tmp_path / "out" / "m.json")},
+        "fitpdf": {"scores": str(chain["scores_train"]),
+                   "detector_out": str(tmp_path / "out" / "d.json")},
+        "sweep": {**scenarios, "durations": "60"},
+    }[command]
+    extra = FAST_TRAIN if command == "sweep" else []
+    config = _config(tmp_path, {**required, **payload})
+    assert main([command, "--config", config, *extra]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any stage ran
+
+
+def _doctored(chain, tmp_path, artifact: str, edit) -> Path:
+    """A chain artifact's copy with its JSON payload (features: #META header) edited."""
+    if artifact == "features":
+        first, rest = chain["features_test"].read_text().split("\n", 1)
+        header = edit(json.loads(first.removeprefix("#META ")))
+        text = f"#META {json.dumps(header)}\n{rest}"
+    else:
+        text = json.dumps(edit(json.loads(chain[artifact].read_text())))
+    path = tmp_path / f"doctored-{artifact}"
+    path.write_text(text)
+    return path
+
+
+def _loading_argv(chain, artifact: str, path: Path, out: Path) -> list[str]:
+    if artifact == "detector":
+        return ["detect", "--scores", str(chain["scores_test"]),
+                "--detector", str(path), "--decisions-out", str(out)]
+    model, features = ((path, chain["features_test"]) if artifact == "model"
+                       else (chain["model"], path))
+    return ["score", "--model", str(model), "--features", str(features),
+            "--scores-out", str(out)]
+
+
+@pytest.mark.parametrize("artifact,key", [
+    ("detector", "pdf_normal"), ("detector", "tie_rule"),
+    ("model", "arch"), ("model", "normalizer"), ("model", "rng_seed"),
+    ("features", "feature_names"), ("features", "normalizer"), ("features", "t0"),
+])
+def test_incomplete_artifact_is_a_data_error(chain, tmp_path, capsys, artifact, key):
+    def drop(payload):
+        del payload[key]
+        return payload
+    path = _doctored(chain, tmp_path, artifact, drop)
+    assert main(_loading_argv(chain, artifact, path, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"malformed {artifact} file" in err and key in err
+
+
+@pytest.mark.parametrize("artifact", ["detector", "model", "features"])
+def test_non_object_artifact_is_a_data_error(chain, tmp_path, capsys, artifact):
+    path = _doctored(chain, tmp_path, artifact, lambda payload: [payload])
+    assert main(_loading_argv(chain, artifact, path, tmp_path / "out")) == 2
+    assert f"{path}: expected a {artifact} file" in capsys.readouterr().err

@@ -1,0 +1,89 @@
+"""Flags and ``--config`` keys resolve through one cast-and-check path.
+
+For every option of every subcommand, ``--name=TEXT`` and a config file
+holding ``{"name": "TEXT"}`` must resolve to the same value, or both must
+be usage errors (exit 1).
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from botdet.cli import _finalize, build_parser
+from botdet.errors import UsageError
+
+SUBCOMMANDS = ("preprocess", "train", "score", "fitpdf", "detect", "evaluate",
+               "sweep", "stream")
+SPECS = {cmd: build_parser().parse_args([cmd])._spec for cmd in SUBCOMMANDS}
+OPTIONS = [(cmd, name) for cmd, spec in SPECS.items() for name in spec]
+BOOL_OPTIONS = [(cmd, name) for cmd, name in OPTIONS
+                if isinstance(SPECS[cmd][name].default, bool)]
+VALUE_OPTIONS = [case for case in OPTIONS if case not in BOOL_OPTIONS]
+
+TEXT = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " 7 ", "1,2", "3,,4", "0.5,x", "2.0", "true", "false",
+                     "rvae", "mlp", "malicious", "benign", "bogus"]),
+    st.text(max_size=12),
+)
+SETTINGS = settings(max_examples=300, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def resolve(cmd, name, flags, config, workdir):
+    """What main() resolves before running ``cmd``: every option's value, or 1."""
+    argv = [cmd, *flags]
+    for other, opt in SPECS[cmd].items():  # every other required option is valid
+        if opt.required and other != name:
+            argv.append(f"{flag(other)}=1")
+    if config is not None:
+        path = workdir / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    try:
+        args = _finalize(build_parser().parse_args(argv))
+    except UsageError:
+        return 1
+    return {k: getattr(args, k) for k in SPECS[cmd]}
+
+
+@SETTINGS
+@given(case=st.sampled_from(VALUE_OPTIONS), text=TEXT)
+def test_flag_and_config_text_resolve_alike(case, text, tmp_path):
+    cmd, name = case
+    assert (resolve(cmd, name, [f"{flag(name)}={text}"], None, tmp_path)
+            == resolve(cmd, name, [], {name: text}, tmp_path))
+
+
+@SETTINGS
+@given(case=st.sampled_from(VALUE_OPTIONS), number=st.integers(-10**6, 10**6))
+def test_config_numbers_resolve_like_their_flag_text(case, number, tmp_path):
+    cmd, name = case
+    from_flag = resolve(cmd, name, [f"{flag(name)}={number}"], None, tmp_path)
+    if from_flag != 1 and isinstance(from_flag[name], (int, float)):
+        assert resolve(cmd, name, [], {name: number}, tmp_path) == from_flag
+
+
+@SETTINGS
+@given(case=st.sampled_from(BOOL_OPTIONS), value=st.booleans())
+def test_bool_flag_and_config_resolve_alike(case, value, tmp_path):
+    cmd, name = case
+    switch = flag(name) if value else "--no-" + flag(name)[2:]
+    from_flag = resolve(cmd, name, [switch], None, tmp_path)
+    assert from_flag[name] is value
+    assert from_flag == resolve(cmd, name, [], {name: value}, tmp_path)
+
+
+@SETTINGS
+@given(case=st.sampled_from(BOOL_OPTIONS),
+       value=st.one_of(st.text(max_size=8), st.integers(), st.floats(),
+                       st.lists(st.booleans(), max_size=2)))
+def test_bool_config_takes_only_json_booleans(case, value, tmp_path):
+    cmd, name = case
+    assert resolve(cmd, name, [], {name: value}, tmp_path) == 1

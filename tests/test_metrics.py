@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from botdet.errors import DataError
 from botdet.metrics import (
     MetricsReport,
+    _score_groups,
     confusion,
     kfold_split,
     make_report,
@@ -28,6 +31,26 @@ def pairwise_auc(scores, labels) -> float:
             elif sp == sn:
                 num += 1
     return num / (2 * len(pos) * len(neg))
+
+
+def loop_score_groups(scores, labels) -> list[tuple[int, int]]:
+    """Reference (positives, negatives) per unique score: a scan of sorted scores."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="mergesort")
+    s, y = np.asarray(scores, dtype=np.float64)[order], np.asarray(labels)[order]
+    groups, start = [], 0
+    for i in range(1, s.size + 1):
+        if i == s.size or s[i] != s[start]:
+            pos = int(y[start:i].sum())
+            groups.append((pos, i - start - pos))
+            start = i
+    return groups
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.5, 2.0, -3.25, 1e300]),
+                          st.integers(0, 1)), min_size=1, max_size=60))
+def test_score_groups_match_loop_reference(pairs):
+    scores, labels = [s for s, _ in pairs], [y for _, y in pairs]
+    assert _score_groups(scores, labels) == loop_score_groups(scores, labels)
 
 
 def test_roc_auc_perfect_separation():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdet import scoring, train
 from botdet.errors import DataError, TrainingAborted
@@ -103,6 +105,17 @@ class TestAnomalyScore:
     def test_target_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             scoring.anomaly_score(np.array([1.2]), np.array([0.5]))
+        with pytest.raises(ValueError):
+            scoring.anomaly_score(np.array([[0.5], [-0.1]]), np.full((2, 1), 0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.sampled_from([1, 2, 5, 60, 128]), seed=st.integers(0, 2**32 - 1))
+    def test_matrix_rows_score_bit_for_bit_like_single_vectors(self, length, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(0, 1, size=(length, 25))
+        p = rng.uniform(0, 1, size=(length, 25))
+        rows = np.array([scoring.anomaly_score(y[t], p[t]) for t in range(length)])
+        assert np.array_equal(scoring.anomaly_score(y, p), rows)
 
 
 def make_model(f=6, seed=1, n_windows=3, l_max=8):
