@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__, fileio, pipeline
+from .detector import TIE_RULES
 from .errors import DataError, NumericError, UsageError
 from .ingest import iter_flows
 from .metrics import report_table
@@ -35,21 +36,27 @@ class _CliParser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- opt merging
 
-def _cast(what: str, convert: Callable, *accepts: type) -> Callable:
-    """A cast taking only values of the listed JSON types; a flag is a str."""
+def _cast(what: str, convert: Callable, *accepts: type,
+          ok: Callable = lambda x: True) -> Callable:
+    """A cast of the listed JSON types (a flag is a str) to a value passing ``ok``."""
     def cast(v):
         if type(v) not in accepts:
             raise TypeError(f"expected {what}, got {v!r}")
         x = convert(v)
         if isinstance(x, float) and not math.isfinite(x):
             raise ValueError(f"expected a finite number, got {v!r}")
+        if not ok(x):
+            raise ValueError(f"expected {what}, got {v!r}")
         return x
     return cast
 
 
 _as_text = _cast("a string", str, str)
 _as_int = _cast("an integer", int, int, str)
+_as_count = _cast("an integer >= 1", int, int, str, ok=lambda x: x >= 1)
+_as_seed = _cast("an integer >= 0", int, int, str, ok=lambda x: x >= 0)
 _as_float = _cast("a number", float, int, float, str)
+_as_positive = _cast("a number > 0", float, int, float, str, ok=lambda x: x > 0)
 _as_bool = _cast("true or false", bool, bool)
 _as_id = _cast("a string or an integer", str, str, int)
 
@@ -118,23 +125,26 @@ def _finalize(args: argparse.Namespace) -> argparse.Namespace:
 
 # l_max is not a train option: train reads it from the features header
 _TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "l_max"]
-_CAST_BY_TYPE = {int: _as_int, float: _as_float, tuple: _listed(_as_int)}
+# sizes and widths are counts; anneal_steps <= 0 turns annealing off
+_CAST_BY_TYPE = {int: _as_count, float: _as_float, tuple: _listed(_as_count)}
+_CAST_BY_NAME = {"anneal_steps": _as_int, "seed": _as_seed}
 
 _TRAIN_HYPER: dict[str, Opt] = {
     "arch": Opt("rvae", choices=("rvae", "mlp")),
-    **{f.name: Opt(f.default, _CAST_BY_TYPE[type(f.default)]) for f in _TRAIN_FIELDS},
+    **{f.name: Opt(f.default, _CAST_BY_NAME.get(f.name, _CAST_BY_TYPE[type(f.default)]))
+       for f in _TRAIN_FIELDS},
 }
 
 _PDF_OPTS: dict[str, Opt] = {
-    "bins": Opt(200, _as_int),
+    "bins": Opt(200, _as_count),
     "min_samples": Opt(100, _as_int),
-    "tie_rule": Opt("malicious", choices=("malicious", "benign")),
+    "tie_rule": Opt("malicious", choices=TIE_RULES),
 }
 
+# sweep takes T from --durations alone, so window_seconds is preprocess's
 _WINDOW_OPTS: dict[str, Opt] = {
-    "window_seconds": Opt(60.0, _as_float, help="window duration T in seconds"),
-    "n_windows": Opt(3, _as_int, help="sequence length N in windows"),
-    "l_max": Opt(128, _as_int, help="max elements per sequence"),
+    "n_windows": Opt(3, _as_count, help="sequence length N in windows"),
+    "l_max": Opt(128, _as_count, help="max elements per sequence"),
     "log1p": Opt(False, _as_bool),
     "strict": Opt(False, _as_bool),
 }
@@ -186,7 +196,7 @@ def cmd_preprocess(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     fileio.write_run_manifest(
         out / "preprocess.run.json", "preprocess",
-        _echo(args, (*_SCENARIO_OPTS, *_WINDOW_OPTS)),
+        _echo(args, (*_SCENARIO_OPTS, "window_seconds", *_WINDOW_OPTS)),
         inputs=[manifest[s] for s in (*train_ids, *test_ids)],
         outputs=[train_path, test_path], seed=None)
     for name, split in (("train", res.train), ("test", res.test)):
@@ -309,8 +319,8 @@ def cmd_sweep(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     fileio.write_run_manifest(
         out / "sweep.run.json", "sweep",
-        {**_echo(args, (*_SCENARIO_OPTS, "durations", "n_windows", "l_max",
-                        "log1p", "strict", "exclude_background")),
+        {**_echo(args, (*_SCENARIO_OPTS, "durations", *_WINDOW_OPTS,
+                        "exclude_background")),
          **_echo(args, tuple(_PDF_OPTS)), **asdict(cfg), "arch": args.arch},
         inputs=[manifest[s] for s in (*train_ids, *test_ids)],
         outputs=outputs, seed=cfg.seed)
@@ -330,11 +340,8 @@ def cmd_stream(args) -> int:
     else:
         raise UsageError("stream needs --input or --manifest")
 
-    def flow_source():
-        for p in paths:
-            yield from iter_flows(p, strict=args.strict)
-
-    decisions, stats = run_stream(model, det, flow_source())
+    flows = (f for p in paths for f in iter_flows(p, strict=args.strict))
+    decisions, stats = run_stream(model, det, flows)
     for record in decisions:
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
         sys.stdout.flush()
@@ -374,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub("preprocess", cmd_preprocess, {
         **_SCENARIO_OPTS,
         "out_dir": Opt(required=True),
+        "window_seconds": Opt(60.0, _as_positive, help="window duration T in seconds"),
         **_WINDOW_OPTS,
     }, "aggregate scenarios into normalized host-window features")
 
@@ -413,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub("sweep", cmd_sweep, {
         **_SCENARIO_OPTS,
-        "durations": Opt(cast=_listed(_as_float), required=True,
+        "durations": Opt(cast=_listed(_as_positive), required=True,
                          help="comma-separated window durations in seconds"),
         "out_dir": Opt(required=True),
         "exclude_background": Opt(False, _as_bool),

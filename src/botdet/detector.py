@@ -319,6 +319,9 @@ def best_fit(samples: np.ndarray, min_samples: int = 100,
     return tied[0][3]
 
 
+TIE_RULES = ("malicious", "benign")
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Best-fit score densities for normal and botnet traffic."""
@@ -328,6 +331,10 @@ class DetectorModel:
     tie_rule: str = "malicious"  # or "benign"
     bins: int = 200
     min_samples: int = 100
+
+    def __post_init__(self):
+        if self.tie_rule not in TIE_RULES:
+            raise DataError(f"unknown tie rule {self.tie_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -370,8 +377,6 @@ def decision_record(src_addr: str, window_index: int, score: float,
 def fit_detector(normal_scores: Sequence[float], botnet_scores: Sequence[float],
                  min_samples: int = 100, bins: int = 200,
                  tie_rule: str = "malicious") -> DetectorModel:
-    if tie_rule not in ("malicious", "benign"):
-        raise DataError(f"unknown tie rule {tie_rule!r}")
     return DetectorModel(
         pdf_normal=best_fit(np.asarray(normal_scores), min_samples, bins),
         pdf_botnet=best_fit(np.asarray(botnet_scores), min_samples, bins),

@@ -11,7 +11,7 @@ training split, then chained into model-ready sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence as Seq
+from typing import Callable, Iterable, Sequence as Seq
 
 import numpy as np
 
@@ -255,10 +255,7 @@ class Normalizer:
     def transform(self, raw: np.ndarray) -> np.ndarray:
         x = _apply_log1p(np.asarray(raw, dtype=np.float64), self.log1p)
         span = self.vmax - self.vmin
-        out = np.zeros_like(x)
-        nz = span != 0
-        scaled = (x - self.vmin)
-        out = np.divide(scaled, span, out=out, where=nz)
+        out = np.divide(x - self.vmin, span, out=np.zeros_like(x), where=span != 0)
         return np.clip(out, 0.0, 1.0)
 
 
@@ -284,60 +281,51 @@ def rows_from_aggregates(aggs: Seq[HostWindowAggregate],
 
 @dataclass
 class Sequence:
-    """Time-ordered host-window vectors from one span of consecutive windows."""
+    """Time-ordered host-window rows from one span of consecutive windows."""
 
-    vectors: np.ndarray  # (L, F)
-    src_addrs: tuple[str, ...]
-    window_indices: np.ndarray  # (L,) int64
-    labels: tuple[GroundTruth, ...]
-    first_seen: np.ndarray  # (L,)
-    span_start: int
+    rows: tuple[FeatureRow, ...]
+    vectors: np.ndarray  # (L, F), the rows' values stacked
     target_window: int | None = None  # set when built as trailing context
 
     def __len__(self) -> int:
-        return len(self.src_addrs)
+        return len(self.rows)
 
 
-def _span_chunks(members: list[FeatureRow], span_start: int, l_max: int,
-                 target_window: int | None) -> Iterator[Sequence]:
-    members = sorted(members, key=lambda r: (r.first_seen, r.src_addr))
-    for lo in range(0, len(members), l_max):
-        chunk = members[lo:lo + l_max]
-        yield Sequence(
-            vectors=np.stack([r.values for r in chunk]),
-            src_addrs=tuple(r.src_addr for r in chunk),
-            window_indices=np.array([r.window_index for r in chunk], dtype=np.int64),
-            labels=tuple(r.label for r in chunk),
-            first_seen=np.array([r.first_seen for r in chunk], dtype=np.float64),
-            span_start=span_start,
-            target_window=target_window,
-        )
+def _span_sequences(rows: Seq[FeatureRow], n_windows: int, l_max: int,
+                    spans: Callable[[list[int]], Iterable[tuple[int, int | None]]]
+                    ) -> list[Sequence]:
+    """Sequences over the spans that ``spans`` names from the sorted populated windows.
+
+    A span is (first window, target window or None) and covers ``n_windows``
+    windows; its members sort by (first_seen, src_addr), unique since a host
+    has one row per window, into chunks of at most ``l_max``.
+    """
+    if n_windows < 1 or l_max < 1:
+        raise ValueError("n_windows and l_max must be >= 1")
+    by_window: dict[int, list[FeatureRow]] = {}
+    for r in rows:
+        by_window.setdefault(r.window_index, []).append(r)
+    out: list[Sequence] = []
+    for first, target in spans(sorted(by_window)):
+        members = sorted((r for w in range(first, first + n_windows)
+                          for r in by_window.get(w, ())),
+                         key=lambda r: (r.first_seen, r.src_addr))
+        for lo in range(0, len(members), l_max):
+            chunk = tuple(members[lo:lo + l_max])
+            out.append(Sequence(chunk, np.stack([r.values for r in chunk]), target))
+    return out
 
 
 def build_sequences(rows: Seq[FeatureRow], n_windows: int,
                     l_max: int) -> list[Sequence]:
     """Chain host-window rows into sequences over spans of ``n_windows`` windows.
 
-    Spans start at window 0 and do not overlap; members sort by
-    (first_seen, src_addr) and split into chunks of at most ``l_max``, so
-    every row lands in exactly one sequence.
+    Spans start at window 0 and do not overlap, so every row lands in
+    exactly one sequence.
     """
-    if n_windows < 1 or l_max < 1:
-        raise ValueError("n_windows and l_max must be >= 1")
-    if not rows:
-        return []
-    by_window: dict[int, list[FeatureRow]] = {}
-    for r in rows:
-        by_window.setdefault(r.window_index, []).append(r)
-    max_w = max(by_window)
-    out: list[Sequence] = []
-    for start in range(0, max_w + 1, n_windows):
-        members: list[FeatureRow] = []
-        for w in range(start, start + n_windows):
-            members.extend(by_window.get(w, ()))
-        if members:
-            out.extend(_span_chunks(members, start, l_max, None))
-    return out
+    return _span_sequences(
+        rows, n_windows, l_max,
+        lambda ws: [(k, None) for k in range(0, max(ws, default=-1) + 1, n_windows)])
 
 
 def trailing_sequences(rows: Seq[FeatureRow], n_windows: int,
@@ -351,18 +339,8 @@ def trailing_sequences(rows: Seq[FeatureRow], n_windows: int,
     Scores are kept only for elements whose window equals
     ``target_window``, so every row is scored exactly once.
     """
-    if not rows:
-        return []
-    by_window: dict[int, list[FeatureRow]] = {}
-    for r in rows:
-        by_window.setdefault(r.window_index, []).append(r)
-    out: list[Sequence] = []
-    for w in sorted(by_window):
-        members: list[FeatureRow] = []
-        for wi in range(w - n_windows + 1, w + 1):
-            members.extend(by_window.get(wi, ()))
-        out.extend(_span_chunks(members, w - n_windows + 1, l_max, w))
-    return out
+    return _span_sequences(rows, n_windows, l_max,
+                           lambda ws: [(w - n_windows + 1, w) for w in ws])
 
 
 def non_malicious(rows: Iterable[FeatureRow]) -> list[FeatureRow]:

@@ -44,10 +44,6 @@ class Adam:
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.

@@ -20,7 +20,7 @@ from .autodiff import no_grad
 from .errors import DataError
 from .features import FeatureRow, Sequence, trailing_sequences
 from .ingest import GroundTruth
-from .models import BCE_EPS, MlpVaeParams, RvaeParams
+from .models import BCE_EPS
 from .train import ARCH_MLP, ARCH_RVAE, TrainedModel
 
 
@@ -46,20 +46,17 @@ def anomaly_score(target: np.ndarray, recon: np.ndarray):
     return -np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p), axis=-1)
 
 
-def reconstruct_sequence(arch: str, params, vectors: np.ndarray) -> np.ndarray:
-    """Deterministic reconstruction of one (L, F) sequence."""
+def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:
+    """Per-element scores of one (L, F) sequence, deterministically reconstructed."""
     with no_grad():
         if arch == ARCH_RVAE:
             recons, _, _ = models.rvae_forward(params, vectors[None, :, :])
-            return np.stack([r.data[0] for r in recons])
-        if arch == ARCH_MLP:
-            recon, _, _ = models.mlp_forward(params, vectors)
-            return recon.data
-    raise DataError(f"unknown architecture {arch!r}")
-
-
-def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:
-    return anomaly_score(vectors, reconstruct_sequence(arch, params, vectors))
+            recon = np.stack([r.data[0] for r in recons])
+        elif arch == ARCH_MLP:
+            recon = models.mlp_forward(params, vectors)[0].data
+        else:
+            raise DataError(f"unknown architecture {arch!r}")
+    return anomaly_score(vectors, recon)
 
 
 def score_sequences(arch: str, params,
@@ -72,16 +69,10 @@ def score_sequences(arch: str, params,
     out: list[ScoredWindow] = []
     for seq in sequences:
         scores = score_elements(arch, params, seq.vectors)
-        for i in range(len(seq)):
-            if seq.target_window is not None and seq.window_indices[i] != seq.target_window:
-                continue
-            out.append(ScoredWindow(
-                src_addr=seq.src_addrs[i],
-                window_index=int(seq.window_indices[i]),
-                first_seen=float(seq.first_seen[i]),
-                label=seq.labels[i],
-                score=float(scores[i]),
-            ))
+        for r, score in zip(seq.rows, scores):
+            if seq.target_window is None or r.window_index == seq.target_window:
+                out.append(ScoredWindow(r.src_addr, r.window_index, r.first_seen,
+                                        r.label, float(score)))
     return out
 
 

@@ -53,10 +53,9 @@ def run_stream(model: TrainedModel, det: DetectorModel,
         history: deque[list[FeatureRow]] = deque(maxlen=max(model.n_windows - 1, 0))
 
         def flush(w: int, watermark: float) -> Iterator[dict]:
-            aggs = sorted((b.finalize() for b in builders.values()),
-                          key=lambda a: (a.first_seen, a.src_addr))
+            rows = rows_from_aggregates([b.finalize() for b in builders.values()],
+                                        model.normalizer)
             builders.clear()
-            rows = rows_from_aggregates(aggs, model.normalizer)
             stats.windows_closed += 1
             decisions: list[dict] = []
             if rows:

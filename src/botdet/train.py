@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import models
-from .autodiff import backward
+from .autodiff import backward, zero_grads
 from .errors import NumericError, TrainingAborted
 from .features import Normalizer
 from .models import MlpVaeParams, RvaeParams
@@ -88,8 +88,7 @@ def _restore(params, snap: dict[str, np.ndarray]) -> None:
 
 def _pad_batch(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-    f_dim = seqs[0].shape[1]
-    batch = np.zeros((len(seqs), int(lengths.max()), f_dim))
+    batch = np.zeros((len(seqs), int(lengths.max()), seqs[0].shape[1]))
     for i, s in enumerate(seqs):
         batch[i, : s.shape[0], :] = s
     return batch, lengths
@@ -104,10 +103,9 @@ def fit_rvae(sequences: Sequence[np.ndarray], f_dim: int,
     params = RvaeParams.init(rng, f_dim, cfg.hidden, cfg.latent)
 
     def forward(batch, lengths, eps):
-        recons, mu, lv = models.rvae_forward(params, batch, lengths=lengths, eps=eps)
-        return batch, recons, mu, lv
+        return models.rvae_forward(params, batch, lengths=lengths, eps=eps)
 
-    return _fit(list(sequences), params, forward, cfg, rng, is_sequence=True)
+    return _fit(list(sequences), params, forward, cfg, rng)
 
 
 def fit_mlp(vectors: np.ndarray, cfg: TrainConfig) -> tuple[MlpVaeParams, TrainLog]:
@@ -118,18 +116,18 @@ def fit_mlp(vectors: np.ndarray, cfg: TrainConfig) -> tuple[MlpVaeParams, TrainL
     rng = np.random.default_rng(cfg.seed)
     params = MlpVaeParams.init(rng, vectors.shape[1], hidden=cfg.mlp_hidden,
                                latent=cfg.latent)
-    items = [vectors[i] for i in range(vectors.shape[0])]
+    items = [v[None, :] for v in vectors]  # length-1 sequences
 
     def forward(batch, lengths, eps):
-        x = batch[:, 0, :]
-        recon, mu, lv = models.mlp_forward(params, x, eps=eps)
-        return batch, [recon], mu, lv
+        recon, mu, lv = models.mlp_forward(params, batch[:, 0, :], eps=eps)
+        return [recon], mu, lv
 
-    return _fit(items, params, forward, cfg, rng, is_sequence=False)
+    return _fit(items, params, forward, cfg, rng)
 
 
 def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
-         rng: np.random.Generator, is_sequence: bool):
+         rng: np.random.Generator):
+    """Minibatch loop; ``forward`` maps a padded batch to (recons, mu, logvar)."""
     plist = params.parameters()
     opt = Adam(plist, lr=cfg.lr)
     log = TrainLog()
@@ -142,22 +140,17 @@ def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
         beta = 0.0
         for lo in range(0, len(items), cfg.batch_size):
             chosen = [items[i] for i in order[lo:lo + cfg.batch_size]]
-            if is_sequence:
-                batch, lengths = _pad_batch(chosen)
-            else:
-                batch = np.stack(chosen)[:, None, :]
-                lengths = None
+            batch, lengths = _pad_batch(chosen)
             eps = rng.standard_normal((batch.shape[0], cfg.latent))
             beta = models.beta_schedule(step, cfg.anneal_steps, cfg.beta_max)
             try:
-                targets, recons, mu, lv = forward(batch, lengths, eps)
+                recons, mu, lv = forward(batch, lengths, eps)
                 total, bce_mean, kl_mean = models.vae_loss(
-                    targets, recons, mu, lv, beta=beta, lengths=lengths)
+                    batch, recons, mu, lv, beta=beta, lengths=lengths)
                 loss_val = total.item()
                 if not math.isfinite(loss_val):
                     raise NumericError(f"non-finite loss {loss_val} at update {step}")
-                for p in plist:
-                    p.zero_grad()
+                zero_grads(plist)
                 backward(total)
                 clip_global_norm(plist, cfg.grad_clip)
                 opt.step()

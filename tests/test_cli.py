@@ -230,6 +230,21 @@ def _config(tmp_path, payload) -> str:
     return str(path)
 
 
+def _required(chain, fixture_dir, tmp_path, command) -> dict:
+    """Config values for ``command``'s required options; outputs go under tmp_path/out."""
+    scenarios = {"manifest": str(fixture_dir["manifest"]),
+                 "train_scenarios": "synth-train", "test_scenarios": "synth-test",
+                 "out_dir": str(tmp_path / "out")}
+    return {
+        "preprocess": scenarios,
+        "train": {"features": str(chain["features_train"]),
+                  "model_out": str(tmp_path / "out" / "m.json")},
+        "fitpdf": {"scores": str(chain["scores_train"]),
+                   "detector_out": str(tmp_path / "out" / "d.json")},
+        "sweep": {**scenarios, "durations": "60"},
+    }[command]
+
+
 @pytest.mark.parametrize("command,payload,named", [
     ("preprocess", {"log1p": "false"}, "--log1p"),
     ("train", {"epochs": "abc"}, "--epochs"),
@@ -238,22 +253,47 @@ def _config(tmp_path, payload) -> str:
 ])
 def test_config_values_are_checked_like_flags(chain, fixture_dir, tmp_path, capsys,
                                               command, payload, named):
-    scenarios = {"manifest": str(fixture_dir["manifest"]),
-                 "train_scenarios": "synth-train", "test_scenarios": "synth-test",
-                 "out_dir": str(tmp_path / "out")}
-    required = {
-        "preprocess": scenarios,
-        "train": {"features": str(chain["features_train"]),
-                  "model_out": str(tmp_path / "out" / "m.json")},
-        "fitpdf": {"scores": str(chain["scores_train"]),
-                   "detector_out": str(tmp_path / "out" / "d.json")},
-        "sweep": {**scenarios, "durations": "60"},
-    }[command]
+    required = _required(chain, fixture_dir, tmp_path, command)
     extra = FAST_TRAIN if command == "sweep" else []
     config = _config(tmp_path, {**required, **payload})
     assert main([command, "--config", config, *extra]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("command,name,value", [
+    ("preprocess", "l_max", 0), ("preprocess", "n_windows", 0),
+    ("preprocess", "window_seconds", 0), ("preprocess", "window_seconds", -60.0),
+    ("train", "epochs", 0), ("train", "batch_size", 0), ("train", "hidden", 0),
+    ("train", "latent", 0), ("train", "seed", -1), ("train", "mlp_hidden", "32,0"),
+    ("fitpdf", "bins", 0), ("sweep", "durations", "60,0"), ("sweep", "l_max", 0),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_size_options_are_range_checked(chain, fixture_dir, tmp_path, capsys,
+                                        command, name, value, source):
+    required = _required(chain, fixture_dir, tmp_path, command)
+    flag = "--" + name.replace("_", "-")
+    if source == "flag":
+        argv = [command, "--config", _config(tmp_path, required), f"{flag}={value}"]
+    else:
+        argv = [command, "--config", _config(tmp_path, {**required, name: value})]
+    extra = FAST_TRAIN if command == "sweep" else []
+    assert main([*argv, *extra]) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_has_no_window_seconds_option(chain, fixture_dir, tmp_path, capsys, source):
+    """T comes from --durations alone; a --window-seconds would be silently ignored."""
+    required = _required(chain, fixture_dir, tmp_path, "sweep")
+    if source == "flag":
+        argv = ["--config", _config(tmp_path, required), "--window-seconds", "30"]
+    else:
+        argv = ["--config", _config(tmp_path, {**required, "window_seconds": 30})]
+    assert main(["sweep", *argv, *FAST_TRAIN]) == 1
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _doctored(chain, tmp_path, artifact: str, edit) -> Path:
@@ -292,6 +332,14 @@ def test_incomplete_artifact_is_a_data_error(chain, tmp_path, capsys, artifact, 
     assert main(_loading_argv(chain, artifact, path, tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert str(path) in err and f"malformed {artifact} file" in err and key in err
+
+
+def test_detector_with_unknown_tie_rule_is_a_data_error(chain, tmp_path, capsys):
+    path = _doctored(chain, tmp_path, "detector",
+                     lambda payload: {**payload, "tie_rule": "bogus"})
+    assert main(_loading_argv(chain, "detector", path, tmp_path / "out")) == 2
+    assert "unknown tie rule 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("artifact", ["detector", "model", "features"])

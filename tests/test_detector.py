@@ -287,6 +287,11 @@ def test_fit_detector_separates_shifted_populations():
     assert det.pdf_normal.n_samples == 400
 
 
+def test_detector_model_rejects_unknown_tie_rule():
+    with pytest.raises(DataError, match="unknown tie rule"):
+        _tie_detector("bogus")
+
+
 def test_fit_detector_rejects_unknown_tie_rule():
     rng = np.random.default_rng(18)
     x = rng.gamma(2.0, size=200)

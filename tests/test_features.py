@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdet import features as feat
 from botdet.errors import DataError
@@ -178,7 +180,7 @@ class TestBuildSequences:
         seqs = feat.build_sequences(rows, n_windows=3, l_max=10)
         assert len(seqs) == 1
         assert len(seqs[0]) == 5
-        assert seqs[0].span_start == 0
+        assert sorted(r.src_addr for r in seqs[0].rows) == [f"h{i}" for i in range(5)]
 
     def test_chunking_long_span(self):
         rows = [make_row(src=f"h{i:03d}", w=0, t=float(i)) for i in range(130)]
@@ -194,26 +196,23 @@ class TestBuildSequences:
                          t=float(rng.uniform(0, 1200)))
                 for _ in range(300)]
         seqs = feat.build_sequences(rows, n_windows=3, l_max=16)
-        seen = sorted((s.span_start, a, float(t))
-                      for s in seqs
-                      for a, t in zip(s.src_addrs, s.first_seen))
-        assert len(seen) == 300
+        seen = sorted(id(r) for s in seqs for r in s.rows)
+        assert seen == sorted(id(r) for r in rows)
         for s in seqs:
-            assert np.all(s.window_indices >= s.span_start)
-            assert np.all(s.window_indices < s.span_start + 3)
-            assert s.span_start % 3 == 0
+            assert len({r.window_index // 3 for r in s.rows}) == 1
 
     def test_elements_sorted_within_sequence(self):
         rows = [make_row(src="b", w=1, t=50.0), make_row(src="a", w=0, t=10.0),
                 make_row(src="c", w=0, t=10.0)]
         (seq,) = feat.build_sequences(rows, 3, 10)
-        assert seq.src_addrs == ("a", "c", "b")
+        assert [r.src_addr for r in seq.rows] == ["a", "c", "b"]
 
     def test_deterministic(self):
         rows = [make_row(src=f"h{i}", w=i % 4, t=float(i)) for i in range(30)]
         a = feat.build_sequences(rows, 2, 8)
         b = feat.build_sequences(rows, 2, 8)
-        assert [s.src_addrs for s in a] == [s.src_addrs for s in b]
+        assert ([[r.src_addr for r in s.rows] for s in a]
+                == [[r.src_addr for r in s.rows] for s in b])
 
 
 class TestTrailingSequences:
@@ -226,26 +225,81 @@ class TestTrailingSequences:
         assert len(by_target[1]) == 2
         assert len(by_target[2]) == 3
         assert len(by_target[3]) == 3   # windows 1..3
-        assert by_target[3].span_start == 1
+        assert [r.window_index for r in by_target[3].rows] == [1, 2, 3]
 
     def test_every_row_is_target_exactly_once(self):
         rng = np.random.default_rng(31)
         rows = [make_row(src=f"h{i}", w=int(rng.integers(0, 10)), t=float(i))
                 for i in range(100)]
         seqs = feat.trailing_sequences(rows, 3, 8)
-        targets = [
-            (s.target_window, a)
-            for s in seqs
-            for a, w in zip(s.src_addrs, s.window_indices)
-            if w == s.target_window
-        ]
-        assert len(targets) == 100
+        targets = [id(r) for s in seqs for r in s.rows
+                   if r.window_index == s.target_window]
+        assert sorted(targets) == sorted(id(r) for r in rows)
 
     def test_gap_windows_shrink_context(self):
         rows = [make_row(src="h", w=0), make_row(src="h", w=5)]
         seqs = feat.trailing_sequences(rows, 3, 10)
         by_target = {s.target_window: len(s) for s in seqs}
         assert by_target == {0: 1, 5: 1}
+
+
+# One row per (host, window); windows leave gaps, and first_seen takes few
+# values so hosts tie on it and order falls to src_addr.
+HOST_WINDOWS = st.lists(st.tuples(st.sampled_from("abcdef"), st.integers(0, 30),
+                                  st.integers(0, 2)),
+                        max_size=60, unique_by=lambda hw: hw[:2])
+
+
+def _rows(host_windows):
+    return [make_row(src=h, w=w, t=w * 60.0 + dt,
+                     vec=np.full(feat.N_FEATURES, i / 100.0))
+            for i, (h, w, dt) in enumerate(host_windows)]
+
+
+def _check_members(s):
+    """Members sorted by (first_seen, src_addr); vectors are their stacked values."""
+    keys = [(r.first_seen, r.src_addr) for r in s.rows]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    npt.assert_array_equal(s.vectors, np.stack([r.values for r in s.rows]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(HOST_WINDOWS, st.integers(1, 5), st.integers(1, 6))
+def test_build_sequences_partitions_rows_into_span_chunks(host_windows, n, l_max):
+    rows = _rows(host_windows)
+    seqs = feat.build_sequences(rows, n, l_max)
+    assert sorted(id(r) for s in seqs for r in s.rows) == sorted(id(r) for r in rows)
+    spans: dict[int, list] = {}
+    for s in seqs:
+        assert s.target_window is None
+        _check_members(s)
+        (k,) = {r.window_index // n for r in s.rows}
+        spans.setdefault(k, []).append(s)
+    for chunks in spans.values():
+        assert all(len(c) == l_max for c in chunks[:-1])
+        assert 1 <= len(chunks[-1]) <= l_max
+        keys = [(r.first_seen, r.src_addr) for c in chunks for r in c.rows]
+        assert keys == sorted(keys)  # chunks cut one sorted span in order
+
+
+@settings(max_examples=200, deadline=None)
+@given(HOST_WINDOWS, st.integers(1, 5), st.integers(1, 6))
+def test_trailing_sequences_target_every_row_once(host_windows, n, l_max):
+    rows = _rows(host_windows)
+    seqs = feat.trailing_sequences(rows, n, l_max)
+    targets = [id(r) for s in seqs for r in s.rows if r.window_index == s.target_window]
+    assert sorted(targets) == sorted(id(r) for r in rows)
+    for s in seqs:
+        _check_members(s)
+        assert all(s.target_window - n < r.window_index <= s.target_window
+                   for r in s.rows)
+
+
+@pytest.mark.parametrize("build", [feat.build_sequences, feat.trailing_sequences])
+@pytest.mark.parametrize("n,l_max", [(0, 4), (3, 0)])
+def test_sequence_sizes_must_be_positive(build, n, l_max):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        build([make_row(w=0)], n, l_max)
 
 
 def test_non_malicious_filter():
