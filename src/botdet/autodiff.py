@@ -1,39 +1,32 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A ``Tensor`` wraps a numpy array. While gradient recording is enabled,
-every primitive records its parent tensors and a vector-Jacobian closure;
-``backward`` replays those closures once in reverse topological order and
-accumulates gradients into the ``grad`` field of every tensor created with
-``requires_grad=True``. All math is float64 and single-threaded, so a
-fixed input always produces bit-identical gradients.
+A ``Tensor`` wraps a numpy array. Every primitive records its parent
+tensors and a vector-Jacobian closure when at least one operand is a
+tracked tensor; ``backward`` replays those closures once in reverse
+topological order and accumulates gradients into the ``grad`` field of
+every tensor created with ``requires_grad=True``. All math is float64 and
+single-threaded, so a fixed input always produces bit-identical gradients.
+
+Primitives also take plain arrays and scalars. An operand that is not a
+``Tensor`` is a constant: it is read as a float64 array, never wrapped,
+and never recorded. When no operand is a ``Tensor`` the primitive returns
+a bare ``np.ndarray`` and builds no tape, so forward-only evaluation runs
+the same code on the parameters' arrays and gives the same bits as the
+taped pass.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, Iterable
 
 import numpy as np
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (forward-only evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
     """A float64 array plus the bookkeeping for reverse-mode differentiation."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __array_ufunc__ = None  # ``ndarray <op> Tensor`` defers to the reflected operator
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -46,14 +39,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -69,7 +54,7 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # Arithmetic sugar; scalars and arrays are wrapped as constants.
+    # Arithmetic sugar; scalars and arrays are constant operands.
     def __add__(self, other):
         return add(self, other)
 
@@ -92,19 +77,25 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
 
-def _node(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
+def _data(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _tracked(t) -> bool:
+    return isinstance(t, Tensor) and (t.requires_grad or bool(t._parents))
+
+
+def _node(data: np.ndarray, operands: tuple, vjp: Callable):
+    """A Tensor if any operand is one (taped if any is tracked), else ``data``."""
+    if not any(isinstance(x, Tensor) for x in operands):
+        return data
     out = Tensor(data)
-    if _grad_enabled and any(_tracked(p) for p in parents):
-        out._parents = parents
+    if any(_tracked(x) for x in operands):
+        out._parents = operands
         out._vjp = vjp
     return out
 
@@ -121,97 +112,84 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcast_op(name: str, a: Tensor, b: Tensor, fn) -> np.ndarray:
+def _broadcast_op(name: str, a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
     try:
-        return fn(a.data, b.data)
+        return fn(a, b)
     except ValueError as exc:
         raise ValueError(
-            f"{name}: incompatible shapes {a.data.shape} vs {b.data.shape}"
+            f"{name}: incompatible shapes {a.shape} vs {b.shape}"
         ) from exc
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = _broadcast_op("add", a, b, np.add)
+def add(a, b):
+    x, y = _data(a), _data(b)
+    out = _broadcast_op("add", x, y, np.add)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, x.shape), _unbroadcast(g, y.shape)
 
     return _node(out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = _broadcast_op("sub", a, b, np.subtract)
+def sub(a, b):
+    x, y = _data(a), _data(b)
+    out = _broadcast_op("sub", x, y, np.subtract)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)
 
     return _node(out, (a, b), vjp)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
+def neg(a):
     def vjp(g):
         return (-g,)
 
-    return _node(-a.data, (a,), vjp)
+    return _node(-_data(a), (a,), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = _broadcast_op("mul", a, b, np.multiply)
+def mul(a, b):
+    x, y = _data(a), _data(b)
+    out = _broadcast_op("mul", x, y, np.multiply)
 
     def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return _node(out, (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(
-            f"matmul: expects 2-d operands, got {a.data.shape} @ {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(
-            f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}"
-        )
-    out = a.data @ b.data
+def matmul(a, b):
+    x, y = _data(a), _data(b)
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError(f"matmul: expects 2-d operands, got {x.shape} @ {y.shape}")
+    if x.shape[1] != y.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {x.shape} @ {y.shape}")
+    out = x @ y
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ y.T, x.T @ g
 
     return _node(out, (a, b), vjp)
 
 
-def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
+def concat(parts: Iterable, axis: int = -1):
+    parts = tuple(parts)
+    if not parts:
         raise ValueError("concat: no tensors given")
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
+    arrays = [_data(t) for t in parts]
+    out = np.concatenate(arrays, axis=axis)
+    splits = np.cumsum([x.shape[axis] for x in arrays])[:-1]
 
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _node(out, tuple(ts), vjp)
+    return _node(out, parts, vjp)
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(a):
+    x = _data(a)
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|) never overflows; keeps a NaN's sign
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -219,9 +197,8 @@ def sigmoid(a) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
+def tanh(a):
+    out = np.tanh(_data(a))
 
     def vjp(g):
         return (g * (1.0 - out * out),)
@@ -229,29 +206,28 @@ def tanh(a) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
+def relu(a):
+    x = _data(a)
+    out = np.maximum(x, 0.0)
 
     def vjp(g):
-        return (g * (a.data > 0.0),)
+        return (g * (x > 0.0),)
 
     return _node(out, (a,), vjp)
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
+def log(a):
+    x = _data(a)
+    out = np.log(x)
 
     def vjp(g):
-        return (g / a.data,)
+        return (g / x,)
 
     return _node(out, (a,), vjp)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
+def exp(a):
+    out = np.exp(_data(a))
 
     def vjp(g):
         return (g * out,)
@@ -259,11 +235,11 @@ def exp(a) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
+def clip(a, lo: float, hi: float):
     """Clamp to [lo, hi]; gradient passes through inside the interval."""
-    a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
-    inside = (a.data >= lo) & (a.data <= hi)
+    x = _data(a)
+    out = np.clip(x, lo, hi)
+    inside = (x >= lo) & (x <= hi)
 
     def vjp(g):
         return (g * inside,)
@@ -271,13 +247,13 @@ def clip(a, lo: float, hi: float) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def sum_all(a) -> Tensor:
-    """Sum every element down to a scalar tensor."""
-    a = as_tensor(a)
-    out = np.asarray(a.data.sum())
+def sum_all(a):
+    """Sum every element down to a scalar."""
+    x = _data(a)
+    out = np.asarray(x.sum())
 
     def vjp(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
     return _node(out, (a,), vjp)
 
@@ -305,7 +281,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if isinstance(p, Tensor) and id(p) not in seen:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}

@@ -117,6 +117,16 @@ def _normalizer_from_payload(entry: dict, names: tuple[str, ...],
     return nz
 
 
+def _window_config(src: dict, path: Path) -> dict:
+    """``window_seconds``, ``n_windows`` and ``l_max`` of an artifact, range-checked."""
+    cfg = {"window_seconds": float(src["window_seconds"]),
+           "n_windows": int(src["n_windows"]), "l_max": int(src["l_max"])}
+    if not 0.0 < cfg["window_seconds"] < np.inf or min(cfg["n_windows"], cfg["l_max"]) < 1:
+        raise DataError(f"{path}: window config out of range {cfg}: window_seconds must "
+                        "be finite and > 0, n_windows and l_max >= 1")
+    return cfg
+
+
 # ---------------------------------------------------------------- features
 
 @dataclass(frozen=True)
@@ -147,9 +157,7 @@ class FeaturesMeta:
         names = tuple(header["feature_names"])
         normalizer = _normalizer_from_payload(header["normalizer"], names, path)
         return cls(feature_names=names, normalizer=normalizer,
-                   window_seconds=float(header["window_seconds"]),
-                   n_windows=int(header["n_windows"]),
-                   l_max=int(header["l_max"]), t0=float(header["t0"]))
+                   **_window_config(header, path), t0=float(header["t0"]))
 
 
 def _open_text(p: Path) -> io.StringIO:
@@ -270,9 +278,7 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
     return TrainedModel(arch=arch, params=params, feature_names=names,
                         normalizer=_normalizer_from_payload(payload["normalizer"],
                                                             names, p),
-                        window_seconds=float(cfg["window_seconds"]),
-                        n_windows=int(cfg["n_windows"]), l_max=int(cfg["l_max"]),
-                        seed=int(payload["rng_seed"]),
+                        **_window_config(cfg, p), seed=int(payload["rng_seed"]),
                         train_summary=payload["training_log_summary"])
 
 

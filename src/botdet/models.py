@@ -11,11 +11,15 @@ a per-element Bernoulli cross-entropy against [0,1] targets.
 
 The per-vector baseline is a plain MLP encoder/decoder with ReLU hidden
 layers and the same latent heads and loss.
+
+Inputs, masks and latent draws are plain arrays. The forward functions
+build a tape when given the trainable parameters and none when given
+``plain(params)``: scoring runs the same cell on the same arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -90,7 +94,7 @@ def gru_pass(xs: Sequence[Tensor], w: GruCellWeights,
     steps = len(xs)
     batch = xs[0].shape[0]
     hidden = w.u_r.shape[0]
-    h = Tensor(np.zeros((batch, hidden))) if h0 is None else h0
+    h = np.zeros((batch, hidden)) if h0 is None else h0
     states: list[Tensor | None] = [None] * steps
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for t in order:
@@ -104,14 +108,14 @@ def gru_pass(xs: Sequence[Tensor], w: GruCellWeights,
     return states, h  # type: ignore[return-value]
 
 
-def make_mask(lengths: np.ndarray, steps: int) -> list[tuple[Tensor, Tensor]] | None:
+def make_mask(lengths: np.ndarray, steps: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
     lengths = np.asarray(lengths)
     if np.all(lengths == steps):
         return None
     pairs = []
     for t in range(steps):
         m = (lengths > t).astype(np.float64).reshape(-1, 1)
-        pairs.append((Tensor(m), Tensor(1.0 - m)))
+        pairs.append((m, 1.0 - m))
     return pairs
 
 
@@ -204,15 +208,13 @@ def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray | None) -> Tensor
     """z = mu + sigma * eps with sigma = exp(logvar / 2); eps=None gives z = mu."""
     if eps is None:
         return mu
-    return mu + ad.exp(logvar * 0.5) * Tensor(eps)
+    return mu + ad.exp(logvar * 0.5) * eps
 
 
 def decode(p: RvaeParams, z: Tensor, targets: np.ndarray) -> list[Tensor]:
     """Teacher-forced reconstruction of every step of ``targets`` (B, L, F)."""
     batch, steps, f_dim = targets.shape
-    inputs = [Tensor(np.zeros((batch, f_dim)))]
-    inputs += [Tensor(targets[:, t - 1, :]) for t in range(1, steps)]
-    seq: Sequence[Tensor] = inputs
+    seq = [np.zeros((batch, f_dim))] + [targets[:, t - 1, :] for t in range(1, steps)]
     for layer in range(DECODER_LAYERS):
         h0 = z @ p.zproj_w[layer] + p.zproj_b[layer]
         seq, _ = gru_pass(seq, p.dec[layer], h0=h0)
@@ -225,7 +227,7 @@ def rvae_forward(p: RvaeParams, batch: np.ndarray,
                  ) -> tuple[list[Tensor], Tensor, Tensor]:
     """Full pass over a padded batch (B, L, F); returns (recons, mu, logvar)."""
     b, steps, _ = batch.shape
-    xs = [Tensor(batch[:, t, :]) for t in range(steps)]
+    xs = [batch[:, t, :] for t in range(steps)]
     mask = None if lengths is None else make_mask(lengths, steps)
     mu, logvar = encode(p, xs, mask=mask)
     z = reparameterize(mu, logvar, eps)
@@ -289,7 +291,7 @@ class MlpVaeParams:
 
 def mlp_forward(p: MlpVaeParams, x: np.ndarray,
                 eps: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    h: Tensor = Tensor(x)
+    h = x
     for w, b in p.enc:
         h = ad.relu(h @ w + b)
     mu = h @ p.w_mu + p.b_mu
@@ -300,6 +302,18 @@ def mlp_forward(p: MlpVaeParams, x: np.ndarray,
         d = ad.relu(d @ w + b)
     recon = ad.sigmoid(d @ p.w_out + p.b_out)
     return recon, mu, logvar
+
+
+def plain(params):
+    """The same parameter record with every Tensor replaced by its (shared) array."""
+    def strip(v):
+        if isinstance(v, (list, tuple)):
+            return type(v)(strip(x) for x in v)
+        if isinstance(v, GruCellWeights):
+            return plain(v)
+        return v.data if isinstance(v, Tensor) else v
+
+    return type(params)(**{f.name: strip(getattr(params, f.name)) for f in fields(params)})
 
 
 def kl_divergence(mu: Tensor, logvar: Tensor) -> Tensor:

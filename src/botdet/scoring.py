@@ -3,9 +3,12 @@
 The score of an element is the Bernoulli cross-entropy between its
 feature vector and the model's reconstruction, summed over features;
 higher means more anomalous. Scoring is deterministic: the latent is the
-posterior mean (no sampling) and decoding is teacher-forced. Every
-sequence is evaluated independently (batch of one) so batch and
-streaming paths produce bit-identical numbers.
+posterior mean (no sampling) and decoding is teacher-forced. The model
+runs on its parameters' plain arrays (``models.plain``), so no tape is
+built and no Tensor is created; the numbers are those of the taped
+forward, bit for bit. Every sequence is still evaluated independently
+(batch of one) so batch and streaming paths produce bit-identical
+numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Iterable, Sequence as Seq
 import numpy as np
 
 from . import models
-from .autodiff import no_grad
 from .errors import DataError
 from .features import FeatureRow, Sequence, trailing_sequences
 from .ingest import GroundTruth
@@ -48,14 +50,13 @@ def anomaly_score(target: np.ndarray, recon: np.ndarray):
 
 def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:
     """Per-element scores of one (L, F) sequence, deterministically reconstructed."""
-    with no_grad():
-        if arch == ARCH_RVAE:
-            recons, _, _ = models.rvae_forward(params, vectors[None, :, :])
-            recon = np.stack([r.data[0] for r in recons])
-        elif arch == ARCH_MLP:
-            recon = models.mlp_forward(params, vectors)[0].data
-        else:
-            raise DataError(f"unknown architecture {arch!r}")
+    if arch == ARCH_RVAE:
+        recons, _, _ = models.rvae_forward(models.plain(params), vectors[None, :, :])
+        recon = np.stack([r[0] for r in recons])
+    elif arch == ARCH_MLP:
+        recon = models.mlp_forward(models.plain(params), vectors)[0]
+    else:
+        raise DataError(f"unknown architecture {arch!r}")
     return anomaly_score(vectors, recon)
 
 

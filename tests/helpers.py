@@ -33,3 +33,8 @@ def gradcheck(f, params: list[Tensor], h: float = 1e-5) -> float:
         numeric = finite_difference_grad(lambda _t: f().item(), p, h=h)
         worst = max(worst, max_rel_err(p.grad, numeric))
     return worst
+
+
+def bits(x) -> bytes:
+    """Raw float64 bytes of an array or a Tensor's data: signed zeros and NaN signs count."""
+    return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).tobytes()

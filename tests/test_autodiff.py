@@ -1,15 +1,19 @@
 """Tape engine: forward values, backward gradients, finite-difference agreement."""
 
+import operator
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdet import autodiff as ad
 from botdet.autodiff import Tensor
 from botdet.optim import Adam, clip_global_norm
 from botdet.errors import NumericError
 
-from helpers import gradcheck, max_rel_err
+from helpers import bits, gradcheck, max_rel_err
 
 
 class TestForward:
@@ -87,11 +91,15 @@ class TestBackward:
         ad.add(y, x).backward()
         npt.assert_allclose(x.grad, 5.0, rtol=1e-12)
 
-    def test_no_grad_suppresses_recording(self):
-        x = Tensor(1.0, requires_grad=True)
-        with ad.no_grad():
-            y = ad.sigmoid(x * 3.0)
-        assert y._parents == ()
+    def test_plain_operands_return_arrays_and_record_nothing(self):
+        x = np.array([[-1.0, 0.5]])
+        w = np.array([[2.0], [3.0]])
+        y = ad.sigmoid(ad.matmul(x, w) * 3.0 + ad.concat([x[:, :1]], axis=1))
+        assert type(y) is np.ndarray
+        taped = ad.sigmoid(ad.matmul(Tensor(x), Tensor(w)) * 3.0
+                           + ad.concat([Tensor(x[:, :1])], axis=1))
+        assert taped._parents == ()  # untracked tensors record nothing either
+        npt.assert_array_equal(y, taped.data)
 
 
 class TestFiniteDifferenceOracle:
@@ -167,6 +175,50 @@ class TestGradcheckPrimitives:
             return ad.sum_all((1.0 - a) * (-b) - a * 0.5)
 
         assert gradcheck(f, [a, b]) < 1e-4
+
+
+def _piecewise_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The two-branch sigmoid the engine used before, kept as the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                 36.7, -36.7, 700.0, -700.0, 745.0, -745.0, 800.0, -800.0,
+                 np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestPlainOperands:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(-50.0, 50.0) | st.sampled_from(SIGMOID_EDGES),
+                    max_size=40))
+    def test_sigmoid_matches_the_piecewise_formula_bit_for_bit(self, values):
+        x = np.array(values + SIGMOID_EDGES)
+        ref = _piecewise_sigmoid(x)
+        assert bits(ad.sigmoid(x)) == bits(ref)
+        t = Tensor(x, requires_grad=True)
+        ad.sum_all(ad.sigmoid(t) * 1.0).backward()
+        assert bits(t.grad) == bits(1.0 * ref * (1.0 - ref))
+
+    @pytest.mark.parametrize("op", [operator.matmul, operator.add, operator.sub,
+                                    operator.mul])
+    def test_array_on_the_left_acts_like_a_constant_tensor(self, op):
+        rng = np.random.default_rng(23)
+        arr, w0 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        outs, grads = [], []
+        for left in (arr, Tensor(arr)):
+            w = Tensor(w0.copy(), requires_grad=True)
+            out = op(left, w)
+            assert isinstance(out, Tensor) and out._parents
+            ad.sum_all(ad.tanh(out)).backward()
+            outs.append(out.data)
+            grads.append(w.grad)
+        assert bits(outs[0]) == bits(outs[1])
+        assert bits(grads[0]) == bits(grads[1])
 
 
 class TestAdam:

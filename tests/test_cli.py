@@ -347,3 +347,29 @@ def test_non_object_artifact_is_a_data_error(chain, tmp_path, capsys, artifact):
     path = _doctored(chain, tmp_path, artifact, lambda payload: [payload])
     assert main(_loading_argv(chain, artifact, path, tmp_path / "out")) == 2
     assert f"{path}: expected a {artifact} file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artifact", ["model", "features"])
+@pytest.mark.parametrize("key,value", [
+    ("n_windows", 0), ("l_max", 0), ("l_max", -3), ("window_seconds", 0.0),
+    ("window_seconds", -60.0), ("window_seconds", float("inf")),
+    ("window_seconds", float("nan")),
+])
+def test_window_config_out_of_range_is_a_data_error(chain, tmp_path, capsys,
+                                                    artifact, key, value):
+    def edit(payload):
+        (payload["config"] if artifact == "model" else payload)[key] = value
+        return payload
+    path = _doctored(chain, tmp_path, artifact, edit)
+    assert main(_loading_argv(chain, artifact, path, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: window config out of range" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_on_features_with_l_max_zero_is_a_data_error(chain, tmp_path, capsys):
+    path = _doctored(chain, tmp_path, "features", lambda header: {**header, "l_max": 0})
+    assert main(["train", "--features", str(path), "--model-out",
+                 str(tmp_path / "model.json"), *FAST_TRAIN]) == 2
+    assert f"{path}: window config out of range" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdet import autodiff as ad
 from botdet import models as m
 from botdet.autodiff import Tensor, backward, zero_grads
 
-from helpers import gradcheck
+from helpers import bits, gradcheck
 
 
 def zero_all(params) -> None:
@@ -266,3 +268,51 @@ def test_named_parameters_are_stable_and_unique():
     names = list(p.named_parameters())
     assert len(names) == len(set(names))
     assert names == list(rand_rvae().named_parameters())
+
+
+def _same_forward(taped, bare) -> None:
+    """Taped outputs are Tensors on a tape; plain ones are bit-equal bare arrays."""
+    recons_t, mu_t, lv_t = taped
+    recons_p, mu_p, lv_p = bare
+    assert isinstance(mu_t, Tensor) and mu_t._parents
+    assert all(type(x) is np.ndarray for x in (*recons_p, mu_p, lv_p))
+    assert len(recons_t) == len(recons_p)
+    for t, p in zip([*recons_t, mu_t, lv_t], [*recons_p, mu_p, lv_p]):
+        assert t.shape == p.shape and bits(t) == bits(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 3), steps=st.integers(1, 8), masked=st.booleans(),
+       sample=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_rvae_forward_on_plain_params_is_bit_identical(batch, steps, masked, sample, seed):
+    rng = np.random.default_rng(seed)
+    p = m.RvaeParams.init(rng, 3, 4, 2)
+    x = rng.uniform(0, 1, size=(batch, steps, 3))
+    lengths = rng.integers(1, steps + 1, size=batch) if masked else None
+    if masked:
+        x[np.arange(steps)[None, :] >= lengths[:, None]] = 0.0
+    eps = rng.standard_normal((batch, 2)) if sample else None
+    taped = m.rvae_forward(p, x, lengths, eps)
+    _same_forward(taped, m.rvae_forward(m.plain(p), x, lengths, eps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 3), hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       sample=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mlp_forward_on_plain_params_is_bit_identical(batch, hidden, sample, seed):
+    rng = np.random.default_rng(seed)
+    p = m.MlpVaeParams.init(rng, 3, hidden=tuple(hidden), latent=2)
+    x = rng.uniform(0, 1, size=(batch, 3))
+    eps = rng.standard_normal((batch, 2)) if sample else None
+    recon_t, mu_t, lv_t = m.mlp_forward(p, x, eps)
+    recon_p, mu_p, lv_p = m.mlp_forward(m.plain(p), x, eps)
+    _same_forward(([recon_t], mu_t, lv_t), ([recon_p], mu_p, lv_p))
+
+
+def test_plain_shares_every_array_and_keeps_the_record_type():
+    for p in (rand_rvae(), m.MlpVaeParams.init(np.random.default_rng(2), 3, (4, 5), 2)):
+        bare = m.plain(p)
+        assert type(bare) is type(p) and bare.hidden == p.hidden
+        named, bare_named = p.named_parameters(), bare.named_parameters()
+        assert list(bare_named) == list(named)
+        assert all(bare_named[k] is v.data for k, v in named.items())

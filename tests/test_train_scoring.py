@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botdet import scoring, train
+from botdet import models, scoring, train
+from botdet.autodiff import Tensor
 from botdet.errors import DataError, TrainingAborted
 from botdet.features import FEATURE_NAMES, FeatureRow, Normalizer, trailing_sequences
 from botdet.ingest import GroundTruth
@@ -155,6 +156,29 @@ class TestScoreSequences:
         assert len(scored) == len(rows)
         keys = {(s.src_addr, s.window_index) for s in scored}
         assert len(keys) == len(rows)
+
+    def test_scoring_builds_no_tensor_and_matches_the_taped_forward(self, monkeypatch):
+        model = make_model()
+        rows = [make_row(f"h{i}", w, value=0.1 * (i + w)) for w in range(4) for i in range(3)]
+        built = []
+        init = Tensor.__init__
+
+        def counted(tensor, data, requires_grad=False):
+            built.append(1)
+            init(tensor, data, requires_grad)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        scored = scoring.score_rows(model, rows, model.feature_names)
+        monkeypatch.undo()
+        assert built == []
+        expected = []
+        for seq in trailing_sequences(rows, model.n_windows, model.l_max):
+            recons, mu, _ = models.rvae_forward(model.params, seq.vectors[None])
+            assert mu._parents  # the reference ran on the tape
+            scores = scoring.anomaly_score(seq.vectors, np.stack([r.data[0] for r in recons]))
+            expected += [float(x) for r, x in zip(seq.rows, scores)
+                         if r.window_index == seq.target_window]
+        assert [s.score for s in scored] == expected
 
     def test_layout_mismatch_fatal(self):
         model = make_model()
