@@ -1,11 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A ``Tensor`` wraps a numpy array. Every primitive records its parent
-tensors and a vector-Jacobian closure when at least one operand is a
-tracked tensor; ``backward`` replays those closures once in reverse
-topological order and accumulates gradients into the ``grad`` field of
-every tensor created with ``requires_grad=True``. All math is float64 and
-single-threaded, so a fixed input always produces bit-identical gradients.
+A ``Tensor`` wraps a numpy array. A primitive's output records one edge
+``(operand, rule, saved)`` per tracked operand: a tensor created with
+``requires_grad=True`` or one computed from such a tensor. ``rule`` is a
+module-level function (or a numpy ufunc) and ``saved`` holds the values
+the forward already computed, so ``rule(g, saved)`` is that operand's
+vector-Jacobian product. ``backward`` walks the edges once in reverse
+topological order, evaluates each rule exactly once, and accumulates
+gradients into the ``grad`` field of every ``requires_grad`` tensor. No
+derivative is ever evaluated for a constant operand. All math is float64
+and single-threaded, so a fixed input always gives bit-identical gradients.
 
 Primitives also take plain arrays and scalars. An operand that is not a
 ``Tensor`` is a constant: it is read as a float64 array, never wrapped,
@@ -25,7 +29,7 @@ import numpy as np
 class Tensor:
     """A float64 array plus the bookkeeping for reverse-mode differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_edges")
     __array_ufunc__ = None  # ``ndarray <op> Tensor`` defers to the reflected operator
 
     def __init__(self, data, requires_grad: bool = False):
@@ -33,8 +37,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self._parents: tuple = ()
-        self._vjp: Callable | None = None
+        self._edges: tuple = ()
 
     @property
     def shape(self):
@@ -86,17 +89,19 @@ def _data(x) -> np.ndarray:
 
 
 def _tracked(t) -> bool:
-    return isinstance(t, Tensor) and (t.requires_grad or bool(t._parents))
+    return isinstance(t, Tensor) and (t.requires_grad or bool(t._edges))
 
 
-def _node(data: np.ndarray, operands: tuple, vjp: Callable):
-    """A Tensor if any operand is one (taped if any is tracked), else ``data``."""
-    if not any(isinstance(x, Tensor) for x in operands):
+def _node(data: np.ndarray, *edges: tuple):
+    """A Tensor if any operand is one, keeping the edges of tracked operands; else ``data``.
+
+    An edge is ``(operand, rule, saved)``: ``rule(g, saved)`` maps the
+    output's gradient ``g`` to the operand's.
+    """
+    if not any(isinstance(e[0], Tensor) for e in edges):
         return data
     out = Tensor(data)
-    if any(_tracked(x) for x in operands):
-        out._parents = operands
-        out._vjp = vjp
+    out._edges = tuple(e for e in edges if _tracked(e[0]))
     return out
 
 
@@ -112,6 +117,44 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+# Gradient rules: ``rule(g, saved)`` with values the forward already has.
+def _unbroadcast_neg(g, shape):
+    return _unbroadcast(-g, shape)
+
+
+def _unbroadcast_mul(g, saved):
+    other, shape = saved
+    return _unbroadcast(g * other, shape)
+
+
+def _matmul_left(g, y):
+    return g @ y.T
+
+
+def _matmul_right(g, x):
+    return x.T @ g
+
+
+def _take(g, index):
+    return g[index]
+
+
+def _sigmoid_grad(g, out):
+    return g * out * (1.0 - out)
+
+
+def _tanh_grad(g, out):
+    return g * (1.0 - out * out)
+
+
+def _relu_grad(g, x):
+    return g * (x > 0.0)
+
+
+def _broadcast_copy(g, shape):
+    return np.broadcast_to(g, shape).copy()
+
+
 def _broadcast_op(name: str, a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
     try:
         return fn(a, b)
@@ -124,38 +167,25 @@ def _broadcast_op(name: str, a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
 def add(a, b):
     x, y = _data(a), _data(b)
     out = _broadcast_op("add", x, y, np.add)
-
-    def vjp(g):
-        return _unbroadcast(g, x.shape), _unbroadcast(g, y.shape)
-
-    return _node(out, (a, b), vjp)
+    return _node(out, (a, _unbroadcast, x.shape), (b, _unbroadcast, y.shape))
 
 
 def sub(a, b):
     x, y = _data(a), _data(b)
     out = _broadcast_op("sub", x, y, np.subtract)
-
-    def vjp(g):
-        return _unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)
-
-    return _node(out, (a, b), vjp)
+    return _node(out, (a, _unbroadcast, x.shape), (b, _unbroadcast_neg, y.shape))
 
 
 def neg(a):
-    def vjp(g):
-        return (-g,)
-
-    return _node(-_data(a), (a,), vjp)
+    x = _data(a)
+    return _node(-x, (a, _unbroadcast_neg, x.shape))
 
 
 def mul(a, b):
     x, y = _data(a), _data(b)
     out = _broadcast_op("mul", x, y, np.multiply)
-
-    def vjp(g):
-        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
-
-    return _node(out, (a, b), vjp)
+    return _node(out, (a, _unbroadcast_mul, (y, x.shape)),
+                 (b, _unbroadcast_mul, (x, y.shape)))
 
 
 def matmul(a, b):
@@ -164,12 +194,7 @@ def matmul(a, b):
         raise ValueError(f"matmul: expects 2-d operands, got {x.shape} @ {y.shape}")
     if x.shape[1] != y.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {x.shape} @ {y.shape}")
-    out = x @ y
-
-    def vjp(g):
-        return g @ y.T, x.T @ g
-
-    return _node(out, (a, b), vjp)
+    return _node(x @ y, (a, _matmul_left, y), (b, _matmul_right, x))
 
 
 def concat(parts: Iterable, axis: int = -1):
@@ -178,84 +203,53 @@ def concat(parts: Iterable, axis: int = -1):
         raise ValueError("concat: no tensors given")
     arrays = [_data(t) for t in parts]
     out = np.concatenate(arrays, axis=axis)
-    splits = np.cumsum([x.shape[axis] for x in arrays])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(out, parts, vjp)
+    lead = (slice(None),) * (axis % out.ndim)
+    edges, lo = [], 0
+    for t, x in zip(parts, arrays):
+        hi = lo + x.shape[axis]
+        edges.append((t, _take, lead + (slice(lo, hi),)))
+        lo = hi
+    return _node(out, *edges)
 
 
 def sigmoid(a):
     x = _data(a)
     e = np.exp(np.minimum(x, -x))  # exp(-|x|) never overflows; keeps a NaN's sign
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return _node(out, (a,), vjp)
+    return _node(out, (a, _sigmoid_grad, out))
 
 
 def tanh(a):
     out = np.tanh(_data(a))
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _node(out, (a,), vjp)
+    return _node(out, (a, _tanh_grad, out))
 
 
 def relu(a):
     x = _data(a)
-    out = np.maximum(x, 0.0)
-
-    def vjp(g):
-        return (g * (x > 0.0),)
-
-    return _node(out, (a,), vjp)
+    return _node(np.maximum(x, 0.0), (a, _relu_grad, x))
 
 
 def log(a):
     x = _data(a)
-    out = np.log(x)
-
-    def vjp(g):
-        return (g / x,)
-
-    return _node(out, (a,), vjp)
+    return _node(np.log(x), (a, np.divide, x))
 
 
 def exp(a):
     out = np.exp(_data(a))
-
-    def vjp(g):
-        return (g * out,)
-
-    return _node(out, (a,), vjp)
+    return _node(out, (a, np.multiply, out))
 
 
 def clip(a, lo: float, hi: float):
     """Clamp to [lo, hi]; gradient passes through inside the interval."""
     x = _data(a)
-    out = np.clip(x, lo, hi)
     inside = (x >= lo) & (x <= hi)
-
-    def vjp(g):
-        return (g * inside,)
-
-    return _node(out, (a,), vjp)
+    return _node(np.clip(x, lo, hi), (a, np.multiply, inside))
 
 
 def sum_all(a):
     """Sum every element down to a scalar."""
     x = _data(a)
-    out = np.asarray(x.sum())
-
-    def vjp(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _node(out, (a,), vjp)
+    return _node(np.asarray(x.sum()), (a, _broadcast_copy, x.shape))
 
 
 def backward(loss: Tensor) -> None:
@@ -280,22 +274,19 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if isinstance(p, Tensor) and id(p) not in seen:
+        for p, _, _ in node._edges:
+            if id(p) not in seen:
                 stack.append((p, False))
 
+    # Every node reached so far lies on a tracked path from ``loss``, so
+    # each one has a gradient by the time reverse order gets to it.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node.requires_grad:
             node.grad += g
-        if node._vjp is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not _tracked(parent):
-                continue
+        for parent, rule, saved in node._edges:
+            pg = rule(g, saved)
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg

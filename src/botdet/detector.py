@@ -27,6 +27,8 @@ from .errors import DataError
 log = logging.getLogger(__name__)
 
 _BIG = 1e18  # simplex penalty for out-of-domain parameter vectors
+_MAX_ITER = 500  # Nelder-Mead iterations per restart
+_TIE_TOL = 0.05  # relative SSE margin within which families count as tied
 
 
 @dataclass(frozen=True)
@@ -221,16 +223,13 @@ def _pack(fam: Family, shapes, loc: float, scale: float, lo: float, hi: float) -
     return np.array(head + tail, dtype=np.float64)
 
 
-def fit_family(fam: Family | str, samples: np.ndarray,
-               max_iter: int = 500, min_samples: int = 100) -> FittedPdf:
+def fit_family(fam: Family, samples: np.ndarray, min_samples: int = 100) -> FittedPdf:
     """Maximum-likelihood fit of one family via restarted Nelder-Mead.
 
     The SSE field is left at nan; ``sse`` / ``best_fit`` fill it in.
     Degenerate samples (zero spread) cannot identify any density and are
     an error.
     """
-    if isinstance(fam, str):
-        fam = family_by_name(fam)
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size < max(min_samples, 2):
         raise DataError(f"fit_family: need a 1-d sample of at least "
@@ -257,7 +256,7 @@ def fit_family(fam: Family | str, samples: np.ndarray,
         if not math.isfinite(nll(vec0)):
             continue
         res = minimize(nll, vec0, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-6, "fatol": 1e-6})
+                       options={"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-6})
         if res.fun < best_val:
             best_vec, best_val = res.x, res.fun
     if best_vec is None or best_val >= _BIG:
@@ -280,11 +279,10 @@ def sse(fit: FittedPdf, samples: np.ndarray, bins: int = 200) -> float:
     return float(np.sum((density - pdf_eval(fit, centers)) ** 2))
 
 
-def best_fit(samples: np.ndarray, min_samples: int = 100,
-             bins: int = 200, tie_tol: float = 0.05) -> FittedPdf:
+def best_fit(samples: np.ndarray, min_samples: int = 100, bins: int = 200) -> FittedPdf:
     """Fit every family and keep the lowest-SSE one.
 
-    SSE values within ``tie_tol`` relative of the minimum count as tied;
+    SSE values within ``_TIE_TOL`` relative of the minimum count as tied;
     ties break toward fewer shape parameters, then family declaration
     order. A flexible family can shadow a simpler one arbitrarily well
     (beta with a huge right margin reproduces gamma), so an exact-equality
@@ -300,12 +298,9 @@ def best_fit(samples: np.ndarray, min_samples: int = 100,
         try:
             fit = fit_family(fam, x, min_samples=min_samples)
             err = sse(fit, x, bins=bins)
-        except DataError as exc:
-            if "degenerate" in str(exc):
-                raise
-            log.warning("density family %s skipped: %s", fam.name, exc)
-            continue
         except Exception as exc:
+            if isinstance(exc, DataError) and "degenerate" in str(exc):
+                raise
             log.warning("density family %s skipped: %s", fam.name, exc)
             continue
         candidates.append((err, fam.n_shapes, order,
@@ -314,7 +309,7 @@ def best_fit(samples: np.ndarray, min_samples: int = 100,
     if not candidates:
         raise DataError("best_fit: every family failed to fit")
     min_sse = min(c[0] for c in candidates)
-    tied = [c for c in candidates if c[0] <= min_sse * (1.0 + tie_tol)]
+    tied = [c for c in candidates if c[0] <= min_sse * (1.0 + _TIE_TOL)]
     tied.sort(key=lambda c: (c[1], c[0], c[2]))
     return tied[0][3]
 

@@ -328,19 +328,21 @@ def build_sequences(rows: Seq[FeatureRow], n_windows: int,
         lambda ws: [(k, None) for k in range(0, max(ws, default=-1) + 1, n_windows)])
 
 
-def trailing_sequences(rows: Seq[FeatureRow], n_windows: int,
-                       l_max: int) -> list[Sequence]:
-    """One span per populated window ``w``, covering windows (w-N, w].
+def trailing_sequences(rows: Seq[FeatureRow], n_windows: int, l_max: int,
+                       targets: Iterable[int] | None = None) -> list[Sequence]:
+    """One span per target window ``w``, covering windows (w-N, w].
 
-    This is the scoring-time construction: each row is judged in the
-    context of the N-window history ending at its own window, which is
-    exactly what the streaming path can know at the moment window ``w``
-    closes. Missing history windows simply contribute no elements.
-    Scores are kept only for elements whose window equals
-    ``target_window``, so every row is scored exactly once.
+    ``targets`` defaults to every populated window. This is the
+    scoring-time construction: each row is judged in the context of the
+    N-window history ending at its own window, which is exactly what the
+    streaming path can know at the moment window ``w`` closes. Missing
+    history windows simply contribute no elements. Scores are kept only
+    for elements whose window equals ``target_window``, so every row is
+    scored exactly once.
     """
     return _span_sequences(rows, n_windows, l_max,
-                           lambda ws: [(w - n_windows + 1, w) for w in ws])
+                           lambda ws: [(w - n_windows + 1, w)
+                                       for w in (ws if targets is None else targets)])
 
 
 def non_malicious(rows: Iterable[FeatureRow]) -> list[FeatureRow]:

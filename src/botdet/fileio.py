@@ -417,7 +417,3 @@ def write_run_manifest(path: str | Path, stage: str, config: dict,
     }
     dump_json(payload, path)
     return payload
-
-
-def read_run_manifest(path: str | Path) -> dict:
-    return _load_json(path, "run-manifest", lambda payload, path: payload)

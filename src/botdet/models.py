@@ -80,16 +80,16 @@ def gru_cell(x: Tensor, h_prev: Tensor, w: GruCellWeights) -> Tensor:
 
 
 def gru_pass(xs: Sequence[Tensor], w: GruCellWeights,
-             mask: Sequence[tuple[Tensor, Tensor]] | None = None,
+             mask: tuple[np.ndarray, np.ndarray] | None = None,
              h0: Tensor | None = None,
              reverse: bool = False) -> tuple[list[Tensor], Tensor]:
     """Run a GRU over a timestep list; returns per-step states and the final one.
 
-    ``mask`` holds per-step (m, 1-m) column pairs for padded batches: a
-    padded step keeps the previous state, so the final state equals the
-    state at each sequence's true end regardless of padding. For the
-    reverse direction the padded suffix is visited first and the state
-    simply stays at h0 until real elements begin.
+    ``mask`` is ``make_mask``'s (m, 1-m) pair of (L, B, 1) arrays for padded
+    batches: a padded step keeps the previous state, so the final state
+    equals the state at each sequence's true end regardless of padding.
+    For the reverse direction the padded suffix is visited first and the
+    state simply stays at h0 until real elements begin.
     """
     steps = len(xs)
     batch = xs[0].shape[0]
@@ -99,24 +99,18 @@ def gru_pass(xs: Sequence[Tensor], w: GruCellWeights,
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for t in order:
         h_new = gru_cell(xs[t], h, w)
-        if mask is not None:
-            m, inv = mask[t]
-            h = m * h_new + inv * h
-        else:
-            h = h_new
+        h = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
         states[t] = h
     return states, h  # type: ignore[return-value]
 
 
-def make_mask(lengths: np.ndarray, steps: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
+def make_mask(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(m, 1-m) as (L, B, 1) arrays with m[t, b] = 1 iff t < lengths[b]; None if unpadded."""
     lengths = np.asarray(lengths)
     if np.all(lengths == steps):
         return None
-    pairs = []
-    for t in range(steps):
-        m = (lengths > t).astype(np.float64).reshape(-1, 1)
-        pairs.append((m, 1.0 - m))
-    return pairs
+    m = (np.arange(steps)[:, None, None] < lengths[None, :, None]).astype(np.float64)
+    return m, 1.0 - m
 
 
 @dataclass
@@ -350,7 +344,7 @@ def vae_loss(targets: np.ndarray, recons: Sequence[Tensor], mu: Tensor,
     total_bce: Tensor | None = None
     for t, recon in enumerate(recons):
         part = bce_sum(targets[:, t, :], recon,
-                       None if mask is None else mask[t][0])
+                       None if mask is None else mask[0][t])
         total_bce = part if total_bce is None else total_bce + part
     total_kl = kl_divergence(mu, logvar)
     scale = 1.0 / batch

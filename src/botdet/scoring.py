@@ -62,16 +62,16 @@ def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:
 
 def score_sequences(arch: str, params,
                     sequences: Iterable[Sequence]) -> list[ScoredWindow]:
-    """One ScoredWindow per sequence element, in input order.
+    """One ScoredWindow per element in its sequence's target window, in input order.
 
-    For sequences built as trailing context, only elements in the target
-    window are emitted so each host-window is scored exactly once.
+    The sequences are trailing context (``trailing_sequences``), so each
+    host-window is scored exactly once.
     """
     out: list[ScoredWindow] = []
     for seq in sequences:
         scores = score_elements(arch, params, seq.vectors)
         for r, score in zip(seq.rows, scores):
-            if seq.target_window is None or r.window_index == seq.target_window:
+            if r.window_index == seq.target_window:
                 out.append(ScoredWindow(r.src_addr, r.window_index, r.first_seen,
                                         r.label, float(score)))
     return out

@@ -60,9 +60,8 @@ def run_stream(model: TrainedModel, det: DetectorModel,
             decisions: list[dict] = []
             if rows:
                 context = [r for past in history for r in past] + rows
-                seqs = [s for s in trailing_sequences(context, model.n_windows,
-                                                      model.l_max)
-                        if s.target_window == w]
+                seqs = trailing_sequences(context, model.n_windows, model.l_max,
+                                          targets=(w,))
                 window_end = t0 + (w + 1) * model.window_seconds
                 for s in score_sequences(model.arch, model.params, seqs):
                     record = decision_record(s.src_addr, s.window_index, s.score,

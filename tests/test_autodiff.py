@@ -1,5 +1,7 @@
 """Tape engine: forward values, backward gradients, finite-difference agreement."""
 
+import collections
+import itertools
 import operator
 
 import numpy as np
@@ -7,9 +9,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from botdet import autodiff as ad
 from botdet.autodiff import Tensor
+from botdet.features import N_FEATURES
+from botdet.models import RvaeParams, rvae_forward, vae_loss
 from botdet.optim import Adam, clip_global_norm
 from botdet.errors import NumericError
 
@@ -98,7 +103,7 @@ class TestBackward:
         assert type(y) is np.ndarray
         taped = ad.sigmoid(ad.matmul(Tensor(x), Tensor(w)) * 3.0
                            + ad.concat([Tensor(x[:, :1])], axis=1))
-        assert taped._parents == ()  # untracked tensors record nothing either
+        assert taped._edges == ()  # untracked tensors record nothing either
         npt.assert_array_equal(y, taped.data)
 
 
@@ -213,7 +218,7 @@ class TestPlainOperands:
         for left in (arr, Tensor(arr)):
             w = Tensor(w0.copy(), requires_grad=True)
             out = op(left, w)
-            assert isinstance(out, Tensor) and out._parents
+            assert isinstance(out, Tensor) and out._edges
             ad.sum_all(ad.tanh(out)).backward()
             outs.append(out.data)
             grads.append(w.grad)
@@ -282,3 +287,163 @@ class TestClipGlobalNorm:
 def test_max_rel_err_helper():
     assert max_rel_err(np.array([1.0]), np.array([1.0])) == 0.0
     assert max_rel_err(np.array([1.0]), np.array([1.1])) == pytest.approx(0.1 / 1.1)
+
+
+# The per-node VJP closures the tape ran before it kept one edge per tracked
+# operand: each returned one gradient per operand, constant or not. They are
+# the bit-for-bit reference for the edge rules.
+def _old_vjps(name, g, out, xs, axis=None, lo=None, hi=None):
+    unb = ad._unbroadcast
+    if name == "add":
+        return unb(g, xs[0].shape), unb(g, xs[1].shape)
+    if name == "sub":
+        return unb(g, xs[0].shape), unb(-g, xs[1].shape)
+    if name == "mul":
+        return unb(g * xs[1], xs[0].shape), unb(g * xs[0], xs[1].shape)
+    if name == "matmul":
+        return g @ xs[1].T, xs[0].T @ g
+    if name == "concat":
+        splits = np.cumsum([x.shape[axis] for x in xs])[:-1]
+        return tuple(np.split(g, splits, axis=axis))
+    x = xs[0]
+    return ({
+        "neg": lambda: -g,
+        "sigmoid": lambda: g * out * (1.0 - out),
+        "tanh": lambda: g * (1.0 - out * out),
+        "relu": lambda: g * (x > 0.0),
+        "log": lambda: g / x,
+        "exp": lambda: g * out,
+        "clip": lambda: g * ((x >= lo) & (x <= hi)),
+        "sum_all": lambda: np.broadcast_to(g, x.shape).copy(),
+    }[name](),)
+
+
+OPERAND_KINDS = ("tracked", "plain", "constant")
+
+
+def _operand(kind, arr):
+    if kind == "plain":
+        return arr.copy()
+    return Tensor(arr.copy(), requires_grad=kind == "tracked")
+
+
+def _check_every_mix(name, fn, arrays, g, **args):
+    """Run ``fn`` on every mix of operand kinds against the old closures."""
+    ref_out = fn(*arrays)
+    assert type(ref_out) is np.ndarray
+    for kinds in itertools.product(OPERAND_KINDS, repeat=len(arrays)):
+        ops = [_operand(k, a) for k, a in zip(kinds, arrays)]
+        out = fn(*ops)
+        assert bits(out) == bits(ref_out)
+        if all(k == "plain" for k in kinds):
+            assert type(out) is np.ndarray
+            continue
+        tracked = [t for k, t in zip(kinds, ops) if k == "tracked"]
+        assert [e[0] for e in out._edges] == tracked
+        if not tracked:
+            continue
+        ad.sum_all(out * g).backward()  # ``out`` receives exactly ``g``
+        ref = _old_vjps(name, g, ref_out, arrays, **args)
+        for k, t, x, rg in zip(kinds, ops, arrays, ref):
+            if k == "tracked":
+                assert bits(t.grad) == bits(np.zeros_like(x) + rg), (name, kinds)
+            else:
+                assert getattr(t, "grad", None) is None
+
+
+def _floats(shape, lo=-4.0, hi=4.0):
+    """Hypothesis-chosen elements, or seeded uniform ones whose products round."""
+    uniform = st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).uniform(lo, hi, size=shape))
+    return hnp.arrays(np.float64, shape, elements=st.floats(lo, hi)) | uniform
+
+
+dims = st.integers(1, 4)
+
+
+class TestEdgeRules:
+    @pytest.mark.parametrize("name", ["add", "sub", "mul"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=dims, n=dims, swap=st.booleans(),
+           other=st.sampled_from(["same", "row", "row2d", "col", "scalar"]))
+    def test_broadcasting_binary_ops(self, name, data, m, n, other, swap):
+        shapes = {"same": (m, n), "row": (n,), "row2d": (1, n), "col": (m, 1),
+                  "scalar": ()}
+        x = data.draw(_floats((m, n)))
+        y = data.draw(_floats(shapes[other]))
+        g = data.draw(_floats((m, n)))
+        arrays = [y, x] if swap else [x, y]
+        _check_every_mix(name, getattr(ad, name), arrays, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), dims, dims, dims)
+    def test_matmul(self, data, m, k, n):
+        arrays = [data.draw(_floats((m, k))), data.draw(_floats((k, n)))]
+        _check_every_mix("matmul", ad.matmul, arrays, data.draw(_floats((m, n))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.lists(dims, min_size=1, max_size=3), dims,
+           st.sampled_from([0, 1, -1]))
+    def test_concat(self, data, widths, m, axis):
+        shapes = [(w, m) if axis == 0 else (m, w) for w in widths]
+        arrays = [data.draw(_floats(s)) for s in shapes]
+        total = (sum(widths), m) if axis == 0 else (m, sum(widths))
+        _check_every_mix("concat", lambda *ts: ad.concat(ts, axis=axis), arrays,
+                         data.draw(_floats(total)), axis=axis)
+
+    @pytest.mark.parametrize("name", ["neg", "sigmoid", "tanh", "relu", "log", "exp",
+                                      "clip", "sum_all"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), m=dims, n=dims)
+    def test_unary_ops(self, name, data, m, n):
+        lo, hi = (-0.5, 0.5) if name == "clip" else (None, None)
+        x = data.draw(_floats((m, n), 1e-3, 4.0) if name == "log" else _floats((m, n)))
+        if name == "clip":
+            x[0, 0] = lo  # the interval is closed: its ends pass gradient
+        fn = (lambda a: ad.clip(a, lo, hi)) if name == "clip" else getattr(ad, name)
+        g = data.draw(_floats(() if name == "sum_all" else (m, n)))
+        _check_every_mix(name, fn, [x], g, lo=lo, hi=hi)
+
+
+def test_masked_update_evaluates_one_rule_per_tracked_edge():
+    rng = np.random.default_rng(5)
+    batch_size, steps = 16, 60
+    p = RvaeParams.init(rng, N_FEATURES, 64, 16)
+    batch = rng.uniform(0.0, 1.0, size=(batch_size, steps, N_FEATURES))
+    lengths = rng.integers(1, steps + 1, size=batch_size)
+    lengths[0] = steps
+    recons, mu, lv = rvae_forward(p, batch, lengths=lengths,
+                                  eps=rng.standard_normal((batch_size, 16)))
+    loss, _, _ = vae_loss(batch, recons, mu, lv, beta=0.5, lengths=lengths)
+
+    nodes, stack, seen = [], [loss], {id(loss)}
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for parent, _, _ in node._edges:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    calls = collections.Counter()
+
+    def counted(rule, key):
+        def run(g, saved):
+            calls[key] += 1
+            return rule(g, saved)
+        return run
+
+    n_edges = 0
+    for node in nodes:
+        edges = []
+        for parent, rule, saved in node._edges:
+            assert isinstance(parent, Tensor)
+            assert parent.requires_grad or parent._edges
+            name = getattr(rule, "__qualname__", rule.__name__)
+            assert "<lambda>" not in name and "<locals>" not in name, name
+            edges.append((parent, counted(rule, n_edges), saved))
+            n_edges += 1
+        node._edges = tuple(edges)
+    ad.backward(loss)
+    assert n_edges == 14591  # the closures evaluated 16,233 VJP outputs here
+    assert sorted(calls) == list(range(n_edges))
+    assert set(calls.values()) == {1}

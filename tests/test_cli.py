@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from botdet.cli import main
-from botdet.fileio import read_run_manifest
+from botdet.fileio import FORMAT_VERSION
 from botdet.synth import SynthConfig, make_fixture
 
 FAST_TRAIN = ["--epochs", "6", "--batch-size", "16", "--hidden", "10",
@@ -76,7 +76,9 @@ def test_chain_writes_run_manifests(chain):
                            ("detector.run.json", "fitpdf"),
                            ("decisions.run.json", "detect"),
                            ("report.run.json", "evaluate")]:
-        payload = read_run_manifest(chain["model"].parent / runfile)
+        payload = json.loads((chain["model"].parent / runfile).read_text())
+        assert payload["kind"] == "run-manifest"
+        assert payload["format_version"] == FORMAT_VERSION
         assert payload["stage"] == stage
         assert payload["config_sha256"]
         assert all(len(h) == 64 for h in payload["inputs"].values())

@@ -9,13 +9,13 @@ from botdet.detector import DetectorModel, FittedPdf
 from botdet.errors import DataError
 from botdet.features import FEATURE_NAMES, N_FEATURES, FeatureRow, Normalizer
 from botdet.fileio import (
+    FORMAT_VERSION,
     FeaturesMeta,
     config_hash,
     load_detector,
     load_model,
     read_decisions_jsonl,
     read_features,
-    read_run_manifest,
     read_scores_csv,
     save_detector,
     save_model,
@@ -260,7 +260,9 @@ def test_run_manifest_contents_and_determinism(tmp_path):
     write_run_manifest(m1, "train", cfg, [inp], [tmp_path / "model.json"], seed=3)
     write_run_manifest(m2, "train", cfg, [inp], [tmp_path / "model.json"], seed=3)
     assert m1.read_bytes() == m2.read_bytes()  # no timestamps, stable layout
-    payload = read_run_manifest(m1)
+    payload = json.loads(m1.read_text())
+    assert payload["kind"] == "run-manifest"
+    assert payload["format_version"] == FORMAT_VERSION
     assert payload["stage"] == "train"
     assert payload["config_sha256"] == config_hash(cfg)
     assert list(payload["inputs"].values())[0] == (

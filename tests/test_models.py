@@ -274,7 +274,7 @@ def _same_forward(taped, bare) -> None:
     """Taped outputs are Tensors on a tape; plain ones are bit-equal bare arrays."""
     recons_t, mu_t, lv_t = taped
     recons_p, mu_p, lv_p = bare
-    assert isinstance(mu_t, Tensor) and mu_t._parents
+    assert isinstance(mu_t, Tensor) and mu_t._edges
     assert all(type(x) is np.ndarray for x in (*recons_p, mu_p, lv_p))
     assert len(recons_t) == len(recons_p)
     for t, p in zip([*recons_t, mu_t, lv_t], [*recons_p, mu_p, lv_p]):

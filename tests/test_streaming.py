@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from botdet.features import window_index
+from botdet import streaming
+from botdet.features import trailing_sequences, window_index
 from botdet.ingest import FlowRecord, iter_flows
 from botdet.pipeline import (
     classify_scores,
@@ -11,6 +12,7 @@ from botdet.pipeline import (
     score_split,
     train_model,
 )
+from botdet.scoring import score_sequences
 from botdet.streaming import run_stream
 from botdet.synth import SynthConfig, make_fixture
 from botdet.train import TrainConfig
@@ -157,3 +159,33 @@ def test_out_of_order_within_window_is_accepted(fitted):
     b, sb = stream_decisions(model, det, shuffled)
     assert sb.late_dropped == 0
     assert a == b
+
+
+def test_stream_builds_only_the_closing_windows_spans(fitted, monkeypatch):
+    fx, _, model, det = fitted
+    flows = list(iter_flows(fx["test"]))
+    built, scored, every = [], [], []
+
+    def every_span(rows, n_windows, l_max, targets):
+        # Spans of every populated context window, filtered down to the target's.
+        seqs = trailing_sequences(rows, n_windows, l_max)
+        every.extend(seqs)
+        return [s for s in seqs if s.target_window in targets]
+
+    def counted_build(*args, **kwargs):
+        seqs = trailing_sequences(*args, **kwargs)
+        built.extend(seqs)
+        return seqs
+
+    def counted_score(arch, params, seqs):
+        scored.extend(seqs)
+        return score_sequences(arch, params, seqs)
+
+    monkeypatch.setattr(streaming, "trailing_sequences", every_span)
+    reference, _ = stream_decisions(model, det, flows)
+    monkeypatch.setattr(streaming, "trailing_sequences", counted_build)
+    monkeypatch.setattr(streaming, "score_sequences", counted_score)
+    decisions, _ = stream_decisions(model, det, flows)
+    assert len(built) == len(scored) == 12
+    assert len(every) == 33
+    assert decisions == reference

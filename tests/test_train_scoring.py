@@ -174,7 +174,7 @@ class TestScoreSequences:
         expected = []
         for seq in trailing_sequences(rows, model.n_windows, model.l_max):
             recons, mu, _ = models.rvae_forward(model.params, seq.vectors[None])
-            assert mu._parents  # the reference ran on the tape
+            assert mu._edges  # the reference ran on the tape
             scores = scoring.anomaly_score(seq.vectors, np.stack([r.data[0] for r in recons]))
             expected += [float(x) for r, x in zip(seq.rows, scores)
                          if r.window_index == seq.target_window]
