@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -46,7 +47,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from botdet import fileio, pipeline
-from botdet.ingest import iter_flows, scan_time_bounds, write_flows_csv
+from botdet.ingest import iter_flows, write_flows_csv
 from botdet.metrics import report_table
 from botdet.train import TrainConfig
 
@@ -71,7 +72,11 @@ def subsample_scenarios(scenarios: dict[str, Path], fraction: float,
     out_dir.mkdir(parents=True, exist_ok=True)
     trimmed: dict[str, Path] = {}
     for sid, cap in scenarios.items():
-        lo, hi = scan_time_bounds(cap)
+        lo, hi = math.inf, -math.inf
+        for f in iter_flows(cap):
+            lo, hi = min(lo, f.start_time), max(hi, f.start_time)
+        if lo > hi:
+            raise SystemExit(f"{cap}: no parseable flow to subsample")
         cutoff = lo + fraction * (hi - lo)
         dst = out_dir / f"scenario-{sid}.binetflow"
         write_flows_csv(dst, (f for f in iter_flows(cap)
@@ -85,24 +90,15 @@ def run_duration(manifest: Path, train_ids, test_ids, duration: float,
                  cfg: TrainConfig, arch: str, out: Path):
     """One full preprocess->train->score->fitpdf->classify->evaluate chain."""
     t_start = time.time()
-    pre = pipeline.preprocess(manifest, train_ids, test_ids,
-                              window_seconds=duration, n_windows=3,
-                              l_max=cfg.l_max)
-    model = pipeline.train_model(pre.meta, pre.train.rows, cfg, arch)
-    fileio.save_model(out / f"model-{arch}-T{duration:g}.json", model)
-    train_scored = pipeline.score_split(model, pre.meta, pre.train.rows)
-    det = pipeline.fit_detector_from_training(train_scored)
-    fileio.save_detector(out / f"detector-{arch}-T{duration:g}.json", det)
-    test_scored = pipeline.score_split(model, pre.meta, pre.test.rows)
-    decisions = pipeline.classify_scores(test_scored, det)
-    report = pipeline.evaluate_decisions(
-        test_scored, decisions,
-        config={"T": duration, "N": 3, "arch": arch})
-    fileio.save_report(out / f"report-{arch}-T{duration:g}.json", report)
-    pipeline.write_histogram_csv(out / f"hist-{arch}-T{duration:g}.csv",
-                                 pipeline.score_histogram_rows(test_scored))
+    [res] = pipeline.window_sweep(manifest, train_ids, test_ids, [duration],
+                                  cfg, arch, l_max=cfg.l_max)
+    tag = f"{arch}-T{duration:g}"
+    fileio.save_model(out / f"model-{tag}.json", res.model)
+    fileio.save_detector(out / f"detector-{tag}.json", res.detector)
+    fileio.save_report(out / f"report-{tag}.json", res.report)
+    pipeline.write_histogram_csv(out / f"hist-{tag}.csv", res.histogram)
     print(f"[{arch} T={duration:g}s] done in {(time.time() - t_start) / 3600:.2f} h")
-    return model, pre, report
+    return res.model, res.report
 
 
 def per_scenario_diagnostic(manifest: Path, train_ids, test_ids, model) -> None:
@@ -157,18 +153,18 @@ def main() -> int:
 
     durations = [float(d) for d in args.durations.split(",")]
     rows, by_duration = [], {}
-    model_60 = pre_60 = None
+    model_60 = None
     for duration in durations:
-        model, pre, report = run_duration(manifest_path, train_ids, test_ids,
-                                          duration, cfg, "rvae", out)
+        model, report = run_duration(manifest_path, train_ids, test_ids,
+                                     duration, cfg, "rvae", out)
         rows.append((f"RVAE T={duration:g}s", report))
         by_duration[duration] = report
         if duration == 60.0:
-            model_60, pre_60 = model, pre
+            model_60 = model
 
     if args.with_mlp:
-        _, _, mlp_report = run_duration(manifest_path, train_ids, test_ids,
-                                        60.0, cfg, "mlp", out)
+        _, mlp_report = run_duration(manifest_path, train_ids, test_ids,
+                                     60.0, cfg, "mlp", out)
         rows.append(("MLP-VAE T=60s", mlp_report))
 
     table = report_table(rows)

@@ -321,11 +321,12 @@ def build_sequences(rows: Seq[FeatureRow], n_windows: int,
     """Chain host-window rows into sequences over spans of ``n_windows`` windows.
 
     Spans start at window 0 and do not overlap, so every row lands in
-    exactly one sequence.
+    exactly one sequence. Only populated spans are visited, so a long gap
+    between windows costs nothing.
     """
     return _span_sequences(
         rows, n_windows, l_max,
-        lambda ws: [(k, None) for k in range(0, max(ws, default=-1) + 1, n_windows)])
+        lambda ws: [(k, None) for k in sorted({w - w % n_windows for w in ws if w >= 0})])
 
 
 def trailing_sequences(rows: Seq[FeatureRow], n_windows: int, l_max: int,

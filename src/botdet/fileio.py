@@ -82,10 +82,21 @@ def _decode(payload, kind: str, path: Path, decode: Callable):
                         f"({type(exc).__name__}: {exc})") from None
 
 
+def _open_text(p: Path) -> io.StringIO:
+    """An artifact's text; bytes that are not UTF-8 raise DataError naming the line."""
+    data = p.read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{p}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_json(path: str | Path, kind: str, decode: Callable):
     p = Path(path)
     try:
-        payload = json.loads(p.read_text())
+        with _open_text(p) as fh:
+            payload = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{p}: file not found")
     except json.JSONDecodeError as exc:
@@ -158,16 +169,6 @@ class FeaturesMeta:
         normalizer = _normalizer_from_payload(header["normalizer"], names, path)
         return cls(feature_names=names, normalizer=normalizer,
                    **_window_config(header, path), t0=float(header["t0"]))
-
-
-def _open_text(p: Path) -> io.StringIO:
-    """A CSV artifact's text; bytes that are not UTF-8 raise DataError naming the line."""
-    data = p.read_bytes()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline="")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{p}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_features(path: str | Path, meta: FeaturesMeta,
@@ -373,17 +374,25 @@ def write_decisions_jsonl(path: str | Path, decisions: Iterable[dict]) -> None:
 
 
 def read_decisions_jsonl(path: str | Path) -> list[dict]:
+    """Decision records; each must hold a string src_addr, an integer window_index and a verdict."""
     p = Path(path)
     out = []
-    with open(p) as fh:
+    with _open_text(p) as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{p}:{i}: bad decision record ({exc})")
+            if not (isinstance(record, dict) and isinstance(record.get("src_addr"), str)
+                    and type(record.get("window_index")) is int
+                    and record.get("verdict") in ("Malicious", "NonMalicious")):
+                raise DataError(f"{p}:{i}: a decision record needs a string src_addr, an "
+                                "integer window_index and a verdict of Malicious or "
+                                "NonMalicious")
+            out.append(record)
     return out
 
 

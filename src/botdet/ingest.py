@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import enum
 import heapq
-import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -23,17 +22,13 @@ from .errors import DataError, ParseError
 TIME_FORMAT = "%Y/%m/%d %H:%M:%S.%f"
 _TIME_FORMAT_NO_FRAC = "%Y/%m/%d %H:%M:%S"
 
-REQUIRED_COLUMNS = (
-    "StartTime", "Dur", "Proto", "SrcAddr", "Sport", "Dir",
-    "DstAddr", "Dport", "State", "TotPkts", "TotBytes", "SrcBytes", "Label",
-)
-
-# Written column order includes the ToS fields so emitted CSV matches the
-# capture layout byte for byte; both are ignored on read.
+# Capture columns in written order, which is the CTU-13 binetflow layout.
 CSV_FIELD_ORDER = (
     "StartTime", "Dur", "Proto", "SrcAddr", "Sport", "Dir", "DstAddr",
     "Dport", "State", "sTos", "dTos", "TotPkts", "TotBytes", "SrcBytes", "Label",
 )
+# Read by header position; the ToS fields are written as "0" and ignored on read.
+REQUIRED_COLUMNS = tuple(c for c in CSV_FIELD_ORDER if c not in ("sTos", "dTos"))
 
 
 class GroundTruth(enum.Enum):
@@ -113,22 +108,24 @@ def format_timestamp(t: float) -> str:
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime(TIME_FORMAT)
 
 
-def parse_flow(row: dict[str, str], path: str = "", line_no: int = 0) -> FlowRecord:
-    """Build a validated FlowRecord from one CSV row dict."""
+def parse_flow(values: Sequence[str], path: str = "", line_no: int = 0) -> FlowRecord:
+    """Build a validated FlowRecord from one row's values in REQUIRED_COLUMNS order."""
+    (start_text, dur, proto, src_addr, src_port, direction, dst_addr, dst_port,
+     state, pkts, nbytes, src_nbytes, label) = values
 
     def bad(msg: str) -> ParseError:
         return ParseError(f"{path}:{line_no}: {msg}", path=path, line_no=line_no)
 
     try:
-        start = parse_timestamp(row["StartTime"])
-    except (ValueError, KeyError) as exc:
-        raise bad(f"bad StartTime {row.get('StartTime')!r}") from exc
+        start = parse_timestamp(start_text)
+    except ValueError as exc:
+        raise bad(f"bad StartTime {start_text!r}") from exc
     try:
-        duration = float(row["Dur"])
-        tot_pkts = int(row["TotPkts"])
-        tot_bytes = int(row["TotBytes"])
-        src_bytes = int(row["SrcBytes"])
-    except (ValueError, KeyError) as exc:
+        duration = float(dur)
+        tot_pkts = int(pkts)
+        tot_bytes = int(nbytes)
+        src_bytes = int(src_nbytes)
+    except ValueError as exc:
         raise bad("non-numeric Dur/TotPkts/TotBytes/SrcBytes") from exc
 
     if not math.isfinite(duration):
@@ -139,65 +136,42 @@ def parse_flow(row: dict[str, str], path: str = "", line_no: int = 0) -> FlowRec
         raise bad(f"negative TotPkts {tot_pkts}")
     if not 0 <= src_bytes <= tot_bytes:
         raise bad(f"byte counts violate 0 <= SrcBytes <= TotBytes ({src_bytes}, {tot_bytes})")
-    proto = row.get("Proto", "").strip().lower()
-    if not row.get("SrcAddr") or not row.get("DstAddr"):
+    proto = proto.strip().lower()
+    src_addr, dst_addr = src_addr.strip(), dst_addr.strip()
+    if not src_addr or not dst_addr:
         raise bad("missing SrcAddr/DstAddr")
-
-    dst_port = row.get("Dport", "").strip()
-    return FlowRecord(
-        start_time=start,
-        duration=duration,
-        proto=proto,
-        src_addr=row["SrcAddr"].strip(),
-        src_port=row.get("Sport", "").strip(),
-        direction=row.get("Dir", "").strip(),
-        dst_addr=row["DstAddr"].strip(),
-        dst_port=dst_port,
-        state=row.get("State", "").strip(),
-        service=service_of(proto, dst_port),
-        tot_pkts=tot_pkts,
-        tot_bytes=tot_bytes,
-        src_bytes=src_bytes,
-        label_raw=row.get("Label", "").strip(),
-    )
+    dst_port = dst_port.strip()
+    return FlowRecord(start, duration, proto, src_addr, src_port.strip(),
+                      direction.strip(), dst_addr, dst_port, state.strip(),
+                      service_of(proto, dst_port), tot_pkts, tot_bytes, src_bytes,
+                      label.strip())
 
 
-def flow_to_row(rec: FlowRecord) -> dict[str, str]:
-    """Inverse of parse_flow: a row dict that parses back to an equal record."""
-    return {
-        "StartTime": format_timestamp(rec.start_time),
-        "Dur": repr(rec.duration),
-        "Proto": rec.proto,
-        "SrcAddr": rec.src_addr,
-        "Sport": rec.src_port,
-        "Dir": rec.direction,
-        "DstAddr": rec.dst_addr,
-        "Dport": rec.dst_port,
-        "State": rec.state,
-        "sTos": "0",
-        "dTos": "0",
-        "TotPkts": str(rec.tot_pkts),
-        "TotBytes": str(rec.tot_bytes),
-        "SrcBytes": str(rec.src_bytes),
-        "Label": rec.label_raw,
-    }
+def flow_to_row(rec: FlowRecord) -> list[str]:
+    """Inverse of parse_flow: the CSV_FIELD_ORDER values of a row that parses back to an equal record."""
+    return [format_timestamp(rec.start_time), repr(rec.duration), rec.proto,
+            rec.src_addr, rec.src_port, rec.direction, rec.dst_addr, rec.dst_port,
+            rec.state, "0", "0", str(rec.tot_pkts), str(rec.tot_bytes),
+            str(rec.src_bytes), rec.label_raw]
 
 
 def write_flows_csv(path: str | Path, records: Iterable[FlowRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(CSV_FIELD_ORDER))
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(flow_to_row(rec))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELD_ORDER)
+        writer.writerows(map(flow_to_row, records))
 
 
 @dataclass
 class FileStats:
     path: str
-    rows: int = 0
     parsed: int = 0
     errors: int = 0
     first_error: str = ""
+
+    @property
+    def rows(self) -> int:
+        return self.parsed + self.errors
 
 
 @dataclass
@@ -213,44 +187,70 @@ class IngestStats:
         return sum(f.errors for f in self.files)
 
 
-def _check_header(fieldnames: Sequence[str] | None, path: str) -> None:
-    missing = [c for c in REQUIRED_COLUMNS if not fieldnames or c not in fieldnames]
-    if missing:
-        raise DataError(f"{path}: missing required columns {missing}")
-
-
 def iter_flows(path: str | Path, strict: bool = False,
                stats: IngestStats | None = None) -> Iterator[FlowRecord]:
     """Yield records in file order.
 
-    Lenient mode (default) skips malformed rows and counts them; strict
-    mode raises on the first bad row. Ordering is whatever the file has;
-    use read_dataset for a time-sorted stream.
+    Captures are UTF-8 CSV with a header row; columns are found by header
+    name (the last of a repeated name wins) and extra fields are ignored.
+    Blank lines are skipped. A bad row is one that fails parse_flow, has
+    fewer fields than the header, holds bytes that are not UTF-8, or trips
+    the csv reader (an oversized field, say). Lenient mode (default) skips
+    and counts bad rows; strict mode raises a ParseError naming the bad
+    row's last physical line. Ordering is whatever the file has; use
+    read_dataset for a time-sorted stream.
     """
     path = Path(path)
-    fstats = FileStats(path=str(path))
+    name = str(path)
+    fstats = FileStats(path=name)
     if stats is not None:
         stats.files.append(fstats)
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, str(path))
-        for line_no, row in enumerate(reader, start=2):
-            fstats.rows += 1
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:
+            raise DataError(f"{path}:1: unreadable header ({exc})") from None
+        columns = {c: i for i, c in enumerate(header)}
+        missing = [c for c in REQUIRED_COLUMNS if c not in columns]
+        if missing:
+            raise DataError(f"{path}: missing required columns {missing}")
+        picks = [columns[c] for c in REQUIRED_COLUMNS]
+
+        def bad(msg: str) -> ParseError:
+            return ParseError(f"{name}:{reader.line_num}: {msg}", name, reader.line_num)
+
+        while True:
             try:
-                rec = parse_flow(row, path=str(path), line_no=line_no)
+                row = next(reader, None)
+                if row is None:
+                    return
+                if not row:
+                    continue
+                if len(row) < len(header):
+                    raise bad(f"row has {len(row)} fields, the header {len(header)}")
+                try:
+                    "".join(row).encode()
+                except UnicodeEncodeError:
+                    raise bad("not UTF-8 text") from None
+                rec = parse_flow([row[i] for i in picks], name, reader.line_num)
+            except csv.Error as exc:
+                err = bad(f"unreadable row ({exc})")
             except ParseError as exc:
-                if strict:
-                    raise
-                fstats.errors += 1
-                if not fstats.first_error:
-                    fstats.first_error = str(exc)
+                err = exc
+            else:
+                fstats.parsed += 1
+                yield rec
                 continue
-            fstats.parsed += 1
-            yield rec
+            if strict:
+                raise err
+            fstats.errors += 1
+            if not fstats.first_error:
+                fstats.first_error = str(err)
 
 
 def read_dataset(paths: Sequence[str | Path], strict: bool = False
@@ -273,20 +273,3 @@ def read_dataset(paths: Sequence[str | Path], strict: bool = False
         yield from heapq.merge(*runs, key=lambda r: r.start_time)
 
     return _merged(), stats
-
-
-def scan_time_bounds(path: str | Path) -> tuple[float, float]:
-    """(min, max) StartTime over parseable rows, without building records."""
-    lo, hi = float("inf"), float("-inf")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, str(path))
-        for row in reader:
-            try:
-                t = parse_timestamp(row["StartTime"])
-            except (ValueError, KeyError):
-                continue
-            lo, hi = min(lo, t), max(hi, t)
-    if lo > hi:
-        raise DataError(f"{path}: no parseable timestamps")
-    return lo, hi

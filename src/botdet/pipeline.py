@@ -300,6 +300,8 @@ def write_histogram_csv(path: str | Path, rows: Sequence[dict]) -> None:
 @dataclass
 class SweepResult:
     duration: float
+    model: TrainedModel
+    detector: DetectorModel
     report: MetricsReport
     histogram: list[dict]
 
@@ -329,7 +331,8 @@ def window_sweep(manifest_path: str | Path, train_ids: Sequence[str],
             test_scored, decisions,
             config={"T": float(t), "N": n_windows, "arch": arch},
             exclude_background=exclude_background)
-        results.append(SweepResult(duration=float(t), report=report,
+        results.append(SweepResult(duration=float(t), model=model, detector=det,
+                                   report=report,
                                    histogram=score_histogram_rows(test_scored,
                                                                   bins=bins)))
         log.info("sweep T=%gs: auroc=%.4f f1=%.4f", t, report.auroc, report.f1)

@@ -85,9 +85,14 @@ def run_stream(model: TrainedModel, det: DetectorModel,
             if w < current_w:
                 stats.late_dropped += 1
                 continue
-            while w > current_w:
+            if w > current_w:
                 yield from flush(current_w, flow.start_time)
-                current_w += 1
+                # The windows in between are empty: they close with no
+                # decisions, and only the last N-1 of them stay in history.
+                skipped = w - current_w - 1
+                stats.windows_closed += skipped
+                history.extend([[]] * min(skipped, history.maxlen))
+                current_w = w
             b = builders.get(flow.src_addr)
             if b is None:
                 b = builders[flow.src_addr] = AggBuilder(flow.src_addr, w)

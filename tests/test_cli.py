@@ -375,3 +375,46 @@ def test_train_on_features_with_l_max_zero_is_a_data_error(chain, tmp_path, caps
                  str(tmp_path / "model.json"), *FAST_TRAIN]) == 2
     assert f"{path}: window config out of range" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("artifact,flag", [("model", "--model"), ("detector", "--detector")])
+def test_non_utf8_json_artifact_is_a_data_error(chain, fixture_dir, tmp_path, capsys,
+                                               artifact, flag):
+    path = tmp_path / f"{artifact}.json"
+    path.write_bytes(chain[artifact].read_bytes().replace(b"{", b"{\"\xe9\": 0, ", 1))
+    argv = {"--model": str(chain["model"]), "--detector": str(chain["detector"]),
+            flag: str(path)}
+    assert main(["stream", *[x for kv in argv.items() for x in kv],
+                 "--input", str(fixture_dir["test"])]) == 2
+    assert f"data error: {path}:1: not UTF-8 text" in capsys.readouterr().err
+
+
+def _record_without_verdict(record: dict) -> dict:
+    return {k: v for k, v in record.items() if k != "verdict"}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: {}, lambda r: [1, 2], _record_without_verdict,
+    lambda r: {**r, "verdict": "maybe"}, lambda r: {**r, "window_index": "3"},
+    lambda r: {**r, "window_index": True}, lambda r: {**r, "src_addr": None},
+], ids=["empty", "list", "no-verdict", "bad-verdict", "text-window", "bool-window",
+        "null-host"])
+def test_malformed_decision_record_is_a_data_error(chain, tmp_path, capsys, edit):
+    lines = chain["decisions"].read_text().splitlines()
+    path = tmp_path / "decisions.jsonl"
+    path.write_text("\n".join([lines[0], json.dumps(edit(json.loads(lines[1]))),
+                               *lines[2:]]) + "\n")
+    assert main(["evaluate", "--scores", str(chain["scores_test"]),
+                 "--decisions", str(path), "--model", str(chain["model"]),
+                 "--report-out", str(tmp_path / "report.json")]) == 2
+    assert f"data error: {path}:2: a decision record needs" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_non_utf8_decisions_are_a_data_error(chain, tmp_path, capsys):
+    path = tmp_path / "decisions.jsonl"
+    path.write_bytes(chain["decisions"].read_bytes() + b"\xe9\n")
+    rows = len(chain["decisions"].read_text().splitlines())
+    assert main(["evaluate", "--scores", str(chain["scores_test"]),
+                 "--decisions", str(path), "--report-out", str(tmp_path / "r.json")]) == 2
+    assert f"data error: {path}:{rows + 1}: not UTF-8 text" in capsys.readouterr().err

@@ -207,6 +207,13 @@ class TestBuildSequences:
         (seq,) = feat.build_sequences(rows, 3, 10)
         assert [r.src_addr for r in seq.rows] == ["a", "c", "b"]
 
+    def test_long_gap_visits_only_populated_spans(self):
+        far = 10**9  # ~1.9e4 years of 60 s windows; a walk over every span would not finish
+        rows = [make_row(src="a", w=0), make_row(src="b", w=1),
+                make_row(src="c", w=far), make_row(src="d", w=far + 2)]
+        seqs = feat.build_sequences(rows, n_windows=3, l_max=10)
+        assert [[r.src_addr for r in s.rows] for s in seqs] == [["a", "b"], ["c"], ["d"]]
+
     def test_deterministic(self):
         rows = [make_row(src=f"h{i}", w=i % 4, t=float(i)) for i in range(30)]
         a = feat.build_sequences(rows, 2, 8)

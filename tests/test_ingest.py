@@ -1,6 +1,14 @@
 """Flow CSV parsing: field handling, labels, lenient/strict modes, merge order."""
 
+import csv
+import math
+import string
+from dataclasses import replace
+from datetime import datetime
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from botdet import ingest
 from botdet.errors import DataError, ParseError
@@ -156,22 +164,206 @@ class TestReadDataset:
             list(stream)
 
 
-class TestScanTimeBounds:
-    def test_bounds(self, tmp_path):
-        f = write_csv(tmp_path / "a.csv", [ROW_TCP, ROW_UDP, ROW_NORMAL])
-        lo, hi = ingest.scan_time_bounds(f)
-        assert ingest.format_timestamp(lo).endswith("09:46:53.047277")
-        assert ingest.format_timestamp(hi).endswith("09:47:30.250000")
-
-    def test_no_rows_fatal(self, tmp_path):
-        f = tmp_path / "a.csv"
-        f.write_text(HEADER + "\n")
-        with pytest.raises(DataError):
-            ingest.scan_time_bounds(f)
-
-
 def test_port_number_forms():
     assert ingest.port_number("53") == 53
     assert ingest.port_number("0x0035") == 53
     assert ingest.port_number("") is None
     assert ingest.port_number("junk") is None
+
+
+class TestRowLayout:
+    def test_blank_lines_skipped_and_counted_nowhere(self, tmp_path):
+        f = tmp_path / "a.csv"
+        f.write_text(HEADER + "\n\n" + ROW_UDP + "\n\n\n" + ROW_TCP + "\n")
+        stats = ingest.IngestStats()
+        assert len(list(ingest.iter_flows(f, stats=stats))) == 2
+        assert (stats.files[0].rows, stats.errors) == (2, 0)
+
+    def test_columns_found_by_header_position(self, tmp_path):
+        # Reordered columns, an extra trailing field, and a repeated name whose
+        # last column wins.
+        cols = HEADER.split(",")
+        values = dict(zip(cols, ROW_UDP.split(",")))
+        order = list(reversed(cols)) + ["Proto"]
+        f = tmp_path / "a.csv"
+        f.write_text(",".join(order) + "\n"
+                     + ",".join([values[c] for c in order[:-1]] + ["TCP", "extra"]) + "\n")
+        (rec,) = ingest.iter_flows(f)
+        (want,) = ingest.iter_flows(write_csv(tmp_path / "b.csv", [ROW_UDP]))
+        assert rec.proto == "tcp"
+        assert rec.service == "dns"
+        assert rec == replace(want, proto="tcp")
+
+    def test_written_capture_is_utf8_with_crlf_rows(self, tmp_path):
+        (rec,) = ingest.iter_flows(write_csv(tmp_path / "a.csv", [ROW_NORMAL]))
+        out = tmp_path / "b.csv"
+        ingest.write_flows_csv(out, [replace(rec, label_raw="flow=Normal-café")])
+        assert out.read_bytes() == (HEADER + "\r\n" + ROW_NORMAL.replace(
+            "To-Normal-V42-SSL", "Normal-café") + "\r\n").encode("utf-8")
+
+
+GOOD = [ROW_UDP, ROW_TCP, ROW_NORMAL]
+BAD_ROWS = {
+    "short": ROW_TCP.encode()[:60],
+    "not UTF-8": ROW_TCP.encode().replace(b"Botnet", b"Botn\xe9t"),
+    "oversized field": ROW_TCP.encode().replace(b"flow=", b"x" * 200_000),
+    "blank SrcAddr": ROW_TCP.encode().replace(b"147.32.84.165", b"   "),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_bad_row_between_good_rows(tmp_path, kind):
+    f = tmp_path / "a.csv"
+    f.write_bytes(b"\n".join([HEADER.encode(), GOOD[0].encode(), BAD_ROWS[kind],
+                              GOOD[1].encode(), GOOD[2].encode()]) + b"\n")
+    want = list(ingest.iter_flows(write_csv(tmp_path / "good.csv", GOOD)))
+    stats = ingest.IngestStats()
+    assert list(ingest.iter_flows(f, stats=stats)) == want
+    (fs,) = stats.files
+    assert (fs.rows, fs.parsed, fs.errors) == (4, 3, 1)
+    assert fs.first_error.startswith(f"{f}:3: ")
+    with pytest.raises(ParseError) as exc:
+        list(ingest.iter_flows(f, strict=True))
+    assert (exc.value.path, exc.value.line_no) == (str(f), 3)
+
+
+def test_partial_last_line_is_a_bad_row(tmp_path):
+    f = tmp_path / "a.csv"
+    f.write_text(HEADER + "\n" + ROW_UDP + "\n" + ROW_TCP[:60])
+    stats = ingest.IngestStats()
+    assert len(list(ingest.iter_flows(f, stats=stats))) == 1
+    assert stats.errors == 1
+    with pytest.raises(ParseError, match=r"a\.csv:3: row has 7 fields, the header 15"):
+        list(ingest.iter_flows(f, strict=True))
+
+
+# ------------------------------------------------- reference: the DictReader path
+
+def _reference_parse_flow(row, path="", line_no=0):
+    """The row-dict parser that iter_flows replaced, kept as the oracle."""
+
+    def bad(msg):
+        return ParseError(f"{path}:{line_no}: {msg}", path=path, line_no=line_no)
+
+    try:
+        start = ingest.parse_timestamp(row["StartTime"])
+    except (ValueError, KeyError) as exc:
+        raise bad(f"bad StartTime {row.get('StartTime')!r}") from exc
+    try:
+        duration = float(row["Dur"])
+        tot_pkts = int(row["TotPkts"])
+        tot_bytes = int(row["TotBytes"])
+        src_bytes = int(row["SrcBytes"])
+    except (ValueError, KeyError) as exc:
+        raise bad("non-numeric Dur/TotPkts/TotBytes/SrcBytes") from exc
+
+    if not math.isfinite(duration):
+        raise bad(f"non-finite duration {duration}")
+    if duration < 0:
+        raise bad(f"negative duration {duration}")
+    if tot_pkts < 0:
+        raise bad(f"negative TotPkts {tot_pkts}")
+    if not 0 <= src_bytes <= tot_bytes:
+        raise bad(f"byte counts violate 0 <= SrcBytes <= TotBytes ({src_bytes}, {tot_bytes})")
+    proto = row.get("Proto", "").strip().lower()
+    if not row.get("SrcAddr") or not row.get("DstAddr"):
+        raise bad("missing SrcAddr/DstAddr")
+
+    dst_port = row.get("Dport", "").strip()
+    return FlowRecord(
+        start_time=start, duration=duration, proto=proto,
+        src_addr=row["SrcAddr"].strip(), src_port=row.get("Sport", "").strip(),
+        direction=row.get("Dir", "").strip(), dst_addr=row["DstAddr"].strip(),
+        dst_port=dst_port, state=row.get("State", "").strip(),
+        service=ingest.service_of(proto, dst_port), tot_pkts=tot_pkts,
+        tot_bytes=tot_bytes, src_bytes=src_bytes,
+        label_raw=row.get("Label", "").strip(),
+    )
+
+
+def _reference_read(path):
+    """(records, bad-row count) as csv.DictReader plus the row-dict parser gave them."""
+    records, errors = [], 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                records.append(_reference_parse_flow(row, str(path), line_no))
+            except ParseError:
+                errors += 1
+    return records, errors
+
+
+_TEXT = st.text(string.ascii_letters + string.digits + " .,:-_=\"é/<>?", max_size=12)
+_WHEN = st.datetimes(datetime(1971, 1, 1), datetime(2099, 12, 31))
+_PORT = st.one_of(st.integers(0, 65535).map(str),
+                  st.integers(0, 65535).map(lambda n: f"0x{n:04x}"),
+                  st.sampled_from(["", "http", " 53 "]))
+_LABEL = st.tuples(st.sampled_from(["flow=From-Botnet-V42", " flow=To-Normal-V44 ",
+                                    "flow=Background-UDP\t", "", "normal botnet"]),
+                   st.lists(st.booleans(), min_size=20, max_size=20)).map(
+    lambda lu: "".join(c.upper() if up else c for c, up in zip(*lu)))
+# Values that make a row bad; whitespace-only addresses are left out, since the
+# DictReader path accepted them.
+_BAD = {
+    "StartTime": st.one_of(_TEXT, st.just("2011/13/01 00:00:00")),
+    "Dur": st.sampled_from(["nan", "-inf", "inf", "-0.5", "", "1,5", "x"]),
+    "SrcAddr": st.just(""), "DstAddr": st.just(""),
+    "TotPkts": st.sampled_from(["-1", "", "1.5", "x"]),
+    "TotBytes": st.sampled_from(["-1", "", "2e3"]),
+    "SrcBytes": st.sampled_from(["-1", "99999999", "x"]),
+}
+
+
+@st.composite
+def capture_values(draw):
+    """One capture row's values by column name: valid, or with some fields made bad."""
+    when = draw(_WHEN)
+    tot_bytes = draw(st.integers(0, 10**7))
+    values = {
+        "StartTime": when.strftime(draw(st.sampled_from(
+            [ingest.TIME_FORMAT, "%Y/%m/%d %H:%M:%S"]))),
+        "Dur": draw(st.one_of(st.floats(0.0, 1e5).map(repr), st.sampled_from(["0", " 3.5 "]))),
+        "Proto": draw(st.sampled_from(["tcp", "UDP", " icmp ", ""])),
+        "SrcAddr": draw(st.sampled_from(["147.32.84.165", " 10.0.0.1 ", "fe80::1", "é"])),
+        "Sport": draw(_PORT), "Dir": draw(st.sampled_from(["->", "<->", ""])),
+        "DstAddr": draw(st.sampled_from(["147.32.80.9", "1.2.3.4 ", "a,b"])),
+        "Dport": draw(_PORT), "State": draw(_TEXT), "sTos": "0", "dTos": draw(_TEXT),
+        "TotPkts": str(draw(st.integers(0, 10**5))), "TotBytes": str(tot_bytes),
+        "SrcBytes": str(draw(st.integers(0, tot_bytes))), "Label": draw(_LABEL),
+    }
+    for column in draw(st.lists(st.sampled_from(sorted(_BAD)), max_size=2)):
+        values[column] = draw(_BAD[column])
+    return values
+
+
+@st.composite
+def captures(draw):
+    """A header (the layout permuted, maybe with extra or repeated names) and rows at least as wide."""
+    header = draw(st.permutations(ingest.CSV_FIELD_ORDER))
+    header += draw(st.lists(st.sampled_from(["Extra", "Label", "Dur", "SrcAddr"]), max_size=2))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        values = draw(capture_values())
+        # A repeated name reads its last column, so earlier copies may hold anything.
+        last = {c: i for i, c in enumerate(header)}
+        rows.append([values.get(c, "") if last[c] == i else draw(_TEXT)
+                     for i, c in enumerate(header)] + draw(st.lists(_TEXT, max_size=2)))
+    return header, rows
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(captures())
+def test_iter_flows_matches_the_dictreader_path(tmp_path, capture):
+    header, rows = capture
+    path = tmp_path / "cap.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    want, want_errors = _reference_read(path)
+    stats = ingest.IngestStats()
+    got = list(ingest.iter_flows(path, stats=stats))
+    assert got == want
+    assert (stats.errors, stats.files[0].rows) == (want_errors, len(rows))
+
+    out = tmp_path / "back.csv"
+    ingest.write_flows_csv(out, got)
+    assert list(ingest.iter_flows(out)) == got

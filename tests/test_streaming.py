@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from botdet import streaming
-from botdet.features import trailing_sequences, window_index
+from botdet.features import aggregate_flows, rows_from_aggregates, trailing_sequences, window_index
 from botdet.ingest import FlowRecord, iter_flows
 from botdet.pipeline import (
     classify_scores,
@@ -12,7 +12,7 @@ from botdet.pipeline import (
     score_split,
     train_model,
 )
-from botdet.scoring import score_sequences
+from botdet.scoring import score_rows, score_sequences
 from botdet.streaming import run_stream
 from botdet.synth import SynthConfig, make_fixture
 from botdet.train import TrainConfig
@@ -124,6 +124,42 @@ def test_gap_windows_are_flushed_and_stay_decision_free(fitted):
     decisions, stats = stream_decisions(model, det, flows)
     assert stats.windows_closed == 5
     assert sorted(d["window_index"] for d in decisions) == [0, 4]
+
+
+def test_long_gap_closes_its_empty_windows_without_visiting_them(fitted, monkeypatch):
+    _, _, model, det = fitted
+    t0, far = 1000.0, 10**9
+    flows = [make_flow(t0 + 1.0, "10.1.1.1"), make_flow(t0 + 61.0, "10.1.1.2"),
+             make_flow(t0 + far * 60.0 + 1.0, "10.1.1.1")]
+    populated = []
+
+    def counted(aggs, norm):
+        populated.append(len(aggs))
+        return rows_from_aggregates(aggs, norm)
+
+    monkeypatch.setattr(streaming, "rows_from_aggregates", counted)
+    decisions, stats = stream_decisions(model, det, flows)
+    assert populated == [1, 1, 1]
+    assert stats.windows_closed == far + 1
+    assert [d["window_index"] for d in decisions] == [0, 1, far]
+    # No history survives the gap: the far window scores as if it came first.
+    (alone,), _ = stream_decisions(model, det, flows[2:])
+    assert (alone["score"], alone["verdict"]) == (decisions[2]["score"],
+                                                  decisions[2]["verdict"])
+
+
+@pytest.mark.parametrize("windows", [[0, 2, 3], [0, 1, 4, 5, 9], [0, 3, 4]])
+def test_stream_with_gaps_matches_batch(fitted, windows):
+    _, _, model, det = fitted
+    t0 = 1000.0
+    flows = [make_flow(t0 + w * 60.0 + 1.0 + i, f"10.1.1.{i}")
+             for w in windows for i in range(1 + w % 3)]
+    rows = rows_from_aggregates(aggregate_flows(flows, t0, model.window_seconds),
+                                model.normalizer)
+    batch = classify_scores(score_rows(model, rows, model.feature_names), det)
+    streamed, stats = stream_decisions(model, det, flows)
+    assert stats.windows_closed == windows[-1] + 1
+    assert [{k: v for k, v in d.items() if k != "emit_latency"} for d in streamed] == batch
 
 
 def test_emit_latency_is_watermark_minus_window_end(fitted):
