@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Run the README command chain on the synthetic fixture and digest what it leaves.
+
+    PYTHONPATH=src python3 scripts/chain_digest.py OUT_DIR
+
+Writes ``make_fixture()`` into OUT_DIR, then runs these stages through
+``botdet.cli.main`` with OUT_DIR as the working directory and relative
+paths: preprocess, train (--hidden 16 --latent 4 --epochs 5 --seed 0),
+score on both splits, fitpdf, detect, evaluate, stream over the test
+capture, and a 60-second sweep at the same sizes. Each stage's stdout and
+stderr are kept as ``stages/<stage>.stdout`` and ``.stderr``. The script
+then prints one ``sha256  path`` line for every file under OUT_DIR: the
+captures, every artifact, every ``*.run.json`` and every stage's output.
+
+botdet is imported from the first place on the path, so the same script
+checks another checkout with ``PYTHONPATH=<checkout>/src``: two runs whose
+printed lines diff clean left every output byte-identical.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))  # after PYTHONPATH
+
+from botdet.cli import main
+from botdet.synth import make_fixture
+
+SIZES = ["--hidden", "16", "--latent", "4", "--epochs", "5", "--seed", "0"]
+SPLITS = ["--manifest", "manifest.json", "--train-scenarios", "synth-train",
+          "--test-scenarios", "synth-test"]
+STAGES = [
+    ("preprocess", ["preprocess", *SPLITS, "--out-dir", "demo"]),
+    ("train", ["train", "--features", "demo/features-train.csv",
+               "--model-out", "demo/model.json", *SIZES]),
+    ("score-train", ["score", "--model", "demo/model.json",
+                     "--features", "demo/features-train.csv",
+                     "--scores-out", "demo/scores-train.csv"]),
+    ("score-test", ["score", "--model", "demo/model.json",
+                    "--features", "demo/features-test.csv",
+                    "--scores-out", "demo/scores-test.csv"]),
+    ("fitpdf", ["fitpdf", "--scores", "demo/scores-train.csv",
+                "--detector-out", "demo/detector.json"]),
+    ("detect", ["detect", "--scores", "demo/scores-test.csv",
+                "--detector", "demo/detector.json",
+                "--decisions-out", "demo/decisions.jsonl"]),
+    ("evaluate", ["evaluate", "--scores", "demo/scores-test.csv",
+                  "--decisions", "demo/decisions.jsonl", "--model", "demo/model.json",
+                  "--report-out", "demo/report.json"]),
+    ("stream", ["stream", "--model", "demo/model.json",
+                "--detector", "demo/detector.json", "--input", "synth-test.binetflow"]),
+    ("sweep", ["sweep", *SPLITS, "--durations", "60", "--out-dir", "sweep", *SIZES]),
+]
+
+
+def run(out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    make_fixture(out_dir)
+    os.chdir(out_dir)
+    Path("stages").mkdir(exist_ok=True)
+    for name, argv in STAGES:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        Path(f"stages/{name}.stdout").write_text(stdout.getvalue())
+        Path(f"stages/{name}.stderr").write_text(stderr.getvalue())
+        if rc != 0:
+            print(f"{name} exited {rc}: {stderr.getvalue().strip()}", file=sys.stderr)
+            return 1
+    for path in sorted(p for p in Path().rglob("*") if p.is_file()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT_DIR")
+    sys.exit(run(Path(sys.argv[1])))

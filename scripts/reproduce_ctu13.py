@@ -91,7 +91,7 @@ def run_duration(manifest: Path, train_ids, test_ids, duration: float,
     """One full preprocess->train->score->fitpdf->classify->evaluate chain."""
     t_start = time.time()
     [res] = pipeline.window_sweep(manifest, train_ids, test_ids, [duration],
-                                  cfg, arch, l_max=cfg.l_max)
+                                  cfg, arch)
     tag = f"{arch}-T{duration:g}"
     fileio.save_model(out / f"model-{tag}.json", res.model)
     fileio.save_detector(out / f"detector-{tag}.json", res.detector)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from . import __version__, fileio, pipeline
 from .detector import TIE_RULES
 from .errors import DataError, NumericError, UsageError
-from .ingest import iter_flows
+from .ingest import IngestStats, iter_flows
 from .metrics import report_table
 from .streaming import run_stream
 from .train import TrainConfig
@@ -202,6 +202,9 @@ def cmd_preprocess(args) -> int:
     for name, split in (("train", res.train), ("test", res.test)):
         print(f"{name}: {len(split.rows)} host-windows from "
               f"{split.stats.parsed} flows ({split.stats.errors} bad rows)")
+        if split.stats.errors:
+            first = next(f.first_error for f in split.stats.files if f.errors)
+            print(f"  first bad row: {first}")
     return 0
 
 
@@ -300,10 +303,9 @@ def cmd_sweep(args) -> int:
     cfg = _train_config(args, args.l_max)
     results = pipeline.window_sweep(
         args.manifest, train_ids, test_ids, args.durations, cfg,
-        arch=args.arch, n_windows=args.n_windows, l_max=args.l_max,
-        log1p=args.log1p, strict=args.strict, min_samples=args.min_samples,
-        bins=args.bins, tie_rule=args.tie_rule,
-        exclude_background=args.exclude_background)
+        arch=args.arch, n_windows=args.n_windows, log1p=args.log1p,
+        strict=args.strict, min_samples=args.min_samples, bins=args.bins,
+        tie_rule=args.tie_rule, exclude_background=args.exclude_background)
     outputs = []
     for r in results:
         tag = f"{r.duration:g}s"
@@ -340,14 +342,16 @@ def cmd_stream(args) -> int:
     else:
         raise UsageError("stream needs --input or --manifest")
 
-    flows = (f for p in paths for f in iter_flows(p, strict=args.strict))
+    ingest_stats = IngestStats()
+    flows = (f for p in paths
+             for f in iter_flows(p, strict=args.strict, stats=ingest_stats))
     decisions, stats = run_stream(model, det, flows)
     for record in decisions:
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
         sys.stdout.flush()
     print(f"flows={stats.flows_in} windows={stats.windows_closed} "
-          f"decisions={stats.decisions} late_dropped={stats.late_dropped}",
-          file=sys.stderr)
+          f"decisions={stats.decisions} late_dropped={stats.late_dropped} "
+          f"bad_rows={ingest_stats.errors}", file=sys.stderr)
     return 0
 
 

@@ -2,10 +2,12 @@
 
 Flows are bucketed by source address into fixed-duration windows counted
 from the first flow's timestamp. Each (host, window) bucket becomes one
-25-value aggregate: connection/uniqueness counts, byte/packet/duration
-sums, protocol/state/service category counts, and distinct-value counts.
-Aggregates are min-max scaled to [0,1] with statistics fitted on the
-training split, then chained into model-ready sequences.
+``FeatureRow`` of 25 raw values in FEATURE_NAMES order: connection and
+uniqueness counts, byte/packet/duration sums, protocol/state/service
+category counts, and distinct-value counts. ``AggBuilder`` adds each flow
+straight into that row's columns, for the batch and the streaming path
+alike. The rows are then min-max scaled to [0,1] with statistics fitted
+on the training split, and chained into model-ready sequences.
 """
 
 from __future__ import annotations
@@ -93,112 +95,103 @@ def window_index(t: float, t0: float, window_seconds: float) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class HostWindowAggregate:
-    """One source host's activity summary for one time window."""
+class FeatureRow:
+    """One source host's record for one time window: the unit scored and classified.
+
+    ``AggBuilder.finalize`` gives raw counts; ``rows_from_aggregates``
+    gives the same record with its values scaled to [0,1].
+    """
 
     src_addr: str
     window_index: int
     first_seen: float
     label: GroundTruth
-    values: np.ndarray  # (N_FEATURES,) raw, unnormalized
+    values: np.ndarray  # (N_FEATURES,)
 
     def value(self, name: str) -> float:
         return float(self.values[_IDX[name]])
 
 
-class AggBuilder:
-    """Incremental accumulator behind a (host, window) aggregate.
+def _columns(prefix: str, categories: tuple[str, ...]) -> dict[str, int]:
+    return {c: _IDX[f"{prefix}_{c}"] for c in categories + ("other",)}
 
-    Shared by the batch preprocessor and the streaming detector so both
-    produce identical aggregates from identical flows.
+
+_N_COL = _IDX["n_connections"]
+_BYTES_COL = _IDX["sum_bytes"]
+_PKTS_COL = _IDX["sum_pkts"]
+_DUR_COL = _IDX["sum_dur"]
+_PROTO_COLS = _columns("proto", PROTO_CATEGORIES)
+_STATE_COLS = _columns("state", STATE_CATEGORIES)
+_SERVICE_COLS = _columns("service", SERVICE_CATEGORIES)
+# filled from the builder's sets, in the order finalize lists them
+_DISTINCT_COLS = [_IDX[n] for n in (
+    "n_unique_dst_addrs", "n_unique_dst_ports", "n_unique_src_ports",
+    "n_distinct_proto", "n_distinct_state", "n_distinct_service")]
+
+
+class AggBuilder:
+    """Incremental accumulator behind a (host, window) row.
+
+    ``counts`` holds the features in FEATURE_NAMES order; every flow adds
+    to its count, sum and category columns. Shared by the batch
+    preprocessor and the streaming detector so both produce identical
+    rows from identical flows.
     """
 
-    __slots__ = ("src_addr", "window_index", "first_seen", "n", "dst_addrs",
-                 "dst_ports", "src_ports", "sum_bytes", "sum_pkts", "sum_dur",
-                 "proto_counts", "state_counts", "service_counts",
-                 "protos", "states", "services", "any_botnet", "any_normal")
+    __slots__ = ("src_addr", "window_index", "first_seen", "label", "counts",
+                 "dst_addrs", "dst_ports", "src_ports", "protos", "states",
+                 "services")
 
     def __init__(self, src_addr: str, window_idx: int):
         self.src_addr = src_addr
         self.window_index = window_idx
         self.first_seen = float("inf")
-        self.n = 0
+        self.label = GroundTruth.BACKGROUND
+        self.counts: list[int | float] = [0] * N_FEATURES
         self.dst_addrs: set[str] = set()
         self.dst_ports: set[str] = set()
         self.src_ports: set[str] = set()
-        self.sum_bytes = 0
-        self.sum_pkts = 0
-        self.sum_dur = 0.0
-        self.proto_counts = dict.fromkeys(PROTO_CATEGORIES + ("other",), 0)
-        self.state_counts = dict.fromkeys(STATE_CATEGORIES + ("other",), 0)
-        self.service_counts = dict.fromkeys(SERVICE_CATEGORIES + ("other",), 0)
         self.protos: set[str] = set()
         self.states: set[str] = set()
         self.services: set[str] = set()
-        self.any_botnet = False
-        self.any_normal = False
 
     def add(self, flow: FlowRecord) -> None:
-        self.n += 1
+        counts = self.counts
+        counts[_N_COL] += 1
+        counts[_BYTES_COL] += flow.tot_bytes
+        counts[_PKTS_COL] += flow.tot_pkts
+        counts[_DUR_COL] += flow.duration
+        counts[_PROTO_COLS[proto_category(flow.proto)]] += 1
+        counts[_STATE_COLS[state_category(flow.state)]] += 1
+        counts[_SERVICE_COLS[flow.service]] += 1
         self.first_seen = min(self.first_seen, flow.start_time)
         self.dst_addrs.add(flow.dst_addr)
         self.dst_ports.add(flow.dst_port)
         self.src_ports.add(flow.src_port)
-        self.sum_bytes += flow.tot_bytes
-        self.sum_pkts += flow.tot_pkts
-        self.sum_dur += flow.duration
-        self.proto_counts[proto_category(flow.proto)] += 1
-        self.state_counts[state_category(flow.state)] += 1
-        self.service_counts[flow.service] += 1
         self.protos.add(flow.proto.lower())
         self.states.add(flow.state)
         self.services.add(flow.service)
+        # any botnet flow makes the window botnet, else any normal flow normal
         label = flow.label
-        if label is GroundTruth.BOTNET:
-            self.any_botnet = True
-        elif label is GroundTruth.NORMAL:
-            self.any_normal = True
+        if label is GroundTruth.BOTNET or (label is GroundTruth.NORMAL
+                                           and self.label is GroundTruth.BACKGROUND):
+            self.label = label
 
-    def finalize(self) -> HostWindowAggregate:
-        if self.n == 0:
-            raise ValueError("empty aggregate")
-        values = np.zeros(N_FEATURES, dtype=np.float64)
-        values[_IDX["n_connections"]] = self.n
-        values[_IDX["n_unique_dst_addrs"]] = len(self.dst_addrs)
-        values[_IDX["n_unique_dst_ports"]] = len(self.dst_ports)
-        values[_IDX["n_unique_src_ports"]] = len(self.src_ports)
-        values[_IDX["sum_bytes"]] = self.sum_bytes
-        values[_IDX["sum_pkts"]] = self.sum_pkts
-        values[_IDX["sum_dur"]] = self.sum_dur
-        for cat, count in self.proto_counts.items():
-            values[_IDX[f"proto_{cat}"]] = count
-        for cat, count in self.state_counts.items():
-            values[_IDX[f"state_{cat}"]] = count
-        for cat, count in self.service_counts.items():
-            values[_IDX[f"service_{cat}"]] = count
-        values[_IDX["n_distinct_proto"]] = len(self.protos)
-        values[_IDX["n_distinct_state"]] = len(self.states)
-        values[_IDX["n_distinct_service"]] = len(self.services)
-        if self.any_botnet:
-            label = GroundTruth.BOTNET
-        elif self.any_normal:
-            label = GroundTruth.NORMAL
-        else:
-            label = GroundTruth.BACKGROUND
-        return HostWindowAggregate(
-            src_addr=self.src_addr,
-            window_index=self.window_index,
-            first_seen=self.first_seen,
-            label=label,
-            values=values,
-        )
+    def finalize(self) -> FeatureRow:
+        """The raw row; only the distinct-count columns are filled here."""
+        values = np.array(self.counts, dtype=np.float64)
+        values[_DISTINCT_COLS] = [len(s) for s in (
+            self.dst_addrs, self.dst_ports, self.src_ports,
+            self.protos, self.states, self.services)]
+        return FeatureRow(self.src_addr, self.window_index, self.first_seen,
+                          self.label, values)
 
 
 def aggregate_flows(records: Iterable[FlowRecord], t0: float,
-                    window_seconds: float) -> list[HostWindowAggregate]:
-    """Bucket a flow stream into (host, window) aggregates.
+                    window_seconds: float) -> list[FeatureRow]:
+    """Bucket a flow stream into raw (host, window) rows.
 
-    Accepts flows in any order; ``first_seen`` and label flags are
+    Accepts flows in any order; ``first_seen`` and the label are
     order-independent. Results are sorted by (window, first_seen, host).
     """
     builders: dict[tuple[str, int], AggBuilder] = {}
@@ -232,25 +225,19 @@ class Normalizer:
     maps to 0.
     """
 
-    feature_names: tuple[str, ...]
     vmin: np.ndarray
     vmax: np.ndarray
     log1p: np.ndarray  # bool flags, applied before min/max
 
     @classmethod
-    def fit(cls, raw: np.ndarray, log1p: np.ndarray | None = None,
-            feature_names: tuple[str, ...] = FEATURE_NAMES) -> "Normalizer":
+    def fit(cls, raw: np.ndarray, log1p: np.ndarray | None = None) -> "Normalizer":
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 2 or raw.shape[0] < 1:
             raise DataError("normalizer: need at least one aggregate to fit")
-        if raw.shape[1] != len(feature_names):
-            raise DataError(
-                f"normalizer: {raw.shape[1]} columns vs {len(feature_names)} feature names")
         flags = (np.zeros(raw.shape[1], dtype=bool) if log1p is None
                  else np.asarray(log1p, dtype=bool))
         x = _apply_log1p(raw, flags)
-        return cls(feature_names=tuple(feature_names),
-                   vmin=x.min(axis=0), vmax=x.max(axis=0), log1p=flags)
+        return cls(vmin=x.min(axis=0), vmax=x.max(axis=0), log1p=flags)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         x = _apply_log1p(np.asarray(raw, dtype=np.float64), self.log1p)
@@ -259,19 +246,9 @@ class Normalizer:
         return np.clip(out, 0.0, 1.0)
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureRow:
-    """A normalized host-window record: the unit scored and classified."""
-
-    src_addr: str
-    window_index: int
-    first_seen: float
-    label: GroundTruth
-    values: np.ndarray  # (N_FEATURES,) in [0,1]
-
-
-def rows_from_aggregates(aggs: Seq[HostWindowAggregate],
+def rows_from_aggregates(aggs: Seq[FeatureRow],
                          norm: Normalizer) -> list[FeatureRow]:
+    """The raw rows with their values scaled by ``norm``."""
     return [
         FeatureRow(a.src_addr, a.window_index, a.first_seen, a.label,
                    norm.transform(a.values))

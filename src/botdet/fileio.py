@@ -24,6 +24,7 @@ import csv
 import hashlib
 import json
 import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -119,8 +120,7 @@ def _normalizer_payload(nz: Normalizer) -> dict:
 
 def _normalizer_from_payload(entry: dict, names: tuple[str, ...],
                              path: Path) -> Normalizer:
-    nz = Normalizer(feature_names=names,
-                    vmin=np.asarray(entry["min"], dtype=np.float64),
+    nz = Normalizer(vmin=np.asarray(entry["min"], dtype=np.float64),
                     vmax=np.asarray(entry["max"], dtype=np.float64),
                     log1p=np.asarray(entry["log1p"], dtype=bool))
     if any(a.shape != (len(names),) for a in (nz.vmin, nz.vmax, nz.log1p)):
@@ -136,6 +136,21 @@ def _window_config(src: dict, path: Path) -> dict:
         raise DataError(f"{path}: window config out of range {cfg}: window_seconds must "
                         "be finite and > 0, n_windows and l_max >= 1")
     return cfg
+
+
+def _window(text: str) -> int:
+    """A host-window row's window_index: windows count from 0 at t0."""
+    w = int(text)
+    if w < 0:
+        raise ValueError(f"negative window_index {w}")
+    return w
+
+
+def _finite(text: str, name: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite {name} {text!r}")
+    return x
 
 
 # ---------------------------------------------------------------- features
@@ -207,8 +222,10 @@ def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
                 if len(rec) != len(expected):
                     raise ValueError(f"{len(rec)} columns, expected {len(expected)}")
                 values = np.array([float(v) for v in rec[4:]], dtype=np.float64)
-                rows.append(FeatureRow(src_addr=rec[0], window_index=int(rec[1]),
-                                       first_seen=float(rec[2]),
+                if not ((values >= 0.0) & (values <= 1.0)).all():
+                    raise ValueError("feature values must be finite and in [0, 1]")
+                rows.append(FeatureRow(src_addr=rec[0], window_index=_window(rec[1]),
+                                       first_seen=_finite(rec[2], "first_seen"),
                                        label=GroundTruth(rec[3]), values=values))
             except ValueError as exc:
                 # the reader started after the #META line
@@ -356,9 +373,10 @@ def read_scores_csv(path: str | Path) -> list[ScoredWindow]:
         for rec in reader:
             try:
                 src_addr, window, first_seen, label, score = rec
-                out.append(ScoredWindow(src_addr=src_addr, window_index=int(window),
-                                        first_seen=float(first_seen),
-                                        label=GroundTruth(label), score=float(score)))
+                out.append(ScoredWindow(src_addr=src_addr, window_index=_window(window),
+                                        first_seen=_finite(first_seen, "first_seen"),
+                                        label=GroundTruth(label),
+                                        score=_finite(score, "score")))
             except ValueError as exc:
                 raise DataError(f"{p}:{reader.line_num}: bad scores row ({exc})")
     return out

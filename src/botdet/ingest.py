@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import heapq
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -198,7 +197,7 @@ def iter_flows(path: str | Path, strict: bool = False,
     the csv reader (an oversized field, say). Lenient mode (default) skips
     and counts bad rows; strict mode raises a ParseError naming the bad
     row's last physical line. Ordering is whatever the file has; use
-    read_dataset for a time-sorted stream.
+    read_dataset for a time-sorted list.
     """
     path = Path(path)
     name = str(path)
@@ -254,22 +253,16 @@ def iter_flows(path: str | Path, strict: bool = False,
 
 
 def read_dataset(paths: Sequence[str | Path], strict: bool = False
-                 ) -> tuple[Iterator[FlowRecord], IngestStats]:
-    """Merge one or more capture files into a single time-ordered stream.
+                 ) -> tuple[list[FlowRecord], IngestStats]:
+    """Load one or more capture files as a single time-ordered list.
 
-    Each file is loaded and stably sorted by start_time (captures are
-    mostly, not strictly, chronological), then the sorted runs are
-    heap-merged. Stats fill in as the iterator is consumed.
+    Captures are mostly, not strictly, chronological, so the files'
+    records are concatenated in the given order and stably sorted by
+    start_time: flows with equal times keep their file order, then their
+    row order. Everything is read before this returns, so a missing file
+    or, in strict mode, a bad row raises here, and the stats are complete.
     """
     stats = IngestStats()
-
-    def _sorted_run(p):
-        records = list(iter_flows(p, strict=strict, stats=stats))
-        records.sort(key=lambda r: r.start_time)
-        return records
-
-    def _merged():
-        runs = [_sorted_run(p) for p in paths]
-        yield from heapq.merge(*runs, key=lambda r: r.start_time)
-
-    return _merged(), stats
+    flows = [f for p in paths for f in iter_flows(p, strict=strict, stats=stats)]
+    flows.sort(key=lambda r: r.start_time)
+    return flows, stats

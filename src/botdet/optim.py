@@ -10,28 +10,28 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import NumericError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Adam with bias correction; updates parameter arrays in place.
 
-    Defaults: beta1=0.9, beta2=0.999, eps=1e-8. ``eps`` sits outside the
-    square root (update = lr * m_hat / (sqrt(v_hat) + eps)).
+    Moment decays are BETA1 and BETA2. EPS sits outside the square root
+    (update = lr * m_hat / (sqrt(v_hat) + EPS)).
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -42,7 +42,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:

@@ -7,7 +7,6 @@ the artifact formats, so any stage can be re-entered from disk.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -84,13 +83,10 @@ class PreprocessResult:
 def _aggregate_split(paths: Sequence[Path], window_seconds: float,
                      strict: bool):
     flows, stats = read_dataset(paths, strict=strict)
-    it = iter(flows)
-    first = next(it, None)
-    if first is None:
+    if not flows:
         raise DataError(f"no parseable flows in {[str(p) for p in paths]}")
-    t0 = first.start_time
-    aggs = aggregate_flows(itertools.chain([first], it), t0, window_seconds)
-    return aggs, stats, t0
+    t0 = flows[0].start_time
+    return aggregate_flows(flows, t0, window_seconds), stats, t0
 
 
 def preprocess(manifest_path: str | Path, train_ids: Sequence[str],
@@ -309,18 +305,21 @@ class SweepResult:
 def window_sweep(manifest_path: str | Path, train_ids: Sequence[str],
                  test_ids: Sequence[str], durations: Sequence[float],
                  cfg: TrainConfig, arch: str = ARCH_RVAE, *,
-                 n_windows: int = 3, l_max: int = 128, log1p: bool = False,
+                 n_windows: int = 3, log1p: bool = False,
                  strict: bool = False, min_samples: int = 100,
                  bins: int = 200, tie_rule: str = "malicious",
                  exclude_background: bool = False) -> list[SweepResult]:
-    """Run the full chain once per window duration, all else held fixed."""
+    """Run the full chain once per window duration, all else held fixed.
+
+    Sequences hold at most ``cfg.l_max`` elements, in training and scoring.
+    """
     if not durations:
         raise UsageError("sweep: need at least one window duration")
     results = []
     for t in durations:
         pre = preprocess(manifest_path, train_ids, test_ids,
                          window_seconds=float(t), n_windows=n_windows,
-                         l_max=l_max, log1p=log1p, strict=strict)
+                         l_max=cfg.l_max, log1p=log1p, strict=strict)
         model = train_model(pre.meta, pre.train.rows, cfg, arch)
         train_scored = score_split(model, pre.meta, pre.train.rows)
         det = fit_detector_from_training(train_scored, min_samples=min_samples,

@@ -179,13 +179,16 @@ def write_scenario(path: str | Path, cfg: SynthConfig) -> list[FlowRecord]:
     return flows
 
 
-def make_fixture(out_dir: str | Path, train_cfg: SynthConfig | None = None,
-                 test_cfg: SynthConfig | None = None) -> dict:
-    """Write train/test scenario CSVs plus a scenario manifest; return paths."""
+def make_fixture(out_dir: str | Path, train_cfg: SynthConfig | None = None) -> dict:
+    """Write train/test scenario CSVs plus a scenario manifest; return paths.
+
+    The test scenario is the training one with another seed, the "test"
+    profile and half the windows (at least 8).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_cfg = train_cfg or SynthConfig()
-    test_cfg = test_cfg or replace(
+    test_cfg = replace(
         train_cfg, seed=train_cfg.seed + 1000, profile="test",
         n_windows=max(train_cfg.n_windows // 2, 8),
     )

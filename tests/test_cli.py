@@ -191,6 +191,50 @@ def test_data_errors_exit_2(chain, tmp_path):
                  "--scores-out", str(tmp_path / "s.csv")]) == 2
 
 
+@pytest.mark.parametrize("artifact,column,value", [
+    ("features_test", 1, "-1"), ("features_test", 2, "nan"), ("features_test", 4, "nan"),
+    ("features_test", 9, "inf"), ("features_test", 10, "2.5"), ("scores_test", 1, "-1"),
+    ("scores_test", 2, "inf"), ("scores_test", 4, "nan"), ("scores_test", 4, "inf"),
+])
+def test_impossible_host_window_value_is_a_data_error(chain, tmp_path, capsys,
+                                                      artifact, column, value):
+    lines = chain[artifact].read_text().splitlines()
+    row = 2 if artifact == "features_test" else 1  # the first record, after the headers
+    fields = lines[row].split(",")
+    fields[column] = value
+    lines[row] = ",".join(fields)
+    path = tmp_path / "doctored.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = (["score", "--model", str(chain["model"]), "--features", str(path),
+             "--scores-out", str(out)] if artifact == "features_test" else
+            ["detect", "--scores", str(path), "--detector", str(chain["detector"]),
+             "--decisions-out", str(out)])
+    assert main(argv) == 2
+    assert f"data error: {path}:{row + 1}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_rows_are_shown_to_the_operator(chain, fixture_dir, tmp_path, capsys):
+    lines = fixture_dir["test"].read_text().splitlines()
+    lines.insert(5, "garbage" + lines[5][lines[5].index(","):])
+    capture = tmp_path / "synth-test.binetflow"
+    capture.write_text("\n".join(lines) + "\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"scenarios": {"synth-train": str(fixture_dir["train"]),
+                                                  "synth-test": capture.name}}))
+    assert main(["preprocess", "--manifest", str(manifest), "--train-scenarios",
+                 "synth-train", "--test-scenarios", "synth-test",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "(0 bad rows)\ntest:" in out
+    assert out.endswith(f"(1 bad rows)\n  first bad row: {capture}:6: "
+                        "bad StartTime 'garbage'\n")
+    assert main(["stream", "--model", str(chain["model"]),
+                 "--detector", str(chain["detector"]), "--input", str(capture)]) == 0
+    assert capsys.readouterr().err.rstrip().endswith(" late_dropped=0 bad_rows=1")
+
+
 def test_stage_mismatch_is_fatal_with_message(chain, tmp_path, capsys):
     doctored = tmp_path / "doctored.csv"
     text = chain["features_test"].read_text().split("\n")

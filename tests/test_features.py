@@ -138,26 +138,117 @@ class TestAggregate:
         assert [(a.window_index, a.src_addr) for a in aggs] == [(0, "a"), (2, "c"), (2, "b")]
 
 
+class _ReferenceAggBuilder:
+    """The dict-based builder that the counter-row AggBuilder replaced, kept as its oracle."""
+
+    def __init__(self, src_addr, window_idx):
+        self.src_addr, self.window_index = src_addr, window_idx
+        self.first_seen = float("inf")
+        self.n = 0
+        self.dst_addrs, self.dst_ports, self.src_ports = set(), set(), set()
+        self.sum_bytes = self.sum_pkts = 0
+        self.sum_dur = 0.0
+        self.proto_counts = dict.fromkeys(feat.PROTO_CATEGORIES + ("other",), 0)
+        self.state_counts = dict.fromkeys(feat.STATE_CATEGORIES + ("other",), 0)
+        self.service_counts = dict.fromkeys(feat.SERVICE_CATEGORIES + ("other",), 0)
+        self.protos, self.states, self.services = set(), set(), set()
+        self.any_botnet = self.any_normal = False
+
+    def add(self, flow):
+        self.n += 1
+        self.first_seen = min(self.first_seen, flow.start_time)
+        self.dst_addrs.add(flow.dst_addr)
+        self.dst_ports.add(flow.dst_port)
+        self.src_ports.add(flow.src_port)
+        self.sum_bytes += flow.tot_bytes
+        self.sum_pkts += flow.tot_pkts
+        self.sum_dur += flow.duration
+        self.proto_counts[feat.proto_category(flow.proto)] += 1
+        self.state_counts[feat.state_category(flow.state)] += 1
+        self.service_counts[flow.service] += 1
+        self.protos.add(flow.proto.lower())
+        self.states.add(flow.state)
+        self.services.add(flow.service)
+        self.any_botnet |= flow.label is GroundTruth.BOTNET
+        self.any_normal |= flow.label is GroundTruth.NORMAL
+
+    def finalize(self):
+        idx = {name: i for i, name in enumerate(FEATURE_NAMES)}
+        values = np.zeros(feat.N_FEATURES, dtype=np.float64)
+        values[idx["n_connections"]] = self.n
+        values[idx["n_unique_dst_addrs"]] = len(self.dst_addrs)
+        values[idx["n_unique_dst_ports"]] = len(self.dst_ports)
+        values[idx["n_unique_src_ports"]] = len(self.src_ports)
+        values[idx["sum_bytes"]] = self.sum_bytes
+        values[idx["sum_pkts"]] = self.sum_pkts
+        values[idx["sum_dur"]] = self.sum_dur
+        for group, counts in (("proto", self.proto_counts), ("state", self.state_counts),
+                              ("service", self.service_counts)):
+            for cat, count in counts.items():
+                values[idx[f"{group}_{cat}"]] = count
+        values[idx["n_distinct_proto"]] = len(self.protos)
+        values[idx["n_distinct_state"]] = len(self.states)
+        values[idx["n_distinct_service"]] = len(self.services)
+        label = (GroundTruth.BOTNET if self.any_botnet else
+                 GroundTruth.NORMAL if self.any_normal else GroundTruth.BACKGROUND)
+        return self.src_addr, self.window_index, self.first_seen, label, values
+
+
+FLOWS = st.lists(st.builds(
+    make_flow,
+    t=st.floats(0.0, 300.0),
+    src=st.sampled_from(["10.0.0.1", "10.0.0.2", "192.168.1.7"]),
+    dst=st.sampled_from(["1.1.1.1", "8.8.8.8", "93.184.216.34"]),
+    sport=st.sampled_from(["1024", "2000", "0x0400", ""]),
+    dport=st.sampled_from(["53", "25", "443", "80", "0x0035", "9999", ""]),
+    proto=st.sampled_from(["tcp", "udp", "icmp", "TCP", "gre", "arp", ""]),
+    state=st.one_of(st.sampled_from(["CON", "INT", "URP", "S_RA", "FSPA_FSPA", "RSTO"]),
+                    st.text("ACFINOPRSTUc_ ", max_size=6)),
+    dur=st.floats(0.0, 1e4), pkts=st.integers(0, 10**6), tot=st.integers(0, 10**12),
+    sb=st.just(0),
+    label=st.sampled_from(["flow=From-Botnet-V42", "flow=To-Normal-V42",
+                           "flow=Background-UDP", "Background"]),
+), max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FLOWS, st.sampled_from([1.0, 7.5, 60.0]))
+def test_aggregate_flows_matches_reference_builder_bit_for_bit(flows, window_seconds):
+    builders = {}
+    for f in flows:
+        w = feat.window_index(f.start_time, 0.0, window_seconds)
+        builders.setdefault((f.src_addr, w), _ReferenceAggBuilder(f.src_addr, w)).add(f)
+    ref = sorted((b.finalize() for b in builders.values()),
+                 key=lambda a: (a[1], a[2], a[0]))
+    got = feat.aggregate_flows(flows, 0.0, window_seconds)
+    assert len(got) == len(ref)
+    for row, (src, w, first_seen, label, values) in zip(got, ref):
+        assert (row.src_addr, row.window_index, row.label) == (src, w, label)
+        assert row.first_seen == first_seen
+        assert row.values.dtype == np.float64
+        assert row.values.tobytes() == values.tobytes()
+
+
 class TestNormalizer:
     def test_fit_and_transform(self):
         raw = np.array([[0.0], [10.0], [4.0]])
-        norm = Normalizer.fit(raw, feature_names=("x",))
+        norm = Normalizer.fit(raw)
         assert norm.vmin[0] == 0.0 and norm.vmax[0] == 10.0
         npt.assert_allclose(norm.transform(np.array([5.0])), [0.5])
 
     def test_clamping_out_of_range(self):
-        norm = Normalizer.fit(np.array([[0.0], [10.0]]), feature_names=("x",))
+        norm = Normalizer.fit(np.array([[0.0], [10.0]]))
         npt.assert_allclose(norm.transform(np.array([20.0])), [1.0])
         npt.assert_allclose(norm.transform(np.array([-3.0])), [0.0])
 
     def test_constant_feature_maps_to_zero(self):
-        norm = Normalizer.fit(np.array([[7.0], [7.0]]), feature_names=("x",))
+        norm = Normalizer.fit(np.array([[7.0], [7.0]]))
         npt.assert_allclose(norm.transform(np.array([7.0])), [0.0])
         npt.assert_allclose(norm.transform(np.array([100.0])), [0.0])
 
     def test_log1p_flag(self):
         raw = np.array([[0.0], [np.e - 1.0]])
-        norm = Normalizer.fit(raw, log1p=np.array([True]), feature_names=("x",))
+        norm = Normalizer.fit(raw, log1p=np.array([True]))
         npt.assert_allclose(norm.vmax, [1.0])
         mid = np.exp(0.5) - 1.0  # halfway in log space
         npt.assert_allclose(norm.transform(np.array([mid])), [0.5], rtol=1e-12)

@@ -159,9 +159,8 @@ class TestReadDataset:
         assert by_path[str(f1)] == 1 and by_path[str(f2)] == 2
 
     def test_missing_file_is_data_error(self, tmp_path):
-        stream, _ = ingest.read_dataset([tmp_path / "nope.csv"])
         with pytest.raises(DataError, match="cannot open"):
-            list(stream)
+            ingest.read_dataset([tmp_path / "nope.csv"])
 
 
 def test_port_number_forms():

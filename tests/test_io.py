@@ -91,6 +91,12 @@ def test_features_reader_rejects_foreign_files(tmp_path):
         ("window", [fields[0], "w1", *fields[2:]], "invalid literal"),
         ("value", [*fields[:10], "0.5x", *fields[11:]], "could not convert"),
         ("label", [*fields[:3], "Suspect", *fields[4:]], "not a valid GroundTruth"),
+        ("negwindow", [fields[0], "-1", *fields[2:]], "negative window_index -1"),
+        ("seen", [*fields[:2], "nan", *fields[3:]], "non-finite first_seen"),
+        ("nanvalue", [*fields[:10], "nan", *fields[11:]], r"finite and in \[0, 1\]"),
+        ("infvalue", [*fields[:10], "inf", *fields[11:]], r"finite and in \[0, 1\]"),
+        ("big", [*fields[:10], "2.5", *fields[11:]], r"finite and in \[0, 1\]"),
+        ("neg", [*fields[:10], "-0.25", *fields[11:]], r"finite and in \[0, 1\]"),
     ]:
         bad = tmp_path / f"{name}.csv"
         bad.write_text("\n".join([*lines[:3], ",".join(row), *lines[4:]]) + "\n")
@@ -222,6 +228,10 @@ def test_scores_reader_rejects_corrupt_rows(tmp_path):
         ("truncated", "10.0.0.1,2,1.0", "not enough values"),
         ("window", "10.0.0.1,two,1.0,Normal,0.5", "invalid literal"),
         ("label", "10.0.0.1,2,1.0,Suspect,0.5", "not a valid GroundTruth"),
+        ("negwindow", "10.0.0.1,-3,1.0,Normal,0.5", "negative window_index -3"),
+        ("seen", "10.0.0.1,2,inf,Normal,0.5", "non-finite first_seen"),
+        ("nanscore", "10.0.0.1,2,1.0,Normal,nan", "non-finite score"),
+        ("infscore", "10.0.0.1,2,1.0,Normal,-inf", "non-finite score"),
     ]:
         bad = tmp_path / f"{name}.csv"
         bad.write_text(header + "10.0.0.2,1,0.5,Normal,0.25\n" + row + "\n")

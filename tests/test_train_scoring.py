@@ -121,8 +121,7 @@ class TestAnomalyScore:
 
 def make_model(f=6, seed=1, n_windows=3, l_max=8):
     params, _ = train.fit_rvae(tiny_sequences(f=f, seed=seed), f, small_cfg(epochs=2))
-    norm = Normalizer.fit(np.zeros((2, f)) + [[0.0] * f, [1.0] * f],
-                          feature_names=tuple(f"f{i}" for i in range(f)))
+    norm = Normalizer.fit(np.zeros((2, f)) + [[0.0] * f, [1.0] * f])
     return TrainedModel(arch="rvae", params=params,
                         feature_names=tuple(f"f{i}" for i in range(f)),
                         normalizer=norm, window_seconds=60.0, n_windows=n_windows,
