@@ -125,7 +125,16 @@ def _normalizer_from_payload(entry: dict, names: tuple[str, ...],
                     log1p=np.asarray(entry["log1p"], dtype=bool))
     if any(a.shape != (len(names),) for a in (nz.vmin, nz.vmax, nz.log1p)):
         raise DataError(f"{path}: normalizer stats do not match feature names")
+    _check_finite(nz.vmin, "normalizer min", path)
+    _check_finite(nz.vmax, "normalizer max", path)
     return nz
+
+
+def _check_finite(values: np.ndarray, name: str, path: Path) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataError(f"{path}: {name} holds a non-finite value "
+                        f"({values.flat[bad[0]]!r} at flat index {bad[0]})")
 
 
 def _window_config(src: dict, path: Path) -> dict:
@@ -291,6 +300,7 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
         if arr.shape != tensor.data.shape:
             raise DataError(f"{p}: parameter {name} has shape {arr.shape}, "
                             f"expected {tensor.data.shape}")
+        _check_finite(arr, f"parameter {name}", p)
         tensor.data = arr
     names = tuple(payload["feature_names"])
     return TrainedModel(arch=arch, params=params, feature_names=names,

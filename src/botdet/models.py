@@ -15,6 +15,13 @@ layers and the same latent heads and loss.
 Inputs, masks and latent draws are plain arrays. The forward functions
 build a tape when given the trainable parameters and none when given
 ``plain(params)``: scoring runs the same cell on the same arrays.
+
+Passes are time-major. On the trainable parameters a GRU takes each
+step's input projections inside the recurrence, as the tape records them.
+Plain parameters also take stacked batches (..., B, L, F), and each GRU
+pass takes its input projections once for the whole stack. numpy runs a
+stacked product (..., m, n) @ (n, H) as one kernel call per leading
+index, so every stacked item keeps the bits it gets unstacked.
 """
 
 from __future__ import annotations
@@ -71,19 +78,34 @@ class GruCellWeights:
                 for k in ("w_r", "u_r", "b_r", "w_u", "u_u", "b_u", "w_h", "u_h", "b_h")}
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, w: GruCellWeights) -> Tensor:
-    """One GRU step: gated blend of the previous state and a tanh candidate."""
-    r = ad.sigmoid(x @ w.w_r + h_prev @ w.u_r + w.b_r)
-    u = ad.sigmoid(x @ w.w_u + h_prev @ w.u_u + w.b_u)
-    cand = ad.tanh(x @ w.w_h + (r * h_prev) @ w.u_h + w.b_h)
+def input_projections(x, w: GruCellWeights) -> tuple:
+    """``(x @ w_r, x @ w_u, x @ w_h)``: what ``gru_cell`` reads of its input."""
+    return x @ w.w_r, x @ w.w_u, x @ w.w_h
+
+
+def gru_cell(xp: tuple, h_prev: Tensor, w: GruCellWeights) -> Tensor:
+    """One GRU step: gated blend of the previous state and a tanh candidate.
+
+    ``xp`` is the step's ``input_projections``; each gate adds them as
+    ``(xW + hU) + b``.
+    """
+    xr, xu, xh = xp
+    r = ad.sigmoid(xr + h_prev @ w.u_r + w.b_r)
+    u = ad.sigmoid(xu + h_prev @ w.u_u + w.b_u)
+    cand = ad.tanh(xh + (r * h_prev) @ w.u_h + w.b_h)
     return (1.0 - u) * cand + u * h_prev
 
 
-def gru_pass(xs: Sequence[Tensor], w: GruCellWeights,
+def gru_pass(xs, w: GruCellWeights,
              mask: tuple[np.ndarray, np.ndarray] | None = None,
              h0: Tensor | None = None,
-             reverse: bool = False) -> tuple[list[Tensor], Tensor]:
-    """Run a GRU over a timestep list; returns per-step states and the final one.
+             reverse: bool = False):
+    """Run a GRU over time-major inputs; returns per-step states and the final one.
+
+    ``xs[t]`` is step t's (..., B, n) input. On the trainable parameters
+    each step projects its own input and the states are a list; on plain
+    arrays ``xs`` is stacked to (L, ..., B, n) and projected once before
+    the loop, and the states are one preallocated (L, ..., B, H) array.
 
     ``mask`` is ``make_mask``'s (m, 1-m) pair of (L, B, 1) arrays for padded
     batches: a padded step keeps the previous state, so the final state
@@ -92,16 +114,20 @@ def gru_pass(xs: Sequence[Tensor], w: GruCellWeights,
     state simply stays at h0 until real elements begin.
     """
     steps = len(xs)
-    batch = xs[0].shape[0]
-    hidden = w.u_r.shape[0]
-    h = np.zeros((batch, hidden)) if h0 is None else h0
-    states: list[Tensor | None] = [None] * steps
+    h = np.zeros((*xs[0].shape[:-1], w.u_r.shape[0])) if h0 is None else h0
+    taped = isinstance(w.u_r, Tensor)
+    if taped:
+        states = [None] * steps
+    else:
+        xr, xu, xh = input_projections(np.asarray(xs), w)
+        states = np.empty((steps, *h.shape))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for t in order:
-        h_new = gru_cell(xs[t], h, w)
+        xp = input_projections(xs[t], w) if taped else (xr[t], xu[t], xh[t])
+        h_new = gru_cell(xp, h, w)
         h = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
         states[t] = h
-    return states, h  # type: ignore[return-value]
+    return states, h
 
 
 def make_mask(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -183,16 +209,18 @@ class RvaeParams:
         return list(self.named_parameters().values())
 
 
-def encode(p: RvaeParams, xs: Sequence[Tensor],
-           mask=None) -> tuple[Tensor, Tensor]:
-    """Bidirectional pass; latent heads read the top layer's two final states."""
-    seq: Sequence[Tensor] = xs
+def encode(p: RvaeParams, xs, mask=None) -> tuple[Tensor, Tensor]:
+    """Bidirectional pass over time-major ``xs``; heads read the top layer's final states."""
+    seq = xs
     hf = hb = None
     for layer in range(ENCODER_LAYERS):
         states_f, hf = gru_pass(seq, p.enc_fwd[layer], mask=mask)
         states_b, hb = gru_pass(seq, p.enc_bwd[layer], mask=mask, reverse=True)
-        seq = [ad.concat([f, b], axis=1) for f, b in zip(states_f, states_b)]
-    fused = ad.concat([hf, hb], axis=1)
+        if isinstance(states_f, list):
+            seq = [ad.concat([f, b], axis=-1) for f, b in zip(states_f, states_b)]
+        else:
+            seq = np.concatenate([states_f, states_b], axis=-1)
+    fused = ad.concat([hf, hb], axis=-1)
     mu = fused @ p.w_mu + p.b_mu
     logvar = fused @ p.w_logvar + p.b_logvar
     return mu, logvar
@@ -206,9 +234,9 @@ def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray | None) -> Tensor
 
 
 def decode(p: RvaeParams, z: Tensor, targets: np.ndarray) -> list[Tensor]:
-    """Teacher-forced reconstruction of every step of ``targets`` (B, L, F)."""
-    batch, steps, f_dim = targets.shape
-    seq = [np.zeros((batch, f_dim))] + [targets[:, t - 1, :] for t in range(1, steps)]
+    """Teacher-forced reconstruction of every step of ``targets`` (..., B, L, F), time-major."""
+    shifted = np.moveaxis(targets, -2, 0)
+    seq = [np.zeros_like(shifted[0]), *shifted[:-1]]
     for layer in range(DECODER_LAYERS):
         h0 = z @ p.zproj_w[layer] + p.zproj_b[layer]
         seq, _ = gru_pass(seq, p.dec[layer], h0=h0)
@@ -219,11 +247,14 @@ def rvae_forward(p: RvaeParams, batch: np.ndarray,
                  lengths: np.ndarray | None = None,
                  eps: np.ndarray | None = None
                  ) -> tuple[list[Tensor], Tensor, Tensor]:
-    """Full pass over a padded batch (B, L, F); returns (recons, mu, logvar)."""
-    b, steps, _ = batch.shape
-    xs = [batch[:, t, :] for t in range(steps)]
+    """Full pass over a padded batch (B, L, F); returns (recons, mu, logvar).
+
+    ``recons[t]`` is step t's (B, F) reconstruction, or (..., B, F) for a
+    stacked batch (..., B, L, F) on plain parameters.
+    """
+    steps = batch.shape[-2]
     mask = None if lengths is None else make_mask(lengths, steps)
-    mu, logvar = encode(p, xs, mask=mask)
+    mu, logvar = encode(p, np.moveaxis(batch, -2, 0), mask=mask)
     z = reparameterize(mu, logvar, eps)
     recons = decode(p, z, batch)
     return recons, mu, logvar

@@ -6,9 +6,16 @@ higher means more anomalous. Scoring is deterministic: the latent is the
 posterior mean (no sampling) and decoding is teacher-forced. The model
 runs on its parameters' plain arrays (``models.plain``), so no tape is
 built and no Tensor is created; the numbers are those of the taped
-forward, bit for bit. Every sequence is still evaluated independently
-(batch of one) so batch and streaming paths produce bit-identical
-numbers.
+forward, bit for bit.
+
+Sequences of equal length are scored together, up to ``STACK_MAX`` at a
+time, as one (L, K, 1, F) stack: each is still a batch of one whose state
+never mixes with another's. Every product is stacked, (..., 1, n) @
+(n, H), and numpy runs one kernel call per leading index, so each
+sequence gets the bits it gets scored alone (``tests/test_models.py``
+pins this). A score does not depend on its stack-mates, so the batch path
+(stacks over a split) and the stream (stacks within a closing window)
+give bit-identical numbers.
 """
 
 from __future__ import annotations
@@ -48,11 +55,14 @@ def anomaly_score(target: np.ndarray, recon: np.ndarray):
     return -np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p), axis=-1)
 
 
+STACK_MAX = 16  # sequences per stack; bounds each pass's (L, K, 1, H) state arrays
+
+
 def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:
-    """Per-element scores of one (L, F) sequence, deterministically reconstructed."""
+    """Per-element scores of one (L, F) sequence, or (K, L) for a (K, L, F) stack."""
     if arch == ARCH_RVAE:
-        recons, _, _ = models.rvae_forward(models.plain(params), vectors[None, :, :])
-        recon = np.stack([r[0] for r in recons])
+        recons, _, _ = models.rvae_forward(models.plain(params), vectors[..., None, :, :])
+        recon = np.stack([r[..., 0, :] for r in recons], axis=-2)
     elif arch == ARCH_MLP:
         recon = models.mlp_forward(models.plain(params), vectors)[0]
     else:
@@ -65,12 +75,22 @@ def score_sequences(arch: str, params,
     """One ScoredWindow per element in its sequence's target window, in input order.
 
     The sequences are trailing context (``trailing_sequences``), so each
-    host-window is scored exactly once.
+    host-window is scored exactly once. Sequences are grouped by length
+    and each group is scored in stacks of at most ``STACK_MAX``.
     """
+    sequences = list(sequences)
+    by_length: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_length.setdefault(len(seq), []).append(i)
+    scores: dict[int, np.ndarray] = {}
+    for group in by_length.values():
+        for lo in range(0, len(group), STACK_MAX):
+            stack = group[lo:lo + STACK_MAX]
+            vectors = np.stack([sequences[i].vectors for i in stack])
+            scores.update(zip(stack, score_elements(arch, params, vectors)))
     out: list[ScoredWindow] = []
-    for seq in sequences:
-        scores = score_elements(arch, params, seq.vectors)
-        for r, score in zip(seq.rows, scores):
+    for i, seq in enumerate(sequences):
+        for r, score in zip(seq.rows, scores[i]):
             if r.window_index == seq.target_window:
                 out.append(ScoredWindow(r.src_addr, r.window_index, r.first_seen,
                                         r.label, float(score)))

@@ -58,7 +58,8 @@ def test_criterion_1_gradients_match_finite_differences():
         h = Tensor(np.zeros((2, 7)))
         total = None
         for t in range(xs.shape[0]):
-            h = models.gru_cell(Tensor(xs[t]), h, cell)
+            xp = models.input_projections(Tensor(xs[t]), cell)
+            h = models.gru_cell(xp, h, cell)
             s = models.ad.sum_all(h * h)
             total = s if total is None else total + s
         return total

@@ -413,6 +413,46 @@ def test_window_config_out_of_range_is_a_data_error(chain, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def _set_first(place: tuple, value: float):
+    """A payload edit that overwrites the first number of the (nested) list at ``place``."""
+    def edit(payload):
+        values = payload
+        for key in place:
+            values = values[key]
+        while isinstance(values[0], list):
+            values = values[0]
+        values[0] = value
+        return payload
+    return edit
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("artifact,place", [
+    ("model", ("parameters", "dec.l0.b_h", "data")), ("model", ("parameters", "enc.l0.fwd.w_r", "data")),
+    ("model", ("normalizer", "min")), ("model", ("normalizer", "max")),
+    ("features", ("normalizer", "min")), ("features", ("normalizer", "max")),
+])
+def test_non_finite_model_number_is_a_data_error(chain, tmp_path, capsys,
+                                                 artifact, place, value):
+    path = _doctored(chain, tmp_path, artifact, _set_first(place, value))
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, artifact, path, out)) == 2
+    name = f"parameter {place[1]}" if place[0] == "parameters" else " ".join(place)
+    assert f"data error: {path}: {name} holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("place", [("parameters", "dec.l0.b_h", "data"), ("normalizer", "min")])
+def test_stream_with_non_finite_model_number_writes_nothing(chain, fixture_dir, tmp_path,
+                                                            capsys, place):
+    path = _doctored(chain, tmp_path, "model", _set_first(place, float("nan")))
+    assert main(["stream", "--model", str(path), "--detector", str(chain["detector"]),
+                 "--input", str(fixture_dir["test"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"data error: {path}: " in captured.err and "non-finite" in captured.err
+
+
 def test_train_on_features_with_l_max_zero_is_a_data_error(chain, tmp_path, capsys):
     path = _doctored(chain, tmp_path, "features", lambda header: {**header, "l_max": 0})
     assert main(["train", "--features", str(path), "--model-out",

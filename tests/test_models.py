@@ -29,13 +29,14 @@ class TestGruCell:
         w = m.GruCellWeights.init(np.random.default_rng(0), 3, 4)
         zero_all([t for t in w.named("x").values()])
         h0 = Tensor(np.full((1, 4), 0.8))
-        out = m.gru_cell(Tensor(np.zeros((1, 3))), h0, w)
+        out = m.gru_cell(m.input_projections(Tensor(np.zeros((1, 3))), w), h0, w)
         npt.assert_allclose(out.data, 0.4)  # u = sigmoid(0) = 0.5, cand = 0
 
     def test_zero_everything_stays_zero(self):
         w = m.GruCellWeights.init(np.random.default_rng(0), 3, 4)
         zero_all(list(w.named("x").values()))
-        out = m.gru_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), w)
+        x = Tensor(np.zeros((2, 3)))
+        out = m.gru_cell(m.input_projections(x, w), Tensor(np.zeros((2, 4))), w)
         npt.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_gradcheck_cell(self):
@@ -46,7 +47,7 @@ class TestGruCell:
         params = list(w.named("c").values())
 
         def f():
-            return ad.sum_all(ad.tanh(m.gru_cell(x, h0, w)))
+            return ad.sum_all(ad.tanh(m.gru_cell(m.input_projections(x, w), h0, w)))
 
         assert gradcheck(f, params) < 1e-4
 
@@ -316,3 +317,32 @@ def test_plain_shares_every_array_and_keeps_the_record_type():
         named, bare_named = p.named_parameters(), bare.named_parameters()
         assert list(bare_named) == list(named)
         assert all(bare_named[k] is v.data for k, v in named.items())
+
+
+STACKING = ("stacked scoring (scoring.score_sequences, models.gru_pass on plain arrays) "
+            "relies on numpy running a stacked product as one kernel call per leading "
+            "index, so that its bits equal the unstacked product's; this numpy/BLAS "
+            "build breaks that, and stacked scores would drift from scoring one "
+            "sequence at a time")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 130), hidden=st.integers(1, 130), steps=st.integers(1, 40),
+       stack=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_stacked_products_equal_the_unstacked_ones_bit_for_bit(n, hidden, steps, stack, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, hidden))
+    u = rng.standard_normal((hidden, hidden))
+    xs = rng.standard_normal((steps, stack, 1, n))
+    projected = xs @ w
+    assert all(bits(projected[t, k]) == bits(xs[t, k] @ w)
+               for t in range(steps) for k in range(stack)), \
+        f"(L,K,1,n)@(n,H) differs from the per-step (1,n)@(n,H) products: {STACKING}"
+    h = rng.standard_normal((stack, 1, hidden))
+    recurrent = h @ u
+    assert all(bits(recurrent[k]) == bits(h[k] @ u) for k in range(stack)), \
+        f"(K,1,H)@(H,H) differs from K separate (1,H)@(H,H) products: {STACKING}"
+    items = rng.standard_normal((stack, steps, n))
+    per_item = items @ w
+    assert all(bits(per_item[k]) == bits(items[k] @ w) for k in range(stack)), \
+        f"(K,L,n)@(n,H) differs from the per-item (L,n)@(n,H) products: {STACKING}"

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import pytest
 
-from botdet import streaming
+import numpy as np
+
+from botdet import scoring, streaming
 from botdet.features import aggregate_flows, rows_from_aggregates, trailing_sequences, window_index
 from botdet.ingest import FlowRecord, iter_flows
 from botdet.pipeline import (
@@ -225,3 +227,31 @@ def test_stream_builds_only_the_closing_windows_spans(fitted, monkeypatch):
     assert len(built) == len(scored) == 12
     assert len(every) == 33
     assert decisions == reference
+
+
+def test_one_close_scores_several_equal_length_chunks_as_batch_does(fitted, monkeypatch):
+    _, _, model, det = fitted
+    hosts = 6
+    model = replace(model, l_max=hosts)  # a full 3-window span splits into 3 chunks of 6
+    t0 = 1000.0
+    flows = [replace(make_flow(t0 + w * 60.0 + 1.0 + i, f"10.1.1.{i}"),
+                     tot_bytes=300 + 97 * i + 31 * w, duration=0.1 * (1 + i * w % 5))
+             for w in range(8) for i in range(hosts)]
+    rows = rows_from_aggregates(aggregate_flows(flows, t0, model.window_seconds),
+                                model.normalizer)
+    batch = classify_scores(score_rows(model, rows, model.feature_names), det)
+    shapes = []
+    score_elements = scoring.score_elements
+
+    def recorded(arch, params, vectors):
+        shapes.append(vectors.shape)
+        return score_elements(arch, params, vectors)
+
+    monkeypatch.setattr(scoring, "score_elements", recorded)
+    streamed, stats = stream_decisions(model, det, flows)
+    assert stats.windows_closed == 8 and stats.late_dropped == 0
+    assert shapes == [(1, 6, 25), (2, 6, 25)] + [(3, 6, 25)] * 6
+    assert [{k: v for k, v in d.items() if k != "emit_latency"} for d in streamed] == batch
+    assert len({d["score"] for d in streamed}) > hosts
+    assert ([np.float64(d["score"]).tobytes() for d in streamed] ==
+            [np.float64(d["score"]).tobytes() for d in batch])

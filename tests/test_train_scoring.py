@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from botdet import models, scoring, train
 from botdet.autodiff import Tensor
 from botdet.errors import DataError, TrainingAborted
-from botdet.features import FEATURE_NAMES, FeatureRow, Normalizer, trailing_sequences
+from botdet.features import FEATURE_NAMES, FeatureRow, Normalizer, Sequence, trailing_sequences
 from botdet.ingest import GroundTruth
 from botdet.train import TrainConfig, TrainedModel
+
+from helpers import bits
 
 
 def tiny_sequences(n=12, length=5, f=6, seed=0):
@@ -195,3 +197,43 @@ class TestScoreSequences:
         with_context = scoring.score_elements(
             "mlp", params, np.vstack([rng.uniform(size=(3, f)), vec[None, :]]))[-1]
         npt.assert_allclose(alone, with_context, rtol=1e-12)
+
+
+def _scored_one_at_a_time(arch, params, sequences):
+    """The reference: each sequence alone, as a batch of one, on the tape."""
+    out = []
+    for seq in sequences:
+        if arch == "rvae":
+            recons, _, _ = models.rvae_forward(params, seq.vectors[None])
+            recon = np.stack([r.data[0] for r in recons])
+        else:
+            recon = models.mlp_forward(params, seq.vectors)[0].data
+        scores = scoring.anomaly_score(seq.vectors, recon)
+        out += [(r.src_addr, r.window_index, bits(x)) for r, x in zip(seq.rows, scores)
+                if r.window_index == seq.target_window]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(arch=st.sampled_from(["rvae", "mlp"]), hidden=st.integers(1, 6),
+       lengths=st.lists(st.integers(1, 5), max_size=10),
+       crowd=st.integers(scoring.STACK_MAX + 1, 2 * scoring.STACK_MAX + 2),
+       crowd_length=st.integers(1, 4), repeats=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_scores_equal_one_at_a_time_scores_bit_for_bit(
+        arch, hidden, lengths, crowd, crowd_length, repeats, seed):
+    f = 3
+    rng = np.random.default_rng(seed)
+    params = (models.RvaeParams.init(rng, f, hidden, 2) if arch == "rvae" else
+              models.MlpVaeParams.init(rng, f, hidden=(hidden, hidden + 1), latent=2))
+    vectors = [rng.uniform(0, 1, size=(n, f)) for n in [1, *lengths, *[crowd_length] * crowd]]
+    vectors += [vectors[i].copy() for i in rng.integers(0, len(vectors), size=repeats)]
+    sequences = []
+    for i in rng.permutation(len(vectors)):
+        windows = np.sort(rng.integers(0, 3, size=len(vectors[i])))
+        rows = tuple(FeatureRow(f"h{i}", int(w), float(t), GroundTruth.NORMAL, v)
+                     for t, (w, v) in enumerate(zip(windows, vectors[i])))
+        sequences.append(Sequence(rows, vectors[i], int(windows[-1])))
+    stacked = [(s.src_addr, s.window_index, bits(s.score))
+               for s in scoring.score_sequences(arch, params, sequences)]
+    assert stacked == _scored_one_at_a_time(arch, params, sequences)
