@@ -10,6 +10,10 @@ topological order, evaluates each rule exactly once, and accumulates
 gradients into the ``grad`` field of every ``requires_grad`` tensor. No
 derivative is ever evaluated for a constant operand. All math is float64
 and single-threaded, so a fixed input always gives bit-identical gradients.
+``matmul`` takes an (..., m, n) left operand against a 2-d right one, whose
+gradient is one product over the flattened leading axes; ``take``
+(``Tensor.__getitem__``) adds its gradient in place into one zero buffer per
+operand, so taking all L steps of an (L, B, H) tensor costs O(L*B*H).
 
 Primitives also take plain arrays and scalars. An operand that is not a
 ``Tensor`` is a constant: it is read as a float64 array, never wrapped,
@@ -21,7 +25,7 @@ taped pass.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,17 +49,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
-    def backward(self) -> None:
-        backward(self)
-
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
 
     # Arithmetic sugar; scalars and arrays are constant operands.
     def __add__(self, other):
@@ -82,6 +75,9 @@ class Tensor:
 
     def __rmatmul__(self, other):
         return matmul(other, self)
+
+    def __getitem__(self, index):
+        return take(self, index)
 
 
 def _data(x) -> np.ndarray:
@@ -132,11 +128,15 @@ def _matmul_left(g, y):
 
 
 def _matmul_right(g, x):
-    return x.T @ g
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def _take(g, index):
     return g[index]
+
+
+def _scatter(g, index):
+    return index, g  # ``backward`` adds ``g`` at ``index`` into the operand's buffer
 
 
 def _sigmoid_grad(g, out):
@@ -190,15 +190,14 @@ def mul(a, b):
 
 def matmul(a, b):
     x, y = _data(a), _data(b)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError(f"matmul: expects 2-d operands, got {x.shape} @ {y.shape}")
-    if x.shape[1] != y.shape[0]:
+    if x.ndim < 2 or y.ndim != 2:
+        raise ValueError(f"matmul: expects (..., m, n) @ (n, p), got {x.shape} @ {y.shape}")
+    if x.shape[-1] != y.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {x.shape} @ {y.shape}")
     return _node(x @ y, (a, _matmul_left, y), (b, _matmul_right, x))
 
 
-def concat(parts: Iterable, axis: int = -1):
-    parts = tuple(parts)
+def concat(parts: Sequence, axis: int = -1):
     if not parts:
         raise ValueError("concat: no tensors given")
     arrays = [_data(t) for t in parts]
@@ -210,6 +209,17 @@ def concat(parts: Iterable, axis: int = -1):
         edges.append((t, _take, lead + (slice(lo, hi),)))
         lo = hi
     return _node(out, *edges)
+
+
+def stack(parts: Sequence):
+    """Stack equal-shaped operands along a new axis 0; part i's gradient is ``g[i]``."""
+    out = np.stack([_data(t) for t in parts])
+    return _node(out, *((t, _take, i) for i, t in enumerate(parts)))
+
+
+def take(a, index):
+    """``a[index]`` for a basic index: ints, slices, ``None`` and ``...``."""
+    return _node(_data(a)[index], (a, _scatter, index))
 
 
 def sigmoid(a):
@@ -279,8 +289,11 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     # Every node reached so far lies on a tracked path from ``loss``, so
-    # each one has a gradient by the time reverse order gets to it.
+    # each one has a gradient by the time reverse order gets to it. A rule
+    # may return a view of ``g``: only arrays made here (``owned``) are
+    # written in place.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()
     for node in reversed(topo):
         g = grads.pop(id(node))
         if node.requires_grad:
@@ -288,7 +301,12 @@ def backward(loss: Tensor) -> None:
         for parent, rule, saved in node._edges:
             pg = rule(g, saved)
             key = id(parent)
-            if key in grads:
+            if type(pg) is tuple:  # ``take``: ``pg`` is (index, gradient of a[index])
+                if key not in owned:
+                    owned.add(key)
+                    grads[key] = grads[key].copy() if key in grads else np.zeros_like(parent.data)
+                grads[key][pg[0]] += pg[1]
+            elif key in grads:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
@@ -296,7 +314,7 @@ def backward(loss: Tensor) -> None:
 
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
 
 
 def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> np.ndarray:

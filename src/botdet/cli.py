@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -55,6 +55,7 @@ _as_text = _cast("a string", str, str)
 _as_int = _cast("an integer", int, int, str)
 _as_count = _cast("an integer >= 1", int, int, str, ok=lambda x: x >= 1)
 _as_seed = _cast("an integer >= 0", int, int, str, ok=lambda x: x >= 0)
+_as_folds = _cast("0 or an integer >= 2", int, int, str, ok=lambda x: x == 0 or x >= 2)
 _as_float = _cast("a number", float, int, float, str)
 _as_positive = _cast("a number > 0", float, int, float, str, ok=lambda x: x > 0)
 _as_bool = _cast("true or false", bool, bool)
@@ -191,8 +192,8 @@ def cmd_preprocess(args) -> int:
                               log1p=args.log1p, strict=args.strict)
     train_path = out / "features-train.csv"
     test_path = out / "features-test.csv"
-    fileio.write_features(train_path, res.meta, res.train.rows)
-    fileio.write_features(test_path, res.meta, res.test.rows)
+    for path, split in ((train_path, res.train), (test_path, res.test)):
+        fileio.write_features(path, replace(res.meta, t0=split.t0), split.rows)
     manifest = pipeline.load_manifest(args.manifest)
     fileio.write_run_manifest(
         out / "preprocess.run.json", "preprocess",
@@ -211,7 +212,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     meta, rows = fileio.read_features(args.features)
     cfg = _train_config(args, meta.l_max)
-    if args.kfold and args.kfold > 1:
+    if args.kfold:
         model, reports = pipeline.train_model_kfold(meta, rows, cfg,
                                                     arch=args.arch, k=args.kfold)
         for r in reports:
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub("train", cmd_train, {
         "features": Opt(required=True),
         "model_out": Opt(required=True),
-        "kfold": Opt(0, _as_int, help="folds for time-blocked model selection"),
+        "kfold": Opt(0, _as_folds, help="folds for time-blocked model selection (0: off)"),
         **_TRAIN_HYPER,
     }, "fit the VAE on non-malicious training rows")
 

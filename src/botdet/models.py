@@ -14,20 +14,18 @@ layers and the same latent heads and loss.
 
 Inputs, masks and latent draws are plain arrays. The forward functions
 build a tape when given the trainable parameters and none when given
-``plain(params)``: scoring runs the same cell on the same arrays.
-
-Passes are time-major. On the trainable parameters a GRU takes each
-step's input projections inside the recurrence, as the tape records them.
-Plain parameters also take stacked batches (..., B, L, F), and each GRU
-pass takes its input projections once for the whole stack. numpy runs a
-stacked product (..., m, n) @ (n, H) as one kernel call per leading
-index, so every stacked item keeps the bits it gets unstacked.
+``plain(params)``: scoring runs the same code on the same arrays. Passes
+are time-major: a GRU pass projects its whole (L, ..., B, n) input once
+and stacks its states, and the output head and the loss read all steps
+at once. numpy runs a stacked product (..., m, n) @ (n, H) as one kernel
+call per leading index, so every step and every stacked item keeps its
+unstacked bits. A weight's gradient sums its steps in one product, so
+training differs from a per-step tape by float reassociation only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -100,12 +98,10 @@ def gru_pass(xs, w: GruCellWeights,
              mask: tuple[np.ndarray, np.ndarray] | None = None,
              h0: Tensor | None = None,
              reverse: bool = False):
-    """Run a GRU over time-major inputs; returns per-step states and the final one.
+    """Run a GRU over time-major inputs; returns the stacked states and the final one.
 
-    ``xs[t]`` is step t's (..., B, n) input. On the trainable parameters
-    each step projects its own input and the states are a list; on plain
-    arrays ``xs`` is stacked to (L, ..., B, n) and projected once before
-    the loop, and the states are one preallocated (L, ..., B, H) array.
+    ``xs`` is the (L, ..., B, n) input and the states are (L, ..., B, H).
+    The three input projections are taken once, before the recurrence.
 
     ``mask`` is ``make_mask``'s (m, 1-m) pair of (L, B, 1) arrays for padded
     batches: a padded step keeps the previous state, so the final state
@@ -113,21 +109,16 @@ def gru_pass(xs, w: GruCellWeights,
     For the reverse direction the padded suffix is visited first and the
     state simply stays at h0 until real elements begin.
     """
-    steps = len(xs)
-    h = np.zeros((*xs[0].shape[:-1], w.u_r.shape[0])) if h0 is None else h0
-    taped = isinstance(w.u_r, Tensor)
-    if taped:
-        states = [None] * steps
-    else:
-        xr, xu, xh = input_projections(np.asarray(xs), w)
-        states = np.empty((steps, *h.shape))
+    steps = xs.shape[0]
+    h = np.zeros((*xs.shape[1:-1], w.u_r.shape[0])) if h0 is None else h0
+    xr, xu, xh = input_projections(xs, w)
+    states = [None] * steps
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for t in order:
-        xp = input_projections(xs[t], w) if taped else (xr[t], xu[t], xh[t])
-        h_new = gru_cell(xp, h, w)
+        h_new = gru_cell((xr[t], xu[t], xh[t]), h, w)
         h = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
         states[t] = h
-    return states, h
+    return ad.stack(states), h
 
 
 def make_mask(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -209,17 +200,12 @@ class RvaeParams:
         return list(self.named_parameters().values())
 
 
-def encode(p: RvaeParams, xs, mask=None) -> tuple[Tensor, Tensor]:
-    """Bidirectional pass over time-major ``xs``; heads read the top layer's final states."""
-    seq = xs
-    hf = hb = None
+def encode(p: RvaeParams, seq, mask=None) -> tuple[Tensor, Tensor]:
+    """Bidirectional pass over the time-major ``seq``; heads read the top layer's final states."""
     for layer in range(ENCODER_LAYERS):
         states_f, hf = gru_pass(seq, p.enc_fwd[layer], mask=mask)
         states_b, hb = gru_pass(seq, p.enc_bwd[layer], mask=mask, reverse=True)
-        if isinstance(states_f, list):
-            seq = [ad.concat([f, b], axis=-1) for f, b in zip(states_f, states_b)]
-        else:
-            seq = np.concatenate([states_f, states_b], axis=-1)
+        seq = ad.concat([states_f, states_b], axis=-1)
     fused = ad.concat([hf, hb], axis=-1)
     mu = fused @ p.w_mu + p.b_mu
     logvar = fused @ p.w_logvar + p.b_logvar
@@ -233,31 +219,30 @@ def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray | None) -> Tensor
     return mu + ad.exp(logvar * 0.5) * eps
 
 
-def decode(p: RvaeParams, z: Tensor, targets: np.ndarray) -> list[Tensor]:
-    """Teacher-forced reconstruction of every step of ``targets`` (..., B, L, F), time-major."""
+def decode(p: RvaeParams, z: Tensor, targets: np.ndarray) -> Tensor:
+    """Teacher-forced (L, ..., B, F) reconstruction of ``targets`` (..., B, L, F)."""
     shifted = np.moveaxis(targets, -2, 0)
-    seq = [np.zeros_like(shifted[0]), *shifted[:-1]]
+    seq = np.zeros(shifted.shape)
+    seq[1:] = shifted[:-1]
     for layer in range(DECODER_LAYERS):
         h0 = z @ p.zproj_w[layer] + p.zproj_b[layer]
         seq, _ = gru_pass(seq, p.dec[layer], h0=h0)
-    return [ad.sigmoid(h @ p.w_out + p.b_out) for h in seq]
+    return ad.sigmoid(seq @ p.w_out + p.b_out)
 
 
 def rvae_forward(p: RvaeParams, batch: np.ndarray,
                  lengths: np.ndarray | None = None,
                  eps: np.ndarray | None = None
-                 ) -> tuple[list[Tensor], Tensor, Tensor]:
-    """Full pass over a padded batch (B, L, F); returns (recons, mu, logvar).
+                 ) -> tuple[Tensor, Tensor, Tensor]:
+    """Full pass over a padded batch (..., B, L, F); returns (recons, mu, logvar).
 
-    ``recons[t]`` is step t's (B, F) reconstruction, or (..., B, F) for a
-    stacked batch (..., B, L, F) on plain parameters.
+    ``recons`` is the time-major (L, ..., B, F) reconstruction.
     """
     steps = batch.shape[-2]
     mask = None if lengths is None else make_mask(lengths, steps)
     mu, logvar = encode(p, np.moveaxis(batch, -2, 0), mask=mask)
     z = reparameterize(mu, logvar, eps)
-    recons = decode(p, z, batch)
-    return recons, mu, logvar
+    return decode(p, z, batch), mu, logvar
 
 
 @dataclass
@@ -348,7 +333,7 @@ def kl_divergence(mu: Tensor, logvar: Tensor) -> Tensor:
 
 def bce_sum(target: np.ndarray, recon: Tensor,
             mask_col: Tensor | None = None) -> Tensor:
-    """Bernoulli cross-entropy of one step, summed over batch and features.
+    """Bernoulli cross-entropy summed over every element; ``mask_col`` broadcasts.
 
     Targets must already live in [0,1]; reconstruction probabilities are
     clamped to [BCE_EPS, 1-BCE_EPS] so the logs stay finite.
@@ -362,21 +347,18 @@ def bce_sum(target: np.ndarray, recon: Tensor,
     return ad.sum_all(term)
 
 
-def vae_loss(targets: np.ndarray, recons: Sequence[Tensor], mu: Tensor,
+def vae_loss(targets: np.ndarray, recons: Tensor, mu: Tensor,
              logvar: Tensor, beta: float,
              lengths: np.ndarray | None = None) -> tuple[Tensor, float, float]:
     """Batch objective: per-sequence (BCE sum + beta * KL), averaged over the batch.
 
-    Returns the differentiable total plus the plain-float BCE and KL
-    means for logging.
+    ``targets`` is the (B, L, F) batch and ``recons`` its time-major
+    (L, B, F) reconstruction. Returns the differentiable total plus the
+    plain-float BCE and KL means for logging.
     """
     batch, steps, _ = targets.shape
     mask = None if lengths is None else make_mask(lengths, steps)
-    total_bce: Tensor | None = None
-    for t, recon in enumerate(recons):
-        part = bce_sum(targets[:, t, :], recon,
-                       None if mask is None else mask[0][t])
-        total_bce = part if total_bce is None else total_bce + part
+    total_bce = bce_sum(np.moveaxis(targets, 1, 0), recons, None if mask is None else mask[0])
     total_kl = kl_divergence(mu, logvar)
     scale = 1.0 / batch
     total = (total_bce + total_kl * beta) * scale

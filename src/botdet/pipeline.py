@@ -67,10 +67,11 @@ def resolve_scenarios(manifest: dict[str, Path],
 
 @dataclass
 class SplitFeatures:
-    """One split's normalized host-window rows plus parse accounting."""
+    """One split's normalized host-window rows, parse accounting and window origin."""
 
     rows: list[FeatureRow]
     stats: IngestStats
+    t0: float
 
 
 @dataclass
@@ -85,7 +86,7 @@ def _aggregate_split(paths: Sequence[Path], window_seconds: float,
     flows, stats = read_dataset(paths, strict=strict)
     if not flows:
         raise DataError(f"no parseable flows in {[str(p) for p in paths]}")
-    t0 = flows[0].start_time
+    t0 = float(flows[0].start_time)
     return aggregate_flows(flows, t0, window_seconds), stats, t0
 
 
@@ -112,7 +113,7 @@ def preprocess(manifest_path: str | Path, train_ids: Sequence[str],
 
     train_aggs, train_stats, t0_train = _aggregate_split(
         train_paths, window_seconds, strict)
-    test_aggs, test_stats, _ = _aggregate_split(
+    test_aggs, test_stats, t0_test = _aggregate_split(
         test_paths, window_seconds, strict)
 
     raw = np.array([a.values for a in train_aggs], dtype=np.float64)
@@ -122,11 +123,11 @@ def preprocess(manifest_path: str | Path, train_ids: Sequence[str],
     meta = FeaturesMeta(feature_names=FEATURE_NAMES, normalizer=norm,
                         window_seconds=float(window_seconds),
                         n_windows=int(n_windows), l_max=int(l_max),
-                        t0=float(t0_train))
+                        t0=t0_train)
     return PreprocessResult(
         meta=meta,
-        train=SplitFeatures(rows_from_aggregates(train_aggs, norm), train_stats),
-        test=SplitFeatures(rows_from_aggregates(test_aggs, norm), test_stats),
+        train=SplitFeatures(rows_from_aggregates(train_aggs, norm), train_stats, t0_train),
+        test=SplitFeatures(rows_from_aggregates(test_aggs, norm), test_stats, t0_test),
     )
 
 

@@ -3,10 +3,10 @@
 The score of an element is the Bernoulli cross-entropy between its
 feature vector and the model's reconstruction, summed over features;
 higher means more anomalous. Scoring is deterministic: the latent is the
-posterior mean (no sampling) and decoding is teacher-forced. The model
-runs on its parameters' plain arrays (``models.plain``), so no tape is
-built and no Tensor is created; the numbers are those of the taped
-forward, bit for bit.
+posterior mean (no sampling) and decoding is teacher-forced. The GRU
+pass that training tapes runs here on the parameters' plain arrays
+(``models.plain``): no Tensor is created, and the numbers are those of
+the taped forward, bit for bit.
 
 Sequences of equal length are scored together, up to ``STACK_MAX`` at a
 time, as one (L, K, 1, F) stack: each is still a batch of one whose state
@@ -61,8 +61,8 @@ STACK_MAX = 16  # sequences per stack; bounds each pass's (L, K, 1, H) state arr
 def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:
     """Per-element scores of one (L, F) sequence, or (K, L) for a (K, L, F) stack."""
     if arch == ARCH_RVAE:
-        recons, _, _ = models.rvae_forward(models.plain(params), vectors[..., None, :, :])
-        recon = np.stack([r[..., 0, :] for r in recons], axis=-2)
+        recons = models.rvae_forward(models.plain(params), vectors[..., None, :, :])[0]
+        recon = np.moveaxis(recons[..., 0, :], 0, -2)
     elif arch == ARCH_MLP:
         recon = models.mlp_forward(models.plain(params), vectors)[0]
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -101,11 +102,7 @@ def fit_rvae(sequences: Sequence[np.ndarray], f_dim: int,
         raise ValueError("fit_rvae: no training sequences")
     rng = np.random.default_rng(cfg.seed)
     params = RvaeParams.init(rng, f_dim, cfg.hidden, cfg.latent)
-
-    def forward(batch, lengths, eps):
-        return models.rvae_forward(params, batch, lengths=lengths, eps=eps)
-
-    return _fit(list(sequences), params, forward, cfg, rng)
+    return _fit(list(sequences), params, partial(models.rvae_forward, params), cfg, rng)
 
 
 def fit_mlp(vectors: np.ndarray, cfg: TrainConfig) -> tuple[MlpVaeParams, TrainLog]:
@@ -120,7 +117,7 @@ def fit_mlp(vectors: np.ndarray, cfg: TrainConfig) -> tuple[MlpVaeParams, TrainL
 
     def forward(batch, lengths, eps):
         recon, mu, lv = models.mlp_forward(params, batch[:, 0, :], eps=eps)
-        return [recon], mu, lv
+        return recon[None], mu, lv
 
     return _fit(items, params, forward, cfg, rng)
 

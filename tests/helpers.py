@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from botdet import autodiff as ad
+from botdet import models
 from botdet.autodiff import Tensor, backward, finite_difference_grad, zero_grads
 
 
@@ -38,3 +40,43 @@ def gradcheck(f, params: list[Tensor], h: float = 1e-5) -> float:
 def bits(x) -> bytes:
     """Raw float64 bytes of an array or a Tensor's data: signed zeros and NaN signs count."""
     return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).tobytes()
+
+
+def per_step_rvae_loss(p, batch: np.ndarray, lengths, eps, beta: float):
+    """The per-step taped RVAE pass and loss: the reference for the stacked pass.
+
+    Every step projects its own input, states are lists, and the output
+    head and ``bce_sum`` run once per step. Returns (recons, mu, logvar,
+    total) with ``recons`` a list of (B, F) Tensors.
+    """
+    steps = batch.shape[1]
+    mask = None if lengths is None else models.make_mask(lengths, steps)
+
+    def run(xs, w, mask, h0=None, reverse=False):
+        h = np.zeros((batch.shape[0], w.u_r.shape[0])) if h0 is None else h0
+        states = [None] * steps
+        for t in range(steps - 1, -1, -1) if reverse else range(steps):
+            h_new = models.gru_cell(models.input_projections(xs[t], w), h, w)
+            h = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
+            states[t] = h
+        return states, h
+
+    seq = [batch[:, t, :] for t in range(steps)]
+    for layer in range(models.ENCODER_LAYERS):
+        states_f, hf = run(seq, p.enc_fwd[layer], mask)
+        states_b, hb = run(seq, p.enc_bwd[layer], mask, reverse=True)
+        seq = [ad.concat([f, b], axis=-1) for f, b in zip(states_f, states_b)]
+    fused = ad.concat([hf, hb], axis=-1)
+    mu = fused @ p.w_mu + p.b_mu
+    logvar = fused @ p.w_logvar + p.b_logvar
+    z = models.reparameterize(mu, logvar, eps)
+    seq = [np.zeros_like(batch[:, 0, :]), *(batch[:, t, :] for t in range(steps - 1))]
+    for layer in range(models.DECODER_LAYERS):
+        seq, _ = run(seq, p.dec[layer], None, h0=z @ p.zproj_w[layer] + p.zproj_b[layer])
+    recons = [ad.sigmoid(h @ p.w_out + p.b_out) for h in seq]
+    total_bce = None
+    for t, recon in enumerate(recons):
+        part = models.bce_sum(batch[:, t, :], recon, None if mask is None else mask[0][t])
+        total_bce = part if total_bce is None else total_bce + part
+    total = (total_bce + models.kl_divergence(mu, logvar) * beta) * (1.0 / batch.shape[0])
+    return recons, mu, logvar, total

@@ -69,7 +69,7 @@ def test_criterion_1_gradients_match_finite_differences():
     p = RvaeParams.init(rng, f_dim=5, hidden=4, latent=3)
     named = p.named_parameters()
     batch = rng.uniform(0.05, 0.95, size=(2, 3, 5))
-    steps = [Tensor(batch[:, t, :]) for t in range(batch.shape[1])]
+    steps = Tensor(np.moveaxis(batch, 1, 0))
 
     def encoder_loss():
         mu, logvar = models.encode(p, steps)

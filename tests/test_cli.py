@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from botdet.cli import main
-from botdet.fileio import FORMAT_VERSION
-from botdet.synth import SynthConfig, make_fixture
+from botdet.fileio import FORMAT_VERSION, read_features
+from botdet.ingest import read_dataset
+from botdet.synth import SynthConfig, make_fixture, write_scenario
 
 FAST_TRAIN = ["--epochs", "6", "--batch-size", "16", "--hidden", "10",
               "--latent", "4", "--anneal-steps", "30", "--seed", "0"]
@@ -67,6 +69,28 @@ def chain(fixture_dir, tmp_path_factory):
 def test_chain_writes_every_artifact(chain):
     for path in chain.values():
         assert path.exists(), path
+
+
+def test_each_features_file_records_its_own_split_t0(tmp_path):
+    """A test capture that starts an hour after the training one keeps its own origin."""
+    train_cfg = SynthConfig(seed=5, n_normal_hosts=3, n_botnet_hosts=1,
+                            n_background_hosts=1, n_windows=8)
+    test_cfg = replace(train_cfg, seed=6, profile="test",
+                       start_time=train_cfg.start_time + 3600.0)
+    first_flow = {}
+    for split, cfg in (("train", train_cfg), ("test", test_cfg)):
+        write_scenario(tmp_path / f"{split}.binetflow", cfg)
+        first_flow[split] = read_dataset([tmp_path / f"{split}.binetflow"])[0][0].start_time
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"scenarios": {"a": "train.binetflow", "b": "test.binetflow"}}))
+    assert main(["preprocess", "--manifest", str(tmp_path / "manifest.json"),
+                 "--train-scenarios", "a", "--test-scenarios", "b",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert first_flow["test"] >= first_flow["train"] + 3600.0
+    for split in ("train", "test"):
+        meta, rows = read_features(tmp_path / "out" / f"features-{split}.csv")
+        assert meta.t0 == first_flow[split]
+        assert min(r.window_index for r in rows) == 0
 
 
 def test_chain_writes_run_manifests(chain):

@@ -7,6 +7,7 @@ be usage errors (exit 1).
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -87,3 +88,12 @@ def test_bool_flag_and_config_resolve_alike(case, value, tmp_path):
 def test_bool_config_takes_only_json_booleans(case, value, tmp_path):
     cmd, name = case
     assert resolve(cmd, name, [], {name: value}, tmp_path) == 1
+
+
+@pytest.mark.parametrize("value,folds", [(0, 0), (2, 2), (5, 5), ("3", 3),
+                                         (1, None), (-3, None), (-1, None)])
+def test_kfold_is_off_or_at_least_two_folds(value, folds, tmp_path):
+    """0 turns k-fold off; 1 or a negative count is a usage error, not ignored."""
+    for flags, config in (([f"--kfold={value}"], None), ([], {"kfold": value})):
+        got = resolve("train", "kfold", flags, config, tmp_path)
+        assert got == 1 if folds is None else got["kfold"] == folds

@@ -12,7 +12,7 @@ from botdet import autodiff as ad
 from botdet import models as m
 from botdet.autodiff import Tensor, backward, zero_grads
 
-from helpers import bits, gradcheck
+from helpers import bits, gradcheck, per_step_rvae_loss
 
 
 def zero_all(params) -> None:
@@ -58,7 +58,7 @@ class TestEncoder:
         zero_all(p)
         p.b_mu.data[...] = [0.3, -0.2]
         p.b_logvar.data[...] = [0.1, 0.4]
-        xs = [Tensor(np.zeros((1, 3))) for _ in range(3)]
+        xs = Tensor(np.zeros((3, 1, 3)))
         mu, logvar = m.encode(p, xs)
         npt.assert_allclose(mu.data, [[0.3, -0.2]])
         npt.assert_allclose(logvar.data, [[0.1, 0.4]])
@@ -68,7 +68,7 @@ class TestEncoder:
         for fwd, bwd in zip(p.enc_fwd, p.enc_bwd):
             for k in ("w_r", "u_r", "b_r", "w_u", "u_u", "b_u", "w_h", "u_h", "b_h"):
                 getattr(bwd, k).data[...] = getattr(fwd, k).data
-        xs = [Tensor(np.random.default_rng(6).normal(size=(2, 3)))]
+        xs = Tensor(np.random.default_rng(6).normal(size=(2, 3))[None])
         states_f, hf = m.gru_pass(xs, p.enc_fwd[0])
         states_b, hb = m.gru_pass(xs, p.enc_fwd[0], reverse=True)
         npt.assert_array_equal(hf.data, hb.data)
@@ -89,7 +89,7 @@ class TestEncoder:
         _, mu_short, _ = m.rvae_forward(p, seq)
         padded = np.zeros((1, 6, 3))
         padded[:, :3, :] = seq
-        xs = [Tensor(padded[:, t, :]) for t in range(6)]
+        xs = Tensor(np.moveaxis(padded, 1, 0))
         mu_pad, _ = m.encode(p, xs, mask=m.make_mask(np.array([3]), 6))
         npt.assert_allclose(mu_pad.data, mu_short.data, rtol=1e-12)
 
@@ -258,7 +258,7 @@ class TestMlpVae:
 
         def f():
             recon, mu, lv = m.mlp_forward(p, x, eps=eps)
-            total, _, _ = m.vae_loss(x[:, None, :], [recon], mu, lv, beta=0.5)
+            total, _, _ = m.vae_loss(x[:, None, :], recon[None], mu, lv, beta=0.5)
             return total
 
         assert gradcheck(f, p.parameters()) < 1e-4
@@ -276,9 +276,8 @@ def _same_forward(taped, bare) -> None:
     recons_t, mu_t, lv_t = taped
     recons_p, mu_p, lv_p = bare
     assert isinstance(mu_t, Tensor) and mu_t._edges
-    assert all(type(x) is np.ndarray for x in (*recons_p, mu_p, lv_p))
-    assert len(recons_t) == len(recons_p)
-    for t, p in zip([*recons_t, mu_t, lv_t], [*recons_p, mu_p, lv_p]):
+    assert all(type(x) is np.ndarray for x in (recons_p, mu_p, lv_p))
+    for t, p in zip([recons_t, mu_t, lv_t], [recons_p, mu_p, lv_p]):
         assert t.shape == p.shape and bits(t) == bits(p)
 
 
@@ -297,6 +296,35 @@ def test_rvae_forward_on_plain_params_is_bit_identical(batch, steps, masked, sam
     _same_forward(taped, m.rvae_forward(m.plain(p), x, lengths, eps))
 
 
+GRAD_RTOL = 1e-10  # stacked vs per-step gradients: float reassociation only
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 4), steps=st.integers(1, 12), hidden=st.integers(1, 6),
+       masked=st.booleans(), sample=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_pass_matches_the_per_step_pass(batch, steps, hidden, masked, sample, seed):
+    """Forward bits equal; each gradient within GRAD_RTOL of its largest reference element."""
+    rng = np.random.default_rng(seed)
+    p = m.RvaeParams.init(rng, 3, hidden, 2)
+    x = rng.uniform(0, 1, size=(batch, steps, 3))
+    lengths = rng.integers(1, steps + 1, size=batch) if masked else None
+    eps = rng.standard_normal((batch, 2)) if sample else None
+    recons, mu, lv = m.rvae_forward(p, x, lengths, eps)
+    total, _, _ = m.vae_loss(x, recons, mu, lv, beta=0.5, lengths=lengths)
+    zero_grads(p.parameters())
+    backward(total)
+    grads = {k: v.grad.copy() for k, v in p.named_parameters().items()}
+    ref_recons, ref_mu, ref_lv, ref_total = per_step_rvae_loss(p, x, lengths, eps, 0.5)
+    assert recons.shape == (steps, batch, 3)
+    assert [bits(recons[t]) for t in range(steps)] == [bits(r) for r in ref_recons]
+    assert bits(mu) == bits(ref_mu) and bits(lv) == bits(ref_lv)
+    assert abs(total.item() - ref_total.item()) <= GRAD_RTOL * abs(ref_total.item())
+    zero_grads(p.parameters())
+    backward(ref_total)
+    for k, v in p.named_parameters().items():
+        assert np.max(np.abs(grads[k] - v.grad)) <= GRAD_RTOL * np.max(np.abs(v.grad)), k
+
+
 @settings(max_examples=40, deadline=None)
 @given(batch=st.integers(1, 3), hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
        sample=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -307,7 +335,7 @@ def test_mlp_forward_on_plain_params_is_bit_identical(batch, hidden, sample, see
     eps = rng.standard_normal((batch, 2)) if sample else None
     recon_t, mu_t, lv_t = m.mlp_forward(p, x, eps)
     recon_p, mu_p, lv_p = m.mlp_forward(m.plain(p), x, eps)
-    _same_forward(([recon_t], mu_t, lv_t), ([recon_p], mu_p, lv_p))
+    _same_forward((recon_t, mu_t, lv_t), (recon_p, mu_p, lv_p))
 
 
 def test_plain_shares_every_array_and_keeps_the_record_type():
