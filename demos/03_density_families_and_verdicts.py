@@ -16,6 +16,8 @@ import numpy as np
 
 from botdet.detector import FAMILIES, best_fit, classify, fit_detector, fit_family, pdf_eval, sse
 from botdet.errors import DataError
+from botdet.ingest import GroundTruth
+from botdet.scoring import ScoredWindow
 
 
 def main() -> None:
@@ -45,21 +47,18 @@ def main() -> None:
           f"pdf_botnet={det.pdf_botnet.family}, tie_rule={det.tie_rule}")
 
     print(f"\n{'score':>7s}{'p_normal':>12s}{'p_botnet':>12s}  verdict")
-    for x in (0.5, 1.5, 3.0, 5.0, 6.5, 9.0, 14.0, 80.0):
-        v = classify(x, det)
-        verdict = "Malicious" if v.malicious else "NonMalicious"
-        flag = "  (out of both supports)" if v.out_of_support else ""
-        print(f"{x:7.1f}{v.likelihood_normal:12.5f}{v.likelihood_botnet:12.5f}"
-              f"  {verdict}{flag}")
+    sweep = (0.5, 1.5, 3.0, 5.0, 6.5, 9.0, 14.0, 80.0)
+    scored = [ScoredWindow("demo", i, 0.0, GroundTruth.NORMAL, x) for i, x in enumerate(sweep)]
+    for r in classify(scored, det):  # one decision record per score
+        flag = "  (out of both supports)" if r["out_of_support"] else ""
+        print(f"{r['score']:7.1f}{r['likelihood_normal']:12.5f}{r['likelihood_botnet']:12.5f}"
+              f"  {r['verdict']}{flag}")
 
-    crossing = None
-    for x in np.linspace(0.1, 12.0, 2400):
-        if pdf_eval(det.pdf_botnet, x) > pdf_eval(det.pdf_normal, x):
-            crossing = x
-            break
-    if crossing is not None:
+    grid = np.linspace(0.1, 12.0, 2400)
+    above = pdf_eval(det.pdf_botnet, grid) > pdf_eval(det.pdf_normal, grid)
+    if above.any():
         print(f"\nimplied decision boundary (where the densities cross): "
-              f"score ~ {crossing:.2f}")
+              f"score ~ {grid[np.argmax(above)]:.2f}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ Writes ``make_fixture()`` into OUT_DIR, then runs these stages through
 ``botdet.cli.main`` with OUT_DIR as the working directory and relative
 paths: preprocess, train (--hidden 16 --latent 4 --epochs 5 --seed 0),
 score on both splits, fitpdf, detect, evaluate, stream over the test
-capture, and a 60-second sweep at the same sizes. Each stage's stdout and
+capture, and a 60-second sweep at the same sizes. An MLP leg then trains
+``--arch mlp --mlp-hidden 16,8`` on the same features, scores both splits,
+and runs fitpdf and detect on those scores. Each stage's stdout and
 stderr are kept as ``stages/<stage>.stdout`` and ``.stderr``. The script
 then prints one ``sha256  path`` line for every file under OUT_DIR: the
 captures, every artifact, every ``*.run.json`` and every stage's output.
@@ -54,6 +56,20 @@ STAGES = [
     ("stream", ["stream", "--model", "demo/model.json",
                 "--detector", "demo/detector.json", "--input", "synth-test.binetflow"]),
     ("sweep", ["sweep", *SPLITS, "--durations", "60", "--out-dir", "sweep", *SIZES]),
+    ("train-mlp", ["train", "--features", "demo/features-train.csv",
+                   "--model-out", "demo/model-mlp.json", "--arch", "mlp",
+                   "--mlp-hidden", "16,8", *SIZES]),
+    ("score-train-mlp", ["score", "--model", "demo/model-mlp.json",
+                         "--features", "demo/features-train.csv",
+                         "--scores-out", "demo/scores-train-mlp.csv"]),
+    ("score-test-mlp", ["score", "--model", "demo/model-mlp.json",
+                        "--features", "demo/features-test.csv",
+                        "--scores-out", "demo/scores-test-mlp.csv"]),
+    ("fitpdf-mlp", ["fitpdf", "--scores", "demo/scores-train-mlp.csv",
+                    "--detector-out", "demo/detector-mlp.json"]),
+    ("detect-mlp", ["detect", "--scores", "demo/scores-test-mlp.csv",
+                    "--detector", "demo/detector-mlp.json",
+                    "--decisions-out", "demo/decisions-mlp.jsonl"]),
 ]
 
 

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .detector import (
     DetectorModel,
     FittedPdf,
-    Verdict,
     best_fit,
     classify,
     fit_detector,
@@ -61,7 +60,7 @@ __all__ = [
     "build_sequences", "trailing_sequences",
     "TrainConfig", "TrainedModel", "fit_rvae", "fit_mlp",
     "ScoredWindow", "anomaly_score", "score_rows",
-    "DetectorModel", "FittedPdf", "Verdict", "best_fit", "classify",
+    "DetectorModel", "FittedPdf", "best_fit", "classify",
     "fit_detector", "fit_family", "pdf_eval",
     "MetricsReport", "roc_auc", "pr_auc", "prf", "kfold_split",
     "make_report", "report_table",

@@ -25,7 +25,7 @@ taped pass.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -315,24 +315,3 @@ def backward(loss: Tensor) -> None:
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad[...] = 0.0
-
-
-def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of ``x``.
-
-    Perturbs ``x.data`` in place one coordinate at a time, so ``f`` must
-    re-read the tensor on every call. Used as the independent check
-    against analytic gradients.
-    """
-    base = x.data.copy()
-    out = np.zeros_like(base)
-    flat = out.reshape(-1)
-    for i in range(base.size):
-        x.data.reshape(-1)[i] = base.reshape(-1)[i] + h
-        fp = float(f(x))
-        x.data.reshape(-1)[i] = base.reshape(-1)[i] - h
-        fm = float(f(x))
-        x.data.reshape(-1)[i] = base.reshape(-1)[i]
-        flat[i] = (fp - fm) / (2.0 * h)
-    x.data[...] = base
-    return out

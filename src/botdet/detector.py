@@ -8,7 +8,9 @@ family whose density best matches a 200-bin score histogram (least sum of
 squared errors) is kept. A new score is called malicious when the botnet
 density assigns it at least as much likelihood as the normal density;
 exact ties and points outside both supports default to malicious, the
-cautious choice for a detector.
+cautious choice for a detector. ``classify`` turns scored host-windows
+into their decision records, one array pass per call, for the batch and
+the streaming path alike.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from scipy.optimize import minimize
 from scipy.special import betaln, gammaln
 
 from .errors import DataError
+from .scoring import ScoredWindow
 
 log = logging.getLogger(__name__)
 
@@ -180,15 +183,13 @@ class FittedPdf:
     n_samples: int
 
 
-def pdf_eval(fit: FittedPdf, x: np.ndarray | float) -> np.ndarray | float:
-    """Density of the fitted family at ``x``; zero outside the support."""
+def pdf_eval(fit: FittedPdf, x: np.ndarray) -> np.ndarray:
+    """Density of the fitted family at each point of ``x``; zero outside the support."""
     fam = family_by_name(fit.family)
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = (arr - fit.loc) / fit.scale
+    y = (np.asarray(x, dtype=np.float64) - fit.loc) / fit.scale
     with np.errstate(all="ignore"):
         lp = fam.logpdf(y, fit.shapes)
-        dens = np.where(np.isfinite(lp), np.exp(lp) / fit.scale, 0.0)
-    return dens if np.ndim(x) else float(dens[0])
+        return np.where(np.isfinite(lp), np.exp(lp) / fit.scale, 0.0)
 
 
 # Optimizer-space packing. Shapes and scale live in log space so the
@@ -332,41 +333,30 @@ class DetectorModel:
             raise DataError(f"unknown tie rule {self.tie_rule!r}")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    malicious: bool
-    likelihood_normal: float
-    likelihood_botnet: float
-    out_of_support: bool
+def classify(scored: Sequence[ScoredWindow], det: DetectorModel) -> list[dict]:
+    """The JSON decision records of scored host-windows, in input order.
 
-
-def classify(score: float, det: DetectorModel) -> Verdict:
-    """Compare the two fitted likelihoods at one score."""
-    ln = float(pdf_eval(det.pdf_normal, score))
-    lb = float(pdf_eval(det.pdf_botnet, score))
-    out = ln == 0.0 and lb == 0.0
-    if lb > ln:
-        malicious = True
-    elif lb < ln:
-        malicious = False
-    else:
-        malicious = det.tie_rule == "malicious"
-    return Verdict(malicious=malicious, likelihood_normal=ln,
-                   likelihood_botnet=lb, out_of_support=out)
-
-
-def decision_record(src_addr: str, window_index: int, score: float,
-                    v: Verdict) -> dict:
-    """The JSON decision record of one host-window, batch and stream alike."""
-    return {
-        "src_addr": src_addr,
-        "window_index": window_index,
-        "score": score,
-        "likelihood_normal": v.likelihood_normal,
-        "likelihood_botnet": v.likelihood_botnet,
-        "verdict": "Malicious" if v.malicious else "NonMalicious",
-        "out_of_support": v.out_of_support,
-    }
+    Each density is evaluated once over the whole score array. This is the
+    only builder of decision records: ``pipeline.classify_scores`` and
+    ``run_stream`` both call it. Values stay Python types (``float``
+    likelihoods, ``bool`` ``out_of_support``), so a record goes to
+    ``json.dumps`` as it is.
+    """
+    scores = np.array([s.score for s in scored], dtype=np.float64)
+    ln = pdf_eval(det.pdf_normal, scores)
+    lb = pdf_eval(det.pdf_botnet, scores)
+    malicious = (lb > ln) | ((lb == ln) & (det.tie_rule == "malicious"))
+    out = (ln == 0.0) & (lb == 0.0)
+    return [{
+        "src_addr": s.src_addr,
+        "window_index": s.window_index,
+        "score": s.score,
+        "likelihood_normal": n,
+        "likelihood_botnet": b,
+        "verdict": "Malicious" if m else "NonMalicious",
+        "out_of_support": o,
+    } for s, n, b, m, o in zip(scored, ln.tolist(), lb.tolist(),
+                               malicious.tolist(), out.tolist())]
 
 
 def fit_detector(normal_scores: Sequence[float], botnet_scores: Sequence[float],

@@ -205,7 +205,8 @@ def encode(p: RvaeParams, seq, mask=None) -> tuple[Tensor, Tensor]:
     for layer in range(ENCODER_LAYERS):
         states_f, hf = gru_pass(seq, p.enc_fwd[layer], mask=mask)
         states_b, hb = gru_pass(seq, p.enc_bwd[layer], mask=mask, reverse=True)
-        seq = ad.concat([states_f, states_b], axis=-1)
+        if layer + 1 < ENCODER_LAYERS:  # the top layer's states are not read
+            seq = ad.concat([states_f, states_b], axis=-1)
     fused = ad.concat([hf, hb], axis=-1)
     mu = fused @ p.w_mu + p.b_mu
     logvar = fused @ p.w_logvar + p.b_logvar

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectorModel, classify, decision_record, fit_detector
+from .detector import DetectorModel, classify, fit_detector
 from .errors import DataError, UsageError
 from .features import (
     FEATURE_NAMES,
@@ -232,9 +232,7 @@ def fit_detector_from_training(scored: Sequence[ScoredWindow], *,
 def classify_scores(scored: Sequence[ScoredWindow],
                     det: DetectorModel) -> list[dict]:
     """One decision record per scored host-window, ordered by (window, host)."""
-    return [decision_record(s.src_addr, s.window_index, s.score,
-                            classify(s.score, det))
-            for s in sorted(scored, key=lambda s: (s.window_index, s.src_addr))]
+    return classify(sorted(scored, key=lambda s: (s.window_index, s.src_addr)), det)
 
 
 # --------------------------------------------------------------- evaluate

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .detector import DetectorModel, classify, decision_record
+from .detector import DetectorModel, classify
 from .features import AggBuilder, FeatureRow, rows_from_aggregates, trailing_sequences, window_index
 from .ingest import FlowRecord
 from .scoring import score_sequences
@@ -62,13 +62,12 @@ def run_stream(model: TrainedModel, det: DetectorModel,
                 context = [r for past in history for r in past] + rows
                 seqs = trailing_sequences(context, model.n_windows, model.l_max,
                                           targets=(w,))
+                scored = score_sequences(model.arch, model.params, seqs)
+                decisions = classify(sorted(scored, key=lambda s: s.src_addr), det)
                 window_end = t0 + (w + 1) * model.window_seconds
-                for s in score_sequences(model.arch, model.params, seqs):
-                    record = decision_record(s.src_addr, s.window_index, s.score,
-                                             classify(s.score, det))
-                    record["emit_latency"] = max(watermark - window_end, 0.0)
-                    decisions.append(record)
-                decisions.sort(key=lambda d: d["src_addr"])
+                latency = max(watermark - window_end, 0.0)
+                for record in decisions:
+                    record["emit_latency"] = latency
             history.append(rows)
             stats.decisions += len(decisions)
             yield from decisions

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from botdet import autodiff as ad
 from botdet import models
-from botdet.autodiff import Tensor, backward, finite_difference_grad, zero_grads
+from botdet.autodiff import Tensor, backward, zero_grads
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:
@@ -19,6 +21,27 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) 
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom))
+
+
+def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function of ``x``.
+
+    Perturbs ``x.data`` in place one coordinate at a time, so ``f`` must
+    re-read the tensor on every call. Used as the independent check
+    against analytic gradients.
+    """
+    base = x.data.copy()
+    out = np.zeros_like(base)
+    flat = out.reshape(-1)
+    for i in range(base.size):
+        x.data.reshape(-1)[i] = base.reshape(-1)[i] + h
+        fp = float(f(x))
+        x.data.reshape(-1)[i] = base.reshape(-1)[i] - h
+        fm = float(f(x))
+        x.data.reshape(-1)[i] = base.reshape(-1)[i]
+        flat[i] = (fp - fm) / (2.0 * h)
+    x.data[...] = base
+    return out
 
 
 def gradcheck(f, params: list[Tensor], h: float = 1e-5) -> float:

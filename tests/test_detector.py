@@ -1,8 +1,12 @@
 """Density families, likelihood fitting, SSE selection, and classification."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from botdet.detector import (
@@ -12,6 +16,7 @@ from botdet.detector import (
     GAMMA,
     GENLOGISTIC,
     MIELKE,
+    TIE_RULES,
     DetectorModel,
     FittedPdf,
     best_fit,
@@ -23,6 +28,8 @@ from botdet.detector import (
     sse,
 )
 from botdet.errors import DataError
+from botdet.ingest import GroundTruth
+from botdet.scoring import ScoredWindow
 
 
 def quad_mass(fit: FittedPdf, y_lo: float, y_hi: float, n: int = 400_000) -> float:
@@ -88,11 +95,12 @@ def test_pdf_eval_matches_reference_implementation():
 
 
 def test_pdf_eval_scalar_and_array_forms():
+    # The output takes the input's shape: a scalar gives a 0-d array.
     fit = FittedPdf("gamma", (2.0,), 0.0, 1.0, 0.0, 0)
     s = pdf_eval(fit, 1.0)
-    assert isinstance(s, float) and s == pytest.approx(np.exp(-1.0))
+    assert s.shape == () and s == pytest.approx(np.exp(-1.0))
     arr = pdf_eval(fit, np.array([1.0, 2.0]))
-    assert arr.shape == (2,)
+    assert arr.shape == (2,) and arr[0] == s
 
 
 def test_pdf_eval_standard_boundary_values():
@@ -241,6 +249,61 @@ def test_mielke_best_fit_selection():
     assert fit.shapes[1] == pytest.approx(4.0, rel=0.2)
 
 
+def windows(*scores: float) -> list[ScoredWindow]:
+    return [ScoredWindow(f"10.0.0.{i}", i, 0.0, GroundTruth.NORMAL, x)
+            for i, x in enumerate(scores)]
+
+
+def reference_record(s: ScoredWindow, det: DetectorModel) -> dict:
+    """The per-score rule: two one-point density calls and an if-chain."""
+    ln = float(pdf_eval(det.pdf_normal, np.array([s.score]))[0])
+    lb = float(pdf_eval(det.pdf_botnet, np.array([s.score]))[0])
+    if lb > ln:
+        malicious = True
+    elif lb < ln:
+        malicious = False
+    else:
+        malicious = det.tie_rule == "malicious"
+    return {"src_addr": s.src_addr, "window_index": s.window_index,
+            "score": s.score, "likelihood_normal": ln, "likelihood_botnet": lb,
+            "verdict": "Malicious" if malicious else "NonMalicious",
+            "out_of_support": ln == 0.0 and lb == 0.0}
+
+
+# Every family; the positive-support ones start at 0 or above, so negative
+# scores lie outside both supports of any pair drawn from them.
+CLASSIFY_FITS = [
+    FittedPdf("gamma", (2.0,), 0.0, 1.0, 0.0, 200),
+    FittedPdf("gamma", (1.0,), 1.0, 0.5, 0.0, 200),  # finite value at its loc
+    FittedPdf("genlogistic", (2.0,), 3.0, 1.5, 0.0, 200),
+    FittedPdf("foldcauchy", (3.0,), 0.5, 1.0, 0.0, 200),
+    FittedPdf("mielke", (3.0, 4.0), 0.0, 2.0, 0.0, 200),
+    FittedPdf("beta", (2.0, 3.0), 1.0, 4.0, 0.0, 200),
+]
+EDGES = [0.0, -0.0, 0.5, 1.0, 3.0, 5.0, -1.0, 1e-300, 1e300, -1e300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal=st.sampled_from(CLASSIFY_FITS), botnet=st.sampled_from(CLASSIFY_FITS),
+       tie_rule=st.sampled_from(TIE_RULES),
+       scores=st.lists(st.one_of(st.sampled_from(EDGES),
+                                 st.floats(-5.0, 20.0, allow_nan=False)), max_size=40))
+def test_classify_matches_the_per_score_rule(normal, botnet, tie_rule, scores):
+    det = DetectorModel(normal, botnet, tie_rule=tie_rule)
+    scored = windows(*scores)
+    records = classify(scored, det)
+    want = [reference_record(s, det) for s in scored]
+    assert records == want
+    for r, w, s in zip(records, want, scored):
+        for key in ("likelihood_normal", "likelihood_botnet"):
+            assert type(r[key]) is float
+            assert np.float64(r[key]).tobytes() == np.float64(w[key]).tobytes()
+        assert type(r["out_of_support"]) is bool
+        assert type(r["window_index"]) is int
+        assert r["score"] is s.score
+    json.dumps(records)  # no numpy scalar left in a record
+
+
 def _tie_detector(tie_rule="malicious"):
     pdf = FittedPdf("gamma", (2.0,), 0.0, 1.0, 0.0, 200)
     return DetectorModel(pdf_normal=pdf, pdf_botnet=pdf, tie_rule=tie_rule)
@@ -251,17 +314,17 @@ def test_classify_prefers_higher_likelihood():
         pdf_normal=FittedPdf("gamma", (2.0,), 0.0, 1.0, 0.0, 200),
         pdf_botnet=FittedPdf("gamma", (2.0,), 5.0, 1.0, 0.0, 200),
     )
-    low = classify(1.0, det)
-    assert not low.malicious and low.likelihood_botnet == 0.0
-    high = classify(7.0, det)
-    assert high.malicious and high.likelihood_normal < high.likelihood_botnet
-    assert not low.out_of_support and not high.out_of_support
+    low, high = classify(windows(1.0, 7.0), det)
+    assert low["verdict"] == "NonMalicious" and low["likelihood_botnet"] == 0.0
+    assert high["verdict"] == "Malicious"
+    assert high["likelihood_normal"] < high["likelihood_botnet"]
+    assert not low["out_of_support"] and not high["out_of_support"]
 
 
 def test_classify_tie_rule_controls_ties():
-    s = 1.7
-    assert classify(s, _tie_detector("malicious")).malicious
-    assert not classify(s, _tie_detector("benign")).malicious
+    s = windows(1.7)
+    assert classify(s, _tie_detector("malicious"))[0]["verdict"] == "Malicious"
+    assert classify(s, _tie_detector("benign"))[0]["verdict"] == "NonMalicious"
 
 
 def test_classify_out_of_support_defaults_to_malicious():
@@ -269,12 +332,12 @@ def test_classify_out_of_support_defaults_to_malicious():
         pdf_normal=FittedPdf("gamma", (2.0,), 1.0, 1.0, 0.0, 200),
         pdf_botnet=FittedPdf("gamma", (2.0,), 2.0, 1.0, 0.0, 200),
     )
-    v = classify(0.5, det)
-    assert v.out_of_support
-    assert v.likelihood_normal == 0.0 and v.likelihood_botnet == 0.0
-    assert v.malicious
+    (r,) = classify(windows(0.5), det)
+    assert r["out_of_support"]
+    assert r["likelihood_normal"] == 0.0 and r["likelihood_botnet"] == 0.0
+    assert r["verdict"] == "Malicious"
     benign_det = DetectorModel(det.pdf_normal, det.pdf_botnet, tie_rule="benign")
-    assert not classify(0.5, benign_det).malicious
+    assert classify(windows(0.5), benign_det)[0]["verdict"] == "NonMalicious"
 
 
 def test_fit_detector_separates_shifted_populations():
@@ -282,8 +345,10 @@ def test_fit_detector_separates_shifted_populations():
     normal = rng.gamma(2.0, 1.0, size=400)
     botnet = rng.gamma(2.0, 1.0, size=400) + 12.0
     det = fit_detector(normal, botnet, min_samples=100)
-    assert not classify(float(np.median(normal)), det).malicious
-    assert classify(float(np.median(botnet)), det).malicious
+    mid_normal, mid_botnet = classify(
+        windows(float(np.median(normal)), float(np.median(botnet))), det)
+    assert mid_normal["verdict"] == "NonMalicious"
+    assert mid_botnet["verdict"] == "Malicious"
     assert det.pdf_normal.n_samples == 400
 
 

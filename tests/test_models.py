@@ -94,6 +94,23 @@ class TestEncoder:
         npt.assert_allclose(mu_pad.data, mu_short.data, rtol=1e-12)
 
 
+    def test_one_encode_joins_each_lower_layer_and_the_heads_once(self, monkeypatch):
+        # The top layer's states are never read, so they are never concatenated.
+        calls, concat = [], ad.concat
+
+        def counted(parts, axis=-1):
+            calls.append(len(parts))
+            return concat(parts, axis=axis)
+
+        monkeypatch.setattr(ad, "concat", counted)
+        p = rand_rvae(seed=9)
+        xs = np.random.default_rng(10).uniform(0, 1, size=(4, 2, 3))
+        m.encode(p, xs)
+        assert len(calls) == (m.ENCODER_LAYERS - 1) + 1 == 2
+        m.encode(m.plain(p), xs)
+        assert len(calls) == 4
+
+
 class TestLatent:
     def test_eps_none_returns_mu(self):
         mu = Tensor(np.array([[1.0, 2.0]]))

@@ -3,6 +3,8 @@ from dataclasses import replace
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdet import scoring, streaming
 from botdet.features import aggregate_flows, rows_from_aggregates, trailing_sequences, window_index
@@ -255,3 +257,52 @@ def test_one_close_scores_several_equal_length_chunks_as_batch_does(fitted, monk
     assert len({d["score"] for d in streamed}) > hosts
     assert ([np.float64(d["score"]).tobytes() for d in streamed] ==
             [np.float64(d["score"]).tobytes() for d in batch])
+
+
+@st.composite
+def ordered_captures(draw):
+    """A small time-ordered capture whose first flow opens window 0 at t0 = 1000.
+
+    1-5 hosts; window gaps of up to 6; offsets from a short list, so
+    ``first_seen`` ties and flows exactly on a window boundary are common;
+    some flows repeated verbatim.
+    """
+    t0, T = 1000.0, 60.0
+    hosts = [f"10.2.0.{i}" for i in range(draw(st.integers(1, 5)))]
+    gaps = draw(st.lists(st.integers(1, 6), max_size=5))
+    windows = np.cumsum([0] + gaps).tolist()
+    flow = st.builds(
+        lambda host, offset, pkts, extra, dur, port: replace(
+            make_flow(offset, host, dst=f"198.18.0.{port}"), tot_pkts=pkts,
+            tot_bytes=pkts * 60 + extra, src_bytes=pkts * 30, duration=dur),
+        st.sampled_from(hosts), st.sampled_from([0.0, 0.5, 17.0, 59.75]),
+        st.integers(1, 40), st.integers(0, 4000),
+        st.sampled_from([0.0, 0.1, 0.2, 3.5]), st.integers(1, 3))
+    flows = [replace(draw(flow), start_time=t0)]  # opens window 0
+    for w in windows:
+        for f in draw(st.lists(flow, min_size=1, max_size=6)):
+            f = replace(f, start_time=t0 + w * T + f.start_time)
+            flows += [f] * draw(st.integers(1, 2))
+    flows.sort(key=lambda f: f.start_time)  # stable: the opening flow stays first
+    return flows
+
+
+def _bits(records):
+    return [np.float64([d["score"], d["likelihood_normal"], d["likelihood_botnet"]]).tobytes()
+            for d in records]
+
+
+@settings(max_examples=60, deadline=None)
+@given(flows=ordered_captures())
+def test_stream_equals_batch_on_drawn_captures(fitted, flows):
+    _, _, model, det = fitted
+    rows = rows_from_aggregates(aggregate_flows(flows, flows[0].start_time,
+                                                model.window_seconds),
+                                model.normalizer)
+    batch = classify_scores(score_rows(model, rows, model.feature_names), det)
+    streamed, stats = stream_decisions(model, det, flows)
+    assert stats.late_dropped == 0
+    assert [{k: v for k, v in d.items() if k != "emit_latency"} for d in streamed] == batch
+    assert _bits(streamed) == _bits(batch)
+    again, _ = stream_decisions(model, det, flows)
+    assert again == streamed and _bits(again) == _bits(streamed)
