@@ -13,7 +13,13 @@ and single-threaded, so a fixed input always gives bit-identical gradients.
 ``matmul`` takes an (..., m, n) left operand against a 2-d right one, whose
 gradient is one product over the flattened leading axes; ``take``
 (``Tensor.__getitem__``) adds its gradient in place into one zero buffer per
-operand, so taking all L steps of an (L, B, H) tensor costs O(L*B*H).
+operand.
+
+A primitive defined outside this module builds its output with ``node``.
+Its edges may share one saved record: ``backward`` runs a node's rules one
+after another with the same ``g``, so the first call can compute every
+operand's gradient and each call hand out its own (``models.gru_pass``
+does this for a whole GRU pass).
 
 Primitives also take plain arrays and scalars. An operand that is not a
 ``Tensor`` is a constant: it is read as a float64 array, never wrapped,
@@ -84,11 +90,12 @@ def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _tracked(t) -> bool:
+def tracked(t) -> bool:
+    """True for a Tensor whose gradient ``backward`` computes: a parameter or one made from it."""
     return isinstance(t, Tensor) and (t.requires_grad or bool(t._edges))
 
 
-def _node(data: np.ndarray, *edges: tuple):
+def node(data: np.ndarray, *edges: tuple):
     """A Tensor if any operand is one, keeping the edges of tracked operands; else ``data``.
 
     An edge is ``(operand, rule, saved)``: ``rule(g, saved)`` maps the
@@ -97,7 +104,7 @@ def _node(data: np.ndarray, *edges: tuple):
     if not any(isinstance(e[0], Tensor) for e in edges):
         return data
     out = Tensor(data)
-    out._edges = tuple(e for e in edges if _tracked(e[0]))
+    out._edges = tuple(e for e in edges if tracked(e[0]))
     return out
 
 
@@ -167,25 +174,25 @@ def _broadcast_op(name: str, a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
 def add(a, b):
     x, y = _data(a), _data(b)
     out = _broadcast_op("add", x, y, np.add)
-    return _node(out, (a, _unbroadcast, x.shape), (b, _unbroadcast, y.shape))
+    return node(out, (a, _unbroadcast, x.shape), (b, _unbroadcast, y.shape))
 
 
 def sub(a, b):
     x, y = _data(a), _data(b)
     out = _broadcast_op("sub", x, y, np.subtract)
-    return _node(out, (a, _unbroadcast, x.shape), (b, _unbroadcast_neg, y.shape))
+    return node(out, (a, _unbroadcast, x.shape), (b, _unbroadcast_neg, y.shape))
 
 
 def neg(a):
     x = _data(a)
-    return _node(-x, (a, _unbroadcast_neg, x.shape))
+    return node(-x, (a, _unbroadcast_neg, x.shape))
 
 
 def mul(a, b):
     x, y = _data(a), _data(b)
     out = _broadcast_op("mul", x, y, np.multiply)
-    return _node(out, (a, _unbroadcast_mul, (y, x.shape)),
-                 (b, _unbroadcast_mul, (x, y.shape)))
+    return node(out, (a, _unbroadcast_mul, (y, x.shape)),
+                (b, _unbroadcast_mul, (x, y.shape)))
 
 
 def matmul(a, b):
@@ -194,7 +201,7 @@ def matmul(a, b):
         raise ValueError(f"matmul: expects (..., m, n) @ (n, p), got {x.shape} @ {y.shape}")
     if x.shape[-1] != y.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {x.shape} @ {y.shape}")
-    return _node(x @ y, (a, _matmul_left, y), (b, _matmul_right, x))
+    return node(x @ y, (a, _matmul_left, y), (b, _matmul_right, x))
 
 
 def concat(parts: Sequence, axis: int = -1):
@@ -208,66 +215,63 @@ def concat(parts: Sequence, axis: int = -1):
         hi = lo + x.shape[axis]
         edges.append((t, _take, lead + (slice(lo, hi),)))
         lo = hi
-    return _node(out, *edges)
-
-
-def stack(parts: Sequence):
-    """Stack equal-shaped operands along a new axis 0; part i's gradient is ``g[i]``."""
-    out = np.stack([_data(t) for t in parts])
-    return _node(out, *((t, _take, i) for i, t in enumerate(parts)))
+    return node(out, *edges)
 
 
 def take(a, index):
     """``a[index]`` for a basic index: ints, slices, ``None`` and ``...``."""
-    return _node(_data(a)[index], (a, _scatter, index))
+    return node(_data(a)[index], (a, _scatter, index))
 
 
 def sigmoid(a):
     x = _data(a)
     e = np.exp(np.minimum(x, -x))  # exp(-|x|) never overflows; keeps a NaN's sign
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    return _node(out, (a, _sigmoid_grad, out))
+    return node(out, (a, _sigmoid_grad, out))
 
 
 def tanh(a):
     out = np.tanh(_data(a))
-    return _node(out, (a, _tanh_grad, out))
+    return node(out, (a, _tanh_grad, out))
 
 
 def relu(a):
     x = _data(a)
-    return _node(np.maximum(x, 0.0), (a, _relu_grad, x))
+    return node(np.maximum(x, 0.0), (a, _relu_grad, x))
 
 
 def log(a):
     x = _data(a)
-    return _node(np.log(x), (a, np.divide, x))
+    return node(np.log(x), (a, np.divide, x))
 
 
 def exp(a):
     out = np.exp(_data(a))
-    return _node(out, (a, np.multiply, out))
+    return node(out, (a, np.multiply, out))
 
 
 def clip(a, lo: float, hi: float):
     """Clamp to [lo, hi]; gradient passes through inside the interval."""
     x = _data(a)
     inside = (x >= lo) & (x <= hi)
-    return _node(np.clip(x, lo, hi), (a, np.multiply, inside))
+    return node(np.clip(x, lo, hi), (a, np.multiply, inside))
 
 
 def sum_all(a):
     """Sum every element down to a scalar."""
     x = _data(a)
-    return _node(np.asarray(x.sum()), (a, _broadcast_copy, x.shape))
+    return node(np.asarray(x.sum()), (a, _broadcast_copy, x.shape))
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable parameter.
 
-    ``loss`` must be scalar. Repeated calls keep adding into ``grad``;
-    use ``zero_grads`` between steps. Traversal order is fixed by the
-    recorded graph, so accumulation order is deterministic.
+    ``loss`` must be scalar. The walk consumes the graph: each node drops
+    its edges once their rules have run, so the arrays they saved are freed
+    as the walk proceeds, and a second call on the same graph adds nothing.
+    Parameters keep adding into ``grad`` across graphs; use ``zero_grads``
+    between steps. Traversal order is fixed by the recorded graph, so
+    accumulation order is deterministic.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -276,15 +280,15 @@ def backward(loss: Tensor) -> None:
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = stack.pop()
         if expanded:
-            topo.append(node)
+            topo.append(t)
             continue
-        if id(node) in seen:
+        if id(t) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p, _, _ in node._edges:
+        seen.add(id(t))
+        stack.append((t, True))
+        for p, _, _ in t._edges:
             if id(p) not in seen:
                 stack.append((p, False))
 
@@ -294,11 +298,12 @@ def backward(loss: Tensor) -> None:
     # written in place.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()
-    for node in reversed(topo):
-        g = grads.pop(id(node))
-        if node.requires_grad:
-            node.grad += g
-        for parent, rule, saved in node._edges:
+    while topo:
+        t = topo.pop()
+        g = grads.pop(id(t))
+        if t.requires_grad:
+            t.grad += g
+        for parent, rule, saved in t._edges:
             pg = rule(g, saved)
             key = id(parent)
             if type(pg) is tuple:  # ``take``: ``pg`` is (index, gradient of a[index])
@@ -310,6 +315,7 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+        t._edges = ()
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

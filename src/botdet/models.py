@@ -16,11 +16,16 @@ Inputs, masks and latent draws are plain arrays. The forward functions
 build a tape when given the trainable parameters and none when given
 ``plain(params)``: scoring runs the same code on the same arrays. Passes
 are time-major: a GRU pass projects its whole (L, ..., B, n) input once
-and stacks its states, and the output head and the loss read all steps
-at once. numpy runs a stacked product (..., m, n) @ (n, H) as one kernel
-call per leading index, so every step and every stacked item keeps its
-unstacked bits. A weight's gradient sums its steps in one product, so
-training differs from a per-step tape by float reassociation only.
+and writes its states into one array, and the output head and the loss
+read all steps at once. numpy runs a stacked product (..., m, n) @ (n, H)
+as one kernel call per leading index, so every step and every stacked
+item keeps its unstacked bits.
+
+A taped GRU pass is one tape node whose rule is back-propagation through
+time (Werbos, Proc. IEEE 1990) over the GRU equations of Cho et al.
+(arXiv:1406.1078). A weight's gradient sums its steps in one product, so
+training differs from a per-step tape (``tests/helpers.py``) by float
+reassociation only.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ DECODER_LAYERS = 2
 def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+GATE_PARAMS = ("w_r", "u_r", "b_r", "w_u", "u_u", "b_u", "w_h", "u_h", "b_h")
 
 
 @dataclass
@@ -72,53 +80,126 @@ class GruCellWeights:
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("w_r", "u_r", "b_r", "w_u", "u_u", "b_u", "w_h", "u_h", "b_h")}
-
-
-def input_projections(x, w: GruCellWeights) -> tuple:
-    """``(x @ w_r, x @ w_u, x @ w_h)``: what ``gru_cell`` reads of its input."""
-    return x @ w.w_r, x @ w.w_u, x @ w.w_h
-
-
-def gru_cell(xp: tuple, h_prev: Tensor, w: GruCellWeights) -> Tensor:
-    """One GRU step: gated blend of the previous state and a tanh candidate.
-
-    ``xp`` is the step's ``input_projections``; each gate adds them as
-    ``(xW + hU) + b``.
-    """
-    xr, xu, xh = xp
-    r = ad.sigmoid(xr + h_prev @ w.u_r + w.b_r)
-    u = ad.sigmoid(xu + h_prev @ w.u_u + w.b_u)
-    cand = ad.tanh(xh + (r * h_prev) @ w.u_h + w.b_h)
-    return (1.0 - u) * cand + u * h_prev
+        return {f"{prefix}.{k}": getattr(self, k) for k in GATE_PARAMS}
 
 
 def gru_pass(xs, w: GruCellWeights,
              mask: tuple[np.ndarray, np.ndarray] | None = None,
              h0: Tensor | None = None,
              reverse: bool = False):
-    """Run a GRU over time-major inputs; returns the stacked states and the final one.
+    """Run a GRU over time-major inputs; returns the (L, ..., B, H) states and the final one.
 
-    ``xs`` is the (L, ..., B, n) input and the states are (L, ..., B, H).
-    The three input projections are taken once, before the recurrence.
+    ``xs`` is the (L, ..., B, n) input. The three input projections are
+    taken once, before the recurrence, and each step's gates add them as
+    ``(xW + hU) + b``; the state is a gated blend of the previous state and
+    a tanh candidate. Each state is written into one preallocated array.
 
     ``mask`` is ``make_mask``'s (m, 1-m) pair of (L, B, 1) arrays for padded
     batches: a padded step keeps the previous state, so the final state
     equals the state at each sequence's true end regardless of padding.
     For the reverse direction the padded suffix is visited first and the
     state simply stays at h0 until real elements begin.
+
+    The pass is one tape node. Only when an operand is tracked does the
+    loop also keep each step's reset gate, update gate and candidate;
+    ``_gru_pass_grad`` then runs back-propagation through time over them
+    once, for every tracked operand.
     """
-    steps = xs.shape[0]
-    h = np.zeros((*xs.shape[1:-1], w.u_r.shape[0])) if h0 is None else h0
-    xr, xu, xh = input_projections(xs, w)
-    states = [None] * steps
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    for t in order:
-        h_new = gru_cell((xr[t], xu[t], xh[t]), h, w)
-        h = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
-        states[t] = h
-    return ad.stack(states), h
+    operands = (xs, h0, *(getattr(w, k) for k in GATE_PARAMS))
+    tracked = tuple(map(ad.tracked, operands))
+    taped = any(tracked)
+    c = plain(w)
+    x = _array(xs)
+    states = np.empty((*x.shape[:-1], c.u_r.shape[0]))
+    h = h_init = np.zeros(states.shape[1:]) if h0 is None else _array(h0)
+    xr, xu, xh = x @ c.w_r, x @ c.w_u, x @ c.w_h
+    gates = tuple(np.empty_like(states) for _ in range(3)) if taped else None
+    pre_ru = np.empty((2, *states.shape[1:]))  # one elementwise sigmoid for both gates
+    for t in _visit_order(states.shape[0], reverse):
+        np.add(xr[t] + h @ c.u_r, c.b_r, out=pre_ru[0])
+        np.add(xu[t] + h @ c.u_u, c.b_u, out=pre_ru[1])
+        r, u = ad.sigmoid(pre_ru)
+        cand = ad.tanh(xh[t] + (r * h) @ c.u_h + c.b_h)
+        h_new = (1.0 - u) * cand + u * h
+        states[t] = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
+        h = states[t]
+        if taped:
+            gates[0][t], gates[1][t], gates[2][t] = r, u, cand
+    record = {"saved": (tracked, x, c, h_init, mask, reverse, states, gates)} if taped else None
+    out = ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
+    return out, out[0 if reverse else -1]
+
+
+def _array(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _visit_order(steps: int, reverse: bool) -> range:
+    return range(steps - 1, -1, -1) if reverse else range(steps)
+
+
+def _gru_pass_grad(g, saved):
+    """One operand's gradient; the pass's first rule call runs BPTT for all of them."""
+    record, i = saved
+    if "grads" not in record:
+        record["grads"] = _bptt(g, *record.pop("saved"))
+    return record["grads"].pop(i)
+
+
+def _bptt(g, tracked, x, c, h_init, mask, reverse, states, gates):
+    """Back-propagation through time: {operand index: gradient} for the tracked operands.
+
+    ``g`` is the loss gradient of every state. Steps are visited in reverse
+    visit order, carrying ``dh``, the gradient of the state entering the
+    step; a padded step passes it through. The factors that do not depend
+    on ``dh`` are taken for all steps before the loop. The reset and update
+    gates' pre-activation gradients share one (L, ..., B, 2H) array, so a
+    step makes one product for both recurrent weights, and each weight's
+    gradient is one product over the flattened (L*...*B) axes.
+    """
+    r, u, cand = gates
+    hidden = states.shape[-1]
+    h_prev = np.empty_like(states)
+    if reverse:
+        h_prev[-1], h_prev[:-1] = h_init, states[1:]
+    else:
+        h_prev[0], h_prev[1:] = h_init, states[:-1]
+    d_cand = (1.0 - u) * (1.0 - cand * cand)
+    d_update = (h_prev - cand) * u * (1.0 - u)  # h_new = cand + u * (h_prev - cand)
+    d_reset = h_prev * r * (1.0 - r)
+    recurrent_ru = np.concatenate([c.u_r, c.u_u], axis=1).T
+    pre_ru = np.empty((*states.shape[:-1], 2 * hidden))
+    pre_h = np.empty_like(states)
+    dh = np.zeros(states.shape[1:])
+    for t in reversed(_visit_order(states.shape[0], reverse)):
+        dh = dh + g[t]
+        d_new = dh if mask is None else mask[0][t] * dh
+        np.multiply(d_new, d_cand[t], out=pre_h[t])
+        np.multiply(d_new, d_update[t], out=pre_ru[t, ..., hidden:])
+        d_rh = pre_h[t] @ c.u_h.T
+        np.multiply(d_rh, d_reset[t], out=pre_ru[t, ..., :hidden])
+        d_prev = d_new * u[t] + d_rh * r[t] + pre_ru[t] @ recurrent_ru
+        dh = d_prev if mask is None else d_prev + mask[1][t] * dh
+    grads = {}
+    if tracked[0]:
+        grads[0] = pre_ru @ np.concatenate([c.w_r, c.w_u], axis=1).T + pre_h @ c.w_h.T
+    if tracked[1]:
+        grads[1] = dh
+    if any(tracked[2:]):
+        rows_ru, rows_h = _rows(pre_ru), _rows(pre_h)
+        g_w, g_u, g_b = _rows(x).T @ rows_ru, _rows(h_prev).T @ rows_ru, rows_ru.sum(axis=0)
+        weights = {
+            "w_r": g_w[:, :hidden], "u_r": g_u[:, :hidden], "b_r": g_b[:hidden],
+            "w_u": g_w[:, hidden:], "u_u": g_u[:, hidden:], "b_u": g_b[hidden:],
+            "w_h": _rows(x).T @ rows_h, "u_h": _rows(r * h_prev).T @ rows_h,
+            "b_h": rows_h.sum(axis=0),
+        }
+        grads.update((i, weights[k]) for i, k in enumerate(GATE_PARAMS, start=2) if tracked[i])
+    return grads
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
 
 
 def make_mask(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -45,12 +45,23 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
+    """Per-epoch means of the objective, plus the pre-clip global gradient norm.
+
+    ``grad_norm_mean`` and ``grad_norm_max`` summarize the norms
+    ``clip_global_norm`` saw over the epoch's updates, and ``clipped``
+    counts the updates it scaled down.
+    """
+
     epochs: list[dict] = field(default_factory=list)
     n_updates: int = 0
 
-    def record(self, epoch: int, loss: float, bce: float, kl: float, beta: float) -> None:
+    def record(self, epoch: int, loss: float, bce: float, kl: float, beta: float,
+               grad_norms: list[float], grad_clip: float) -> None:
         self.epochs.append({"epoch": epoch, "loss": loss, "bce": bce,
-                            "kl": kl, "beta": beta})
+                            "kl": kl, "beta": beta,
+                            "grad_norm_mean": sum(grad_norms) / len(grad_norms),
+                            "grad_norm_max": max(grad_norms),
+                            "clipped": sum(n > grad_clip for n in grad_norms)})
 
     def summary(self) -> dict:
         last = self.epochs[-1] if self.epochs else {}
@@ -60,6 +71,9 @@ class TrainLog:
             "final_loss": last.get("loss"),
             "final_bce": last.get("bce"),
             "final_kl": last.get("kl"),
+            "final_grad_norm_mean": last.get("grad_norm_mean"),
+            "final_grad_norm_max": last.get("grad_norm_max"),
+            "final_clipped": last.get("clipped"),
         }
 
 
@@ -134,6 +148,7 @@ def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
         order = rng.permutation(len(items))
         sum_loss = sum_bce = sum_kl = 0.0
         n_batches = 0
+        grad_norms = []
         beta = 0.0
         for lo in range(0, len(items), cfg.batch_size):
             chosen = [items[i] for i in order[lo:lo + cfg.batch_size]]
@@ -149,7 +164,7 @@ def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
                     raise NumericError(f"non-finite loss {loss_val} at update {step}")
                 zero_grads(plist)
                 backward(total)
-                clip_global_norm(plist, cfg.grad_clip)
+                grad_norms.append(clip_global_norm(plist, cfg.grad_clip))
                 opt.step()
             except NumericError as exc:
                 _restore(params, last_good)
@@ -162,7 +177,7 @@ def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
             sum_bce += bce_mean
             sum_kl += kl_mean
         log.record(epoch, sum_loss / n_batches, sum_bce / n_batches,
-                   sum_kl / n_batches, beta)
+                   sum_kl / n_batches, beta, grad_norms, cfg.grad_clip)
         log.n_updates = step
         last_good = _snapshot(params)
     return params, log

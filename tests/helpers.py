@@ -65,8 +65,42 @@ def bits(x) -> bytes:
     return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).tobytes()
 
 
+def input_projections(x, w) -> tuple:
+    """``(x @ w_r, x @ w_u, x @ w_h)``: what ``gru_cell`` reads of its input."""
+    return x @ w.w_r, x @ w.w_u, x @ w.w_h
+
+
+def gru_cell(xp: tuple, h_prev, w):
+    """One taped GRU step: gated blend of the previous state and a tanh candidate.
+
+    ``xp`` is the step's ``input_projections``; each gate adds them as
+    ``(xW + hU) + b``, in the order ``models.gru_pass`` does.
+    """
+    xr, xu, xh = xp
+    r = ad.sigmoid(xr + h_prev @ w.u_r + w.b_r)
+    u = ad.sigmoid(xu + h_prev @ w.u_u + w.b_u)
+    cand = ad.tanh(xh + (r * h_prev) @ w.u_h + w.b_h)
+    return (1.0 - u) * cand + u * h_prev
+
+
+def per_step_gru_pass(xs, w, mask=None, h0=None, reverse=False):
+    """The per-step taped GRU pass: a list of (B, H) states and the final one.
+
+    Every step projects its own input ``xs[t]`` and runs ``gru_cell``; a
+    padded step keeps the previous state.
+    """
+    steps = len(xs)
+    h = np.zeros((*xs[0].shape[:-1], w.u_r.shape[0])) if h0 is None else h0
+    states = [None] * steps
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        h_new = gru_cell(input_projections(xs[t], w), h, w)
+        h = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
+        states[t] = h
+    return states, h
+
+
 def per_step_rvae_loss(p, batch: np.ndarray, lengths, eps, beta: float):
-    """The per-step taped RVAE pass and loss: the reference for the stacked pass.
+    """The per-step taped RVAE pass and loss: the reference for the taped pass.
 
     Every step projects its own input, states are lists, and the output
     head and ``bce_sum`` run once per step. Returns (recons, mu, logvar,
@@ -74,20 +108,10 @@ def per_step_rvae_loss(p, batch: np.ndarray, lengths, eps, beta: float):
     """
     steps = batch.shape[1]
     mask = None if lengths is None else models.make_mask(lengths, steps)
-
-    def run(xs, w, mask, h0=None, reverse=False):
-        h = np.zeros((batch.shape[0], w.u_r.shape[0])) if h0 is None else h0
-        states = [None] * steps
-        for t in range(steps - 1, -1, -1) if reverse else range(steps):
-            h_new = models.gru_cell(models.input_projections(xs[t], w), h, w)
-            h = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
-            states[t] = h
-        return states, h
-
     seq = [batch[:, t, :] for t in range(steps)]
     for layer in range(models.ENCODER_LAYERS):
-        states_f, hf = run(seq, p.enc_fwd[layer], mask)
-        states_b, hb = run(seq, p.enc_bwd[layer], mask, reverse=True)
+        states_f, hf = per_step_gru_pass(seq, p.enc_fwd[layer], mask)
+        states_b, hb = per_step_gru_pass(seq, p.enc_bwd[layer], mask, reverse=True)
         seq = [ad.concat([f, b], axis=-1) for f, b in zip(states_f, states_b)]
     fused = ad.concat([hf, hb], axis=-1)
     mu = fused @ p.w_mu + p.b_mu
@@ -95,7 +119,8 @@ def per_step_rvae_loss(p, batch: np.ndarray, lengths, eps, beta: float):
     z = models.reparameterize(mu, logvar, eps)
     seq = [np.zeros_like(batch[:, 0, :]), *(batch[:, t, :] for t in range(steps - 1))]
     for layer in range(models.DECODER_LAYERS):
-        seq, _ = run(seq, p.dec[layer], None, h0=z @ p.zproj_w[layer] + p.zproj_b[layer])
+        h0 = z @ p.zproj_w[layer] + p.zproj_b[layer]
+        seq, _ = per_step_gru_pass(seq, p.dec[layer], h0=h0)
     recons = [ad.sigmoid(h @ p.w_out + p.b_out) for h in seq]
     total_bce = None
     for t, recon in enumerate(recons):

@@ -52,19 +52,20 @@ def test_criterion_1_gradients_match_finite_differences():
     worst: dict[str, float] = {}
 
     cell = GruCellWeights.init(rng, n_in=6, n_hidden=7)
-    xs = rng.uniform(-1.0, 1.0, size=(3, 2, 6))
+    xs = Tensor(rng.uniform(-1.0, 1.0, size=(3, 2, 6)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-0.5, 0.5, size=(2, 7)), requires_grad=True)
+    mask = models.make_mask(np.array([3, 2]), 3)
 
-    def cell_loss():
-        h = Tensor(np.zeros((2, 7)))
+    def pass_loss():
         total = None
-        for t in range(xs.shape[0]):
-            xp = models.input_projections(Tensor(xs[t]), cell)
-            h = models.gru_cell(xp, h, cell)
-            s = models.ad.sum_all(h * h)
+        for reverse, m, h in ((False, None, h0), (True, mask, h0), (False, mask, None),
+                              (True, None, None)):
+            states, final = models.gru_pass(xs, cell, mask=m, h0=h, reverse=reverse)
+            s = models.ad.sum_all(states * states) + models.ad.sum_all(final * final)
             total = s if total is None else total + s
         return total
 
-    worst["gru_cell"] = gradcheck(cell_loss, list(cell.named("cell").values()))
+    worst["gru_pass"] = gradcheck(pass_loss, [*cell.named("cell").values(), xs, h0])
 
     p = RvaeParams.init(rng, f_dim=5, hidden=4, latent=3)
     named = p.named_parameters()

@@ -12,7 +12,8 @@ from botdet import autodiff as ad
 from botdet import models as m
 from botdet.autodiff import Tensor, backward, zero_grads
 
-from helpers import bits, gradcheck, per_step_rvae_loss
+from helpers import (bits, gradcheck, gru_cell, input_projections, per_step_gru_pass,
+                     per_step_rvae_loss)
 
 
 def zero_all(params) -> None:
@@ -29,17 +30,19 @@ class TestGruCell:
         w = m.GruCellWeights.init(np.random.default_rng(0), 3, 4)
         zero_all([t for t in w.named("x").values()])
         h0 = Tensor(np.full((1, 4), 0.8))
-        out = m.gru_cell(m.input_projections(Tensor(np.zeros((1, 3))), w), h0, w)
+        states, out = m.gru_pass(np.zeros((1, 1, 3)), w, h0=h0)
         npt.assert_allclose(out.data, 0.4)  # u = sigmoid(0) = 0.5, cand = 0
+        assert bits(states[0]) == bits(out)
 
     def test_zero_everything_stays_zero(self):
         w = m.GruCellWeights.init(np.random.default_rng(0), 3, 4)
         zero_all(list(w.named("x").values()))
-        x = Tensor(np.zeros((2, 3)))
-        out = m.gru_cell(m.input_projections(x, w), Tensor(np.zeros((2, 4))), w)
+        states, out = m.gru_pass(Tensor(np.zeros((5, 2, 3))), w, reverse=True)
+        npt.assert_array_equal(states.data, np.zeros((5, 2, 4)))
         npt.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_gradcheck_cell(self):
+        """The per-step reference cell itself agrees with finite differences."""
         rng = np.random.default_rng(3)
         w = m.GruCellWeights.init(rng, 3, 4)
         x = Tensor(rng.normal(size=(2, 3)))
@@ -47,7 +50,7 @@ class TestGruCell:
         params = list(w.named("c").values())
 
         def f():
-            return ad.sum_all(ad.tanh(m.gru_cell(m.input_projections(x, w), h0, w)))
+            return ad.sum_all(ad.tanh(gru_cell(input_projections(x, w), h0, w)))
 
         assert gradcheck(f, params) < 1e-4
 
@@ -313,18 +316,30 @@ def test_rvae_forward_on_plain_params_is_bit_identical(batch, steps, masked, sam
     _same_forward(taped, m.rvae_forward(m.plain(p), x, lengths, eps))
 
 
-GRAD_RTOL = 1e-10  # stacked vs per-step gradients: float reassociation only
+GRAD_RTOL = 1e-10  # one-node BPTT vs per-step gradients: float reassociation only
+
+
+def _lengths(steps):
+    """Per-sequence lengths in 1..steps; the ends 1 and steps are drawn often."""
+    return st.integers(1, steps) | st.sampled_from([1, steps])
+
+
+def _close(grad, ref) -> bool:
+    return np.max(np.abs(grad - ref)) <= GRAD_RTOL * np.max(np.abs(ref))
 
 
 @settings(max_examples=60, deadline=None)
-@given(batch=st.integers(1, 4), steps=st.integers(1, 12), hidden=st.integers(1, 6),
-       masked=st.booleans(), sample=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_stacked_pass_matches_the_per_step_pass(batch, steps, hidden, masked, sample, seed):
+@given(data=st.data(), batch=st.integers(1, 4), steps=st.integers(1, 12),
+       hidden=st.integers(1, 6), masked=st.booleans(), sample=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_pass_matches_the_per_step_pass(data, batch, steps, hidden, masked, sample,
+                                                seed):
     """Forward bits equal; each gradient within GRAD_RTOL of its largest reference element."""
     rng = np.random.default_rng(seed)
     p = m.RvaeParams.init(rng, 3, hidden, 2)
     x = rng.uniform(0, 1, size=(batch, steps, 3))
-    lengths = rng.integers(1, steps + 1, size=batch) if masked else None
+    lengths = np.array(data.draw(st.lists(_lengths(steps), min_size=batch,
+                                          max_size=batch))) if masked else None
     eps = rng.standard_normal((batch, 2)) if sample else None
     recons, mu, lv = m.rvae_forward(p, x, lengths, eps)
     total, _, _ = m.vae_loss(x, recons, mu, lv, beta=0.5, lengths=lengths)
@@ -339,7 +354,47 @@ def test_stacked_pass_matches_the_per_step_pass(batch, steps, hidden, masked, sa
     zero_grads(p.parameters())
     backward(ref_total)
     for k, v in p.named_parameters().items():
-        assert np.max(np.abs(grads[k] - v.grad)) <= GRAD_RTOL * np.max(np.abs(v.grad)), k
+        assert _close(grads[k], v.grad), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), batch=st.integers(1, 4), steps=st.integers(1, 10),
+       n_in=st.integers(1, 5), hidden=st.integers(1, 6), masked=st.booleans(),
+       reverse=st.booleans(), with_h0=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gru_pass_gradients_of_xs_and_h0_match_the_per_step_pass(
+        data, batch, steps, n_in, hidden, masked, reverse, with_h0, seed):
+    """One pass with tracked ``xs`` and ``h0`` against the per-step reference, under any mask."""
+    rng = np.random.default_rng(seed)
+    w = m.GruCellWeights.init(rng, n_in, hidden)
+    lengths = np.array(data.draw(st.lists(_lengths(steps), min_size=batch, max_size=batch)))
+    mask = m.make_mask(lengths, steps) if masked else None
+    xs0 = rng.normal(size=(steps, batch, n_in))
+    h00 = rng.normal(size=(batch, hidden)) if with_h0 else None
+    g_states = rng.normal(size=(steps, batch, hidden))
+    g_final = rng.normal(size=(batch, hidden))
+    runs = []
+    for per_step in (False, True):
+        xs = Tensor(xs0.copy(), requires_grad=True)
+        h0 = None if h00 is None else Tensor(h00.copy(), requires_grad=True)
+        zero_grads(list(w.named("c").values()))
+        if per_step:
+            states, final = per_step_gru_pass([xs[t] for t in range(steps)], w, mask, h0,
+                                              reverse)
+            states = ad.concat([s_t[None] for s_t in states], axis=0)
+        else:
+            states, final = m.gru_pass(xs, w, mask, h0, reverse)
+        loss = ad.sum_all(states * g_states) + ad.sum_all(final * g_final)
+        backward(loss)
+        grads = {k: v.grad.copy() for k, v in w.named("c").items()}
+        grads["xs"] = xs.grad
+        if h0 is not None:
+            grads["h0"] = h0.grad
+        runs.append((bits(states), bits(final), grads))
+    (states, final, grads), (ref_states, ref_final, ref_grads) = runs
+    assert states == ref_states and final == ref_final
+    assert grads.keys() == ref_grads.keys()
+    for k, ref in ref_grads.items():
+        assert _close(grads[k], ref), k
 
 
 @settings(max_examples=40, deadline=None)

@@ -61,6 +61,26 @@ class TestFitRvae:
         with pytest.raises(ValueError):
             train.fit_rvae([], 6, small_cfg())
 
+    def test_log_keeps_the_pre_clip_gradient_norms(self, monkeypatch):
+        norms, clip = [], train.clip_global_norm
+
+        def seen(params, max_norm):
+            norms.append(clip(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(train, "clip_global_norm", seen)
+        _, log = train.fit_rvae(tiny_sequences(n=10), 6, small_cfg(epochs=3, grad_clip=2.0))
+        per_epoch = [norms[i:i + 3] for i in range(0, 9, 3)]
+        assert len(norms) == 9 and 0 < sum(n > 2.0 for n in norms) < 9
+        for entry, epoch in zip(log.epochs, per_epoch):
+            assert entry["grad_norm_mean"] == sum(epoch) / 3
+            assert entry["grad_norm_max"] == max(epoch)
+            assert entry["clipped"] == sum(n > 2.0 for n in epoch)
+        summary = log.summary()
+        assert summary["final_grad_norm_mean"] == log.epochs[-1]["grad_norm_mean"]
+        assert summary["final_grad_norm_max"] == log.epochs[-1]["grad_norm_max"]
+        assert summary["final_clipped"] == log.epochs[-1]["clipped"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_last_good(self):
         with pytest.raises(TrainingAborted) as exc:
