@@ -7,7 +7,10 @@ Writes ``make_fixture()`` into OUT_DIR, then runs these stages through
 ``botdet.cli.main`` with OUT_DIR as the working directory and relative
 paths: preprocess, train (--hidden 16 --latent 4 --epochs 5 --seed 0),
 score on both splits, fitpdf, detect, evaluate, stream over the test
-capture, and a 60-second sweep at the same sizes. An MLP leg then trains
+capture, stream again over ``synth-test-late.binetflow`` (the test capture
+with the two rows of every 37th data-row pair swapped, so a pair that
+straddles a window boundary gives a flow that is dropped as late), and a
+60-second sweep at the same sizes. An MLP leg then trains
 ``--arch mlp --mlp-hidden 16,8`` on the same features, scores both splits,
 and runs fitpdf and detect on those scores. Each stage's stdout and
 stderr are kept as ``stages/<stage>.stdout`` and ``.stderr``. The script
@@ -55,6 +58,9 @@ STAGES = [
                   "--report-out", "demo/report.json"]),
     ("stream", ["stream", "--model", "demo/model.json",
                 "--detector", "demo/detector.json", "--input", "synth-test.binetflow"]),
+    ("stream-late", ["stream", "--model", "demo/model.json",
+                     "--detector", "demo/detector.json",
+                     "--input", "synth-test-late.binetflow"]),
     ("sweep", ["sweep", *SPLITS, "--durations", "60", "--out-dir", "sweep", *SIZES]),
     ("train-mlp", ["train", "--features", "demo/features-train.csv",
                    "--model-out", "demo/model-mlp.json", "--arch", "mlp",
@@ -71,11 +77,21 @@ STAGES = [
                     "--detector", "demo/detector-mlp.json",
                     "--decisions-out", "demo/decisions-mlp.jsonl"]),
 ]
+SWAP_EVERY = 37  # the late copy swaps every 37th pair of data rows
+
+
+def write_swapped(src: Path, dst: Path, every: int) -> None:
+    """Copy a capture with the two rows of every ``every``-th data-row pair swapped."""
+    header, *rows = src.read_text().splitlines(keepends=True)
+    for i in range(2 * every - 2, len(rows) - 1, 2 * every):
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    dst.write_text(header + "".join(rows))
 
 
 def run(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    make_fixture(out_dir)
+    fixture = make_fixture(out_dir)
+    write_swapped(fixture["test"], out_dir / "synth-test-late.binetflow", SWAP_EVERY)
     os.chdir(out_dir)
     Path("stages").mkdir(exist_ok=True)
     for name, argv in STAGES:

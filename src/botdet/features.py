@@ -4,9 +4,9 @@ Flows are bucketed by source address into fixed-duration windows counted
 from the first flow's timestamp. Each (host, window) bucket becomes one
 ``FeatureRow`` of 25 raw values in FEATURE_NAMES order: connection and
 uniqueness counts, byte/packet/duration sums, protocol/state/service
-category counts, and distinct-value counts. ``AggBuilder`` adds each flow
-straight into that row's columns, for the batch and the streaming path
-alike. The rows are then min-max scaled to [0,1] with statistics fitted
+category counts, and distinct-value counts. ``aggregate_flows`` builds
+these rows for the batch and the streaming path alike; its ``AggBuilder``
+adds each flow straight into a row's columns. The rows are then min-max scaled to [0,1] with statistics fitted
 on the training split, and chained into model-ready sequences.
 """
 
@@ -133,9 +133,9 @@ class AggBuilder:
     """Incremental accumulator behind a (host, window) row.
 
     ``counts`` holds the features in FEATURE_NAMES order; every flow adds
-    to its count, sum and category columns. Shared by the batch
-    preprocessor and the streaming detector so both produce identical
-    rows from identical flows.
+    to its count, sum and category columns. Only ``aggregate_flows``
+    creates builders; the batch preprocessor and the streaming detector
+    both call it, so both produce identical rows from identical flows.
     """
 
     __slots__ = ("src_addr", "window_index", "first_seen", "label", "counts",

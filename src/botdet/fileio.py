@@ -252,8 +252,7 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
         "arch": model.arch,
         "config": {
             "f_dim": model.params.f_dim,
-            "hidden": (model.params.hidden if isinstance(model.params, RvaeParams)
-                       else list(model.params.hidden)),
+            "hidden": model.params.hidden,
             "latent": model.params.latent,
             "l_max": model.l_max,
             "window_seconds": model.window_seconds,
@@ -278,6 +277,10 @@ def load_model(path: str | Path) -> TrainedModel:
 def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
     arch = payload["arch"]
     cfg = payload["config"]
+    names = tuple(payload["feature_names"])
+    if int(cfg["f_dim"]) != len(names):
+        raise DataError(f"{p}: config.f_dim {cfg['f_dim']} does not match "
+                        f"the {len(names)} feature names")
     rng = np.random.default_rng(0)  # placeholder init, overwritten below
     if arch == "rvae":
         params = RvaeParams.init(rng, int(cfg["f_dim"]), int(cfg["hidden"]),
@@ -302,7 +305,6 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
                             f"expected {tensor.data.shape}")
         _check_finite(arr, f"parameter {name}", p)
         tensor.data = arr
-    names = tuple(payload["feature_names"])
     return TrainedModel(arch=arch, params=params, feature_names=names,
                         normalizer=_normalizer_from_payload(payload["normalizer"],
                                                             names, p),

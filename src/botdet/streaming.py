@@ -1,20 +1,25 @@
 """On-line detection over a time-ordered flow stream with bounded state.
 
-The loop keeps open aggregates for the current window plus the rows of
-the previous N-1 closed windows, nothing else. A flow whose timestamp
-crosses into a later window acts as the watermark: every window up to
-that point is closed, scored inside its trailing N-window context, and
-classified. The sequence construction is the same code the batch path
-uses, so identical flows give identical verdicts.
+Window 0 starts at the first flow's timestamp. An in-order filter counts
+and drops every flow whose window is below the open one; the flows it
+passes are grouped by window, and each group is aggregated by the
+batch's own ``aggregate_flows``. The first flow of a later window ends a
+group and so acts as the watermark: the closed window is scored inside
+its trailing N-window context and classified. The context is built by
+the batch's ``trailing_sequences``, so identical flows give identical
+verdicts. Between closes the loop holds the open window's aggregates and
+the rows of the previous N-1 windows, nothing else.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator
 
 from .detector import DetectorModel, classify
-from .features import AggBuilder, FeatureRow, rows_from_aggregates, trailing_sequences, window_index
+from .errors import DataError
+from .features import (FEATURE_NAMES, FeatureRow, aggregate_flows, rows_from_aggregates,
+                       trailing_sequences, window_index)
 from .ingest import FlowRecord
 from .scoring import score_sequences
 from .train import TrainedModel
@@ -33,72 +38,58 @@ def run_stream(model: TrainedModel, det: DetectorModel,
                ) -> tuple[Iterator[dict], StreamStats]:
     """Decision-record generator plus live counters.
 
-    Window 0 starts at the first flow's timestamp. Decisions for window w
-    are emitted when the first flow of a later window arrives (or at end
-    of input); missing history windows contribute no sequence elements,
-    so decisions flow from the first window boundary onward. Flows older
-    than the current open window are counted and dropped.
+    Decisions for window w are emitted when the first flow of a later
+    window arrives, or at end of input. Empty windows close with no
+    decisions, and missing history windows contribute no sequence
+    elements. A flow whose window is below the open one, which includes
+    any flow older than the first, is counted and dropped.
 
-    emit_latency is measured on the data clock: the watermark timestamp
-    that closed the window minus the window's end time. The end-of-input
-    flush has no later flow to act as watermark, so its latency is
-    clamped to 0.
+    emit_latency is measured on the data clock: the time of the last
+    in-order flow read when window w closes, minus the window's end time,
+    clamped to 0. That flow is the watermark that closed the window; at
+    end of input it is the window's own last flow, which gives 0.
+
+    Raises DataError before reading any flow when the model's feature
+    layout is not FEATURE_NAMES, the one ``aggregate_flows`` builds.
     """
+    if tuple(model.feature_names) != FEATURE_NAMES:
+        raise DataError(
+            "feature layout mismatch between the stream's aggregation and the model: "
+            f"{list(FEATURE_NAMES)[:3]}... vs {list(model.feature_names)[:3]}...")
     stats = StreamStats()
+    T, N = model.window_seconds, model.n_windows
 
     def gen() -> Iterator[dict]:
         t0: float | None = None
-        current_w = 0
-        builders: dict[str, AggBuilder] = {}
-        history: deque[list[FeatureRow]] = deque(maxlen=max(model.n_windows - 1, 0))
+        last = 0.0
+        open_w = 0
 
-        def flush(w: int, watermark: float) -> Iterator[dict]:
-            rows = rows_from_aggregates([b.finalize() for b in builders.values()],
-                                        model.normalizer)
-            builders.clear()
-            stats.windows_closed += 1
-            decisions: list[dict] = []
-            if rows:
-                context = [r for past in history for r in past] + rows
-                seqs = trailing_sequences(context, model.n_windows, model.l_max,
-                                          targets=(w,))
-                scored = score_sequences(model.arch, model.params, seqs)
-                decisions = classify(sorted(scored, key=lambda s: s.src_addr), det)
-                window_end = t0 + (w + 1) * model.window_seconds
-                latency = max(watermark - window_end, 0.0)
-                for record in decisions:
-                    record["emit_latency"] = latency
-            history.append(rows)
+        def in_order() -> Iterator[FlowRecord]:
+            nonlocal t0, last, open_w
+            for flow in flows:
+                stats.flows_in += 1
+                if t0 is None:
+                    t0 = flow.start_time
+                w = int((flow.start_time - t0) // T)
+                if w < open_w:
+                    stats.late_dropped += 1
+                    continue
+                open_w, last = w, flow.start_time
+                yield flow
+
+        history: list[FeatureRow] = []
+        for w, group in groupby(in_order(), key=lambda f: window_index(f.start_time, t0, T)):
+            rows = rows_from_aggregates(aggregate_flows(group, t0, T), model.normalizer)
+            history = [r for r in history if r.window_index > w - N] + rows
+            seqs = trailing_sequences(history, N, model.l_max, targets=(w,))
+            scored = score_sequences(model.arch, model.params, seqs)
+            decisions = classify(sorted(scored, key=lambda s: s.src_addr), det)
+            # aggregate_flows has drained the group, so ``last`` is the watermark
+            latency = max(last - (t0 + (w + 1) * T), 0.0)
+            for record in decisions:
+                record["emit_latency"] = latency
+            stats.windows_closed = w + 1
             stats.decisions += len(decisions)
             yield from decisions
-
-        last_time: float | None = None
-        for flow in flows:
-            stats.flows_in += 1
-            if t0 is None:
-                t0 = flow.start_time
-            if flow.start_time < t0:
-                stats.late_dropped += 1
-                continue
-            w = window_index(flow.start_time, t0, model.window_seconds)
-            if w < current_w:
-                stats.late_dropped += 1
-                continue
-            if w > current_w:
-                yield from flush(current_w, flow.start_time)
-                # The windows in between are empty: they close with no
-                # decisions, and only the last N-1 of them stay in history.
-                skipped = w - current_w - 1
-                stats.windows_closed += skipped
-                history.extend([[]] * min(skipped, history.maxlen))
-                current_w = w
-            b = builders.get(flow.src_addr)
-            if b is None:
-                b = builders[flow.src_addr] = AggBuilder(flow.src_addr, w)
-            b.add(flow)
-            last_time = flow.start_time
-
-        if t0 is not None and last_time is not None:
-            yield from flush(current_w, last_time)
 
     return gen(), stats

@@ -477,6 +477,33 @@ def test_stream_with_non_finite_model_number_writes_nothing(chain, fixture_dir, 
     assert f"data error: {path}: " in captured.err and "non-finite" in captured.err
 
 
+def _swap_first_and_fifth_names(payload):
+    names = payload["feature_names"]
+    names[0], names[4] = names[4], names[0]
+    return payload
+
+
+def _drop_last_feature(payload):
+    payload["feature_names"] = payload["feature_names"][:-1]
+    for key in ("min", "max", "log1p"):
+        payload["normalizer"][key] = payload["normalizer"][key][:-1]
+    return payload
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_swap_first_and_fifth_names, "feature layout mismatch"),
+    (_drop_last_feature, "config.f_dim 25 does not match the 24 feature names"),
+], ids=["swapped", "short"])
+def test_stream_refuses_a_model_with_a_foreign_feature_layout(chain, fixture_dir, tmp_path,
+                                                              capsys, edit, message):
+    path = _doctored(chain, tmp_path, "model", edit)
+    assert main(["stream", "--model", str(path), "--detector", str(chain["detector"]),
+                 "--input", str(fixture_dir["test"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and message in captured.err
+
+
 def test_train_on_features_with_l_max_zero_is_a_data_error(chain, tmp_path, capsys):
     path = _doctored(chain, tmp_path, "features", lambda header: {**header, "l_max": 0})
     assert main(["train", "--features", str(path), "--model-out",

@@ -177,6 +177,20 @@ def test_model_loader_rejects_mismatches(tmp_path):
         load_model(tmp_path / "nope.json")
 
 
+def test_model_loader_rejects_f_dim_that_differs_from_feature_names(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, _trained_model())
+    bad = json.loads(path.read_text())
+    bad["feature_names"] = bad["feature_names"][:24]
+    for key in ("min", "max", "log1p"):
+        bad["normalizer"][key] = bad["normalizer"][key][:24]
+    doctored = tmp_path / "f_dim.json"
+    doctored.write_text(json.dumps(bad))
+    with pytest.raises(DataError, match=f"{doctored}: config.f_dim 25 does not match "
+                                        "the 24 feature names"):
+        load_model(doctored)
+
+
 def test_detector_roundtrip(tmp_path):
     det = DetectorModel(
         pdf_normal=FittedPdf("gamma", (2.25,), 0.1, 1.5, 0.003, 400),

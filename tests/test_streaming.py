@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botdet import scoring, streaming
-from botdet.features import aggregate_flows, rows_from_aggregates, trailing_sequences, window_index
+from botdet.errors import DataError
+from botdet.features import FEATURE_NAMES, aggregate_flows, rows_from_aggregates, trailing_sequences, window_index
 from botdet.ingest import FlowRecord, iter_flows
 from botdet.pipeline import (
     classify_scores,
@@ -60,6 +61,23 @@ def test_empty_input_no_output(fitted):
     assert stats.flows_in == 0
     assert stats.windows_closed == 0
     assert stats.late_dropped == 0
+
+
+@pytest.mark.parametrize("names", [
+    (FEATURE_NAMES[4], *FEATURE_NAMES[1:4], FEATURE_NAMES[0], *FEATURE_NAMES[5:]),
+    FEATURE_NAMES[:24],
+], ids=["swapped", "short"])
+def test_foreign_feature_layout_is_refused_before_any_flow(fitted, names):
+    _, _, model, det = fitted
+    pulled = []
+
+    def source():
+        pulled.append(1)
+        yield make_flow(1000.0, "10.1.1.1")
+
+    with pytest.raises(DataError, match="feature layout mismatch"):
+        run_stream(replace(model, feature_names=names), det, source())
+    assert pulled == []
 
 
 def test_stream_matches_batch_verdicts_exactly(fitted):
@@ -293,8 +311,8 @@ def _bits(records):
 
 
 @settings(max_examples=60, deadline=None)
-@given(flows=ordered_captures())
-def test_stream_equals_batch_on_drawn_captures(fitted, flows):
+@given(flows=ordered_captures(), data=st.data())
+def test_stream_equals_batch_on_drawn_captures(fitted, flows, data):
     _, _, model, det = fitted
     rows = rows_from_aggregates(aggregate_flows(flows, flows[0].start_time,
                                                 model.window_seconds),
@@ -306,3 +324,28 @@ def test_stream_equals_batch_on_drawn_captures(fitted, flows):
     assert _bits(streamed) == _bits(batch)
     again, _ = stream_decisions(model, det, flows)
     assert again == streamed and _bits(again) == _bits(streamed)
+
+    # Late flows: each is inserted after flows[i - 1] and dated before that
+    # flow's window opened, so it is dropped and nothing else changes.
+    t0, T, N = flows[0].start_time, model.window_seconds, model.n_windows
+    late = data.draw(st.lists(st.tuples(
+        st.integers(1, len(flows)), st.sampled_from([0.25, 17.0, 60.0, 61.0, 200.0]),
+        st.sampled_from(flows)), max_size=4))
+    noisy = list(flows)
+    for i, back, f in sorted(late, key=lambda x: x[0], reverse=True):
+        opened = t0 + window_index(flows[i - 1].start_time, t0, T) * T
+        noisy.insert(i, replace(f, start_time=opened - back))
+    contexts = []
+
+    def recorded(rows, n_windows, l_max, targets):
+        contexts.append((targets, sorted({r.window_index for r in rows})))
+        return trailing_sequences(rows, n_windows, l_max, targets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streaming, "trailing_sequences", recorded)
+        late_streamed, late_stats = stream_decisions(model, det, noisy)
+    assert late_stats.late_dropped == len(late)
+    assert late_streamed == streamed and _bits(late_streamed) == _bits(streamed)
+    assert [w for (w,), _ in contexts] == sorted({r.window_index for r in rows})
+    for (w,), windows in contexts:
+        assert all(w - N < x <= w for x in windows), (w, windows)
