@@ -13,9 +13,15 @@ straddles a window boundary gives a flow that is dropped as late), and a
 60-second sweep at the same sizes. An MLP leg then trains
 ``--arch mlp --mlp-hidden 16,8`` on the same features, scores both splits,
 and runs fitpdf and detect on those scores. Each stage's stdout and
-stderr are kept as ``stages/<stage>.stdout`` and ``.stderr``. The script
-then prints one ``sha256  path`` line for every file under OUT_DIR: the
-captures, every artifact, every ``*.run.json`` and every stage's output.
+stderr are kept as ``stages/<stage>.stdout`` and ``.stderr``. An ``ingest``
+stage first writes ``synth-test-odd-times.binetflow``, the test capture
+with every 11th StartTime rewritten into a form that strptime still reads
+(3 fraction digits, no fraction, or an unpadded hour, in turn), reads both
+test captures with ``iter_flows``, and keeps in ``stages/ingest.stdout``
+one line per capture: the sha256 of the ``float.hex`` of every parsed
+start time, and the parsed and bad row counts. The script then prints one
+``sha256  path`` line for every file under OUT_DIR: the captures, every
+artifact, every ``*.run.json`` and every stage's output.
 
 botdet is imported from the first place on the path, so the same script
 checks another checkout with ``PYTHONPATH=<checkout>/src``: two runs whose
@@ -33,6 +39,7 @@ from pathlib import Path
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))  # after PYTHONPATH
 
 from botdet.cli import main
+from botdet.ingest import IngestStats, iter_flows
 from botdet.synth import make_fixture
 
 SIZES = ["--hidden", "16", "--latent", "4", "--epochs", "5", "--seed", "0"]
@@ -78,6 +85,14 @@ STAGES = [
                     "--decisions-out", "demo/decisions-mlp.jsonl"]),
 ]
 SWAP_EVERY = 37  # the late copy swaps every 37th pair of data rows
+ODD_EVERY = 11  # the odd-times copy rewrites every 11th StartTime
+# Valid StartTime forms other than YYYY/MM/DD HH:MM:SS.ffffff; the test
+# capture's hours are 09, so the last one always unpads.
+ODD_FORMS = (
+    lambda t: t[:23],                                   # 3 fraction digits
+    lambda t: t[:19],                                   # no fraction
+    lambda t: t[:11] + str(int(t[11:13])) + t[13:],     # unpadded hour
+)
 
 
 def write_swapped(src: Path, dst: Path, every: int) -> None:
@@ -88,12 +103,34 @@ def write_swapped(src: Path, dst: Path, every: int) -> None:
     dst.write_text(header + "".join(rows))
 
 
+def write_odd_times(src: Path, dst: Path, every: int) -> None:
+    """Copy a capture with every ``every``-th StartTime in the next of ODD_FORMS."""
+    header, *rows = src.read_text().splitlines(keepends=True)
+    for k, i in enumerate(range(every - 1, len(rows), every)):
+        start, rest = rows[i].split(",", 1)
+        rows[i] = ODD_FORMS[k % len(ODD_FORMS)](start) + "," + rest
+    dst.write_text(header + "".join(rows))
+
+
+def start_time_digest(path: Path) -> str:
+    """sha256 of every parsed start time's float.hex, with the parsed and bad row counts."""
+    stats = IngestStats()
+    digest = hashlib.sha256()
+    for rec in iter_flows(path, stats=stats):
+        digest.update(f"{rec.start_time.hex()}\n".encode())
+    return f"{digest.hexdigest()}  parsed={stats.parsed} bad={stats.errors}  {path.as_posix()}"
+
+
 def run(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fixture = make_fixture(out_dir)
     write_swapped(fixture["test"], out_dir / "synth-test-late.binetflow", SWAP_EVERY)
+    write_odd_times(fixture["test"], out_dir / "synth-test-odd-times.binetflow", ODD_EVERY)
     os.chdir(out_dir)
     Path("stages").mkdir(exist_ok=True)
+    Path("stages/ingest.stdout").write_text("".join(
+        start_time_digest(Path(name)) + "\n"
+        for name in ("synth-test.binetflow", "synth-test-odd-times.binetflow")))
     for name, argv in STAGES:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

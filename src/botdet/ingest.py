@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
+import operator
+import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -95,7 +98,21 @@ class FlowRecord:
         return GroundTruth.from_label(self.label_raw)
 
 
-def parse_timestamp(text: str) -> float:
+# The exact capture form YYYY/MM/DD HH:MM:SS[.ffffff], in ASCII digits only:
+# strptime also reads other Unicode digits, which must take its path.
+_CANONICAL_TIME = re.compile(
+    r"[0-9]{4}/[0-9]{2}/[0-9]{2} ([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]{6}))?")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+@functools.lru_cache(maxsize=4096)
+def _day_seconds(day: str) -> int:
+    """Epoch seconds at 00:00 UTC of a canonical YYYY/MM/DD; ValueError if no such date."""
+    return (date(int(day[:4]), int(day[5:7]), int(day[8:10])).toordinal()
+            - _EPOCH_ORDINAL) * 86400
+
+
+def _strptime_timestamp(text: str) -> float:
     try:
         dt = datetime.strptime(text, TIME_FORMAT)
     except ValueError:
@@ -103,42 +120,68 @@ def parse_timestamp(text: str) -> float:
     return dt.replace(tzinfo=timezone.utc).timestamp()
 
 
+def parse_timestamp(text: str) -> float:
+    """Epoch seconds of a capture timestamp read as UTC, as strptime reads it.
+
+    The canonical form is computed directly: whole microseconds divided by
+    10**6 once, in Python ints, which is what aware datetime.timestamp()
+    does, so the bits are the same. Any other text (unpadded fields, 1-5
+    fraction digits, runs of whitespace), an hour, minute or second out of
+    range, or a date that does not exist goes through strptime, which also
+    raises every ValueError.
+    """
+    m = _CANONICAL_TIME.fullmatch(text)
+    if m is not None:
+        hh, mm, ss, frac = m.groups()
+        h, mi, s = int(hh), int(mm), int(ss)
+        if h <= 23 and mi <= 59 and s <= 59:
+            try:
+                day = _day_seconds(text[:10])
+            except ValueError:
+                pass
+            else:
+                us = int(frac) if frac else 0
+                return ((day + h * 3600 + mi * 60 + s) * 1_000_000 + us) / 1_000_000
+    return _strptime_timestamp(text)
+
+
 def format_timestamp(t: float) -> str:
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime(TIME_FORMAT)
+
+
+def _row_error(path: str, line_no: int, msg: str) -> ParseError:
+    return ParseError(f"{path}:{line_no}: {msg}", path, line_no)
 
 
 def parse_flow(values: Sequence[str], path: str = "", line_no: int = 0) -> FlowRecord:
     """Build a validated FlowRecord from one row's values in REQUIRED_COLUMNS order."""
     (start_text, dur, proto, src_addr, src_port, direction, dst_addr, dst_port,
      state, pkts, nbytes, src_nbytes, label) = values
-
-    def bad(msg: str) -> ParseError:
-        return ParseError(f"{path}:{line_no}: {msg}", path=path, line_no=line_no)
-
     try:
         start = parse_timestamp(start_text)
     except ValueError as exc:
-        raise bad(f"bad StartTime {start_text!r}") from exc
+        raise _row_error(path, line_no, f"bad StartTime {start_text!r}") from exc
     try:
         duration = float(dur)
         tot_pkts = int(pkts)
         tot_bytes = int(nbytes)
         src_bytes = int(src_nbytes)
     except ValueError as exc:
-        raise bad("non-numeric Dur/TotPkts/TotBytes/SrcBytes") from exc
+        raise _row_error(path, line_no, "non-numeric Dur/TotPkts/TotBytes/SrcBytes") from exc
 
     if not math.isfinite(duration):
-        raise bad(f"non-finite duration {duration}")
+        raise _row_error(path, line_no, f"non-finite duration {duration}")
     if duration < 0:
-        raise bad(f"negative duration {duration}")
+        raise _row_error(path, line_no, f"negative duration {duration}")
     if tot_pkts < 0:
-        raise bad(f"negative TotPkts {tot_pkts}")
+        raise _row_error(path, line_no, f"negative TotPkts {tot_pkts}")
     if not 0 <= src_bytes <= tot_bytes:
-        raise bad(f"byte counts violate 0 <= SrcBytes <= TotBytes ({src_bytes}, {tot_bytes})")
+        raise _row_error(path, line_no, "byte counts violate 0 <= SrcBytes <= TotBytes "
+                         f"({src_bytes}, {tot_bytes})")
     proto = proto.strip().lower()
     src_addr, dst_addr = src_addr.strip(), dst_addr.strip()
     if not src_addr or not dst_addr:
-        raise bad("missing SrcAddr/DstAddr")
+        raise _row_error(path, line_no, "missing SrcAddr/DstAddr")
     dst_port = dst_port.strip()
     return FlowRecord(start, duration, proto, src_addr, src_port.strip(),
                       direction.strip(), dst_addr, dst_port, state.strip(),
@@ -218,10 +261,7 @@ def iter_flows(path: str | Path, strict: bool = False,
         missing = [c for c in REQUIRED_COLUMNS if c not in columns]
         if missing:
             raise DataError(f"{path}: missing required columns {missing}")
-        picks = [columns[c] for c in REQUIRED_COLUMNS]
-
-        def bad(msg: str) -> ParseError:
-            return ParseError(f"{name}:{reader.line_num}: {msg}", name, reader.line_num)
+        pick = operator.itemgetter(*(columns[c] for c in REQUIRED_COLUMNS))
 
         while True:
             try:
@@ -231,14 +271,15 @@ def iter_flows(path: str | Path, strict: bool = False,
                 if not row:
                     continue
                 if len(row) < len(header):
-                    raise bad(f"row has {len(row)} fields, the header {len(header)}")
+                    raise _row_error(name, reader.line_num,
+                                     f"row has {len(row)} fields, the header {len(header)}")
                 try:
                     "".join(row).encode()
                 except UnicodeEncodeError:
-                    raise bad("not UTF-8 text") from None
-                rec = parse_flow([row[i] for i in picks], name, reader.line_num)
+                    raise _row_error(name, reader.line_num, "not UTF-8 text") from None
+                rec = parse_flow(pick(row), name, reader.line_num)
             except csv.Error as exc:
-                err = bad(f"unreadable row ({exc})")
+                err = _row_error(name, reader.line_num, f"unreadable row ({exc})")
             except ParseError as exc:
                 err = exc
             else:

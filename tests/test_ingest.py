@@ -1,10 +1,10 @@
-"""Flow CSV parsing: field handling, labels, lenient/strict modes, merge order."""
+"""Flow CSV parsing: field handling, labels, lenient/strict modes, merge order, timestamps."""
 
 import csv
 import math
 import string
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from botdet import ingest
 from botdet.errors import DataError, ParseError
 from botdet.ingest import FlowRecord, GroundTruth
+from botdet.synth import make_fixture
 
 HEADER = "StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,TotPkts,TotBytes,SrcBytes,Label"
 
@@ -366,3 +367,137 @@ def test_iter_flows_matches_the_dictreader_path(tmp_path, capture):
     out = tmp_path / "back.csv"
     ingest.write_flows_csv(out, got)
     assert list(ingest.iter_flows(out)) == got
+
+
+# ------------------------------------------------------ timestamps: strptime oracle
+
+def _strptime_reference(text):
+    """Epoch seconds as strptime reads a capture timestamp, with or without a fraction."""
+    try:
+        dt = datetime.strptime(text, "%Y/%m/%d %H:%M:%S.%f")
+    except ValueError:
+        dt = datetime.strptime(text, "%Y/%m/%d %H:%M:%S")
+    return dt.replace(tzinfo=timezone.utc).timestamp()
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).hex()
+    except ValueError:
+        return ValueError
+
+
+_ANY_WHEN = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999))
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _canonical(when, frac=True):
+    text = (f"{when.year:04d}/{when.month:02d}/{when.day:02d} "
+            f"{when.hour:02d}:{when.minute:02d}:{when.second:02d}")
+    return text + f".{when.microsecond:06d}" if frac else text
+
+
+@st.composite
+def canonical_timestamps(draw):
+    return _canonical(draw(_ANY_WHEN), draw(st.booleans()))
+
+
+@st.composite
+def odd_timestamps(draw):
+    """Forms strptime reads that the capture writer never emits, one or more per text."""
+    when = draw(_ANY_WHEN)
+    odd = draw(st.sets(st.sampled_from(["unpadded", "short fraction", "whitespace",
+                                        "trailing", "full width"]), min_size=1))
+    if "unpadded" in odd:
+        when = when.replace(hour=when.hour % 10)
+        pads = [draw(st.booleans()) for _ in range(6)]
+        pads[3] = False
+    else:
+        pads = [True] * 6
+    fields = [when.year, when.month, when.day, when.hour, when.minute, when.second]
+    y, mo, d, h, mi, s = (f"{v:0{width}d}" if pad else str(v)
+                          for v, width, pad in zip(fields, [4, 2, 2, 2, 2, 2], pads))
+    sep = draw(st.sampled_from(["  ", "\t", " \t"])) if "whitespace" in odd else " "
+    text = f"{y}/{mo}/{d}{sep}{h}:{mi}:{s}"
+    digits = draw(st.integers(1, 5)) if "short fraction" in odd else draw(st.sampled_from([0, 6]))
+    if digits:
+        text += "." + f"{when.microsecond:06d}"[:digits]
+    if "full width" in odd:
+        at = draw(st.sets(st.sampled_from([i for i, c in enumerate(text) if c.isdigit()]),
+                          min_size=1))
+        text = "".join(c.translate(_FULL_WIDTH) if i in at else c for i, c in enumerate(text))
+    if "trailing" in odd:
+        text += draw(st.sampled_from([" ", "\t", "\n"]))
+    return text
+
+
+@st.composite
+def impossible_timestamps(draw):
+    when = draw(_ANY_WHEN)
+    year = draw(st.integers(1, 9999).filter(lambda y: y % 4 or (y % 100 == 0 and y % 400)))
+    good = _canonical(when, draw(st.booleans()))
+    return draw(st.sampled_from([
+        f"{year:04d}/02/29" + good[10:],  # Feb 29 in a non-leap year
+        good[:5] + "13" + good[7:],       # month 13
+        good[:5] + "00" + good[7:],       # month 0
+        good[:8] + "32" + good[10:],      # day 32
+        good[:11] + "24" + good[13:],     # 24:00
+        good[:14] + "60" + good[16:],     # minute 60
+        good[:17] + "60" + good[19:],     # second 60
+        "0000" + good[4:],                # year 0
+    ]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(canonical_timestamps(), odd_timestamps(), impossible_timestamps()))
+def test_parse_timestamp_matches_strptime(text):
+    assert _outcome(ingest.parse_timestamp, text) == _outcome(_strptime_reference, text)
+
+
+def test_parse_timestamp_known_values():
+    assert ingest.parse_timestamp("1970/01/01 00:00:00") == 0.0
+    assert ingest.parse_timestamp("2011/08/10 09:46:53.047277") == 1312969613.047277
+    assert ingest.parse_timestamp("1969/12/31 23:59:59.999999") == -1e-06
+    assert ingest.parse_timestamp("2011/8/10 9:46:53.5") == 1312969613.5  # strptime's path
+    for text in ("2011/02/29 00:00:00", "2011/08/10 24:00:00", "2011/08/10 00:00:60",
+                 "0000/01/01 00:00:00", "2011/08/10T09:46:53", ""):
+        with pytest.raises(ValueError):
+            ingest.parse_timestamp(text)
+
+
+def test_non_ascii_digits_take_the_strptime_path(monkeypatch):
+    # strptime reads full-width digits in the date and time but not in the
+    # fraction; int() reads them everywhere, so only the path taken tells.
+    seen, fallback = [], ingest._strptime_timestamp
+    monkeypatch.setattr(ingest, "_strptime_timestamp",
+                        lambda text: seen.append(text) or fallback(text))
+    year, frac = "２０１１/08/10 09:46:53.047277", "2011/08/10 09:46:53.04727７"
+    assert ingest.parse_timestamp(year) == 1312969613.047277
+    with pytest.raises(ValueError):
+        ingest.parse_timestamp(frac)
+    assert seen == [year, frac]
+
+
+def test_fixture_captures_take_the_fast_path(tmp_path, monkeypatch):
+    # strptime would give the same bits, only slower; nothing else would notice.
+    fx = make_fixture(tmp_path)
+
+    def no_fallback(text):
+        raise AssertionError(f"{text!r} left the fast path")
+
+    monkeypatch.setattr(ingest, "_strptime_timestamp", no_fallback)
+    flows, stats = ingest.read_dataset([fx["train"], fx["test"]])
+    assert stats.errors == 0
+    assert len(flows) == stats.parsed > 100_000
+
+
+def test_day_cache_stays_within_its_bound():
+    cache = ingest._day_seconds
+    bound = cache.cache_info().maxsize
+    assert bound is not None
+    cache.cache_clear()
+    for day in range(bound + 500):
+        ingest.parse_timestamp(_canonical(datetime.fromordinal(700_000 + day)))
+    info = cache.cache_info()
+    assert info.misses == bound + 500
+    assert info.currsize == bound
