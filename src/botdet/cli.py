@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -149,12 +148,6 @@ _WINDOW_OPTS: dict[str, Opt] = {
     "l_max": Opt(128, _as_count, help="max elements per sequence"),
     "log1p": Opt(False, _as_bool),
     "strict": Opt(False, _as_bool),
-}
-
-# Every subcommand takes it; botdet's log records at or above it go to stderr.
-_LOG_OPTS: dict[str, Opt] = {
-    "log_level": Opt("WARNING", _cast("a log level name", str.upper, str),
-                     choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")),
 }
 
 _IDS = _listed(_as_id)
@@ -363,27 +356,6 @@ def cmd_stream(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- logging
-
-class _StderrHandler(logging.StreamHandler):
-    """Bare messages to whatever sys.stderr is when a record arrives, as lastResort writes them."""
-
-    def __init__(self):
-        logging.Handler.__init__(self)
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-def _configure_logging(level: str) -> None:
-    """Route the botdet loggers to stderr at ``level``; a repeated call only resets the level."""
-    logger = logging.getLogger("botdet")
-    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
-        logger.addHandler(_StderrHandler())
-    logger.setLevel(level)
-
-
 # ----------------------------------------------------------------- parser
 
 def _add_opts(sub: argparse.ArgumentParser, spec: dict[str, Opt]) -> None:
@@ -406,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="subcommand")
 
     def sub(name, func, spec, help_):
-        spec = {**spec, **_LOG_OPTS}
         p = subs.add_parser(name, help=help_)
         _add_opts(p, spec)
         p.set_defaults(func=func, _spec=spec)
@@ -482,7 +453,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "func", None) is None:
             raise UsageError("missing subcommand (see --help)")
         _finalize(args)
-        _configure_logging(args.log_level)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

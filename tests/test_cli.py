@@ -294,27 +294,6 @@ def test_sweep_single_duration(fixture_dir, tmp_path, capsys):
     assert "T=60s" in capsys.readouterr().out
 
 
-def test_sweep_log_level_info_shows_the_sweep_lines(fixture_dir, tmp_path, monkeypatch,
-                                                     capsys):
-    argv = ["sweep", "--manifest", str(fixture_dir["manifest"]),
-            "--train-scenarios", "synth-train", "--test-scenarios", "synth-test",
-            "--durations", "60", "--out-dir", "sweep",
-            *FAST_TRAIN, "--min-samples", "30", "--bins", "40"]
-    runs = {}
-    for level in ("default", "INFO"):
-        (tmp_path / level).mkdir()
-        monkeypatch.chdir(tmp_path / level)
-        assert main(argv + (["--log-level", level] if level != "default" else [])) == 0
-        runs[level] = capsys.readouterr(), Path("sweep/sweep.run.json").read_bytes()
-    (default_out, default_manifest), (info_out, info_manifest) = runs.values()
-    assert "sweep T=" not in default_out.err
-    # One line: the default run's handler is reused, not stacked.
-    (line,) = [line for line in info_out.err.splitlines() if "sweep T=" in line]
-    assert line.startswith("sweep T=60s: auroc=")
-    assert info_out.out == default_out.out
-    assert info_manifest == default_manifest
-
-
 def _config(tmp_path, payload) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
