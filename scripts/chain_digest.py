@@ -18,8 +18,9 @@ stage first writes ``synth-test-odd-times.binetflow``, the test capture
 with every 11th StartTime rewritten into a form that strptime still reads
 (3 fraction digits, no fraction, or an unpadded hour, in turn), reads both
 test captures with ``iter_flows``, and keeps in ``stages/ingest.stdout``
-one line per capture: the sha256 of the ``float.hex`` of every parsed
-start time, and the parsed and bad row counts. The script then prints one
+one line per capture: the sha256 of every field of every parsed record
+(floats as ``float.hex``, the rest as text, in FlowRecord field order),
+and the parsed and bad row counts. The script then prints one
 ``sha256  path`` line for every file under OUT_DIR: the captures, every
 artifact, every ``*.run.json`` and every stage's output.
 
@@ -84,6 +85,11 @@ STAGES = [
                     "--detector", "demo/detector-mlp.json",
                     "--decisions-out", "demo/decisions-mlp.jsonl"]),
 ]
+# FlowRecord's fields in order, named here so the digest reads any record type
+RECORD_FIELDS = (
+    "start_time", "duration", "proto", "src_addr", "src_port", "direction", "dst_addr",
+    "dst_port", "state", "service", "tot_pkts", "tot_bytes", "src_bytes", "label_raw",
+)
 SWAP_EVERY = 37  # the late copy swaps every 37th pair of data rows
 ODD_EVERY = 11  # the odd-times copy rewrites every 11th StartTime
 # Valid StartTime forms other than YYYY/MM/DD HH:MM:SS.ffffff; the test
@@ -112,12 +118,18 @@ def write_odd_times(src: Path, dst: Path, every: int) -> None:
     dst.write_text(header + "".join(rows))
 
 
-def start_time_digest(path: Path) -> str:
-    """sha256 of every parsed start time's float.hex, with the parsed and bad row counts."""
+def record_digest(path: Path) -> str:
+    """sha256 of every parsed record's fields, with the parsed and bad row counts.
+
+    Each record is one line of its RECORD_FIELDS, tab-separated: floats as
+    ``float.hex``, the rest as text.
+    """
     stats = IngestStats()
     digest = hashlib.sha256()
     for rec in iter_flows(path, stats=stats):
-        digest.update(f"{rec.start_time.hex()}\n".encode())
+        values = (getattr(rec, name) for name in RECORD_FIELDS)
+        digest.update(("\t".join(v.hex() if isinstance(v, float) else str(v)
+                                 for v in values) + "\n").encode())
     return f"{digest.hexdigest()}  parsed={stats.parsed} bad={stats.errors}  {path.as_posix()}"
 
 
@@ -129,7 +141,7 @@ def run(out_dir: Path) -> int:
     os.chdir(out_dir)
     Path("stages").mkdir(exist_ok=True)
     Path("stages/ingest.stdout").write_text("".join(
-        start_time_digest(Path(name)) + "\n"
+        record_digest(Path(name)) + "\n"
         for name in ("synth-test.binetflow", "synth-test-odd-times.binetflow")))
     for name, argv in STAGES:
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -45,15 +45,25 @@ class Family:
     guesses: Callable[[np.ndarray], list[tuple[tuple[float, ...], float, float]]]
 
 
+def _on_support(y, ok, logpdf):
+    """``logpdf`` where ``ok`` holds and -inf elsewhere.
+
+    When every point is inside the support the mask is skipped; the
+    elementwise formula gives the same bits on the whole array.
+    """
+    if ok.all():
+        return logpdf(y)
+    out = np.full_like(y, -np.inf)
+    out[ok] = logpdf(y[ok])
+    return out
+
+
 def _gamma_logpdf(y, shapes):
     (a,) = shapes
-    out = np.full_like(y, -np.inf)
-    ok = y > 0
-    yo = y[ok]
-    out[ok] = (a - 1.0) * np.log(yo) - yo - gammaln(a)
+    lp = _on_support(y, y > 0, lambda v: (a - 1.0) * np.log(v) - v - gammaln(a))
     if a == 1.0:  # exponential: finite boundary value at y = 0
-        out[y == 0] = -gammaln(a)
-    return out
+        lp = np.where(y == 0, -gammaln(a), lp)
+    return lp
 
 
 def _genlogistic_logpdf(y, shapes):
@@ -64,30 +74,23 @@ def _genlogistic_logpdf(y, shapes):
 
 def _foldcauchy_logpdf(y, shapes):
     (c,) = shapes
-    out = np.full_like(y, -np.inf)
-    ok = y >= 0
-    yo = y[ok]
-    dens = (1.0 / (1.0 + (yo - c) ** 2) + 1.0 / (1.0 + (yo + c) ** 2)) / np.pi
-    out[ok] = np.log(dens)
-    return out
+    return _on_support(y, y >= 0, lambda v: np.log(
+        (1.0 / (1.0 + (v - c) ** 2) + 1.0 / (1.0 + (v + c) ** 2)) / np.pi))
 
 
 def _mielke_logpdf(y, shapes):
     k, s = shapes
-    out = np.full_like(y, -np.inf)
-    ok = y > 0
-    ly = np.log(y[ok])
-    out[ok] = np.log(k) + (k - 1.0) * ly - (1.0 + k / s) * np.logaddexp(0.0, s * ly)
-    return out
+
+    def inside(v):
+        lv = np.log(v)
+        return np.log(k) + (k - 1.0) * lv - (1.0 + k / s) * np.logaddexp(0.0, s * lv)
+    return _on_support(y, y > 0, inside)
 
 
 def _beta_logpdf(y, shapes):
     a, b = shapes
-    out = np.full_like(y, -np.inf)
-    ok = (y > 0) & (y < 1)
-    yo = y[ok]
-    out[ok] = (a - 1.0) * np.log(yo) + (b - 1.0) * np.log1p(-yo) - betaln(a, b)
-    return out
+    return _on_support(y, (y > 0) & (y < 1), lambda v: (
+        (a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - betaln(a, b)))
 
 
 def _spread(x: np.ndarray) -> float:
@@ -197,17 +200,17 @@ def pdf_eval(fit: FittedPdf, x: np.ndarray) -> np.ndarray:
 # bounded-below supports so every sample stays inside the support.
 
 def _unpack(fam: Family, vec: np.ndarray, lo: float, hi: float):
-    with np.errstate(over="ignore"):  # inf maps to the simplex penalty
-        shapes = tuple(float(np.exp(v)) for v in vec[: fam.n_shapes])
-        rest = vec[fam.n_shapes:]
-        if fam.support == "real":
-            loc, scale = float(rest[0]), float(np.exp(rest[1]))
-        elif fam.support == "positive":
-            loc, scale = lo - float(np.exp(rest[0])), float(np.exp(rest[1]))
-        else:  # unit: [loc, loc+scale] must cover [lo, hi]
-            m1, m2 = np.exp(rest[0]), np.exp(rest[1])
-            loc = lo - float(m1)
-            scale = (hi - lo) + float(m1) + float(m2)
+    n = fam.n_shapes
+    e = np.exp(vec).tolist()  # an overflow to inf maps to the simplex penalty
+    shapes = tuple(e[:n])
+    if fam.support == "real":
+        loc, scale = float(vec[n]), e[n + 1]
+    elif fam.support == "positive":
+        loc, scale = lo - e[n], e[n + 1]
+    else:  # unit: [loc, loc+scale] must cover [lo, hi]
+        m1, m2 = e[n], e[n + 1]
+        loc = lo - m1
+        scale = (hi - lo) + m1 + m2
     return shapes, loc, scale
 
 
@@ -245,24 +248,24 @@ def fit_family(fam: Family, samples: np.ndarray, min_samples: int = 100) -> Fitt
         shapes, loc, scale = _unpack(fam, vec, lo, hi)
         if not math.isfinite(scale) or scale <= 0:
             return _BIG
-        with np.errstate(all="ignore"):
-            y = (x - loc) / scale
-            lp = fam.logpdf(y, shapes)
-            total = float(np.sum(lp)) - x.size * math.log(scale)
+        lp = fam.logpdf((x - loc) / scale, shapes)
+        total = float(lp.sum()) - x.size * math.log(scale)
         return -total if math.isfinite(total) else _BIG
 
     best_vec, best_val = None, math.inf
-    for shapes, loc, scale in fam.guesses(x):
-        vec0 = _pack(fam, shapes, loc, scale, lo, hi)
-        if not math.isfinite(nll(vec0)):
-            continue
-        res = minimize(nll, vec0, method="Nelder-Mead",
-                       options={"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-6})
-        if res.fun < best_val:
-            best_vec, best_val = res.x, res.fun
-    if best_vec is None or best_val >= _BIG:
-        raise DataError(f"fit_family: no finite likelihood found for {fam.name}")
-    shapes, loc, scale = _unpack(fam, best_vec, lo, hi)
+    guesses = fam.guesses(x)
+    with np.errstate(all="ignore"):  # overflow and log(0) map to the simplex penalty
+        for shapes, loc, scale in guesses:
+            vec0 = _pack(fam, shapes, loc, scale, lo, hi)
+            if not math.isfinite(nll(vec0)):
+                continue
+            res = minimize(nll, vec0, method="Nelder-Mead",
+                           options={"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-6})
+            if res.fun < best_val:
+                best_vec, best_val = res.x, res.fun
+        if best_vec is None or best_val >= _BIG:
+            raise DataError(f"fit_family: no finite likelihood found for {fam.name}")
+        shapes, loc, scale = _unpack(fam, best_vec, lo, hi)
     return FittedPdf(family=fam.name, shapes=shapes, loc=loc, scale=scale,
                      sse=float("nan"), n_samples=x.size)
 

@@ -12,6 +12,7 @@ on the training split, and chained into model-ready sequences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence as Seq
 
@@ -123,6 +124,15 @@ _DUR_COL = _IDX["sum_dur"]
 _PROTO_COLS = _columns("proto", PROTO_CATEGORIES)
 _STATE_COLS = _columns("state", STATE_CATEGORIES)
 _SERVICE_COLS = _columns("service", SERVICE_CATEGORIES)
+
+
+@functools.lru_cache(maxsize=4096)
+def _category_columns(proto: str, state: str, service: str) -> tuple[int, int, int, str]:
+    """A flow's proto, state and service columns, and its lowercased proto."""
+    return (_PROTO_COLS[proto_category(proto)], _STATE_COLS[state_category(state)],
+            _SERVICE_COLS[service], proto.lower())
+
+
 # filled from the builder's sets, in the order finalize lists them
 _DISTINCT_COLS = [_IDX[n] for n in (
     "n_unique_dst_addrs", "n_unique_dst_ports", "n_unique_src_ports",
@@ -156,23 +166,27 @@ class AggBuilder:
         self.services: set[str] = set()
 
     def add(self, flow: FlowRecord) -> None:
+        (start, dur, proto, _, src_port, _, dst_addr, dst_port, state, service,
+         pkts, nbytes, _, label_raw) = flow
+        proto_col, state_col, service_col, proto_low = _category_columns(proto, state, service)
         counts = self.counts
         counts[_N_COL] += 1
-        counts[_BYTES_COL] += flow.tot_bytes
-        counts[_PKTS_COL] += flow.tot_pkts
-        counts[_DUR_COL] += flow.duration
-        counts[_PROTO_COLS[proto_category(flow.proto)]] += 1
-        counts[_STATE_COLS[state_category(flow.state)]] += 1
-        counts[_SERVICE_COLS[flow.service]] += 1
-        self.first_seen = min(self.first_seen, flow.start_time)
-        self.dst_addrs.add(flow.dst_addr)
-        self.dst_ports.add(flow.dst_port)
-        self.src_ports.add(flow.src_port)
-        self.protos.add(flow.proto.lower())
-        self.states.add(flow.state)
-        self.services.add(flow.service)
+        counts[_BYTES_COL] += nbytes
+        counts[_PKTS_COL] += pkts
+        counts[_DUR_COL] += dur  # in flow order: a float sum's bits depend on it
+        counts[proto_col] += 1
+        counts[state_col] += 1
+        counts[service_col] += 1
+        if start < self.first_seen:
+            self.first_seen = start
+        self.dst_addrs.add(dst_addr)
+        self.dst_ports.add(dst_port)
+        self.src_ports.add(src_port)
+        self.protos.add(proto_low)
+        self.states.add(state)
+        self.services.add(service)
         # any botnet flow makes the window botnet, else any normal flow normal
-        label = flow.label
+        label = GroundTruth.from_label(label_raw)
         if label is GroundTruth.BOTNET or (label is GroundTruth.NORMAL
                                            and self.label is GroundTruth.BACKGROUND):
             self.label = label

@@ -319,10 +319,25 @@ def _pdf_payload(fit: FittedPdf) -> dict:
             "scale": fit.scale, "sse": fit.sse, "n": fit.n_samples}
 
 
-def _pdf_from_payload(entry: dict) -> FittedPdf:
-    family_by_name(entry["family"])  # validates the name
-    return FittedPdf(family=entry["family"], shapes=tuple(entry["params"]),
-                     loc=float(entry["loc"]), scale=float(entry["scale"]),
+def _pdf_from_payload(entry: dict, name: str, path: Path) -> FittedPdf:
+    """A fitted density that its family can evaluate.
+
+    A params list of the wrong length, a shape or scale that is not finite
+    and positive, or a loc that is not finite is refused here; otherwise
+    it gives a traceback or wrong verdicts with exit 0 at detect time.
+    """
+    fam = family_by_name(entry["family"])
+    shapes = tuple(float(v) for v in entry["params"])
+    loc, scale = float(entry["loc"]), float(entry["scale"])
+    if len(shapes) != fam.n_shapes:
+        raise DataError(f"{path}: {name} family {fam.name} takes {fam.n_shapes} "
+                        f"shape parameter(s), params holds {len(shapes)}")
+    if not all(math.isfinite(v) and v > 0 for v in (*shapes, scale)):
+        raise DataError(f"{path}: {name} shapes and scale must be finite and > 0, "
+                        f"got params={list(shapes)} scale={scale}")
+    if not math.isfinite(loc):
+        raise DataError(f"{path}: {name} loc must be finite, got {loc}")
+    return FittedPdf(family=fam.name, shapes=shapes, loc=loc, scale=scale,
                      sse=float(entry["sse"]), n_samples=int(entry["n"]))
 
 
@@ -344,12 +359,16 @@ def load_detector(path: str | Path) -> DetectorModel:
 
 
 def _detector_from_payload(payload: dict, path: Path) -> DetectorModel:
+    bins, min_samples = int(payload["bins"]), int(payload["min_samples"])
+    if bins < 1 or min_samples < 1:
+        raise DataError(f"{path}: bins and min_samples must be >= 1, "
+                        f"got bins={bins} min_samples={min_samples}")
     return DetectorModel(
-        pdf_normal=_pdf_from_payload(payload["pdf_normal"]),
-        pdf_botnet=_pdf_from_payload(payload["pdf_botnet"]),
+        pdf_normal=_pdf_from_payload(payload["pdf_normal"], "pdf_normal", path),
+        pdf_botnet=_pdf_from_payload(payload["pdf_botnet"], "pdf_botnet", path),
         tie_rule=payload["tie_rule"],
-        bins=int(payload["bins"]),
-        min_samples=int(payload["min_samples"]),
+        bins=bins,
+        min_samples=min_samples,
     )
 
 

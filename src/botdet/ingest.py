@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DataError, ParseError
 
@@ -39,6 +39,7 @@ class GroundTruth(enum.Enum):
     BOTNET = "Botnet"
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)
     def from_label(cls, label_raw: str) -> "GroundTruth":
         low = label_raw.lower()
         if "botnet" in low:
@@ -76,8 +77,13 @@ def service_of(proto: str, dst_port: str) -> str:
     return _SERVICE_TABLE.get((num, proto.lower()), "other")
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
+    """One parsed capture row: a tuple, so building one is a single allocation.
+
+    It is immutable, hashes as its field tuple, and equals only another
+    FlowRecord with equal fields, never a plain tuple.
+    """
+
     start_time: float  # epoch seconds (capture timestamps read as UTC)
     duration: float
     proto: str
@@ -96,6 +102,14 @@ class FlowRecord:
     @property
     def label(self) -> GroundTruth:
         return GroundTruth.from_label(self.label_raw)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FlowRecord and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 # The exact capture form YYYY/MM/DD HH:MM:SS[.ffffff], in ASCII digits only:
@@ -305,5 +319,5 @@ def read_dataset(paths: Sequence[str | Path], strict: bool = False
     """
     stats = IngestStats()
     flows = [f for p in paths for f in iter_flows(p, strict=strict, stats=stats)]
-    flows.sort(key=lambda r: r.start_time)
+    flows.sort(key=operator.itemgetter(0))  # start_time
     return flows, stats

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import betaln, gammaln
 
 from botdet import autodiff as ad
-from botdet import models
+from botdet import detector, models
 from botdet.autodiff import Tensor, backward, zero_grads
+from botdet.detector import Family, FittedPdf
+from botdet.errors import DataError
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:
@@ -128,3 +133,102 @@ def per_step_rvae_loss(p, batch: np.ndarray, lengths, eps, beta: float):
         total_bce = part if total_bce is None else total_bce + part
     total = (total_bce + models.kl_divergence(mu, logvar) * beta) * (1.0 / batch.shape[0])
     return recons, mu, logvar, total
+
+
+# The density fit as it was before its likelihood loop was trimmed: every
+# logpdf masks its support, ``_unpack`` calls np.exp per element, and each
+# NLL call enters its own errstate. The trimmed fit must match it bit for bit.
+
+def _masked_gamma_logpdf(y, shapes):
+    (a,) = shapes
+    out = np.full_like(y, -np.inf)
+    ok = y > 0
+    yo = y[ok]
+    out[ok] = (a - 1.0) * np.log(yo) - yo - gammaln(a)
+    if a == 1.0:
+        out[y == 0] = -gammaln(a)
+    return out
+
+
+def _masked_foldcauchy_logpdf(y, shapes):
+    (c,) = shapes
+    out = np.full_like(y, -np.inf)
+    ok = y >= 0
+    yo = y[ok]
+    dens = (1.0 / (1.0 + (yo - c) ** 2) + 1.0 / (1.0 + (yo + c) ** 2)) / np.pi
+    out[ok] = np.log(dens)
+    return out
+
+
+def _masked_mielke_logpdf(y, shapes):
+    k, s = shapes
+    out = np.full_like(y, -np.inf)
+    ok = y > 0
+    ly = np.log(y[ok])
+    out[ok] = np.log(k) + (k - 1.0) * ly - (1.0 + k / s) * np.logaddexp(0.0, s * ly)
+    return out
+
+
+def _masked_beta_logpdf(y, shapes):
+    a, b = shapes
+    out = np.full_like(y, -np.inf)
+    ok = (y > 0) & (y < 1)
+    yo = y[ok]
+    out[ok] = (a - 1.0) * np.log(yo) + (b - 1.0) * np.log1p(-yo) - betaln(a, b)
+    return out
+
+
+REFERENCE_LOGPDFS = {
+    "gamma": _masked_gamma_logpdf,
+    "genlogistic": detector.GENLOGISTIC.logpdf,  # never masked
+    "foldcauchy": _masked_foldcauchy_logpdf,
+    "mielke": _masked_mielke_logpdf,
+    "beta": _masked_beta_logpdf,
+}
+
+
+def reference_unpack(fam: Family, vec: np.ndarray, lo: float, hi: float):
+    with np.errstate(over="ignore"):
+        shapes = tuple(float(np.exp(v)) for v in vec[: fam.n_shapes])
+        rest = vec[fam.n_shapes:]
+        if fam.support == "real":
+            loc, scale = float(rest[0]), float(np.exp(rest[1]))
+        elif fam.support == "positive":
+            loc, scale = lo - float(np.exp(rest[0])), float(np.exp(rest[1]))
+        else:
+            m1, m2 = np.exp(rest[0]), np.exp(rest[1])
+            loc = lo - float(m1)
+            scale = (hi - lo) + float(m1) + float(m2)
+    return shapes, loc, scale
+
+
+def reference_fit_family(fam: Family, samples: np.ndarray) -> FittedPdf:
+    """``detector.fit_family`` on a valid sample, with the reference logpdf and unpack."""
+    x = np.asarray(samples, dtype=np.float64)
+    lo, hi = float(x.min()), float(x.max())
+    logpdf = REFERENCE_LOGPDFS[fam.name]
+
+    def nll(vec):
+        shapes, loc, scale = reference_unpack(fam, vec, lo, hi)
+        if not math.isfinite(scale) or scale <= 0:
+            return detector._BIG
+        with np.errstate(all="ignore"):
+            y = (x - loc) / scale
+            lp = logpdf(y, shapes)
+            total = float(np.sum(lp)) - x.size * math.log(scale)
+        return -total if math.isfinite(total) else detector._BIG
+
+    best_vec, best_val = None, math.inf
+    for shapes, loc, scale in fam.guesses(x):
+        vec0 = detector._pack(fam, shapes, loc, scale, lo, hi)
+        if not math.isfinite(nll(vec0)):
+            continue
+        res = minimize(nll, vec0, method="Nelder-Mead",
+                       options={"maxiter": detector._MAX_ITER, "xatol": 1e-6, "fatol": 1e-6})
+        if res.fun < best_val:
+            best_vec, best_val = res.x, res.fun
+    if best_vec is None or best_val >= detector._BIG:
+        raise DataError(f"fit_family: no finite likelihood found for {fam.name}")
+    shapes, loc, scale = reference_unpack(fam, best_vec, lo, hi)
+    return FittedPdf(family=fam.name, shapes=shapes, loc=loc, scale=scale,
+                     sse=float("nan"), n_samples=x.size)

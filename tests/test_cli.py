@@ -412,6 +412,29 @@ def test_detector_with_unknown_tie_rule_is_a_data_error(chain, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("edit,reason", [
+    (lambda d: d["pdf_botnet"].update(scale=-1), "pdf_botnet shapes and scale must be finite and > 0"),
+    (lambda d: d["pdf_normal"].update(loc=float("nan")), "pdf_normal loc must be finite"),
+    (lambda d: d["pdf_normal"].update(params=[-abs(v) for v in d["pdf_normal"]["params"]]),
+     "pdf_normal shapes and scale must be finite and > 0"),
+    (lambda d: d["pdf_botnet"].update(params=d["pdf_botnet"]["params"][:-1]),
+     "shape parameter(s), params holds"),
+    (lambda d: d.update(bins=0), "bins and min_samples must be >= 1"),
+    (lambda d: d.update(min_samples=0), "bins and min_samples must be >= 1"),
+], ids=["negative-scale", "nan-loc", "negative-shapes", "short-params", "zero-bins",
+        "zero-min-samples"])
+def test_detector_that_cannot_be_evaluated_is_a_data_error(chain, tmp_path, capsys,
+                                                           edit, reason):
+    def doctor(payload):
+        edit(payload)
+        return payload
+    path = _doctored(chain, tmp_path, "detector", doctor)
+    assert main(_loading_argv(chain, "detector", path, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and reason in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("artifact", ["detector", "model", "features"])
 def test_non_object_artifact_is_a_data_error(chain, tmp_path, capsys, artifact):
     path = _doctored(chain, tmp_path, artifact, lambda payload: [payload])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+from botdet import detector
 from botdet.detector import (
     BETA,
     FAMILIES,
@@ -30,6 +31,7 @@ from botdet.detector import (
 from botdet.errors import DataError
 from botdet.ingest import GroundTruth
 from botdet.scoring import ScoredWindow
+from helpers import REFERENCE_LOGPDFS, reference_fit_family, reference_unpack
 
 
 def quad_mass(fit: FittedPdf, y_lo: float, y_hi: float, n: int = 400_000) -> float:
@@ -362,3 +364,62 @@ def test_fit_detector_rejects_unknown_tie_rule():
     x = rng.gamma(2.0, size=200)
     with pytest.raises(DataError):
         fit_detector(x, x + 1.0, tie_rule="coin-flip")
+
+
+# ------------------------------------------- the trimmed likelihood loop vs its oracle
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fam=st.sampled_from(FAMILIES), data=st.data())
+def test_logpdf_matches_the_masked_reference_bit_for_bit(fam, data):
+    shapes = tuple(data.draw(st.lists(st.floats(0.05, 50.0), min_size=fam.n_shapes,
+                                      max_size=fam.n_shapes)))
+    # from all inside the support (the unmasked path) to points on and past its edges
+    y = np.array(data.draw(st.lists(st.one_of(
+        st.floats(1e-9, 1.0 - 1e-9), st.floats(-5.0, 50.0), st.sampled_from([0.0, 1.0, -0.0])),
+        min_size=1, max_size=40)))
+    with np.errstate(all="ignore"):
+        assert fam.logpdf(y, shapes).tobytes() == REFERENCE_LOGPDFS[fam.name](y, shapes).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fam=st.sampled_from(FAMILIES), data=st.data(), lo=st.floats(-1e3, 1e3),
+       width=st.floats(1e-6, 1e3))
+def test_unpack_matches_the_per_element_reference_bit_for_bit(fam, data, lo, width):
+    vec = np.array(data.draw(st.lists(st.floats(-800.0, 800.0), min_size=fam.n_shapes + 2,
+                                      max_size=fam.n_shapes + 2)))
+    with np.errstate(over="ignore"):
+        shapes, loc, scale = detector._unpack(fam, vec, lo, lo + width)
+    want_shapes, want_loc, want_scale = reference_unpack(fam, vec, lo, lo + width)
+    assert _hex([*shapes, loc, scale]) == _hex([*want_shapes, want_loc, want_scale])
+
+
+SAMPLERS = {
+    "gamma": lambda rng, n: rng.gamma(2.0, 1.5, n),
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 0.8, n),
+    "uniform": lambda rng, n: rng.uniform(-1.0, 3.0, n),
+    "foldcauchy": lambda rng, n: np.abs(rng.standard_cauchy(n)),
+    "logistic": lambda rng, n: rng.logistic(5.0, 2.0, n),
+    "beta": lambda rng, n: rng.beta(0.7, 2.5, n),
+}
+
+
+def _fit_outcome(fit, fam, x):
+    try:
+        got = fit(fam, x)
+    except DataError as exc:
+        return str(exc)
+    return (got.family, _hex(got.shapes), _hex([got.loc, got.scale]), got.n_samples)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sampler=st.sampled_from(sorted(SAMPLERS)), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(100, 300), shift=st.sampled_from([0.0, -40.0, 1e3]),
+       stretch=st.sampled_from([1.0, 1e-3, 50.0]))
+def test_fit_family_matches_the_reference_fit_bit_for_bit(sampler, seed, n, shift, stretch):
+    x = shift + stretch * SAMPLERS[sampler](np.random.default_rng(seed), n)
+    for fam in FAMILIES:
+        assert _fit_outcome(fit_family, fam, x) == _fit_outcome(reference_fit_family, fam, x)

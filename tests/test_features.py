@@ -1,5 +1,7 @@
 """Windowing, aggregation, normalization, and sequence assembly."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -227,6 +229,71 @@ def test_aggregate_flows_matches_reference_builder_bit_for_bit(flows, window_sec
         assert row.first_seen == first_seen
         assert row.values.dtype == np.float64
         assert row.values.tobytes() == values.tobytes()
+
+
+def _reference_rows(flows, window_seconds):
+    builders = {}
+    for f in flows:
+        w = feat.window_index(f.start_time, 0.0, window_seconds)
+        builders.setdefault((f.src_addr, w), _ReferenceAggBuilder(f.src_addr, w)).add(f)
+    return sorted((b.finalize() for b in builders.values()), key=lambda a: (a[1], a[2], a[0]))
+
+
+def test_category_and_label_caches_stay_within_their_bounds():
+    caches = (feat._category_columns, GroundTruth.from_label)
+    for cache in caches:
+        cache.cache_clear()
+    n = 5_000
+    flows = [make_flow(t=float(i % 300), src=f"10.0.{i % 7}.1", state=f"S{i}_A{i}",
+                       label=f"flow=From-{('Botnet', 'Normal', 'Background')[i % 3]}-{i}")
+             for i in range(n)]
+    for cache in caches:
+        assert cache.cache_info().maxsize == 4096
+    got = feat.aggregate_flows(flows, 0.0, 60.0)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == n and info.currsize <= info.maxsize
+    want = _reference_rows(flows, 60.0)
+    assert [(r.src_addr, r.window_index, r.first_seen, r.label, r.values.tobytes())
+            for r in got] == [(*ref[:4], ref[4].tobytes()) for ref in want]
+
+
+def _window_shuffles(flows, window_seconds, rnd):
+    """The flows grouped by window in window order, each window's flows permuted."""
+    by_window = {}
+    for f in flows:
+        by_window.setdefault(feat.window_index(f.start_time, 0.0, window_seconds), []).append(f)
+    out = []
+    for w in sorted(by_window):
+        group = by_window[w]
+        rnd.shuffle(group)
+        out += group
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(FLOWS, st.sampled_from([1.0, 7.5, 60.0]), st.randoms(use_true_random=False))
+def test_aggregation_does_not_depend_on_flow_order_within_a_window(flows, window_seconds,
+                                                                   rnd):
+    """Only sum_dur, a float sum in flow order, may move: within (n-1)*eps*sum|d|.
+
+    Recursive summation errs from the exact sum by at most about
+    (n-1)*(eps/2)*sum|d| in any order, so two orders differ by at most
+    about twice that.
+    """
+    want = feat.aggregate_flows(flows, 0.0, window_seconds)
+    shuffled = _window_shuffles(list(flows), window_seconds, rnd)
+    got = feat.aggregate_flows(shuffled, 0.0, window_seconds)
+    assert [(r.src_addr, r.window_index, r.first_seen, r.label) for r in got] == \
+           [(r.src_addr, r.window_index, r.first_seen, r.label) for r in want]
+    dur = feat._DUR_COL
+    for g, w in zip(got, want):
+        assert np.delete(g.values, dur).tobytes() == np.delete(w.values, dur).tobytes()
+        durs = [f.duration for f in flows
+                if (f.src_addr, feat.window_index(f.start_time, 0.0, window_seconds))
+                == (w.src_addr, w.window_index)]
+        bound = (len(durs) - 1) * np.finfo(np.float64).eps * math.fsum(map(abs, durs))
+        assert abs(g.values[dur] - w.values[dur]) <= bound
 
 
 class TestNormalizer:

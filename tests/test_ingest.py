@@ -2,8 +2,8 @@
 
 import csv
 import math
+import pickle
 import string
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -129,6 +129,45 @@ class TestRoundTrip:
         assert first == second
 
 
+class TestFlowRecordContract:
+    """A record is immutable, hashes as its field tuple and equals only a FlowRecord."""
+
+    def record(self, tmp_path):
+        (rec,) = ingest.iter_flows(write_csv(tmp_path / "a.csv", [ROW_TCP]))
+        return rec
+
+    def test_fields_cannot_be_assigned(self, tmp_path):
+        rec = self.record(tmp_path)
+        for name in FlowRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    def test_hash_is_the_hash_of_the_field_tuple(self, tmp_path):
+        rec = self.record(tmp_path)
+        fields = tuple(getattr(rec, name) for name in FlowRecord._fields)
+        assert len(fields) == 14 and hash(rec) == hash(fields)
+        assert len({rec, rec._replace()}) == 1
+
+    def test_equals_only_a_flow_record_with_equal_fields(self, tmp_path):
+        rec = self.record(tmp_path)
+        assert rec == rec._replace() and not rec != rec._replace()
+        assert rec != rec._replace(src_bytes=rec.src_bytes + 1)
+        plain = tuple(rec)
+        assert rec != plain and plain != rec
+        assert not rec == plain and not plain == rec
+        assert rec not in [plain] and plain not in [rec]
+
+    def test_pickle_round_trip_and_replace_keep_the_type(self, tmp_path):
+        rec = self.record(tmp_path)
+        back = pickle.loads(pickle.dumps(rec))
+        assert type(back) is FlowRecord and back == rec
+        moved = rec._replace(start_time=0.0)
+        assert type(moved) is FlowRecord and moved.start_time == 0.0
+        assert moved.label is rec.label is GroundTruth.BOTNET
+
+
 class TestReadDataset:
     def test_merge_two_files_time_ordered(self, tmp_path):
         f1 = write_csv(tmp_path / "a.csv", [ROW_TCP])   # 09:47:10
@@ -192,12 +231,12 @@ class TestRowLayout:
         (want,) = ingest.iter_flows(write_csv(tmp_path / "b.csv", [ROW_UDP]))
         assert rec.proto == "tcp"
         assert rec.service == "dns"
-        assert rec == replace(want, proto="tcp")
+        assert rec == want._replace(proto="tcp")
 
     def test_written_capture_is_utf8_with_crlf_rows(self, tmp_path):
         (rec,) = ingest.iter_flows(write_csv(tmp_path / "a.csv", [ROW_NORMAL]))
         out = tmp_path / "b.csv"
-        ingest.write_flows_csv(out, [replace(rec, label_raw="flow=Normal-café")])
+        ingest.write_flows_csv(out, [rec._replace(label_raw="flow=Normal-café")])
         assert out.read_bytes() == (HEADER + "\r\n" + ROW_NORMAL.replace(
             "To-Normal-V42-SSL", "Normal-café") + "\r\n").encode("utf-8")
 

@@ -254,8 +254,8 @@ def test_one_close_scores_several_equal_length_chunks_as_batch_does(fitted, monk
     hosts = 6
     model = replace(model, l_max=hosts)  # a full 3-window span splits into 3 chunks of 6
     t0 = 1000.0
-    flows = [replace(make_flow(t0 + w * 60.0 + 1.0 + i, f"10.1.1.{i}"),
-                     tot_bytes=300 + 97 * i + 31 * w, duration=0.1 * (1 + i * w % 5))
+    flows = [make_flow(t0 + w * 60.0 + 1.0 + i, f"10.1.1.{i}")._replace(
+                 tot_bytes=300 + 97 * i + 31 * w, duration=0.1 * (1 + i * w % 5))
              for w in range(8) for i in range(hosts)]
     rows = rows_from_aggregates(aggregate_flows(flows, t0, model.window_seconds),
                                 model.normalizer)
@@ -290,16 +290,16 @@ def ordered_captures(draw):
     gaps = draw(st.lists(st.integers(1, 6), max_size=5))
     windows = np.cumsum([0] + gaps).tolist()
     flow = st.builds(
-        lambda host, offset, pkts, extra, dur, port: replace(
-            make_flow(offset, host, dst=f"198.18.0.{port}"), tot_pkts=pkts,
+        lambda host, offset, pkts, extra, dur, port: make_flow(
+            offset, host, dst=f"198.18.0.{port}")._replace(tot_pkts=pkts,
             tot_bytes=pkts * 60 + extra, src_bytes=pkts * 30, duration=dur),
         st.sampled_from(hosts), st.sampled_from([0.0, 0.5, 17.0, 59.75]),
         st.integers(1, 40), st.integers(0, 4000),
         st.sampled_from([0.0, 0.1, 0.2, 3.5]), st.integers(1, 3))
-    flows = [replace(draw(flow), start_time=t0)]  # opens window 0
+    flows = [draw(flow)._replace(start_time=t0)]  # opens window 0
     for w in windows:
         for f in draw(st.lists(flow, min_size=1, max_size=6)):
-            f = replace(f, start_time=t0 + w * T + f.start_time)
+            f = f._replace(start_time=t0 + w * T + f.start_time)
             flows += [f] * draw(st.integers(1, 2))
     flows.sort(key=lambda f: f.start_time)  # stable: the opening flow stays first
     return flows
@@ -334,7 +334,7 @@ def test_stream_equals_batch_on_drawn_captures(fitted, flows, data):
     noisy = list(flows)
     for i, back, f in sorted(late, key=lambda x: x[0], reverse=True):
         opened = t0 + window_index(flows[i - 1].start_time, t0, T) * T
-        noisy.insert(i, replace(f, start_time=opened - back))
+        noisy.insert(i, f._replace(start_time=opened - back))
     contexts = []
 
     def recorded(rows, n_windows, l_max, targets):
