@@ -12,8 +12,8 @@ derivative is ever evaluated for a constant operand. All math is float64
 and single-threaded, so a fixed input always gives bit-identical gradients.
 ``matmul`` takes an (..., m, n) left operand against a 2-d right one, whose
 gradient is one product over the flattened leading axes; ``take``
-(``Tensor.__getitem__``) adds its gradient in place into one zero buffer per
-operand.
+(``Tensor.__getitem__``) adds its gradient into a zero array of the
+operand's shape.
 
 A primitive defined outside this module builds its output with ``node``.
 Its edges may share one saved record: ``backward`` runs a node's rules one
@@ -142,8 +142,11 @@ def _take(g, index):
     return g[index]
 
 
-def _scatter(g, index):
-    return index, g  # ``backward`` adds ``g`` at ``index`` into the operand's buffer
+def _scatter(g, saved):
+    index, shape = saved
+    out = np.zeros(shape)
+    out[index] += g
+    return out
 
 
 def _sigmoid_grad(g, out):
@@ -220,7 +223,8 @@ def concat(parts: Sequence, axis: int = -1):
 
 def take(a, index):
     """``a[index]`` for a basic index: ints, slices, ``None`` and ``...``."""
-    return node(_data(a)[index], (a, _scatter, index))
+    x = _data(a)
+    return node(x[index], (a, _scatter, (index, x.shape)))
 
 
 def sigmoid(a):
@@ -294,10 +298,8 @@ def backward(loss: Tensor) -> None:
 
     # Every node reached so far lies on a tracked path from ``loss``, so
     # each one has a gradient by the time reverse order gets to it. A rule
-    # may return a view of ``g``: only arrays made here (``owned``) are
-    # written in place.
+    # may return a view of ``g``, so gradients are summed into new arrays.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    owned: set[int] = set()
     while topo:
         t = topo.pop()
         g = grads.pop(id(t))
@@ -306,15 +308,7 @@ def backward(loss: Tensor) -> None:
         for parent, rule, saved in t._edges:
             pg = rule(g, saved)
             key = id(parent)
-            if type(pg) is tuple:  # ``take``: ``pg`` is (index, gradient of a[index])
-                if key not in owned:
-                    owned.add(key)
-                    grads[key] = grads[key].copy() if key in grads else np.zeros_like(parent.data)
-                grads[key][pg[0]] += pg[1]
-            elif key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            grads[key] = grads[key] + pg if key in grads else pg
         t._edges = ()
 
 

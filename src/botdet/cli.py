@@ -155,7 +155,6 @@ _SCENARIO_OPTS: dict[str, Opt] = {
     "manifest": Opt(required=True),
     "train_scenarios": Opt(cast=_IDS, required=True, help="comma-separated scenario ids"),
     "test_scenarios": Opt(cast=_IDS, required=True, help="comma-separated scenario ids"),
-    "scenario_filter": Opt(cast=_IDS, help="keep only these scenario ids"),
 }
 
 
@@ -171,22 +170,12 @@ def _run_manifest_path(artifact: Path) -> Path:
     return artifact.with_name(artifact.stem + ".run.json")
 
 
-def _apply_scenario_filter(args) -> tuple[list[str], list[str]]:
-    train, test = args.train_scenarios, args.test_scenarios
-    if args.scenario_filter:
-        keep = set(args.scenario_filter)
-        train = [s for s in train if s in keep]
-        test = [s for s in test if s in keep]
-    return train, test
-
-
 # ------------------------------------------------------------- subcommands
 
 def cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_ids, test_ids = _apply_scenario_filter(args)
-    res = pipeline.preprocess(args.manifest, train_ids, test_ids,
+    res = pipeline.preprocess(args.manifest, args.train_scenarios, args.test_scenarios,
                               window_seconds=args.window_seconds,
                               n_windows=args.n_windows, l_max=args.l_max,
                               log1p=args.log1p, strict=args.strict)
@@ -198,7 +187,7 @@ def cmd_preprocess(args) -> int:
     fileio.write_run_manifest(
         out / "preprocess.run.json", "preprocess",
         _echo(args, (*_SCENARIO_OPTS, "window_seconds", *_WINDOW_OPTS)),
-        inputs=[manifest[s] for s in (*train_ids, *test_ids)],
+        inputs=[manifest[s] for s in (*args.train_scenarios, *args.test_scenarios)],
         outputs=[train_path, test_path], seed=None)
     for name, split in (("train", res.train), ("test", res.test)):
         print(f"{name}: {len(split.rows)} host-windows from "
@@ -290,20 +279,18 @@ def cmd_evaluate(args) -> int:
     inputs = [args.scores, args.decisions] + ([args.model] if args.model else [])
     fileio.write_run_manifest(
         _run_manifest_path(report_out), "evaluate",
-        _echo(args, ("scores", "decisions", "model", "exclude_background",
-                     "run_name")),
+        _echo(args, ("scores", "decisions", "model", "exclude_background")),
         inputs=inputs, outputs=[report_out], seed=None)
-    print(report_table([(args.run_name, report)]))
+    print(report_table([("run", report)]))
     return 0
 
 
 def cmd_sweep(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_ids, test_ids = _apply_scenario_filter(args)
     cfg = _train_config(args, args.l_max)
     results = pipeline.window_sweep(
-        args.manifest, train_ids, test_ids, args.durations, cfg,
+        args.manifest, args.train_scenarios, args.test_scenarios, args.durations, cfg,
         arch=args.arch, n_windows=args.n_windows, log1p=args.log1p,
         strict=args.strict, min_samples=args.min_samples, bins=args.bins,
         tie_rule=args.tie_rule, exclude_background=args.exclude_background)
@@ -325,7 +312,7 @@ def cmd_sweep(args) -> int:
         {**_echo(args, (*_SCENARIO_OPTS, "durations", *_WINDOW_OPTS,
                         "exclude_background")),
          **_echo(args, tuple(_PDF_OPTS)), **asdict(cfg), "arch": args.arch},
-        inputs=[manifest[s] for s in (*train_ids, *test_ids)],
+        inputs=[manifest[s] for s in (*args.train_scenarios, *args.test_scenarios)],
         outputs=outputs, seed=cfg.seed)
     print(table)
     return 0
@@ -334,17 +321,8 @@ def cmd_sweep(args) -> int:
 def cmd_stream(args) -> int:
     model = fileio.load_model(args.model)
     det = fileio.load_detector(args.detector)
-    if args.input:
-        paths = [Path(p) for p in args.input]
-    elif args.manifest:
-        manifest = pipeline.load_manifest(args.manifest)
-        ids = args.scenario_filter or sorted(manifest)
-        paths = pipeline.resolve_scenarios(manifest, ids)
-    else:
-        raise UsageError("stream needs --input or --manifest")
-
     ingest_stats = IngestStats()
-    flows = (f for p in paths
+    flows = (f for p in args.input
              for f in iter_flows(p, strict=args.strict, stats=ingest_stats))
     decisions, stats = run_stream(model, det, flows)
     for record in decisions:
@@ -420,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decisions": Opt(required=True),
         "report_out": Opt(required=True),
         "model": Opt(),
-        "run_name": Opt("run", help="row label in the metrics table"),
         "exclude_background": Opt(False, _as_bool),
     }, "metrics report from scores plus decisions")
 
@@ -436,10 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub("stream", cmd_stream, {
         "model": Opt(required=True),
         "detector": Opt(required=True),
-        "input": Opt(cast=_listed(_as_text),
+        "input": Opt(cast=_listed(_as_text), required=True,
                      help="comma-separated flow capture paths"),
-        "manifest": Opt(),
-        "scenario_filter": _SCENARIO_OPTS["scenario_filter"],
         "strict": Opt(False, _as_bool),
     }, "emit JSON-lines decisions from a time-ordered flow stream")
 

@@ -291,20 +291,21 @@ def best_fit(samples: np.ndarray, min_samples: int = 100, bins: int = 200) -> Fi
     order. A flexible family can shadow a simpler one arbitrarily well
     (beta with a huge right margin reproduces gamma), so an exact-equality
     tie rule would never fire and selection between them would be
-    histogram noise. Families whose fit fails outright are skipped with a
+    histogram noise. Degenerate samples (all values equal) fit no family
+    and are an error. Families whose fit fails outright are skipped with a
     warning; at least one must survive.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size < min_samples:
         raise DataError(f"best_fit: {x.size} samples, need at least {min_samples}")
+    if x.size and np.all(np.isfinite(x)) and x.min() == x.max():
+        raise DataError("best_fit: degenerate samples (all values equal)")
     candidates: list[tuple[float, int, int, FittedPdf]] = []
     for order, fam in enumerate(FAMILIES):
         try:
             fit = fit_family(fam, x, min_samples=min_samples)
             err = sse(fit, x, bins=bins)
         except Exception as exc:
-            if isinstance(exc, DataError) and "degenerate" in str(exc):
-                raise
             log.warning("density family %s skipped: %s", fam.name, exc)
             continue
         candidates.append((err, fam.n_shapes, order,

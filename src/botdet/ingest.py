@@ -225,10 +225,6 @@ class FileStats:
     errors: int = 0
     first_error: str = ""
 
-    @property
-    def rows(self) -> int:
-        return self.parsed + self.errors
-
 
 @dataclass
 class IngestStats:

@@ -1,4 +1,7 @@
-"""Adam optimizer and global-norm gradient clipping for Tensor parameters."""
+"""Adam optimizer and global-norm gradient clipping for Tensor parameters.
+
+Every parameter is built with ``requires_grad=True``, so its ``grad`` is an array.
+"""
 
 from __future__ import annotations
 
@@ -34,8 +37,6 @@ class Adam:
         b1, b2 = BETA1, BETA2
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                continue
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"adam: non-finite gradient in parameter {i}")
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
@@ -53,8 +54,6 @@ def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:
     """
     total = 0.0
     for p in params:
-        if p.grad is None:
-            continue
         sq = float(np.sum(p.grad * p.grad))
         if not math.isfinite(sq):
             raise NumericError("clip_global_norm: non-finite gradient")
@@ -63,6 +62,5 @@ def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+            p.grad *= scale
     return norm

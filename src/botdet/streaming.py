@@ -1,25 +1,26 @@
 """On-line detection over a time-ordered flow stream with bounded state.
 
-Window 0 starts at the first flow's timestamp. An in-order filter counts
-and drops every flow whose window is below the open one; the flows it
-passes are grouped by window, and each group is aggregated by the
-batch's own ``aggregate_flows``. The first flow of a later window ends a
-group and so acts as the watermark: the closed window is scored inside
-its trailing N-window context and classified. The context is built by
-the batch's ``trailing_sequences``, so identical flows give identical
-verdicts. Between closes the loop holds the open window's aggregates and
-the rows of the previous N-1 windows, nothing else.
+Window 0 starts at the first flow's timestamp. An in-order filter numbers
+each flow's window, counts and drops every flow whose window is below the
+open one, and passes the rest on grouped by that number; each group is
+aggregated by the batch's own ``aggregate_flows``. The first flow of a
+later window ends a group and so acts as the watermark: the closed window
+is scored inside its trailing N-window context and classified. The
+context is built by the batch's ``trailing_sequences``, so identical
+flows give identical verdicts. Between closes the loop holds the open
+window's aggregates and the rows of the previous N-1 windows, nothing else.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .detector import DetectorModel, classify
 from .errors import DataError
 from .features import (FEATURE_NAMES, FeatureRow, aggregate_flows, rows_from_aggregates,
-                       trailing_sequences, window_index)
+                       trailing_sequences)
 from .ingest import FlowRecord
 from .scoring import score_sequences
 from .train import TrainedModel
@@ -64,7 +65,7 @@ def run_stream(model: TrainedModel, det: DetectorModel,
         last = 0.0
         open_w = 0
 
-        def in_order() -> Iterator[FlowRecord]:
+        def in_order() -> Iterator[tuple[int, FlowRecord]]:
             nonlocal t0, last, open_w
             for flow in flows:
                 stats.flows_in += 1
@@ -75,11 +76,12 @@ def run_stream(model: TrainedModel, det: DetectorModel,
                     stats.late_dropped += 1
                     continue
                 open_w, last = w, flow.start_time
-                yield flow
+                yield w, flow
 
         history: list[FeatureRow] = []
-        for w, group in groupby(in_order(), key=lambda f: window_index(f.start_time, t0, T)):
-            rows = rows_from_aggregates(aggregate_flows(group, t0, T), model.normalizer)
+        for w, group in groupby(in_order(), key=itemgetter(0)):
+            rows = rows_from_aggregates(aggregate_flows((f for _, f in group), t0, T),
+                                        model.normalizer)
             history = [r for r in history if r.window_index > w - N] + rows
             seqs = trailing_sequences(history, N, model.l_max, targets=(w,))
             scored = score_sequences(model.arch, model.params, seqs)

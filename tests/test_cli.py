@@ -135,16 +135,15 @@ def test_stream_emits_decisions_matching_detect(chain, fixture_dir, capsys):
     assert all(d["emit_latency"] >= 0.0 for d in streamed)
 
 
-def test_stream_scenario_filter_via_manifest(chain, fixture_dir, capsys):
+def test_stream_rejects_manifest(chain, fixture_dir, capsys):
+    """stream reads the captures named by --input; a manifest is a usage error."""
     rc = main(["stream", "--model", str(chain["model"]),
                "--detector", str(chain["detector"]),
-               "--manifest", str(fixture_dir["manifest"]),
-               "--scenario-filter", "synth-test"])
-    assert rc == 0
-    direct = main(["stream", "--model", str(chain["model"]),
-                   "--detector", str(chain["detector"]),
-                   "--input", str(fixture_dir["test"])])
-    assert direct == 0
+               "--input", str(fixture_dir["test"]),
+               "--manifest", str(fixture_dir["manifest"])])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "--manifest" in out.err
 
 
 def test_rerun_is_byte_identical(fixture_dir, tmp_path_factory):
@@ -193,6 +192,7 @@ def test_usage_errors_exit_1(fixture_dir, tmp_path):
     assert main([]) == 1
     assert main(["preprocess", "--bogus-flag"]) == 1
     assert main(["train", "--features", "f.csv"]) == 1  # missing --model-out
+    assert main(["stream", "--model", "m.json", "--detector", "d.json"]) == 1  # no --input
     assert main(["preprocess", "--manifest", str(fixture_dir["manifest"]),
                  "--train-scenarios", "synth-train",
                  "--test-scenarios", "synth-train",
@@ -311,7 +311,12 @@ def _required(chain, fixture_dir, tmp_path, command) -> dict:
                   "model_out": str(tmp_path / "out" / "m.json")},
         "fitpdf": {"scores": str(chain["scores_train"]),
                    "detector_out": str(tmp_path / "out" / "d.json")},
+        "evaluate": {"scores": str(chain["scores_test"]),
+                     "decisions": str(chain["decisions"]),
+                     "report_out": str(tmp_path / "out" / "r.json")},
         "sweep": {**scenarios, "durations": "60"},
+        "stream": {"model": str(chain["model"]), "detector": str(chain["detector"]),
+                   "input": str(fixture_dir["test"])},
     }[command]
 
 
@@ -363,6 +368,31 @@ def test_sweep_has_no_window_seconds_option(chain, fixture_dir, tmp_path, capsys
         argv = ["--config", _config(tmp_path, {**required, "window_seconds": 30})]
     assert main(["sweep", *argv, *FAST_TRAIN]) == 1
     assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,name,value", [
+    ("preprocess", "scenario_filter", "synth-test"),
+    ("sweep", "scenario_filter", "synth-test"),
+    ("stream", "scenario_filter", "synth-test"),
+    ("stream", "manifest", "manifest.json"),
+    ("evaluate", "run_name", "run"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_removed_options_are_usage_errors(chain, fixture_dir, tmp_path, capsys,
+                                          command, name, value, source):
+    """No option or config key outlives its removal by being silently ignored."""
+    required = _required(chain, fixture_dir, tmp_path, command)
+    if source == "flag":
+        argv = ["--config", _config(tmp_path, required),
+                "--" + name.replace("_", "-"), value]
+    else:
+        argv = ["--config", _config(tmp_path, {**required, name: value})]
+    extra = FAST_TRAIN if command == "sweep" else []
+    assert main([command, *argv, *extra]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert name in out.err.replace("-", "_")
     assert not (tmp_path / "out").exists()
 
 

@@ -17,6 +17,23 @@ from botdet.errors import UsageError
 SUBCOMMANDS = ("preprocess", "train", "score", "fitpdf", "detect", "evaluate",
                "sweep", "stream")
 SPECS = {cmd: build_parser().parse_args([cmd])._spec for cmd in SUBCOMMANDS}
+_TRAIN_HYPER = ["arch", "epochs", "batch_size", "lr", "anneal_steps", "beta_max", "seed",
+                "grad_clip", "hidden", "latent", "mlp_hidden"]
+# Every subcommand's options in declaration order: adding or removing a
+# knob takes an edit here.
+OPTION_NAMES = {
+    "preprocess": ["manifest", "train_scenarios", "test_scenarios", "out_dir",
+                   "window_seconds", "n_windows", "l_max", "log1p", "strict"],
+    "train": ["features", "model_out", "kfold", *_TRAIN_HYPER],
+    "score": ["model", "features", "scores_out"],
+    "fitpdf": ["scores", "detector_out", "bins", "min_samples", "tie_rule"],
+    "detect": ["scores", "detector", "decisions_out"],
+    "evaluate": ["scores", "decisions", "report_out", "model", "exclude_background"],
+    "sweep": ["manifest", "train_scenarios", "test_scenarios", "durations", "out_dir",
+              "exclude_background", "n_windows", "l_max", "log1p", "strict",
+              *_TRAIN_HYPER, "bins", "min_samples", "tie_rule"],
+    "stream": ["model", "detector", "input", "strict"],
+}
 OPTIONS = [(cmd, name) for cmd, spec in SPECS.items() for name in spec]
 BOOL_OPTIONS = [(cmd, name) for cmd, name in OPTIONS
                 if isinstance(SPECS[cmd][name].default, bool)]
@@ -31,6 +48,10 @@ TEXT = st.one_of(
 )
 SETTINGS = settings(max_examples=300, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def test_each_subcommand_has_exactly_the_listed_options():
+    assert {cmd: list(spec) for cmd, spec in SPECS.items()} == OPTION_NAMES
 
 
 def flag(name: str) -> str:

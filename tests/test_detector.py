@@ -202,6 +202,59 @@ def test_best_fit_enforces_min_samples():
     best_fit(rng.gamma(2.0, size=100))  # boundary is allowed
 
 
+def test_constant_samples_are_rejected_before_any_family_is_fitted(monkeypatch):
+    fitted = []
+    real = detector.fit_family
+
+    def spy(fam, *args, **kwargs):
+        fitted.append(fam.name)
+        return real(fam, *args, **kwargs)
+
+    monkeypatch.setattr(detector, "fit_family", spy)
+    constant, varied = np.full(200, 4.0), np.random.default_rng(21).gamma(2.0, size=200)
+    every = [fam.name for fam in FAMILIES]
+    for call, want in ((lambda: best_fit(constant), []),
+                       (lambda: fit_detector(constant, varied), []),
+                       (lambda: fit_detector(varied, constant), every)):
+        fitted.clear()
+        with pytest.raises(DataError, match="degenerate samples"):
+            call()
+        assert fitted == want
+
+
+@pytest.mark.parametrize("samples,min_samples,message", [
+    (np.array([]), 0, "every family failed"),
+    (np.full(200, np.inf), 100, "every family failed"),
+    (np.r_[np.full(199, 2.0), np.nan], 100, "every family failed"),
+    (np.array([3.0]), 1, "degenerate samples"),
+])
+def test_samples_no_family_can_fit_are_data_errors(samples, min_samples, message):
+    """Empty and non-finite samples fail in every family; one point is degenerate."""
+    with pytest.raises(DataError, match=message):
+        best_fit(samples, min_samples=min_samples)
+
+
+def test_a_family_whose_fit_fails_is_skipped_with_a_warning(monkeypatch, caplog):
+    real = detector.fit_family
+    failures = {"beta": RuntimeError("no convergence"),
+                "gamma": DataError("fit_family: degenerate samples (all values equal)")}
+
+    def flaky(fam, *args, **kwargs):
+        if fam.name in failures:
+            raise failures[fam.name]
+        return real(fam, *args, **kwargs)
+
+    monkeypatch.setattr(detector, "fit_family", flaky)
+    x = np.random.default_rng(22).uniform(0.0, 1.0, size=2_000)
+    with caplog.at_level("WARNING", logger="botdet.detector"):
+        fit = best_fit(x)
+    assert fit.family not in failures
+    skipped = sorted(r.getMessage() for r in caplog.records)
+    assert skipped == ["density family beta skipped: no convergence",
+                       "density family gamma skipped: "
+                       "fit_family: degenerate samples (all values equal)"]
+
+
 def test_best_fit_records_sse_and_sample_count():
     rng = np.random.default_rng(14)
     x = rng.gamma(2.0, 1.0, size=500)

@@ -216,7 +216,8 @@ class TestRowLayout:
         f.write_text(HEADER + "\n\n" + ROW_UDP + "\n\n\n" + ROW_TCP + "\n")
         stats = ingest.IngestStats()
         assert len(list(ingest.iter_flows(f, stats=stats))) == 2
-        assert (stats.files[0].rows, stats.errors) == (2, 0)
+        fs = stats.files[0]
+        assert (fs.parsed + fs.errors, stats.errors) == (2, 0)
 
     def test_columns_found_by_header_position(self, tmp_path):
         # Reordered columns, an extra trailing field, and a repeated name whose
@@ -259,7 +260,7 @@ def test_bad_row_between_good_rows(tmp_path, kind):
     stats = ingest.IngestStats()
     assert list(ingest.iter_flows(f, stats=stats)) == want
     (fs,) = stats.files
-    assert (fs.rows, fs.parsed, fs.errors) == (4, 3, 1)
+    assert (fs.parsed + fs.errors, fs.parsed, fs.errors) == (4, 3, 1)
     assert fs.first_error.startswith(f"{f}:3: ")
     with pytest.raises(ParseError) as exc:
         list(ingest.iter_flows(f, strict=True))
@@ -401,7 +402,8 @@ def test_iter_flows_matches_the_dictreader_path(tmp_path, capture):
     stats = ingest.IngestStats()
     got = list(ingest.iter_flows(path, stats=stats))
     assert got == want
-    assert (stats.errors, stats.files[0].rows) == (want_errors, len(rows))
+    fs = stats.files[0]
+    assert (stats.errors, fs.parsed + fs.errors) == (want_errors, len(rows))
 
     out = tmp_path / "back.csv"
     ingest.write_flows_csv(out, got)
