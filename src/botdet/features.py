@@ -262,12 +262,12 @@ class Normalizer:
 
 def rows_from_aggregates(aggs: Seq[FeatureRow],
                          norm: Normalizer) -> list[FeatureRow]:
-    """The raw rows with their values scaled by ``norm``."""
-    return [
-        FeatureRow(a.src_addr, a.window_index, a.first_seen, a.label,
-                   norm.transform(a.values))
-        for a in aggs
-    ]
+    """The raw rows with their values scaled by ``norm``, in one transform of their stack."""
+    if not aggs:
+        return []
+    scaled = norm.transform(np.stack([a.values for a in aggs]))
+    return [FeatureRow(a.src_addr, a.window_index, a.first_seen, a.label, values)
+            for a, values in zip(aggs, scaled)]
 
 
 @dataclass

@@ -17,13 +17,25 @@ build a tape when given the trainable parameters and none when given
 ``plain(params)``: scoring runs the same code on the same arrays. Passes
 are time-major: a GRU pass projects its whole (L, ..., B, n) input once
 and writes its states into one array, and the output head and the loss
-read all steps at once. numpy runs a stacked product (..., m, n) @ (n, H)
-as one kernel call per leading index, so every step and every stacked
-item keeps its unstacked bits.
+read all steps at once. Each encoder layer runs its forward and backward
+directions as one pass over a leading direction axis D, the backward one
+on time-reversed projections; the decoder's layers are two passes.
+
+numpy runs a stacked product as one kernel call per leading index, so
+every step, direction and stacked item keeps its unstacked bits. That
+covers each product a pass makes: each cell's input projections
+(L, ..., B, n) @ (n, H), taken on the input before any time reversal,
+and a step's h (D, ..., B, H) @ U (2, D, 1.., H, H) for both gates and
+(r*h) @ U_h (D, 1.., H, H), whose every item is one direction's own
+(B, H) @ (H, H) product even when written into a slice of a buffer
+(``tests/test_models.py`` pins both).
+Everything else a step does is elementwise, and reversing time or
+joining directions only copies.
 
 A taped GRU pass is one tape node whose rule is back-propagation through
 time (Werbos, Proc. IEEE 1990) over the GRU equations of Cho et al.
-(arXiv:1406.1078). A weight's gradient sums its steps in one product, so
+(arXiv:1406.1078), run once per direction on that direction's states and
+gates in time order. A weight's gradient sums its steps in one product, so
 training differs from a per-step tape (``tests/helpers.py``) by float
 reassociation only.
 """
@@ -83,16 +95,28 @@ class GruCellWeights:
         return {f"{prefix}.{k}": getattr(self, k) for k in GATE_PARAMS}
 
 
-def gru_pass(xs, w: GruCellWeights,
+def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
              mask: tuple[np.ndarray, np.ndarray] | None = None,
              h0: Tensor | None = None,
              reverse: bool = False):
-    """Run a GRU over time-major inputs; returns the (L, ..., B, H) states and the final one.
+    """Run a GRU over time-major inputs; returns the (L, ..., B, D*H) states and the final ones.
 
-    ``xs`` is the (L, ..., B, n) input. The three input projections are
-    taken once, before the recurrence, and each step's gates add them as
-    ``(xW + hU) + b``; the state is a gated blend of the previous state and
-    a tanh candidate. Each state is written into one preallocated array.
+    ``xs`` is the (L, ..., B, n) input. ``w`` is one cell, run in time
+    order or, with ``reverse``, against it (D = 1), or a (forward,
+    backward) pair of cells run as one recurrence over a leading direction
+    axis (D = 2). The backward direction reads its input projections and
+    mask time-reversed and its states are flipped back, so each
+    direction's states and final state are those of its own
+    single-direction pass, concatenated on the last axis in cell order.
+    ``h0`` (zeros if None) starts every direction.
+
+    Each cell's three input projections are taken once, before the
+    recurrence. A step then makes one product of every direction's state
+    against U_r and U_u stacked on a leading axis, adds both gates' input
+    projections and both biases in one call each, as ``(xW + hU) + b``,
+    and blends the previous state with a tanh candidate. The sigmoid and
+    tanh run ``ad.sigmoid``'s and ``ad.tanh``'s ufunc sequences, and every
+    temporary goes into a buffer allocated once per pass.
 
     ``mask`` is ``make_mask``'s (m, 1-m) pair of (L, B, 1) arrays for padded
     batches: a padded step keeps the previous state, so the final state
@@ -101,33 +125,85 @@ def gru_pass(xs, w: GruCellWeights,
     state simply stays at h0 until real elements begin.
 
     The pass is one tape node. Only when an operand is tracked does the
-    loop also keep each step's reset gate, update gate and candidate;
-    ``_gru_pass_grad`` then runs back-propagation through time over them
-    once, for every tracked operand.
+    loop write each step's reset gate, update gate and candidate into
+    saved arrays; ``_gru_pass_grad`` then runs back-propagation through
+    time over them once per direction, for every tracked operand.
     """
-    operands = (xs, h0, *(getattr(w, k) for k in GATE_PARAMS))
+    if isinstance(w, GruCellWeights):
+        cells = ((w, reverse),)
+    elif reverse:
+        raise ValueError("gru_pass: a (forward, backward) pair sets its own directions")
+    else:
+        cells = ((w[0], False), (w[1], True))
+    operands = (xs, h0, *(getattr(c, k) for c, _ in cells for k in GATE_PARAMS))
     tracked = tuple(map(ad.tracked, operands))
     taped = any(tracked)
-    c = plain(w)
+    cells = tuple((plain(c), rev) for c, rev in cells)
     x = _array(xs)
-    states = np.empty((*x.shape[:-1], c.u_r.shape[0]))
-    h = h_init = np.zeros(states.shape[1:]) if h0 is None else _array(h0)
-    xr, xu, xh = x @ c.w_r, x @ c.w_u, x @ c.w_h
-    gates = tuple(np.empty_like(states) for _ in range(3)) if taped else None
-    pre_ru = np.empty((2, *states.shape[1:]))  # one elementwise sigmoid for both gates
-    for t in _visit_order(states.shape[0], reverse):
-        np.add(xr[t] + h @ c.u_r, c.b_r, out=pre_ru[0])
-        np.add(xu[t] + h @ c.u_u, c.b_u, out=pre_ru[1])
-        r, u = ad.sigmoid(pre_ru)
-        cand = ad.tanh(xh[t] + (r * h) @ c.u_h + c.b_h)
-        h_new = (1.0 - u) * cand + u * h
-        states[t] = h_new if mask is None else mask[0][t] * h_new + mask[1][t] * h
-        h = states[t]
+    steps, hidden = x.shape[0], cells[0][0].u_r.shape[0]
+    state = (len(cells), *x.shape[1:-1], hidden)  # one step's states, direction first
+    lead = (len(cells), *(1,) * (len(state) - 3))  # a weight's axes before its matrix
+    xp = np.empty((steps, 3, *state))  # per step: (xW_r, xW_u, xW_h) in visit order
+    for d, (c, rev) in enumerate(cells):
+        for g, w_in in enumerate((c.w_r, c.w_u, c.w_h)):
+            xp[:, g, d] = _in_visit_order(x @ w_in, rev)
+    if mask is not None:
+        keep = np.empty((2, steps, *state[:-1], 1))  # (m, 1-m) in each direction's visit order
+        for d, (_, rev) in enumerate(cells):
+            keep[0, :, d], keep[1, :, d] = (_in_visit_order(m, rev) for m in mask)
+    u_ru = np.stack([[c.u_r, c.u_u] for c, _ in cells], axis=1).reshape(2, *lead, hidden, hidden)
+    b_ru = np.stack([[c.b_r, c.b_u] for c, _ in cells], axis=1).reshape(2, *lead, 1, hidden)
+    u_h = np.stack([c.u_h for c, _ in cells]).reshape(*lead, hidden, hidden)
+    b_h = np.stack([c.b_h for c, _ in cells]).reshape(*lead, 1, hidden)
+    h_init = np.zeros(state[1:]) if h0 is None else _array(h0)
+    h = np.broadcast_to(h_init, state)
+    visited = np.empty((steps, *state))  # the states in each direction's visit order
+    if taped:
+        saved_ru, saved_cand = np.empty((2, *visited.shape)), np.empty_like(visited)
+    prod = np.empty((3, *state))  # h @ U_r, h @ U_u, then (r * h) @ U_h
+    hu, rhu = prod[:2], prod[2]
+    pre, e, ru = np.empty((2, *state)), np.empty((2, *state)), np.empty((2, *state))
+    pos = np.empty(pre.shape, dtype=bool)
+    cand, blend = np.empty(state), np.empty(state)
+    for t, (xp_ru, xp_h) in enumerate(zip(xp[:, :2], xp[:, 2])):
+        np.matmul(h, u_ru, out=hu)
+        np.add(xp_ru, hu, out=pre)
+        np.add(pre, b_ru, out=pre)
+        np.negative(pre, out=e)  # ad.sigmoid: exp(-|x|) never overflows; keeps a NaN's sign
+        np.minimum(pre, e, out=e)
+        np.exp(e, out=e)
+        np.greater_equal(pre, 0, out=pos)
+        num = np.where(pos, 1.0, e)
+        np.add(1.0, e, out=e)
         if taped:
-            gates[0][t], gates[1][t], gates[2][t] = r, u, cand
-    record = {"saved": (tracked, x, c, h_init, mask, reverse, states, gates)} if taped else None
+            ru, cand = saved_ru[:, t], saved_cand[t]
+        np.divide(num, e, out=ru)
+        r, u = ru
+        np.multiply(r, h, out=blend)
+        np.matmul(blend, u_h, out=rhu)
+        np.add(xp_h, rhu, out=cand)
+        np.add(cand, b_h, out=cand)
+        np.tanh(cand, out=cand)
+        np.subtract(1.0, u, out=blend)  # h_new = (1 - u) * cand + u * h
+        np.multiply(blend, cand, out=blend)
+        np.multiply(u, h, out=rhu)
+        if mask is None:
+            np.add(blend, rhu, out=visited[t])
+        else:  # m * h_new + (1 - m) * h
+            np.add(blend, rhu, out=blend)
+            np.multiply(keep[0, t], blend, out=blend)
+            np.multiply(keep[1, t], h, out=rhu)
+            np.add(blend, rhu, out=visited[t])
+        h = visited[t]
+    del xp  # before the states are joined, so the pass's peak is its loop's
+    final = np.concatenate(tuple(h), axis=-1)
+    states = np.concatenate([_in_visit_order(visited[:, d], rev)
+                             for d, (_, rev) in enumerate(cells)], axis=-1)
+    record = ({"saved": (tracked, x, cells, h_init, mask, states, saved_ru, saved_cand)}
+              if taped else None)
     out = ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
-    return out, out[0 if reverse else -1]
+    reverses = tuple(rev for _, rev in cells)
+    return out, ad.node(final, (out, _final_grad, (states.shape, reverses)))
 
 
 def _array(x) -> np.ndarray:
@@ -138,12 +214,52 @@ def _visit_order(steps: int, reverse: bool) -> range:
     return range(steps - 1, -1, -1) if reverse else range(steps)
 
 
+def _in_visit_order(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """A time-major array's steps in the order a pass visits them; its own inverse."""
+    return a[::-1] if reverse else a
+
+
+def _final_grad(g, saved):
+    """The states' gradient from the final ones: each direction's last visited step."""
+    shape, reverses = saved
+    hidden = shape[-1] // len(reverses)
+    out = np.zeros(shape)
+    for d, rev in enumerate(reverses):
+        cols = slice(d * hidden, (d + 1) * hidden)
+        out[0 if rev else -1, ..., cols] += g[..., cols]
+    return out
+
+
 def _gru_pass_grad(g, saved):
     """One operand's gradient; the pass's first rule call runs BPTT for all of them."""
     record, i = saved
     if "grads" not in record:
-        record["grads"] = _bptt(g, *record.pop("saved"))
+        record["grads"] = _bptt_directions(g, *record.pop("saved"))
     return record["grads"].pop(i)
+
+
+def _bptt_directions(g, tracked, x, cells, h_init, mask, states, saved_ru, saved_cand):
+    """``_bptt`` once per direction, on its own states and gates in time order.
+
+    Operand ``2 + 9*d + k`` is direction d's k-th gate parameter; ``xs``
+    and ``h0`` are shared, so their two directions' gradients are summed.
+    A direction's states and gates are views: ``_bptt`` uses them only in
+    elementwise ops and copies, never as a matrix-product operand, so
+    their strides cannot change its bits.
+    """
+    hidden, n = states.shape[-1] // len(cells), len(GATE_PARAMS)
+    grads = {}
+    for d, (c, rev) in enumerate(cells):
+        cols = slice(d * hidden, (d + 1) * hidden)
+        own = (0, 1, *range(2 + n * d, 2 + n * (d + 1)))
+        gates_d = tuple(_in_visit_order(a[:, d], rev)
+                        for a in (saved_ru[0], saved_ru[1], saved_cand))
+        mine = _bptt(g[..., cols], tuple(tracked[i] for i in own), x, c, h_init, mask, rev,
+                     states[..., cols], gates_d)
+        for j, grad in mine.items():
+            i = own[j]
+            grads[i] = grads[i] + grad if i in grads else grad
+    return grads
 
 
 def _bptt(g, tracked, x, c, h_init, mask, reverse, states, gates):
@@ -284,11 +400,7 @@ class RvaeParams:
 def encode(p: RvaeParams, seq, mask=None) -> tuple[Tensor, Tensor]:
     """Bidirectional pass over the time-major ``seq``; heads read the top layer's final states."""
     for layer in range(ENCODER_LAYERS):
-        states_f, hf = gru_pass(seq, p.enc_fwd[layer], mask=mask)
-        states_b, hb = gru_pass(seq, p.enc_bwd[layer], mask=mask, reverse=True)
-        if layer + 1 < ENCODER_LAYERS:  # the top layer's states are not read
-            seq = ad.concat([states_f, states_b], axis=-1)
-    fused = ad.concat([hf, hb], axis=-1)
+        seq, fused = gru_pass(seq, (p.enc_fwd[layer], p.enc_bwd[layer]), mask=mask)
     mu = fused @ p.w_mu + p.b_mu
     logvar = fused @ p.w_logvar + p.b_logvar
     return mu, logvar

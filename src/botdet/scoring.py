@@ -55,7 +55,7 @@ def anomaly_score(target: np.ndarray, recon: np.ndarray):
     return -np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p), axis=-1)
 
 
-STACK_MAX = 16  # sequences per stack; bounds each pass's (L, K, 1, H) state arrays
+STACK_MAX = 16  # sequences per stack; bounds each pass's (L, D, K, 1, H) state arrays
 
 
 def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:

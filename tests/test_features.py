@@ -331,6 +331,27 @@ class TestNormalizer:
         with pytest.raises(DataError):
             Normalizer.fit(np.zeros((0, feat.N_FEATURES)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n_fit=st.integers(1, 20), n_rows=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    def test_rows_from_aggregates_equal_the_per_row_transform(self, n_fit, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        f = feat.N_FEATURES
+        raw = rng.uniform(0, 1e4, size=(n_fit, f))
+        raw[:, 3] = 7.0  # a constant feature
+        flags = rng.integers(0, 2, size=f).astype(bool)
+        flags[:2] = (True, False)
+        norm = Normalizer.fit(raw, log1p=flags)
+        values = rng.uniform(-1e3, 2e4, size=(n_rows, f))  # also outside the fitted range
+        aggs = [FeatureRow(f"h{i}", i % 3, float(i), GroundTruth.NORMAL, v)
+                for i, v in enumerate(values)]
+        got = feat.rows_from_aggregates(aggs, norm)
+        assert len(got) == n_rows
+        for a, g in zip(aggs, got):
+            assert (g.src_addr, g.window_index, g.first_seen, g.label) == \
+                (a.src_addr, a.window_index, a.first_seen, a.label)
+            assert g.values.shape == (f,)
+            assert g.values.tobytes() == norm.transform(a.values).tobytes()
+
 
 class TestBuildSequences:
     def test_five_rows_one_sequence(self):

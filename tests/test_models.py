@@ -97,21 +97,26 @@ class TestEncoder:
         npt.assert_allclose(mu_pad.data, mu_short.data, rtol=1e-12)
 
 
-    def test_one_encode_joins_each_lower_layer_and_the_heads_once(self, monkeypatch):
-        # The top layer's states are never read, so they are never concatenated.
-        calls, concat = [], ad.concat
+    def test_one_encode_runs_one_two_direction_pass_per_layer(self, monkeypatch):
+        # Each layer's pass joins its directions itself, so encode concatenates nothing.
+        passes, concats, gru_pass = [], [], m.gru_pass
 
-        def counted(parts, axis=-1):
-            calls.append(len(parts))
-            return concat(parts, axis=axis)
+        def counted(xs, w, **kwargs):
+            passes.append(w)
+            return gru_pass(xs, w, **kwargs)
 
-        monkeypatch.setattr(ad, "concat", counted)
+        monkeypatch.setattr(m, "gru_pass", counted)
+        monkeypatch.setattr(ad, "concat", lambda *a, **k: concats.append(a))
         p = rand_rvae(seed=9)
         xs = np.random.default_rng(10).uniform(0, 1, size=(4, 2, 3))
-        m.encode(p, xs)
-        assert len(calls) == (m.ENCODER_LAYERS - 1) + 1 == 2
-        m.encode(m.plain(p), xs)
-        assert len(calls) == 4
+        for params in (p, m.plain(p)):
+            passes.clear()
+            mu, _ = m.encode(params, xs)
+            assert mu.shape == (2, 2)
+            assert len(passes) == m.ENCODER_LAYERS
+            assert all(f is pf and b is pb for (f, b), pf, pb
+                       in zip(passes, params.enc_fwd, params.enc_bwd))
+        assert concats == []
 
 
 class TestLatent:
@@ -397,6 +402,62 @@ def test_gru_pass_gradients_of_xs_and_h0_match_the_per_step_pass(
         assert _close(grads[k], ref), k
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), stack=st.integers(1, 3), batch=st.integers(1, 4),
+       steps=st.integers(1, 10), n_in=st.integers(1, 5), hidden=st.integers(1, 6),
+       masked=st.booleans(), with_h0=st.booleans(), taped_weights=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_two_direction_pass_equals_two_single_direction_passes(
+        data, stack, batch, steps, n_in, hidden, masked, with_h0, taped_weights, seed):
+    """States, finals and every gradient bit for bit; a plain pass gives the taped bits."""
+    rng = np.random.default_rng(seed)
+    cells = tuple(m.GruCellWeights.init(rng, n_in, hidden) for _ in range(2))
+    if not taped_weights:
+        cells = tuple(m.plain(c) for c in cells)
+    weights = {f"{d}.{k}": v for d, c in enumerate(cells) for k, v in c.named("c").items()}
+    lengths = np.array(data.draw(st.lists(_lengths(steps), min_size=stack * batch,
+                                          max_size=stack * batch))).reshape(stack, batch)
+    keep = (np.arange(steps)[:, None, None, None] < lengths[..., None]).astype(np.float64)
+    mask = (keep, 1.0 - keep) if masked else None
+    xs0 = rng.normal(size=(steps, stack, batch, n_in))
+    h00 = rng.normal(size=(stack, batch, hidden)) if with_h0 else None
+    g_states = rng.normal(size=(steps, stack, batch, 2 * hidden))
+    g_final = rng.normal(size=(stack, batch, 2 * hidden))
+    fwd, bwd = slice(0, hidden), slice(hidden, None)
+    runs = []
+    for stacked in (True, False):
+        xs = Tensor(xs0.copy(), requires_grad=True)
+        h0 = None if h00 is None else Tensor(h00.copy(), requires_grad=True)
+        if taped_weights:
+            zero_grads(weights.values())
+        if stacked:
+            states, final = m.gru_pass(xs, cells, mask, h0)
+            loss = ad.sum_all(states * g_states) + ad.sum_all(final * g_final)
+            states, final = bits(states), bits(final)
+        else:
+            states_f, final_f = m.gru_pass(xs, cells[0], mask, h0)
+            states_b, final_b = m.gru_pass(xs, cells[1], mask, h0, reverse=True)
+            loss = (ad.sum_all(states_f * g_states[..., fwd])
+                    + ad.sum_all(states_b * g_states[..., bwd])
+                    + ad.sum_all(final_f * g_final[..., fwd])
+                    + ad.sum_all(final_b * g_final[..., bwd]))
+            states = bits(np.concatenate([states_f.data, states_b.data], axis=-1))
+            final = bits(np.concatenate([final_f.data, final_b.data], axis=-1))
+        backward(loss)
+        grads = {k: bits(v.grad) for k, v in weights.items() if taped_weights}
+        grads["xs"] = bits(xs.grad)
+        if h0 is not None:
+            grads["h0"] = bits(h0.grad)
+        runs.append((states, final, grads))
+    (states, final, grads), (ref_states, ref_final, ref_grads) = runs
+    assert states == ref_states and final == ref_final
+    assert len(grads) == (18 if taped_weights else 0) + 1 + with_h0
+    assert grads == ref_grads
+    plain_states, plain_final = m.gru_pass(xs0, tuple(m.plain(c) for c in cells), mask, h00)
+    assert type(plain_states) is np.ndarray
+    assert bits(plain_states) == states and bits(plain_final) == final
+
+
 @settings(max_examples=40, deadline=None)
 @given(batch=st.integers(1, 3), hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
        sample=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -425,11 +486,20 @@ STACKING = ("stacked scoring (scoring.score_sequences, models.gru_pass on plain 
             "build breaks that, and stacked scores would drift from scoring one "
             "sequence at a time")
 
+STEP_STACKING = ("models.gru_pass's step, which training, batch scoring and streaming all "
+                 "run, multiplies every direction's state by both gates' recurrent weights "
+                 "stacked on a leading axis, writing into a slice of a buffer, and relies on "
+                 "each stacked item getting the bits of its own (B,H)@(H,H) product; this "
+                 "numpy/BLAS build breaks that, and the two-direction encoder pass would "
+                 "drift from two single-direction passes")
+
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 130), hidden=st.integers(1, 130), steps=st.integers(1, 40),
-       stack=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
-def test_stacked_products_equal_the_unstacked_ones_bit_for_bit(n, hidden, steps, stack, seed):
+       stack=st.integers(1, 20), batch=st.integers(2, 8), directions=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_products_equal_the_unstacked_ones_bit_for_bit(n, hidden, steps, stack, batch,
+                                                               directions, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, hidden))
     u = rng.standard_normal((hidden, hidden))
@@ -446,3 +516,18 @@ def test_stacked_products_equal_the_unstacked_ones_bit_for_bit(n, hidden, steps,
     per_item = items @ w
     assert all(bits(per_item[k]) == bits(items[k] @ w) for k in range(stack)), \
         f"(K,L,n)@(n,H) differs from the per-item (L,n)@(n,H) products: {STACKING}"
+    gates = 2
+    u_gates = rng.standard_normal((gates, directions, 1, hidden, hidden))
+    for b in (1, batch):  # gemv, then gemm
+        h = rng.standard_normal((directions, stack, b, hidden))
+        buf = np.empty((gates + 1, directions, stack, b, hidden))
+        np.matmul(h, u_gates, out=buf[:gates])
+        assert all(bits(buf[g, d, k]) == bits(h[d, k] @ u_gates[g, d, 0])
+                   for g in range(gates) for d in range(directions) for k in range(stack)), \
+            f"(D,K,{b},H)@(G,D,1,H,H) into a buffer slice differs from per-item products: " \
+            f"{STEP_STACKING}"
+        np.matmul(h, u_gates[0], out=buf[gates])  # the candidate's (r*h) @ U_h
+        assert all(bits(buf[gates, d, k]) == bits(h[d, k] @ u_gates[0, d, 0])
+                   for d in range(directions) for k in range(stack)), \
+            f"(D,K,{b},H)@(D,1,H,H) into a buffer slice differs from per-item products: " \
+            f"{STEP_STACKING}"
