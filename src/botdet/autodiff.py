@@ -31,7 +31,7 @@ taped pass.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -138,10 +138,6 @@ def _matmul_right(g, x):
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def _take(g, index):
-    return g[index]
-
-
 def _scatter(g, saved):
     index, shape = saved
     out = np.zeros(shape)
@@ -205,20 +201,6 @@ def matmul(a, b):
     if x.shape[-1] != y.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {x.shape} @ {y.shape}")
     return node(x @ y, (a, _matmul_left, y), (b, _matmul_right, x))
-
-
-def concat(parts: Sequence, axis: int = -1):
-    if not parts:
-        raise ValueError("concat: no tensors given")
-    arrays = [_data(t) for t in parts]
-    out = np.concatenate(arrays, axis=axis)
-    lead = (slice(None),) * (axis % out.ndim)
-    edges, lo = [], 0
-    for t, x in zip(parts, arrays):
-        hi = lo + x.shape[axis]
-        edges.append((t, _take, lead + (slice(lo, hi),)))
-        lo = hi
-    return node(out, *edges)
 
 
 def take(a, index):

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -159,15 +159,24 @@ _SCENARIO_OPTS: dict[str, Opt] = {
 
 
 def _train_config(args, l_max: int) -> TrainConfig:
-    return TrainConfig(l_max=l_max, **_echo(args, [f.name for f in _TRAIN_FIELDS]))
-
-
-def _echo(args, names: Sequence[str]) -> dict:
-    return {n: getattr(args, n) for n in names}
+    return TrainConfig(l_max=l_max, **{f.name: getattr(args, f.name) for f in _TRAIN_FIELDS})
 
 
 def _run_manifest_path(artifact: Path) -> Path:
     return artifact.with_name(artifact.stem + ".run.json")
+
+
+def _record_run(args, path: Path, inputs: Sequence, outputs: Sequence,
+                seed: int | None = None, **derived) -> None:
+    """Write the stage's run manifest.
+
+    Its config holds every option of the subcommand except the ones that
+    name where the stage writes (``out_dir``, ``*_out``), plus ``derived``.
+    """
+    config = {n: getattr(args, n) for n in args._spec
+              if n != "out_dir" and not n.endswith("_out")}
+    fileio.write_run_manifest(path, args.command, {**config, **derived},
+                              inputs=inputs, outputs=outputs, seed=seed)
 
 
 # ------------------------------------------------------------- subcommands
@@ -184,11 +193,9 @@ def cmd_preprocess(args) -> int:
     for path, split in ((train_path, res.train), (test_path, res.test)):
         fileio.write_features(path, replace(res.meta, t0=split.t0), split.rows)
     manifest = pipeline.load_manifest(args.manifest)
-    fileio.write_run_manifest(
-        out / "preprocess.run.json", "preprocess",
-        _echo(args, (*_SCENARIO_OPTS, "window_seconds", *_WINDOW_OPTS)),
-        inputs=[manifest[s] for s in (*args.train_scenarios, *args.test_scenarios)],
-        outputs=[train_path, test_path], seed=None)
+    _record_run(args, out / "preprocess.run.json",
+                [manifest[s] for s in (*args.train_scenarios, *args.test_scenarios)],
+                [train_path, test_path])
     for name, split in (("train", res.train), ("test", res.test)):
         print(f"{name}: {len(split.rows)} host-windows from "
               f"{split.stats.parsed} flows ({split.stats.errors} bad rows)")
@@ -210,11 +217,8 @@ def cmd_train(args) -> int:
         model = pipeline.train_model(meta, rows, cfg, arch=args.arch)
     model_out = Path(args.model_out)
     fileio.save_model(model_out, model)
-    fileio.write_run_manifest(
-        _run_manifest_path(model_out), "train",
-        {"features": args.features, "kfold": args.kfold,
-         **asdict(cfg), "arch": args.arch},
-        inputs=[args.features], outputs=[model_out], seed=cfg.seed)
+    _record_run(args, _run_manifest_path(model_out), [args.features], [model_out],
+                seed=cfg.seed, l_max=cfg.l_max)
     print(f"trained {model.arch}: {model.train_summary}")
     return 0
 
@@ -225,11 +229,8 @@ def cmd_score(args) -> int:
     scored = pipeline.score_split(model, meta, rows)
     scores_out = Path(args.scores_out)
     fileio.write_scores_csv(scores_out, scored)
-    fileio.write_run_manifest(
-        _run_manifest_path(scores_out), "score",
-        {"model": args.model, "features": args.features},
-        inputs=[args.model, args.features], outputs=[scores_out],
-        seed=model.seed)
+    _record_run(args, _run_manifest_path(scores_out), [args.model, args.features],
+                [scores_out], seed=model.seed)
     print(f"scored {len(scored)} host-windows")
     return 0
 
@@ -241,10 +242,7 @@ def cmd_fitpdf(args) -> int:
         tie_rule=args.tie_rule)
     det_out = Path(args.detector_out)
     fileio.save_detector(det_out, det)
-    fileio.write_run_manifest(
-        _run_manifest_path(det_out), "fitpdf",
-        {"scores": args.scores, **_echo(args, tuple(_PDF_OPTS))},
-        inputs=[args.scores], outputs=[det_out], seed=None)
+    _record_run(args, _run_manifest_path(det_out), [args.scores], [det_out])
     print(f"pdf_normal: {det.pdf_normal.family} sse={det.pdf_normal.sse:.3g}  "
           f"pdf_botnet: {det.pdf_botnet.family} sse={det.pdf_botnet.sse:.3g}")
     return 0
@@ -256,10 +254,8 @@ def cmd_detect(args) -> int:
     decisions = pipeline.classify_scores(scored, det)
     dec_out = Path(args.decisions_out)
     fileio.write_decisions_jsonl(dec_out, decisions)
-    fileio.write_run_manifest(
-        _run_manifest_path(dec_out), "detect",
-        {"scores": args.scores, "detector": args.detector},
-        inputs=[args.scores, args.detector], outputs=[dec_out], seed=None)
+    _record_run(args, _run_manifest_path(dec_out), [args.scores, args.detector],
+                [dec_out])
     n_mal = sum(1 for d in decisions if d["verdict"] == "Malicious")
     print(f"{n_mal}/{len(decisions)} host-windows flagged Malicious")
     return 0
@@ -277,10 +273,7 @@ def cmd_evaluate(args) -> int:
     report_out = Path(args.report_out)
     fileio.save_report(report_out, report)
     inputs = [args.scores, args.decisions] + ([args.model] if args.model else [])
-    fileio.write_run_manifest(
-        _run_manifest_path(report_out), "evaluate",
-        _echo(args, ("scores", "decisions", "model", "exclude_background")),
-        inputs=inputs, outputs=[report_out], seed=None)
+    _record_run(args, _run_manifest_path(report_out), inputs, [report_out])
     print(report_table([("run", report)]))
     return 0
 
@@ -307,13 +300,9 @@ def cmd_sweep(args) -> int:
     table_path.write_text(table + "\n")
     outputs.append(table_path)
     manifest = pipeline.load_manifest(args.manifest)
-    fileio.write_run_manifest(
-        out / "sweep.run.json", "sweep",
-        {**_echo(args, (*_SCENARIO_OPTS, "durations", *_WINDOW_OPTS,
-                        "exclude_background")),
-         **_echo(args, tuple(_PDF_OPTS)), **asdict(cfg), "arch": args.arch},
-        inputs=[manifest[s] for s in (*args.train_scenarios, *args.test_scenarios)],
-        outputs=outputs, seed=cfg.seed)
+    _record_run(args, out / "sweep.run.json",
+                [manifest[s] for s in (*args.train_scenarios, *args.test_scenarios)],
+                outputs, seed=cfg.seed)
     print(table)
     return 0
 

@@ -15,7 +15,8 @@ Every artifact is versioned and self-describing:
 
 Readers verify format_version and artifact kind and raise DataError with
 the offending path on any mismatch, or on a payload that is missing a key
-or holds a value of the wrong type.
+or holds a value of the wrong type. The features, scores and decisions
+readers also refuse a host-window (src_addr, window_index) that repeats.
 """
 
 from __future__ import annotations
@@ -155,6 +156,14 @@ def _window(text: str) -> int:
     return w
 
 
+def _check_new(seen: dict, src_addr: str, window: int, line: int, p: Path) -> None:
+    """Note a host-window's line; one already noted raises DataError naming both lines."""
+    first = seen.setdefault((src_addr, window), line)
+    if first != line:
+        raise DataError(f"{p}:{line}: host-window ({src_addr!r}, {window}) "
+                        f"repeats line {first}")
+
+
 def _finite(text: str, name: str) -> float:
     x = float(text)
     if not math.isfinite(x):
@@ -225,20 +234,22 @@ def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
                     *meta.feature_names]
         if columns != expected:
             raise DataError(f"{p}: column header does not match feature names")
-        rows = []
+        rows, seen = [], {}
         for rec in reader:
+            line = reader.line_num + 1  # the reader started after the #META line
             try:
                 if len(rec) != len(expected):
                     raise ValueError(f"{len(rec)} columns, expected {len(expected)}")
                 values = np.array([float(v) for v in rec[4:]], dtype=np.float64)
                 if not ((values >= 0.0) & (values <= 1.0)).all():
                     raise ValueError("feature values must be finite and in [0, 1]")
-                rows.append(FeatureRow(src_addr=rec[0], window_index=_window(rec[1]),
-                                       first_seen=_finite(rec[2], "first_seen"),
-                                       label=GroundTruth(rec[3]), values=values))
+                row = FeatureRow(src_addr=rec[0], window_index=_window(rec[1]),
+                                 first_seen=_finite(rec[2], "first_seen"),
+                                 label=GroundTruth(rec[3]), values=values)
             except ValueError as exc:
-                # the reader started after the #META line
-                raise DataError(f"{p}:{reader.line_num + 1}: bad features row ({exc})")
+                raise DataError(f"{p}:{line}: bad features row ({exc})")
+            _check_new(seen, row.src_addr, row.window_index, line, p)
+            rows.append(row)
     return meta, rows
 
 
@@ -400,16 +411,17 @@ def read_scores_csv(path: str | Path) -> list[ScoredWindow]:
         header = next(reader, None)
         if header != list(SCORES_HEADER):
             raise DataError(f"{p}: not a scores file (bad column header)")
-        out = []
+        out, seen = [], {}
         for rec in reader:
             try:
                 src_addr, window, first_seen, label, score = rec
-                out.append(ScoredWindow(src_addr=src_addr, window_index=_window(window),
-                                        first_seen=_finite(first_seen, "first_seen"),
-                                        label=GroundTruth(label),
-                                        score=_finite(score, "score")))
+                s = ScoredWindow(src_addr=src_addr, window_index=_window(window),
+                                 first_seen=_finite(first_seen, "first_seen"),
+                                 label=GroundTruth(label), score=_finite(score, "score"))
             except ValueError as exc:
                 raise DataError(f"{p}:{reader.line_num}: bad scores row ({exc})")
+            _check_new(seen, s.src_addr, s.window_index, reader.line_num, p)
+            out.append(s)
     return out
 
 
@@ -423,9 +435,9 @@ def write_decisions_jsonl(path: str | Path, decisions: Iterable[dict]) -> None:
 
 
 def read_decisions_jsonl(path: str | Path) -> list[dict]:
-    """Decision records; each must hold a string src_addr, an integer window_index and a verdict."""
+    """One decision record per host-window: a str src_addr, an int window_index and a verdict."""
     p = Path(path)
-    out = []
+    out, seen = [], {}
     with _open_text(p) as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
@@ -441,6 +453,7 @@ def read_decisions_jsonl(path: str | Path) -> list[dict]:
                 raise DataError(f"{p}:{i}: a decision record needs a string src_addr, an "
                                 "integer window_index and a verdict of Malicious or "
                                 "NonMalicious")
+            _check_new(seen, record["src_addr"], record["window_index"], i, p)
             out.append(record)
     return out
 

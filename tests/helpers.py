@@ -70,6 +70,23 @@ def bits(x) -> bytes:
     return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).tobytes()
 
 
+def _slice_of(g, index):
+    return g[index]
+
+
+def concat(parts, axis: int = -1):
+    """Taped ``np.concatenate``: each tracked part's gradient is its slice of the output's."""
+    arrays = [ad._data(t) for t in parts]
+    out = np.concatenate(arrays, axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
+    edges, lo = [], 0
+    for t, x in zip(parts, arrays):
+        hi = lo + x.shape[axis]
+        edges.append((t, _slice_of, lead + (slice(lo, hi),)))
+        lo = hi
+    return ad.node(out, *edges)
+
+
 def input_projections(x, w) -> tuple:
     """``(x @ w_r, x @ w_u, x @ w_h)``: what ``gru_cell`` reads of its input."""
     return x @ w.w_r, x @ w.w_u, x @ w.w_h
@@ -117,8 +134,8 @@ def per_step_rvae_loss(p, batch: np.ndarray, lengths, eps, beta: float):
     for layer in range(models.ENCODER_LAYERS):
         states_f, hf = per_step_gru_pass(seq, p.enc_fwd[layer], mask)
         states_b, hb = per_step_gru_pass(seq, p.enc_bwd[layer], mask, reverse=True)
-        seq = [ad.concat([f, b], axis=-1) for f, b in zip(states_f, states_b)]
-    fused = ad.concat([hf, hb], axis=-1)
+        seq = [concat([f, b], axis=-1) for f, b in zip(states_f, states_b)]
+    fused = concat([hf, hb], axis=-1)
     mu = fused @ p.w_mu + p.b_mu
     logvar = fused @ p.w_logvar + p.b_logvar
     z = models.reparameterize(mu, logvar, eps)

@@ -109,6 +109,17 @@ def test_features_reader_rejects_foreign_files(tmp_path):
         read_features(old)
 
 
+def test_features_reader_rejects_a_repeated_host_window(tmp_path):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "dup.csv"
+    write_features(path, _meta(rng), _rows(rng, n=5))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines, lines[2]]) + "\n")
+    with pytest.raises(DataError, match=r"dup.csv:8: host-window \('192.168.0.0', 0\) "
+                                        "repeats line 3"):
+        read_features(path)
+
+
 def _trained_model(arch="rvae"):
     rng = np.random.default_rng(5)
     raw = rng.random((20, N_FEATURES)) * 9
@@ -257,6 +268,16 @@ def test_scores_reader_rejects_corrupt_rows(tmp_path):
         read_scores_csv(raw)
 
 
+def test_scores_reader_rejects_a_repeated_host_window(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("src_addr,window_index,first_seen,label,score\n"
+                    "10.0.0.1,4,1.0,Botnet,17.25\n10.0.0.2,4,2.0,Normal,0.5\n"
+                    "10.0.0.1,4,1.0,Botnet,3.0\n")
+    with pytest.raises(DataError, match=r"dup.csv:4: host-window \('10.0.0.1', 4\) "
+                                        "repeats line 2"):
+        read_scores_csv(path)
+
+
 def test_decisions_roundtrip(tmp_path):
     decisions = [
         {"src_addr": "10.0.0.1", "window_index": 2, "score": 9.5,
@@ -273,6 +294,16 @@ def test_decisions_roundtrip(tmp_path):
     bad.write_text('{"ok": 1}\nnot json\n')
     with pytest.raises(DataError):
         read_decisions_jsonl(bad)
+
+
+def test_decisions_reader_rejects_a_repeated_host_window(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    path.write_text('{"src_addr": "10.0.0.1", "window_index": 2, "verdict": "Malicious"}\n'
+                    '{"src_addr": "10.0.0.1", "window_index": 3, "verdict": "Malicious"}\n'
+                    '{"src_addr": "10.0.0.1", "window_index": 2, "verdict": "NonMalicious"}\n')
+    with pytest.raises(DataError, match=r"dup.jsonl:3: host-window \('10.0.0.1', 2\) "
+                                        "repeats line 1"):
+        read_decisions_jsonl(path)
 
 
 def test_run_manifest_contents_and_determinism(tmp_path):

@@ -12,8 +12,8 @@ from botdet import autodiff as ad
 from botdet import models as m
 from botdet.autodiff import Tensor, backward, zero_grads
 
-from helpers import (bits, gradcheck, gru_cell, input_projections, per_step_gru_pass,
-                     per_step_rvae_loss)
+from helpers import (bits, concat, gradcheck, gru_cell, input_projections,
+                     per_step_gru_pass, per_step_rvae_loss)
 
 
 def zero_all(params) -> None:
@@ -98,15 +98,13 @@ class TestEncoder:
 
 
     def test_one_encode_runs_one_two_direction_pass_per_layer(self, monkeypatch):
-        # Each layer's pass joins its directions itself, so encode concatenates nothing.
-        passes, concats, gru_pass = [], [], m.gru_pass
+        passes, gru_pass = [], m.gru_pass
 
         def counted(xs, w, **kwargs):
             passes.append(w)
             return gru_pass(xs, w, **kwargs)
 
         monkeypatch.setattr(m, "gru_pass", counted)
-        monkeypatch.setattr(ad, "concat", lambda *a, **k: concats.append(a))
         p = rand_rvae(seed=9)
         xs = np.random.default_rng(10).uniform(0, 1, size=(4, 2, 3))
         for params in (p, m.plain(p)):
@@ -116,7 +114,6 @@ class TestEncoder:
             assert len(passes) == m.ENCODER_LAYERS
             assert all(f is pf and b is pb for (f, b), pf, pb
                        in zip(passes, params.enc_fwd, params.enc_bwd))
-        assert concats == []
 
 
 class TestLatent:
@@ -385,7 +382,7 @@ def test_gru_pass_gradients_of_xs_and_h0_match_the_per_step_pass(
         if per_step:
             states, final = per_step_gru_pass([xs[t] for t in range(steps)], w, mask, h0,
                                               reverse)
-            states = ad.concat([s_t[None] for s_t in states], axis=0)
+            states = concat([s_t[None] for s_t in states], axis=0)
         else:
             states, final = m.gru_pass(xs, w, mask, h0, reverse)
         loss = ad.sum_all(states * g_states) + ad.sum_all(final * g_final)
