@@ -149,10 +149,6 @@ def _sigmoid_grad(g, out):
     return g * out * (1.0 - out)
 
 
-def _tanh_grad(g, out):
-    return g * (1.0 - out * out)
-
-
 def _relu_grad(g, x):
     return g * (x > 0.0)
 
@@ -214,11 +210,6 @@ def sigmoid(a):
     e = np.exp(np.minimum(x, -x))  # exp(-|x|) never overflows; keeps a NaN's sign
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return node(out, (a, _sigmoid_grad, out))
-
-
-def tanh(a):
-    out = np.tanh(_data(a))
-    return node(out, (a, _tanh_grad, out))
 
 
 def relu(a):

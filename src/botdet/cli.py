@@ -56,8 +56,8 @@ _as_int = _cast("an integer", int, int, str)
 _as_count = _cast("an integer >= 1", int, int, str, ok=lambda x: x >= 1)
 _as_seed = _cast("an integer >= 0", int, int, str, ok=lambda x: x >= 0)
 _as_folds = _cast("0 or an integer >= 2", int, int, str, ok=lambda x: x == 0 or x >= 2)
-_as_float = _cast("a number", float, int, float, str)
 _as_positive = _cast("a number > 0", float, int, float, str, ok=lambda x: x > 0)
+_as_nonnegative = _cast("a number >= 0", float, int, float, str, ok=lambda x: x >= 0)
 _as_bool = _cast("true or false", bool, bool)
 _as_id = _cast("a string or an integer", str, str, int)
 
@@ -126,9 +126,10 @@ def _finalize(args: argparse.Namespace) -> argparse.Namespace:
 
 # l_max is not a train option: train reads it from the features header
 _TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "l_max"]
-# sizes and widths are counts; anneal_steps <= 0 turns annealing off
-_CAST_BY_TYPE = {int: _as_count, float: _as_float, tuple: _listed(_as_count)}
-_CAST_BY_NAME = {"anneal_steps": _as_int, "seed": _as_seed}
+# sizes and widths are counts; lr and grad_clip are > 0 (<= 0 climbs the loss or
+# zeroes every gradient); anneal_steps <= 0 turns annealing off; beta_max 0 drops KL
+_CAST_BY_TYPE = {int: _as_count, float: _as_positive, tuple: _listed(_as_count)}
+_CAST_BY_NAME = {"anneal_steps": _as_int, "seed": _as_seed, "beta_max": _as_nonnegative}
 
 _TRAIN_HYPER: dict[str, Opt] = {
     "arch": Opt("rvae", choices=("rvae", "mlp")),
@@ -138,7 +139,7 @@ _TRAIN_HYPER: dict[str, Opt] = {
 
 _PDF_OPTS: dict[str, Opt] = {
     "bins": Opt(200, _as_count),
-    "min_samples": Opt(100, _as_int),
+    "min_samples": Opt(100, _as_count),
     "tie_rule": Opt("malicious", choices=TIE_RULES),
 }
 

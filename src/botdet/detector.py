@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -308,9 +308,7 @@ def best_fit(samples: np.ndarray, min_samples: int = 100, bins: int = 200) -> Fi
         except Exception as exc:
             log.warning("density family %s skipped: %s", fam.name, exc)
             continue
-        candidates.append((err, fam.n_shapes, order,
-                           FittedPdf(fit.family, fit.shapes, fit.loc, fit.scale,
-                                     err, fit.n_samples)))
+        candidates.append((err, fam.n_shapes, order, replace(fit, sse=err)))
     if not candidates:
         raise DataError("best_fit: every family failed to fit")
     min_sse = min(c[0] for c in candidates)

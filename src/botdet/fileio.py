@@ -27,7 +27,7 @@ import json
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -47,20 +47,8 @@ from .train import TrainedModel
 FORMAT_VERSION = 1
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
 def dump_json(payload: dict, path: str | Path) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True, default=_to_jsonable)
+    text = json.dumps(payload, indent=1, sort_keys=True)
     Path(path).write_text(text + "\n")
 
 
@@ -387,7 +375,7 @@ def _detector_from_payload(payload: dict, path: Path) -> DetectorModel:
 
 def save_report(path: str | Path, report: MetricsReport) -> None:
     dump_json({"format_version": FORMAT_VERSION, "kind": "metrics-report",
-               **report.to_dict()}, path)
+               **asdict(report)}, path)
 
 
 # ----------------------------------------------------------------- scores
@@ -430,7 +418,7 @@ def read_scores_csv(path: str | Path) -> list[ScoredWindow]:
 def write_decisions_jsonl(path: str | Path, decisions: Iterable[dict]) -> None:
     with open(path, "w") as fh:
         for record in decisions:
-            fh.write(json.dumps(record, sort_keys=True, default=_to_jsonable))
+            fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
 
 
@@ -461,8 +449,7 @@ def read_decisions_jsonl(path: str | Path) -> list[dict]:
 # ------------------------------------------------------------ run manifest
 
 def config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"),
-                       default=_to_jsonable)
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

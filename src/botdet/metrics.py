@@ -22,8 +22,6 @@ def _as_binary(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise DataError(f"{name} must be one-dimensional")
-    if arr.dtype == bool:
-        arr = arr.astype(np.int64)
     uniq = np.unique(arr)
     if not np.all(np.isin(uniq, (0, 1))):
         raise DataError(f"{name} must contain only 0/1 values")
@@ -138,14 +136,6 @@ class MetricsReport:
     tn: int
     fn: int
     config: dict = field(default_factory=dict)  # echo: T, N, arch, ...
-
-    def to_dict(self) -> dict:
-        return {
-            "recall": self.recall, "precision": self.precision, "f1": self.f1,
-            "auprc": self.auprc, "auroc": self.auroc,
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "config": dict(self.config),
-        }
 
 
 def make_report(scores, labels, decisions, config: dict | None = None) -> MetricsReport:

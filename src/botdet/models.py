@@ -114,8 +114,8 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     recurrence. A step then makes one product of every direction's state
     against U_r and U_u stacked on a leading axis, adds both gates' input
     projections and both biases in one call each, as ``(xW + hU) + b``,
-    and blends the previous state with a tanh candidate. The sigmoid and
-    tanh run ``ad.sigmoid``'s and ``ad.tanh``'s ufunc sequences, and every
+    and blends the previous state with a tanh candidate. The sigmoid runs
+    ``ad.sigmoid``'s ufunc sequence, the tanh is ``np.tanh``, and every
     temporary goes into a buffer allocated once per pass.
 
     ``mask`` is ``make_mask``'s (m, 1-m) pair of (L, B, 1) arrays for padded

@@ -203,6 +203,18 @@ def train_model_kfold(meta: FeaturesMeta, rows: Sequence[FeatureRow],
 
 def score_split(model: TrainedModel, meta: FeaturesMeta,
                 rows: Sequence[FeatureRow]) -> list[ScoredWindow]:
+    """Score rows whose features come from the preprocess run the model was trained on.
+
+    Window config and normalizer must equal the model's, names too (``score_rows``):
+    the stream, which uses the model's normalizer, could not reproduce other scores.
+    """
+    differ = [k for k in ("window_seconds", "n_windows", "l_max")
+              if getattr(meta, k) != getattr(model, k)]
+    differ += [f"normalizer {k}" for k in ("vmin", "vmax", "log1p")
+               if not np.array_equal(getattr(meta.normalizer, k), getattr(model.normalizer, k))]
+    if differ:
+        raise DataError("feature layout mismatch between features file and model: "
+                        f"{', '.join(differ)} differ (another preprocess run?)")
     return score_rows(model, rows, meta.feature_names)
 
 
@@ -242,10 +254,15 @@ def evaluate_decisions(scored: Sequence[ScoredWindow], decisions: Sequence[dict]
                        exclude_background: bool = False) -> MetricsReport:
     """Join scores and decisions on (src_addr, window_index) and report.
 
-    The evaluation unit is the host-window. Background-labeled rows count
+    The evaluation unit is the host-window. Every decision needs a score,
+    and every score that is kept a decision. Background-labeled rows count
     as non-malicious ground truth unless excluded outright.
     """
     by_key = {(d["src_addr"], d["window_index"]): d for d in decisions}
+    keys = {(s.src_addr, s.window_index) for s in scored}
+    unscored = next((k for k in by_key if k not in keys), None)
+    if unscored is not None:
+        raise DataError(f"no score for the decision on host-window {unscored}")
     scores, labels, picks = [], [], []
     for s in scored:
         if exclude_background and s.label is GroundTruth.BACKGROUND:

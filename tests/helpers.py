@@ -87,6 +87,16 @@ def concat(parts, axis: int = -1):
     return ad.node(out, *edges)
 
 
+def _tanh_grad(g, out):
+    return g * (1.0 - out * out)
+
+
+def tanh(a):
+    """Taped ``np.tanh``: the per-step reference's candidate activation."""
+    out = np.tanh(ad._data(a))
+    return ad.node(out, (a, _tanh_grad, out))
+
+
 def input_projections(x, w) -> tuple:
     """``(x @ w_r, x @ w_u, x @ w_h)``: what ``gru_cell`` reads of its input."""
     return x @ w.w_r, x @ w.w_u, x @ w.w_h
@@ -101,7 +111,7 @@ def gru_cell(xp: tuple, h_prev, w):
     xr, xu, xh = xp
     r = ad.sigmoid(xr + h_prev @ w.u_r + w.b_r)
     u = ad.sigmoid(xu + h_prev @ w.u_u + w.b_u)
-    cand = ad.tanh(xh + (r * h_prev) @ w.u_h + w.b_h)
+    cand = tanh(xh + (r * h_prev) @ w.u_h + w.b_h)
     return (1.0 - u) * cand + u * h_prev
 
 

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from botdet.cli import main
 from botdet.fileio import FORMAT_VERSION, read_features
 from botdet.ingest import read_dataset
+from botdet.metrics import MetricsReport
 from botdet.synth import SynthConfig, make_fixture, write_scenario
 
 FAST_TRAIN = ["--epochs", "6", "--batch-size", "16", "--hidden", "10",
@@ -112,6 +113,7 @@ def test_chain_writes_run_manifests(chain):
 def test_report_carries_metrics_and_config_echo(chain):
     payload = json.loads(chain["report"].read_text())
     assert payload["kind"] == "metrics-report"
+    assert set(payload) == {f.name for f in fields(MetricsReport)} | {"kind", "format_version"}
     for key in ("recall", "precision", "f1", "auprc", "auroc"):
         assert 0.0 <= payload[key] <= 1.0
     assert payload["config"] == {"T": 60.0, "N": 3, "arch": "rvae"}
@@ -275,6 +277,43 @@ def test_stage_mismatch_is_fatal_with_message(chain, tmp_path, capsys):
                "--scores-out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "layout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,differ", [
+    (["--window-seconds", "120", "--log1p"], "window_seconds"),
+    (["--n-windows", "2"], "n_windows"),
+    (["--l-max", "64"], "l_max"),
+    (["--log1p"], "normalizer log1p"),
+    (["--train-scenarios", "synth-test", "--test-scenarios", "synth-train"],
+     "normalizer vmin"),
+], ids=["window-seconds", "n-windows", "l-max", "log1p", "swapped-splits"])
+def test_score_refuses_features_from_another_preprocess_run(chain, fixture_dir, tmp_path,
+                                                            capsys, flags, differ):
+    argv = ["preprocess", "--manifest", str(fixture_dir["manifest"]),
+            "--train-scenarios", "synth-train", "--test-scenarios", "synth-test",
+            "--out-dir", str(tmp_path)]
+    assert main(argv + flags) == 0
+    capsys.readouterr()
+    rc = main(["score", "--model", str(chain["model"]),
+               "--features", str(tmp_path / "features-test.csv"),
+               "--scores-out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "layout" in err and differ in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("exclude_background", [False, True])
+def test_evaluate_refuses_a_decision_that_has_no_score(chain, tmp_path, capsys,
+                                                       exclude_background):
+    decisions = tmp_path / "decisions.jsonl"
+    extra = {"src_addr": "203.0.113.9", "window_index": 5, "verdict": "Malicious"}
+    decisions.write_text(chain["decisions"].read_text() + json.dumps(extra) + "\n")
+    rc = main(["evaluate", "--scores", str(chain["scores_test"]),
+               "--decisions", str(decisions), "--report-out", str(tmp_path / "r.json"),
+               "--exclude-background" if exclude_background else "--no-exclude-background"])
+    assert rc == 2
+    assert "no score for the decision on host-window ('203.0.113.9', 5)" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_sweep_single_duration(fixture_dir, tmp_path, capsys):

@@ -118,3 +118,21 @@ def test_kfold_is_off_or_at_least_two_folds(value, folds, tmp_path):
     for flags, config in (([f"--kfold={value}"], None), ([], {"kfold": value})):
         got = resolve("train", "kfold", flags, config, tmp_path)
         assert got == 1 if folds is None else got["kfold"] == folds
+
+
+@pytest.mark.parametrize("cmd,name,value,want", [
+    ("fitpdf", "min_samples", 0, None), ("fitpdf", "min_samples", -3, None),
+    ("sweep", "min_samples", 0, None), ("fitpdf", "min_samples", 1, 1),
+    ("train", "lr", -0.01, None), ("train", "lr", 0, None), ("sweep", "lr", "-1e-3", None),
+    ("train", "lr", "1e-3", 0.001),
+    ("train", "grad_clip", -5, None), ("train", "grad_clip", 0, None),
+    ("sweep", "grad_clip", "0.0", None), ("train", "grad_clip", 0.5, 0.5),
+    ("train", "beta_max", -0.5, None), ("sweep", "beta_max", "-1", None),
+    ("train", "beta_max", 0, 0.0),
+])
+def test_training_and_density_values_that_cannot_work_are_usage_errors(cmd, name, value,
+                                                                       want, tmp_path):
+    """min_samples >= 1 (what a detector file needs), lr and grad_clip > 0, beta_max >= 0."""
+    for flags, config in (([f"{flag(name)}={value}"], None), ([], {name: value})):
+        got = resolve(cmd, name, flags, config, tmp_path)
+        assert got == 1 if want is None else got[name] == want

@@ -13,7 +13,7 @@ from botdet import models as m
 from botdet.autodiff import Tensor, backward, zero_grads
 
 from helpers import (bits, concat, gradcheck, gru_cell, input_projections,
-                     per_step_gru_pass, per_step_rvae_loss)
+                     per_step_gru_pass, per_step_rvae_loss, tanh)
 
 
 def zero_all(params) -> None:
@@ -50,7 +50,7 @@ class TestGruCell:
         params = list(w.named("c").values())
 
         def f():
-            return ad.sum_all(ad.tanh(gru_cell(input_projections(x, w), h0, w)))
+            return ad.sum_all(tanh(gru_cell(input_projections(x, w), h0, w)))
 
         assert gradcheck(f, params) < 1e-4
 

@@ -28,7 +28,7 @@ def _public_defs(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
-def _references(tree: ast.Module):
+def _names(tree: ast.Module):
     """(name, line) for every name a file reads, imports or reaches as an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -39,27 +39,77 @@ def _references(tree: ast.Module):
             yield node.name.rpartition(".")[2], node.lineno
 
 
+def _botdet_module(node: ast.ImportFrom) -> str | None:
+    """The botdet module an import reads from, by stem ('' for the package); else None."""
+    if node.level:  # relative imports occur only inside the package
+        return node.module or ""
+    top, _, stem = (node.module or "").partition(".")
+    return stem if top == "botdet" else None
+
+
+def _module_references(tree: ast.Module, own: str | None):
+    """((module, name), line) for every reference a file makes to a botdet module's name.
+
+    A reference resolves to its module: ``ad.tanh`` with ``ad`` bound to
+    botdet.autodiff, ``botdet.autodiff.tanh``, a name imported from
+    botdet.autodiff, or a bare name read inside the module ``own``.
+    """
+    modules = {}  # local name -> the botdet module it is bound to; '' for the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                top, _, stem = a.name.partition(".")
+                if top == "botdet":
+                    modules[a.asname or top] = stem if a.asname else ""
+        elif isinstance(node, ast.ImportFrom) and _botdet_module(node) == "":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+
+    def module_of(expr) -> str | None:
+        if isinstance(expr, ast.Name):
+            return modules.get(expr.id)
+        if isinstance(expr, ast.Attribute) and module_of(expr.value) == "":
+            return expr.attr
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and own:
+            yield (own, node.id), node.lineno
+        elif isinstance(node, ast.Attribute) and module_of(node.value):
+            yield (module_of(node.value), node.attr), node.lineno
+        elif isinstance(node, ast.ImportFrom) and _botdet_module(node):
+            for a in node.names:
+                yield (_botdet_module(node), a.name), node.lineno
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     """Each public function, class and method of ``src/botdet`` is named by a caller.
 
     A caller is code under src/botdet (not the package ``__init__.py``),
     scripts/, perfbench/ or demos/, outside the def itself; tests/ does not
-    count, so a name that only its own test calls is flagged. The match is
-    by bare name, so two defs that share a name cover each other: this is a
-    lower bound on what is unused, not a proof that the rest is used.
+    count, so a name that only its own test calls is flagged. A function or
+    class is called only by a reference that resolves to its own module
+    (``_module_references``), so ``np.tanh`` does not cover ``autodiff.tanh``.
+    Methods match by bare name, since the type of ``x`` in ``x.step()`` is
+    not known from the source: two methods that share a name cover each
+    other, so this is a lower bound on what is unused, not a proof that the
+    rest is used.
     """
     files = [p for d in CALLERS for p in sorted(d.glob("*.py"))
              if p != PACKAGE / "__init__.py"]
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
-    refs = {p: list(_references(t)) for p, t in trees.items()}
+    names = {p: list(_names(t)) for p, t in trees.items()}
+    refs = {p: list(_module_references(t, p.stem if p.parent == PACKAGE else None))
+            for p, t in trees.items()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for qualname, node in _public_defs(trees[path]):
-            name = node.name
-            if not any(n == name and not (p == path and node.lineno <= line <= node.end_lineno)
-                       for p, found in refs.items() for n, line in found):
+            method = "." in qualname
+            want = node.name if method else (path.stem, node.name)
+            if not any(ref == want and not (p == path and node.lineno <= line <= node.end_lineno)
+                       for p, found in (names if method else refs).items()
+                       for ref, line in found):
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == []
 
