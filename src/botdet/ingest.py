@@ -71,7 +71,13 @@ def port_number(port: str) -> int | None:
 
 
 def service_of(proto: str, dst_port: str) -> str:
-    num = port_number(dst_port)
+    # Most ports are a few ASCII digits, which int() reads as port_number
+    # would; every other form, a digit string too long for int() included,
+    # goes through port_number.
+    if dst_port.isascii() and dst_port.isdigit() and len(dst_port) <= 5:
+        num = int(dst_port)
+    else:
+        num = port_number(dst_port)
     if num is None:
         return "other"
     return _SERVICE_TABLE.get((num, proto.lower()), "other")

@@ -19,23 +19,29 @@ are time-major: a GRU pass projects its whole (L, ..., B, n) input once
 and writes its states into one array, and the output head and the loss
 read all steps at once. Each encoder layer runs its forward and backward
 directions as one pass over a leading direction axis D, the backward one
-on time-reversed projections; the decoder's layers are two passes.
+on time-reversed projections. The decoder runs both its layers as one
+pass over a leading layer axis, skewed by a step per layer: iteration t
+runs layer l's step t - l, so the pass makes L + 1 iterations, not 2L.
+Both kinds of pass run the same GRU step (``_recur``) on a slice of that
+leading axis.
 
 numpy runs a stacked product as one kernel call per leading index, so
-every step, direction and stacked item keeps its unstacked bits. That
-covers each product a pass makes: each cell's input projections
-(L, ..., B, n) @ (n, H), taken on the input before any time reversal,
-and a step's h (D, ..., B, H) @ U (2, D, 1.., H, H) for both gates and
-(r*h) @ U_h (D, 1.., H, H), whose every item is one direction's own
-(B, H) @ (H, H) product even when written into a slice of a buffer
-(``tests/test_models.py`` pins both).
-Everything else a step does is elementwise, and reversing time or
-joining directions only copies.
+every step, direction, layer and stacked item keeps its unstacked bits.
+That covers each product a pass makes: a first cell's input projections
+(L, ..., B, n) @ (n, H), taken before any time reversal; a step's
+h (D, ..., B, H) @ U (2, D, 1.., H, H) for both gates and
+(r*h) @ U_h (D, 1.., H, H); and an upper decoder layer's per-step input
+projections (..., B, H) @ (3, 1.., H, H). Each item is the (B, H) @ (H, H)
+product a separate pass makes, even when written into a slice of a
+buffer (``tests/test_models.py`` pins all three). Everything else a step
+does is elementwise, and reversing time or joining directions only
+copies.
 
 A taped GRU pass is one tape node whose rule is back-propagation through
 time (Werbos, Proc. IEEE 1990) over the GRU equations of Cho et al.
-(arXiv:1406.1078), run once per direction on that direction's states and
-gates in time order. A weight's gradient sums its steps in one product, so
+(arXiv:1406.1078), run once per direction or layer on that cell's states
+and gates in time order; a layer's input gradient is the states gradient
+of the layer below. A weight's gradient sums its steps in one product, so
 training differs from a per-step tape (``tests/helpers.py``) by float
 reassociation only.
 """
@@ -43,6 +49,7 @@ reassociation only.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -111,12 +118,7 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     ``h0`` (zeros if None) starts every direction.
 
     Each cell's three input projections are taken once, before the
-    recurrence. A step then makes one product of every direction's state
-    against U_r and U_u stacked on a leading axis, adds both gates' input
-    projections and both biases in one call each, as ``(xW + hU) + b``,
-    and blends the previous state with a tanh candidate. The sigmoid runs
-    ``ad.sigmoid``'s ufunc sequence, the tanh is ``np.tanh``, and every
-    temporary goes into a buffer allocated once per pass.
+    recurrence, which ``_recur`` runs.
 
     ``mask`` is ``make_mask``'s (m, 1-m) pair of (L, B, 1) arrays for padded
     batches: a padded step keeps the previous state, so the final state
@@ -142,68 +144,151 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     x = _array(xs)
     steps, hidden = x.shape[0], cells[0][0].u_r.shape[0]
     state = (len(cells), *x.shape[1:-1], hidden)  # one step's states, direction first
-    lead = (len(cells), *(1,) * (len(state) - 3))  # a weight's axes before its matrix
     xp = np.empty((steps, 3, *state))  # per step: (xW_r, xW_u, xW_h) in visit order
     for d, (c, rev) in enumerate(cells):
-        for g, w_in in enumerate((c.w_r, c.w_u, c.w_h)):
+        for g, w_in in enumerate(_inputs(c)):
             xp[:, g, d] = _in_visit_order(x @ w_in, rev)
+    keep = None
     if mask is not None:
         keep = np.empty((2, steps, *state[:-1], 1))  # (m, 1-m) in each direction's visit order
         for d, (_, rev) in enumerate(cells):
             keep[0, :, d], keep[1, :, d] = (_in_visit_order(m, rev) for m in mask)
-    u_ru = np.stack([[c.u_r, c.u_u] for c, _ in cells], axis=1).reshape(2, *lead, hidden, hidden)
-    b_ru = np.stack([[c.b_r, c.b_u] for c, _ in cells], axis=1).reshape(2, *lead, 1, hidden)
-    u_h = np.stack([c.u_h for c, _ in cells]).reshape(*lead, hidden, hidden)
-    b_h = np.stack([c.b_h for c, _ in cells]).reshape(*lead, 1, hidden)
     h_init = np.zeros(state[1:]) if h0 is None else _array(h0)
-    h = np.broadcast_to(h_init, state)
-    visited = np.empty((steps, *state))  # the states in each direction's visit order
-    if taped:
-        saved_ru, saved_cand = np.empty((2, *visited.shape)), np.empty_like(visited)
-    prod = np.empty((3, *state))  # h @ U_r, h @ U_u, then (r * h) @ U_h
-    hu, rhu = prod[:2], prod[2]
-    pre, e, ru = np.empty((2, *state)), np.empty((2, *state)), np.empty((2, *state))
-    pos = np.empty(pre.shape, dtype=bool)
-    cand, blend = np.empty(state), np.empty(state)
-    for t, (xp_ru, xp_h) in enumerate(zip(xp[:, :2], xp[:, 2])):
-        np.matmul(h, u_ru, out=hu)
-        np.add(xp_ru, hu, out=pre)
-        np.add(pre, b_ru, out=pre)
-        np.negative(pre, out=e)  # ad.sigmoid: exp(-|x|) never overflows; keeps a NaN's sign
-        np.minimum(pre, e, out=e)
-        np.exp(e, out=e)
-        np.greater_equal(pre, 0, out=pos)
-        num = np.where(pos, 1.0, e)
-        np.add(1.0, e, out=e)
-        if taped:
-            ru, cand = saved_ru[:, t], saved_cand[t]
-        np.divide(num, e, out=ru)
-        r, u = ru
-        np.multiply(r, h, out=blend)
-        np.matmul(blend, u_h, out=rhu)
-        np.add(xp_h, rhu, out=cand)
-        np.add(cand, b_h, out=cand)
-        np.tanh(cand, out=cand)
-        np.subtract(1.0, u, out=blend)  # h_new = (1 - u) * cand + u * h
-        np.multiply(blend, cand, out=blend)
-        np.multiply(u, h, out=rhu)
-        if mask is None:
-            np.add(blend, rhu, out=visited[t])
-        else:  # m * h_new + (1 - m) * h
-            np.add(blend, rhu, out=blend)
-            np.multiply(keep[0, t], blend, out=blend)
-            np.multiply(keep[1, t], h, out=rhu)
-            np.add(blend, rhu, out=visited[t])
-        h = visited[t]
+    rows = np.empty((steps + 1, *state))  # row t + 1: the states after step t, in visit order
+    rows[0] = h_init
+    gates = _recur(xp, rows, [c for c, _ in cells], taped, keep)
     del xp  # before the states are joined, so the pass's peak is its loop's
-    final = np.concatenate(tuple(h), axis=-1)
-    states = np.concatenate([_in_visit_order(visited[:, d], rev)
+    final = np.concatenate(tuple(rows[-1]), axis=-1)
+    states = np.concatenate([_in_visit_order(rows[1:, d], rev)
                              for d, (_, rev) in enumerate(cells)], axis=-1)
-    record = ({"saved": (tracked, x, cells, h_init, mask, states, saved_ru, saved_cand)}
+    record = ({"saved": (_bptt_directions, (tracked, x, cells, h_init, mask, states, gates))}
               if taped else None)
     out = ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
     reverses = tuple(rev for _, rev in cells)
     return out, ad.node(final, (out, _final_grad, (states.shape, reverses)))
+
+
+def gru_layers(xs, cells: list[GruCellWeights], h0s: list):
+    """Run stacked GRU layers, each on the one below's states; returns the top (L, ..., B, H) ones.
+
+    ``xs`` is the bottom layer's (L, ..., B, n) input and ``h0s`` holds each
+    layer's initial state (zeros for None). The layers run as one skewed
+    recurrence over a leading layer axis (``_recur``), and each layer's
+    states are those of its own ``gru_pass``. The bottom layer's input
+    projections are taken once, before the recurrence. The pass is one
+    tape node, whose rule runs ``_bptt_layers``.
+    """
+    operands = (xs, *h0s, *(getattr(c, k) for c in cells for k in GATE_PARAMS))
+    tracked = tuple(map(ad.tracked, operands))
+    taped = any(tracked)
+    cells = tuple(map(plain, cells))
+    x = _array(xs)
+    n = len(cells)
+    steps, hidden = x.shape[0], cells[0].u_r.shape[0]
+    state = (n, *x.shape[1:-1], hidden)  # one iteration's states, layer first
+    xp = np.empty((steps + n - 1, 3, *state))  # per iteration: each layer's (xW_r, xW_u, xW_h)
+    for g, w_in in enumerate(_inputs(cells[0])):
+        xp[:steps, g, 0] = x @ w_in
+    rows = np.empty((steps + n, *state))  # layer l's state after its step s: row s + l + 1
+    for layer, h0 in enumerate(h0s):
+        rows[layer, layer] = 0.0 if h0 is None else _array(h0)
+    gates = _recur(xp, rows, cells, taped, skewed=True)
+    del xp
+    states = rows[n:, n - 1].copy()  # contiguous, like a single-layer pass's states
+    record = ({"saved": (_bptt_layers, (tracked, x, cells, rows, gates))}
+              if taped else None)
+    return ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
+
+
+def _inputs(c: GruCellWeights) -> tuple:
+    return c.w_r, c.w_u, c.w_h
+
+
+def _recur(xp, rows, cells, taped, keep=None, skewed=False):
+    """The GRU recurrence over a stack of cells, an iteration per row of ``xp``; gates if taped.
+
+    Iteration t runs the step of the active cells: it reads their input
+    projections from ``xp[t]`` and states from ``rows[t]``, and writes
+    their new states to ``rows[t + 1]``. Every cell is active at every
+    iteration unless ``skewed``: then the cells are layers, layer l runs
+    at iterations l to l + L - 1, and each active layer above the first
+    first projects into ``xp[t]`` the state ``rows[t]`` holds for the
+    layer below. The active cells always form one slice of the cell
+    axis; iterations with the same slice share their views.
+
+    A step makes one product of the states against U_r and U_u stacked on
+    a leading axis, adds both gates' input projections and both biases in
+    one call each, as ``(xW + hU) + b``, and blends the previous state
+    with a tanh candidate. The sigmoid runs ``ad.sigmoid``'s ufunc
+    sequence, the tanh is ``np.tanh``, and every temporary goes into a
+    buffer allocated once per pass. ``keep`` holds a masked step's
+    (m, 1-m): a padded step keeps the previous state.
+    """
+    state, hidden, n = rows.shape[1:], rows.shape[-1], len(cells)
+    iterations = len(xp)
+    lead = (n, *(1,) * (len(state) - 3))  # a weight's axes before its matrix
+    u_ru = np.stack([[c.u_r, c.u_u] for c in cells], axis=1).reshape(2, *lead, hidden, hidden)
+    b_ru = np.stack([[c.b_r, c.b_u] for c in cells], axis=1).reshape(2, *lead, 1, hidden)
+    u_h = np.stack([c.u_h for c in cells]).reshape(*lead, hidden, hidden)
+    b_h = np.stack([c.b_h for c in cells]).reshape(*lead, 1, hidden)
+    w_up = (np.stack([_inputs(c) for c in cells[1:]], axis=1).reshape(3, n - 1, *lead[1:],
+                                                                      hidden, hidden)
+            if skewed and n > 1 else None)  # layer l > 0's (W_r, W_u, W_h) at index l - 1
+    saved_ru = np.empty((2, iterations, *state)) if taped else None
+    saved_cand = np.empty((iterations, *state)) if taped else None
+    prod = np.empty((3, *state))  # h @ U_r, h @ U_u, then (r * h) @ U_h
+    pre, e, ru = np.empty((2, *state)), np.empty((2, *state)), np.empty((2, *state))
+    pos = np.empty(pre.shape, dtype=bool)
+    cand, blend = np.empty(state), np.empty(state)
+    by_cell = ((u_ru, b_ru, prod[:2], pre, e, pos, ru), (u_h, b_h, prod[2], cand, blend))
+    steps = iterations - n + 1 if skewed else iterations
+    spans = ((max(0, t - steps + 1), min(n, t + 1)) if skewed else (0, n)
+             for t in range(iterations))
+    end = 0
+    for (lo, hi), run in groupby(spans):
+        start, end = end, end + sum(1 for _ in run)
+        its = slice(start, end)
+        u_ru, b_ru, hu, pre, e, pos, ru, u_h, b_h, rhu, cand, blend = (
+            *(a[:, lo:hi] for a in by_cell[0]), *(a[lo:hi] for a in by_cell[1]))
+        up = max(lo, 1)  # the first active layer that reads the one below
+        lift = w_up is not None and up < hi
+        per_step = (
+            rows[its, lo:hi], rows[start + 1:end + 1, lo:hi], xp[its, :2, lo:hi], xp[its, 2, lo:hi],
+            zip(rows[its, up - 1:hi - 1], xp[its, :, up:hi]) if lift else repeat(None),
+            zip(np.moveaxis(saved_ru[:, its, lo:hi], 1, 0), saved_cand[its, lo:hi]) if taped
+            else repeat((ru, cand)),
+            repeat(None) if keep is None else zip(keep[0, its], keep[1, its]))
+        w_lift = w_up[:, up - 1:hi - 1] if lift else None
+        for h, new, xp_ru, xp_h, below, (ru, cand), kept in zip(*per_step):
+            if below is not None:
+                np.matmul(below[0], w_lift, out=below[1])
+            np.matmul(h, u_ru, out=hu)
+            np.add(xp_ru, hu, out=pre)
+            np.add(pre, b_ru, out=pre)
+            np.negative(pre, out=e)  # ad.sigmoid: exp(-|x|) never overflows; keeps a NaN's sign
+            np.minimum(pre, e, out=e)
+            np.exp(e, out=e)
+            np.greater_equal(pre, 0, out=pos)
+            num = np.where(pos, 1.0, e)
+            np.add(1.0, e, out=e)
+            np.divide(num, e, out=ru)
+            r, u = ru
+            np.multiply(r, h, out=blend)
+            np.matmul(blend, u_h, out=rhu)
+            np.add(xp_h, rhu, out=cand)
+            np.add(cand, b_h, out=cand)
+            np.tanh(cand, out=cand)
+            np.subtract(1.0, u, out=blend)  # h_new = (1 - u) * cand + u * h
+            np.multiply(blend, cand, out=blend)
+            np.multiply(u, h, out=rhu)
+            if kept is None:
+                np.add(blend, rhu, out=new)
+            else:  # m * h_new + (1 - m) * h
+                np.add(blend, rhu, out=blend)
+                np.multiply(kept[0], blend, out=blend)
+                np.multiply(kept[1], h, out=rhu)
+                np.add(blend, rhu, out=new)
+    return (saved_ru, saved_cand) if taped else None
 
 
 def _array(x) -> np.ndarray:
@@ -234,11 +319,12 @@ def _gru_pass_grad(g, saved):
     """One operand's gradient; the pass's first rule call runs BPTT for all of them."""
     record, i = saved
     if "grads" not in record:
-        record["grads"] = _bptt_directions(g, *record.pop("saved"))
+        bptt, args = record.pop("saved")
+        record["grads"] = bptt(g, *args)
     return record["grads"].pop(i)
 
 
-def _bptt_directions(g, tracked, x, cells, h_init, mask, states, saved_ru, saved_cand):
+def _bptt_directions(g, tracked, x, cells, h_init, mask, states, gates):
     """``_bptt`` once per direction, on its own states and gates in time order.
 
     Operand ``2 + 9*d + k`` is direction d's k-th gate parameter; ``xs``
@@ -247,6 +333,7 @@ def _bptt_directions(g, tracked, x, cells, h_init, mask, states, saved_ru, saved
     elementwise ops and copies, never as a matrix-product operand, so
     their strides cannot change its bits.
     """
+    saved_ru, saved_cand = gates
     hidden, n = states.shape[-1] // len(cells), len(GATE_PARAMS)
     grads = {}
     for d, (c, rev) in enumerate(cells):
@@ -259,6 +346,38 @@ def _bptt_directions(g, tracked, x, cells, h_init, mask, states, saved_ru, saved
         for j, grad in mine.items():
             i = own[j]
             grads[i] = grads[i] + grad if i in grads else grad
+    return grads
+
+
+def _bptt_layers(g, tracked, x, cells, rows, gates):
+    """``_bptt`` once per layer, top first, on its own input, states and gates in time order.
+
+    Operand 0 is ``xs``, operand ``1 + l`` is layer l's ``h0`` and
+    ``1 + N + 9*l + k`` its k-th gate parameter. A layer's input gradient
+    is the states gradient of the layer below, which runs only while an
+    operand below is tracked. A layer's initial state, states and gates
+    are views of the pass's rows, used in elementwise ops and copies; its
+    input, the one product operand among them, ``_rows`` copies into the
+    contiguous layout of a separate pass's states.
+    """
+    saved_ru, saved_cand = gates
+    n, k = len(cells), len(GATE_PARAMS)
+    steps = rows.shape[0] - n
+    grads = {}
+    for layer in reversed(range(n)):
+        weights = range(1 + n + k * layer, 1 + n + k * (layer + 1))
+        below = any(tracked[:1 + layer]) or any(tracked[1 + n:weights[0]])
+        span = slice(layer, layer + steps)  # the rows of this layer's steps' inputs
+        mine = _bptt(g, (below, tracked[1 + layer], *(tracked[i] for i in weights)),
+                     x if layer == 0 else rows[span, layer - 1], cells[layer],
+                     rows[layer, layer], None, False, rows[layer + 1:layer + 1 + steps, layer],
+                     tuple(a[span, layer] for a in (saved_ru[0], saved_ru[1], saved_cand)))
+        g = mine.pop(0, None)
+        grads.update((i, mine[j]) for j, i in enumerate((0, 1 + layer, *weights)) if j in mine)
+        if not below:
+            break
+    if g is not None:
+        grads[0] = g
     return grads
 
 
@@ -418,10 +537,8 @@ def decode(p: RvaeParams, z: Tensor, targets: np.ndarray) -> Tensor:
     shifted = np.moveaxis(targets, -2, 0)
     seq = np.zeros(shifted.shape)
     seq[1:] = shifted[:-1]
-    for layer in range(DECODER_LAYERS):
-        h0 = z @ p.zproj_w[layer] + p.zproj_b[layer]
-        seq, _ = gru_pass(seq, p.dec[layer], h0=h0)
-    return ad.sigmoid(seq @ p.w_out + p.b_out)
+    h0s = [z @ w + b for w, b in zip(p.zproj_w, p.zproj_b)]
+    return ad.sigmoid(gru_layers(seq, p.dec, h0s) @ p.w_out + p.b_out)
 
 
 def rvae_forward(p: RvaeParams, batch: np.ndarray,

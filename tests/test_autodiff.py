@@ -492,7 +492,7 @@ def test_masked_update_evaluates_one_rule_per_tracked_edge():
             n_edges += 1
         node._edges = tuple(edges)
     ad.backward(loss)
-    assert n_edges == 110
+    assert n_edges == 109
     assert sorted(calls) == list(range(n_edges))
     assert set(calls.values()) == {1}
 

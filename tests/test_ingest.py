@@ -210,6 +210,27 @@ def test_port_number_forms():
     assert ingest.port_number("junk") is None
 
 
+def _service_by_port_number(proto: str, dst_port: str) -> str:
+    """``service_of`` as it was before its digit fast path: every port through port_number."""
+    num = ingest.port_number(dst_port)
+    return "other" if num is None else ingest._SERVICE_TABLE.get((num, proto.lower()), "other")
+
+
+_PORT_CHARS = st.sampled_from("0123456789abcdefxX+-_ \t\u0663\uff15\u00b2")
+_PORTS = st.one_of(
+    st.sampled_from(["25", "53", "80", "443", "0053", "00080", "000443", "0x0035", "0X50",
+                     "+53", "-53", "5_3", " 53", "53\t", "\u0665\u0663", "\uff15\uff13", "",
+                     "0", "65535", "99999999999999999999", "9" * 5000]),
+    st.integers(0, 10**6).map(str), st.integers(0, 0xFFFF).map(hex),
+    st.text(_PORT_CHARS, max_size=8), st.text(max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(proto=st.sampled_from(["tcp", "udp", "TCP", "Udp", "icmp", ""]), port=_PORTS)
+def test_service_of_equals_the_port_number_lookup(proto, port):
+    assert ingest.service_of(proto, port) == _service_by_port_number(proto, port)
+
+
 class TestRowLayout:
     def test_blank_lines_skipped_and_counted_nowhere(self, tmp_path):
         f = tmp_path / "a.csv"

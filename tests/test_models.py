@@ -181,6 +181,29 @@ class TestDecoder:
         for r in recons:
             assert r.data.min() > 0.0 and r.data.max() < 1.0
 
+    def test_one_decode_runs_one_pass_for_all_layers(self, monkeypatch):
+        passes, gru_layers = [], m.gru_layers
+
+        def counted(xs, cells, h0s):
+            passes.append((cells, len(h0s)))
+            return gru_layers(xs, cells, h0s)
+
+        def single(*args, **kwargs):
+            raise AssertionError("decode ran a single-layer gru_pass")
+
+        monkeypatch.setattr(m, "gru_layers", counted)
+        monkeypatch.setattr(m, "gru_pass", single)
+        p = rand_rvae(seed=23)
+        targets = np.random.default_rng(24).uniform(0, 1, size=(2, 4, 3))
+        for params, z in ((p, Tensor(np.ones((2, 2)))), (m.plain(p), np.ones((2, 2)))):
+            passes.clear()
+            recons = m.decode(params, z, targets)
+            assert recons.shape == (4, 2, 3)
+            assert len(passes) == 1
+            cells, n_h0 = passes[0]
+            assert len(cells) == n_h0 == m.DECODER_LAYERS
+            assert all(c is pc for c, pc in zip(cells, params.dec))
+
 
 class TestLoss:
     def test_uniform_half_gives_n_f_ln2(self):
@@ -455,6 +478,48 @@ def test_two_direction_pass_equals_two_single_direction_passes(
     assert bits(plain_states) == states and bits(plain_final) == final
 
 
+@settings(max_examples=60, deadline=None)
+@given(stack=st.integers(1, 3), batch=st.sampled_from([1, 2, 4]), steps=st.integers(1, 10),
+       n_in=st.integers(1, 5), hidden=st.integers(1, 6),
+       with_h0=st.tuples(st.booleans(), st.booleans()), taped_weights=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_layer_pass_equals_two_single_layer_passes(stack, batch, steps, n_in, hidden, with_h0,
+                                                   taped_weights, seed):
+    """Top states, final state and every gradient bit for bit; a plain pass gives the taped bits."""
+    rng = np.random.default_rng(seed)
+    cells = [m.GruCellWeights.init(rng, n, hidden) for n in (n_in, hidden)]
+    if not taped_weights:
+        cells = [m.plain(c) for c in cells]
+    weights = {f"{i}.{k}": v for i, c in enumerate(cells) for k, v in c.named("c").items()}
+    xs0 = rng.normal(size=(steps, stack, batch, n_in))
+    h00 = [rng.normal(size=(stack, batch, hidden)) if w else None for w in with_h0]
+    g_states = rng.normal(size=(steps, stack, batch, hidden))
+    runs = []
+    for stacked in (True, False):
+        xs = Tensor(xs0.copy(), requires_grad=True)
+        h0s = [None if h is None else Tensor(h.copy(), requires_grad=True) for h in h00]
+        if taped_weights:
+            zero_grads(weights.values())
+        if stacked:
+            states = m.gru_layers(xs, cells, h0s)
+            final = states.data[-1]
+        else:
+            below, _ = m.gru_pass(xs, cells[0], h0=h0s[0])
+            states, final = m.gru_pass(below, cells[1], h0=h0s[1])
+            final = final.data
+        backward(ad.sum_all(states * g_states))
+        grads = {k: bits(v.grad) for k, v in weights.items() if taped_weights}
+        grads["xs"] = bits(xs.grad)
+        grads.update((f"h0.{i}", bits(h.grad)) for i, h in enumerate(h0s) if h is not None)
+        runs.append((bits(states), bits(final), grads))
+    (states, final, grads), (ref_states, ref_final, ref_grads) = runs
+    assert states == ref_states and final == ref_final
+    assert len(grads) == (18 if taped_weights else 0) + 1 + sum(with_h0)
+    assert grads == ref_grads
+    plain_states = m.gru_layers(xs0, [m.plain(c) for c in cells], h00)
+    assert type(plain_states) is np.ndarray and bits(plain_states) == states
+
+
 @settings(max_examples=40, deadline=None)
 @given(batch=st.integers(1, 3), hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
        sample=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -489,6 +554,13 @@ STEP_STACKING = ("models.gru_pass's step, which training, batch scoring and stre
                  "each stacked item getting the bits of its own (B,H)@(H,H) product; this "
                  "numpy/BLAS build breaks that, and the two-direction encoder pass would "
                  "drift from two single-direction passes")
+
+LAYER_STACKING = ("models.gru_layers projects each upper decoder layer's input one step at "
+                  "a time, from the state the layer below just wrote, against (W_r, W_u, "
+                  "W_h) stacked on a leading axis, and relies on that giving the bits of the "
+                  "single-layer pass's (L,K,B,H)@(H,H) projection of the layer below's "
+                  "states; this numpy/BLAS build breaks that, and the layer pass would drift "
+                  "from two single-layer passes")
 
 
 @settings(max_examples=60, deadline=None)
@@ -528,3 +600,13 @@ def test_stacked_products_equal_the_unstacked_ones_bit_for_bit(n, hidden, steps,
                    for d in range(directions) for k in range(stack)), \
             f"(D,K,{b},H)@(D,1,H,H) into a buffer slice differs from per-item products: " \
             f"{STEP_STACKING}"
+        below = rng.standard_normal((steps + 1, 2, stack, b, hidden))  # a layer pass's rows
+        w_up = rng.standard_normal((gates + 1, 1, 1, hidden, hidden))
+        lifted = np.empty((steps, gates + 1, 2, stack, b, hidden))  # its input projections
+        for t in range(steps):
+            np.matmul(below[t + 1, 0:1], w_up, out=lifted[t, :, 1:2])
+        for g in range(gates + 1):
+            precomputed = np.ascontiguousarray(below[1:, 0]) @ w_up[g, 0, 0]
+            assert bits(lifted[:, g, 1]) == bits(precomputed), \
+                f"(1,K,{b},H)@(3,1,1,H,H) into a buffer slice differs from the precomputed " \
+                f"(L,K,{b},H)@(H,H) projection: {LAYER_STACKING}"
