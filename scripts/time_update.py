@@ -11,10 +11,8 @@ of L uniform feature vectors (F = the feature count the pipeline builds),
 with a fixed seed. The script prints the milliseconds of each update, their
 median, the resident set size before the first update and the process's
 peak resident set size (``getrusage``), which bounds what one update
-needs at that size. A last line gives the same times at the benchmark's
-reference host speed: ``perfbench/hostspeed.py``'s bursts, taken before
-and after every update, scale each one as the benchmark scales a job, so
-runs made while a shared host is slower or faster compare.
+needs at that size. The times are raw wall clock: on a shared host,
+compare two versions by alternating their runs in one session.
 
 BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` (or its OpenMP/MKL
 peers) is already set, so the figures compare with the benchmark's.
@@ -36,9 +34,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH
-sys.path.append(str(ROOT / "perfbench"))
 
-import hostspeed
 from botdet import models
 from botdet.autodiff import backward, zero_grads
 from botdet.features import N_FEATURES
@@ -70,11 +66,9 @@ def main(argv=None) -> int:
     batch = rng.uniform(0.0, 1.0, size=(args.batch, args.length, N_FEATURES))
     lengths = np.full(args.batch, args.length)
     base_mb = rss_mb()
-    times_ms, spans = [], []
-    sampler = hostspeed.Sampler()
+    times_ms = []
     for _ in range(args.updates):
         eps = rng.standard_normal((args.batch, args.latent))
-        sampler.bracket()
         start = time.perf_counter()
         zero_grads(plist)
         recons, mu, lv = models.rvae_forward(params, batch, lengths, eps)
@@ -85,17 +79,12 @@ def main(argv=None) -> int:
         end = time.perf_counter()
         times_ms.append((end - start) * 1000.0)
         del recons, mu, lv, total
-        sampler.bracket()
-        spans.append((start, end))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # KiB on Linux
     print(f"H={args.hidden} latent={args.latent} L={args.length} B={args.batch} "
           f"F={N_FEATURES} updates={args.updates}")
     print("ms per update: " + " ".join(f"{t:.0f}" for t in times_ms)
           + f" (median {statistics.median(times_ms):.0f})")
     print(f"RSS before the first update {base_mb:.0f} MB, peak {peak_mb:.0f} MB")
-    scaled = [t * sampler.scale(*span) for t, span in zip(times_ms, spans)]
-    print("ms per update at reference speed: " + " ".join(f"{t:.0f}" for t in scaled)
-          + f" (median {statistics.median(scaled):.0f})")
     return 0
 
 

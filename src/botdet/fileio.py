@@ -109,9 +109,12 @@ def _normalizer_payload(nz: Normalizer) -> dict:
 
 def _normalizer_from_payload(entry: dict, names: tuple[str, ...],
                              path: Path) -> Normalizer:
+    flags = entry["log1p"]
+    if not (isinstance(flags, list) and all(type(f) is bool for f in flags)):
+        raise DataError(f"{path}: normalizer log1p must be a list of JSON bools, got {flags!r}")
     nz = Normalizer(vmin=np.asarray(entry["min"], dtype=np.float64),
                     vmax=np.asarray(entry["max"], dtype=np.float64),
-                    log1p=np.asarray(entry["log1p"], dtype=bool))
+                    log1p=np.array(flags, dtype=bool))
     if any(a.shape != (len(names),) for a in (nz.vmin, nz.vmax, nz.log1p)):
         raise DataError(f"{path}: normalizer stats do not match feature names")
     _check_finite(nz.vmin, "normalizer min", path)
@@ -298,7 +301,11 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
                         f"(missing {missing}, extra {extra})")
     for name, tensor in named.items():
         entry = stored[name]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        shape = entry["shape"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise DataError(f"{p}: parameter {name} shape must be a list of non-negative "
+                            f"ints, got {shape!r}")
+        arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
         if arr.shape != tensor.data.shape:
             raise DataError(f"{p}: parameter {name} has shape {arr.shape}, "
                             f"expected {tensor.data.shape}")

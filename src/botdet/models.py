@@ -19,21 +19,28 @@ are time-major: a GRU pass projects its whole (L, ..., B, n) input once
 and writes its states into one array, and the output head and the loss
 read all steps at once. Each encoder layer runs its forward and backward
 directions as one pass over a leading direction axis D, the backward one
-on time-reversed projections. The decoder runs both its layers as one
+on its time-reversed input. The decoder runs both its layers as one
 pass over a leading layer axis, skewed by a step per layer: iteration t
 runs layer l's step t - l, so the pass makes L + 1 iterations, not 2L.
 Both kinds of pass run the same GRU step (``_recur``) on a slice of that
 leading axis.
 
+A scoring stack may be ragged: its items, on a leading stack axis, are
+zero-padded to the longest and sorted longest first, and each step runs
+only the prefix of them still that long; the backward direction reverses
+each item within its own length. Training's padded batches are masked
+instead, since their rows share one GEMM.
+
 numpy runs a stacked product as one kernel call per leading index, so
-every step, direction, layer and stacked item keeps its unstacked bits.
-That covers each product a pass makes: a first cell's input projections
-(L, ..., B, n) @ (n, H), taken before any time reversal; a step's
+every step, direction, layer and stacked item keeps its unstacked bits,
+and so does every item of a prefix of the stack axis. That covers each
+product a pass makes: a first cell's input projections
+(L, ..., B, n) @ (n, H), on the input in its visit order; a step's
 h (D, ..., B, H) @ U (2, D, 1.., H, H) for both gates and
 (r*h) @ U_h (D, 1.., H, H); and an upper decoder layer's per-step input
 projections (..., B, H) @ (3, 1.., H, H). Each item is the (B, H) @ (H, H)
 product a separate pass makes, even when written into a slice of a
-buffer (``tests/test_models.py`` pins all three). Everything else a step
+buffer (``tests/test_models.py`` pins all of them). Everything else a step
 does is elementwise, and reversing time or joining directions only
 copies.
 
@@ -49,7 +56,7 @@ reassociation only.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import groupby, repeat
+from itertools import accumulate, groupby, repeat
 
 import numpy as np
 
@@ -105,17 +112,18 @@ class GruCellWeights:
 def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
              mask: tuple[np.ndarray, np.ndarray] | None = None,
              h0: Tensor | None = None,
-             reverse: bool = False):
+             reverse: bool = False,
+             lengths: np.ndarray | None = None):
     """Run a GRU over time-major inputs; returns the (L, ..., B, D*H) states and the final ones.
 
     ``xs`` is the (L, ..., B, n) input. ``w`` is one cell, run in time
     order or, with ``reverse``, against it (D = 1), or a (forward,
     backward) pair of cells run as one recurrence over a leading direction
-    axis (D = 2). The backward direction reads its input projections and
-    mask time-reversed and its states are flipped back, so each
-    direction's states and final state are those of its own
-    single-direction pass, concatenated on the last axis in cell order.
-    ``h0`` (zeros if None) starts every direction.
+    axis (D = 2). The backward direction reads its input and mask
+    time-reversed and its states are flipped back, so each direction's
+    states and final state are those of its own single-direction pass,
+    concatenated on the last axis in cell order. ``h0`` (zeros if None)
+    starts every direction.
 
     Each cell's three input projections are taken once, before the
     recurrence, which ``_recur`` runs.
@@ -125,6 +133,11 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     equals the state at each sequence's true end regardless of padding.
     For the reverse direction the padded suffix is visited first and the
     state simply stays at h0 until real elements begin.
+
+    ``lengths`` makes a ragged stack instead (``_setup``): each item's
+    backward direction reads its input reversed within its own length,
+    its states are flipped back the same way, and its final states are
+    those after its own last step.
 
     The pass is one tape node. Only when an operand is tracked does the
     loop write each step's reset gate, update gate and candidate into
@@ -137,62 +150,50 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
         raise ValueError("gru_pass: a (forward, backward) pair sets its own directions")
     else:
         cells = ((w[0], False), (w[1], True))
-    operands = (xs, h0, *(getattr(c, k) for c, _ in cells for k in GATE_PARAMS))
-    tracked = tuple(map(ad.tracked, operands))
-    taped = any(tracked)
-    cells = tuple((plain(c), rev) for c, rev in cells)
-    x = _array(xs)
-    steps, hidden = x.shape[0], cells[0][0].u_r.shape[0]
-    state = (len(cells), *x.shape[1:-1], hidden)  # one step's states, direction first
-    xp = np.empty((steps, 3, *state))  # per step: (xW_r, xW_u, xW_h) in visit order
-    for d, (c, rev) in enumerate(cells):
-        for g, w_in in enumerate(_inputs(c)):
-            xp[:, g, d] = _in_visit_order(x @ w_in, rev)
+    reverses = tuple(rev for _, rev in cells)
+    operands, tracked, cells, x, xp, rows, runs = _setup(xs, [h0], [c for c, _ in cells], 0,
+                                                         lengths, mask is not None)
+    _project(x, cells, reverses, xp, runs)
     keep = None
     if mask is not None:
-        keep = np.empty((2, steps, *state[:-1], 1))  # (m, 1-m) in each direction's visit order
-        for d, (_, rev) in enumerate(cells):
+        keep = np.empty((2, len(xp), *xp.shape[2:-1], 1))  # (m, 1-m) in visit order
+        for d, rev in enumerate(reverses):
             keep[0, :, d], keep[1, :, d] = (_in_visit_order(m, rev) for m in mask)
-    h_init = np.zeros(state[1:]) if h0 is None else _array(h0)
-    rows = np.empty((steps + 1, *state))  # row t + 1: the states after step t, in visit order
+    h_init = np.zeros(rows.shape[2:]) if h0 is None else _array(h0)
     rows[0] = h_init
-    gates = _recur(xp, rows, [c for c, _ in cells], taped, keep)
+    taped = any(tracked)
+    gates = _recur(xp, rows, cells, taped, keep, runs=runs)
     del xp  # before the states are joined, so the pass's peak is its loop's
-    final = np.concatenate(tuple(rows[-1]), axis=-1)
-    states = np.concatenate([_in_visit_order(rows[1:, d], rev)
-                             for d, (_, rev) in enumerate(cells)], axis=-1)
-    record = ({"saved": (_bptt_directions, (tracked, x, cells, h_init, mask, states, gates))}
+    last = rows[-1] if runs is None else np.concatenate(  # the states after each item's end
+        [rows[n, :, items] for n, items in runs], axis=1)
+    final = np.concatenate(tuple(last), axis=-1)
+    states = np.concatenate([_in_visit_order(rows[1:, d], rev, runs)
+                             for d, rev in enumerate(reverses)], axis=-1)
+    record = ({"saved": (_bptt_directions, (tracked, x, tuple(zip(cells, reverses)), h_init,
+                                            mask, states, gates))}
               if taped else None)
     out = ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
-    reverses = tuple(rev for _, rev in cells)
     return out, ad.node(final, (out, _final_grad, (states.shape, reverses)))
 
 
-def gru_layers(xs, cells: list[GruCellWeights], h0s: list):
+def gru_layers(xs, cells: list[GruCellWeights], h0s: list, lengths: np.ndarray | None = None):
     """Run stacked GRU layers, each on the one below's states; returns the top (L, ..., B, H) ones.
 
     ``xs`` is the bottom layer's (L, ..., B, n) input and ``h0s`` holds each
     layer's initial state (zeros for None). The layers run as one skewed
     recurrence over a leading layer axis (``_recur``), and each layer's
     states are those of its own ``gru_pass``. The bottom layer's input
-    projections are taken once, before the recurrence. The pass is one
-    tape node, whose rule runs ``_bptt_layers``.
+    projections are taken once, before the recurrence. ``lengths`` makes a
+    ragged stack (``_setup``). The pass is one tape node, whose rule runs
+    ``_bptt_layers``.
     """
-    operands = (xs, *h0s, *(getattr(c, k) for c in cells for k in GATE_PARAMS))
-    tracked = tuple(map(ad.tracked, operands))
-    taped = any(tracked)
-    cells = tuple(map(plain, cells))
-    x = _array(xs)
     n = len(cells)
-    steps, hidden = x.shape[0], cells[0].u_r.shape[0]
-    state = (n, *x.shape[1:-1], hidden)  # one iteration's states, layer first
-    xp = np.empty((steps + n - 1, 3, *state))  # per iteration: each layer's (xW_r, xW_u, xW_h)
-    for g, w_in in enumerate(_inputs(cells[0])):
-        xp[:steps, g, 0] = x @ w_in
-    rows = np.empty((steps + n, *state))  # layer l's state after its step s: row s + l + 1
-    for layer, h0 in enumerate(h0s):
+    operands, tracked, cells, x, xp, rows, runs = _setup(xs, h0s, cells, n - 1, lengths)
+    _project(x, cells[:1], (False,), xp, runs)
+    for layer, h0 in enumerate(h0s):  # layer l's state after its step s: row s + l + 1
         rows[layer, layer] = 0.0 if h0 is None else _array(h0)
-    gates = _recur(xp, rows, cells, taped, skewed=True)
+    taped = any(tracked)
+    gates = _recur(xp, rows, cells, taped, skewed=True, runs=runs)
     del xp
     states = rows[n:, n - 1].copy()  # contiguous, like a single-layer pass's states
     record = ({"saved": (_bptt_layers, (tracked, x, cells, rows, gates))}
@@ -200,11 +201,62 @@ def gru_layers(xs, cells: list[GruCellWeights], h0s: list):
     return ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
 
 
+def _setup(xs, h0s, cells, skew, lengths=None, masked=False):
+    """What both passes set up: (operands, tracked, plain cells, x, xp, rows, runs).
+
+    The cells run as one recurrence over a leading cell axis for L + ``skew``
+    iterations. ``xp`` is left for the pass to fill with each iteration's
+    (xW_r, xW_u, xW_h) per cell, and row t + 1 of ``rows`` takes the states
+    after iteration t.
+
+    ``lengths`` makes the pass ragged: item k of the input's first axis
+    after time, a stack axis ahead of the GEMM rows, runs only its first
+    lengths[k] steps. Lengths must not increase along that axis, so the
+    items that run at a step are a prefix of it, and slicing a stack axis
+    keeps each item's bits. ``runs`` then holds (length, item slice) for
+    each run of equal lengths, longest first, and ``rows`` starts as
+    zeros, so the states the pass returns stay zero past an item's end.
+    A ragged pass is never taped or masked.
+    """
+    operands = (xs, *h0s, *(getattr(c, k) for c in cells for k in GATE_PARAMS))
+    tracked = tuple(map(ad.tracked, operands))
+    x = _array(xs)
+    cells = tuple(map(plain, cells))
+    steps = x.shape[0]
+    runs = None
+    if lengths is not None:
+        runs = [(n, len(list(run))) for n, run in groupby(lengths.tolist())]
+        if (any(tracked) or masked or x.ndim < 4 or runs[0][0] > steps or runs[-1][0] < 1
+                or any(a[0] < b[0] for a, b in zip(runs, runs[1:]))):
+            raise ValueError("a ragged pass takes plain arrays and no mask, with its items on "
+                             "a stack axis in non-increasing lengths within 1..L")
+        runs = [(n, slice(stop - k, stop))
+                for (n, k), stop in zip(runs, accumulate(k for _, k in runs))]
+    state = (len(cells), *x.shape[1:-1], cells[0].u_r.shape[0])  # one iteration's states
+    xp = np.empty((steps + skew, 3, *state))
+    rows = (np.empty if runs is None else np.zeros)((steps + skew + 1, *state))
+    return operands, tracked, cells, x, xp, rows, runs
+
+
+def _project(x, cells, reverses, xp, runs):
+    """Each cell's (xW_r, xW_u, xW_h) into ``xp[:L, :, d]``, its input read in its visit order.
+
+    A ragged stack projects each run of equal lengths over its own steps
+    only, and its padded steps' projections are zeros.
+    """
+    for d, (c, rev) in enumerate(zip(cells, reverses)):
+        for n, items in runs or [(len(x), slice(None))]:
+            x_d = _in_visit_order(x[:n, items], rev)
+            for g, w_in in enumerate(_inputs(c)):
+                xp[:n, g, d, items] = x_d @ w_in
+            xp[n:len(x), :, d, items] = 0.0
+
+
 def _inputs(c: GruCellWeights) -> tuple:
     return c.w_r, c.w_u, c.w_h
 
 
-def _recur(xp, rows, cells, taped, keep=None, skewed=False):
+def _recur(xp, rows, cells, taped, keep=None, skewed=False, runs=None):
     """The GRU recurrence over a stack of cells, an iteration per row of ``xp``; gates if taped.
 
     Iteration t runs the step of the active cells: it reads their input
@@ -213,16 +265,19 @@ def _recur(xp, rows, cells, taped, keep=None, skewed=False):
     iteration unless ``skewed``: then the cells are layers, layer l runs
     at iterations l to l + L - 1, and each active layer above the first
     first projects into ``xp[t]`` the state ``rows[t]`` holds for the
-    layer below. The active cells always form one slice of the cell
-    axis; iterations with the same slice share their views.
+    layer below. The active cells always form one slice of the cell axis.
+    With ragged ``runs`` only a prefix of the items runs: those that
+    any active cell still needs, so a skewed pass's lower layer may run an
+    item one step past its end, into rows that nothing reads. Iterations
+    with the same (cell slice, item prefix) share their views.
 
     A step makes one product of the states against U_r and U_u stacked on
     a leading axis, adds both gates' input projections and both biases in
     one call each, as ``(xW + hU) + b``, and blends the previous state
     with a tanh candidate. The sigmoid runs ``ad.sigmoid``'s ufunc
     sequence, the tanh is ``np.tanh``, and every temporary goes into a
-    buffer allocated once per pass. ``keep`` holds a masked step's
-    (m, 1-m): a padded step keeps the previous state.
+    contiguous buffer allocated once per group of iterations. ``keep``
+    holds a masked step's (m, 1-m): a padded step keeps the previous state.
     """
     state, hidden, n = rows.shape[1:], rows.shape[-1], len(cells)
     iterations = len(xp)
@@ -236,26 +291,38 @@ def _recur(xp, rows, cells, taped, keep=None, skewed=False):
             if skewed and n > 1 else None)  # layer l > 0's (W_r, W_u, W_h) at index l - 1
     saved_ru = np.empty((2, iterations, *state)) if taped else None
     saved_cand = np.empty((iterations, *state)) if taped else None
-    prod = np.empty((3, *state))  # h @ U_r, h @ U_u, then (r * h) @ U_h
-    pre, e, ru = np.empty((2, *state)), np.empty((2, *state)), np.empty((2, *state))
-    pos = np.empty(pre.shape, dtype=bool)
-    cand, blend = np.empty(state), np.empty(state)
-    by_cell = ((u_ru, b_ru, prod[:2], pre, e, pos, ru), (u_h, b_h, prod[2], cand, blend))
+    weights = (u_ru, b_ru), (u_h, b_h)
     steps = iterations - n + 1 if skewed else iterations
-    spans = ((max(0, t - steps + 1), min(n, t + 1)) if skewed else (0, n)
-             for t in range(iterations))
+    running = None if runs is None else []  # per step: how many items run it
+    for length, items in reversed(runs or ()):
+        running += [items.stop] * (length - len(running))
+
+    def rectangle(t):  # the active cells, and how many items the earliest step among them runs
+        lo, hi = (max(0, t - steps + 1), min(n, t + 1)) if skewed else (0, n)
+        return lo, hi, None if running is None else running[t - hi + 1 if skewed else t]
+
     end = 0
-    for (lo, hi), run in groupby(spans):
+    for (lo, hi, k), run in groupby(map(rectangle, range(iterations))):
         start, end = end, end + sum(1 for _ in run)
-        its = slice(start, end)
-        u_ru, b_ru, hu, pre, e, pos, ru, u_h, b_h, rhu, cand, blend = (
-            *(a[:, lo:hi] for a in by_cell[0]), *(a[lo:hi] for a in by_cell[1]))
+        its, cell = slice(start, end), slice(lo, hi)
         up = max(lo, 1)  # the first active layer that reads the one below
         lift = w_up is not None and up < hi
+        first = up - 1 if lift else lo  # the first cell whose states the group reads
+        # A ragged prefix or a partial cell slice runs on contiguous copies, so every
+        # ufunc takes numpy's contiguous loop; the states are written back after.
+        rect = rows[start:end + 1, first:hi, slice(k)]
+        work = rect if rect.flags.c_contiguous else rect.copy()
+        xw = np.ascontiguousarray(xp[its, :, cell, slice(k)])
+        step = (hi - lo, *work.shape[2:])  # one step's active states
+        hu, pre, e, ru = (np.empty((2, *step)) for _ in range(4))  # hu: h @ U_r, h @ U_u
+        pos = np.empty((2, *step), dtype=bool)
+        rhu, cand, blend = (np.empty(step) for _ in range(3))  # rhu: (r * h) @ U_h
+        (u_ru, b_ru), (u_h, b_h) = ((w[:, cell] for w in weights[0]),
+                                    (w[cell] for w in weights[1]))
         per_step = (
-            rows[its, lo:hi], rows[start + 1:end + 1, lo:hi], xp[its, :2, lo:hi], xp[its, 2, lo:hi],
-            zip(rows[its, up - 1:hi - 1], xp[its, :, up:hi]) if lift else repeat(None),
-            zip(np.moveaxis(saved_ru[:, its, lo:hi], 1, 0), saved_cand[its, lo:hi]) if taped
+            work[:-1, lo - first:], work[1:, lo - first:], xw[:, :2], xw[:, 2],
+            zip(work[:-1, :hi - up], xw[:, :, up - lo:]) if lift else repeat(None),
+            zip(np.moveaxis(saved_ru[:, its, cell], 1, 0), saved_cand[its, cell]) if taped
             else repeat((ru, cand)),
             repeat(None) if keep is None else zip(keep[0, its], keep[1, its]))
         w_lift = w_up[:, up - 1:hi - 1] if lift else None
@@ -288,6 +355,8 @@ def _recur(xp, rows, cells, taped, keep=None, skewed=False):
                 np.multiply(kept[0], blend, out=blend)
                 np.multiply(kept[1], h, out=rhu)
                 np.add(blend, rhu, out=new)
+        if work is not rect:
+            rect[1:] = work[1:]
     return (saved_ru, saved_cand) if taped else None
 
 
@@ -299,9 +368,20 @@ def _visit_order(steps: int, reverse: bool) -> range:
     return range(steps - 1, -1, -1) if reverse else range(steps)
 
 
-def _in_visit_order(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """A time-major array's steps in the order a pass visits them; its own inverse."""
-    return a[::-1] if reverse else a
+def _in_visit_order(a: np.ndarray, reverse: bool, runs=None) -> np.ndarray:
+    """A time-major array's steps in the order a pass visits them; its own inverse.
+
+    With ragged ``runs`` (``_setup``), each item on the axis after time is
+    reversed within its own steps, and its padded steps stay where they are.
+    """
+    if not reverse:
+        return a
+    if runs is None:
+        return a[::-1]
+    out = a.copy()
+    for n, items in runs:
+        out[:n, items] = a[n - 1::-1, items]
+    return out
 
 
 def _final_grad(g, saved):
@@ -434,7 +514,12 @@ def _bptt(g, tracked, x, c, h_init, mask, reverse, states, gates):
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1, a.shape[-1])
+    """``a`` as contiguous (N, n) rows.
+
+    A reshape alone can keep a view's stride (a layer's input at H = 1),
+    and numpy multiplies a strided operand without BLAS, in other bits.
+    """
+    return np.ascontiguousarray(a).reshape(-1, a.shape[-1])
 
 
 def make_mask(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -516,10 +601,11 @@ class RvaeParams:
         return list(self.named_parameters().values())
 
 
-def encode(p: RvaeParams, seq, mask=None) -> tuple[Tensor, Tensor]:
+def encode(p: RvaeParams, seq, mask=None, lengths=None) -> tuple[Tensor, Tensor]:
     """Bidirectional pass over the time-major ``seq``; heads read the top layer's final states."""
     for layer in range(ENCODER_LAYERS):
-        seq, fused = gru_pass(seq, (p.enc_fwd[layer], p.enc_bwd[layer]), mask=mask)
+        seq, fused = gru_pass(seq, (p.enc_fwd[layer], p.enc_bwd[layer]), mask=mask,
+                              lengths=lengths)
     mu = fused @ p.w_mu + p.b_mu
     logvar = fused @ p.w_logvar + p.b_logvar
     return mu, logvar
@@ -532,28 +618,35 @@ def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray | None) -> Tensor
     return mu + ad.exp(logvar * 0.5) * eps
 
 
-def decode(p: RvaeParams, z: Tensor, targets: np.ndarray) -> Tensor:
+def decode(p: RvaeParams, z: Tensor, targets: np.ndarray, lengths=None) -> Tensor:
     """Teacher-forced (L, ..., B, F) reconstruction of ``targets`` (..., B, L, F)."""
     shifted = np.moveaxis(targets, -2, 0)
     seq = np.zeros(shifted.shape)
     seq[1:] = shifted[:-1]
     h0s = [z @ w + b for w, b in zip(p.zproj_w, p.zproj_b)]
-    return ad.sigmoid(gru_layers(seq, p.dec, h0s) @ p.w_out + p.b_out)
+    return ad.sigmoid(gru_layers(seq, p.dec, h0s, lengths) @ p.w_out + p.b_out)
 
 
 def rvae_forward(p: RvaeParams, batch: np.ndarray,
                  lengths: np.ndarray | None = None,
-                 eps: np.ndarray | None = None
+                 eps: np.ndarray | None = None,
+                 ragged: bool = False
                  ) -> tuple[Tensor, Tensor, Tensor]:
     """Full pass over a padded batch (..., B, L, F); returns (recons, mu, logvar).
 
-    ``recons`` is the time-major (L, ..., B, F) reconstruction.
+    ``recons`` is the time-major (L, ..., B, F) reconstruction. ``lengths``
+    holds each sequence's true length, and the steps past it are masked
+    (``make_mask``). With ``ragged``, they are instead the non-increasing
+    lengths of the items on a (K, ..., B, L, F) batch's leading stack axis,
+    and each item runs only its own steps (plain parameters only); the
+    reconstruction of a padded step means nothing.
     """
     steps = batch.shape[-2]
-    mask = None if lengths is None else make_mask(lengths, steps)
-    mu, logvar = encode(p, np.moveaxis(batch, -2, 0), mask=mask)
+    mask = None if lengths is None or ragged else make_mask(lengths, steps)
+    own = lengths if ragged else None
+    mu, logvar = encode(p, np.moveaxis(batch, -2, 0), mask, own)
     z = reparameterize(mu, logvar, eps)
-    return decode(p, z, batch), mu, logvar
+    return decode(p, z, batch, own), mu, logvar
 
 
 @dataclass

@@ -8,14 +8,16 @@ pass that training tapes runs here on the parameters' plain arrays
 (``models.plain``): no Tensor is created, and the numbers are those of
 the taped forward, bit for bit.
 
-Sequences of equal length are scored together, up to ``STACK_MAX`` at a
-time, as one (L, K, 1, F) stack: each is still a batch of one whose state
-never mixes with another's. Every product is stacked, (..., 1, n) @
-(n, H), and numpy runs one kernel call per leading index, so each
-sequence gets the bits it gets scored alone (``tests/test_models.py``
+Sequences of any length are scored together, up to ``STACK_MAX`` at a
+time, as one ragged (L, K, 1, F) stack: longest first, zero-padded to the
+longest, and each item runs only the steps of its own length. Each is
+still a batch of one whose state never mixes with another's. Every
+product is stacked, (..., 1, n) @ (n, H), and numpy runs one kernel call
+per leading index, so each sequence gets the bits it gets scored alone,
+whichever prefix of the stack runs at a step (``tests/test_models.py``
 pins this). A score does not depend on its stack-mates, so the batch path
-(stacks over a split) and the stream (stacks within a closing window)
-give bit-identical numbers.
+(stacks over a split) and the stream (one stack per closing window of up
+to ``STACK_MAX`` chunks) give bit-identical numbers.
 """
 
 from __future__ import annotations
@@ -55,16 +57,29 @@ def anomaly_score(target: np.ndarray, recon: np.ndarray):
     return -np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p), axis=-1)
 
 
-STACK_MAX = 16  # sequences per stack; bounds each pass's (L, D, K, 1, H) state arrays
+STACK_MAX = 16  # sequences per ragged stack; bounds each pass's (L, D, K, 1, H) state arrays
 
 
-def score_elements(arch: str, params, vectors: np.ndarray) -> np.ndarray:
-    """Per-element scores of one (L, F) sequence, or (K, L) for a (K, L, F) stack."""
+def score_elements(arch: str, params, vectors: np.ndarray,
+                   lengths: np.ndarray | None = None) -> np.ndarray:
+    """Per-element scores of one (L, F) sequence, or (K, L) for a (K, L, F) stack.
+
+    A stack is ragged when ``lengths`` gives its items' non-increasing
+    lengths: each item is zero-padded to L, and its padded scores mean
+    nothing.
+    """
+    if lengths is not None and lengths[-1] == vectors.shape[-2]:
+        lengths = None  # equal lengths: the plain stacked pass
     if arch == ARCH_RVAE:
-        recons = models.rvae_forward(models.plain(params), vectors[..., None, :, :])[0]
+        recons = models.rvae_forward(models.plain(params), vectors[..., None, :, :], lengths,
+                                     ragged=True)[0]
         recon = np.moveaxis(recons[..., 0, :], 0, -2)
-    elif arch == ARCH_MLP:
+    elif arch == ARCH_MLP and lengths is None:
         recon = models.mlp_forward(models.plain(params), vectors)[0]
+    elif arch == ARCH_MLP:  # an item's rows share one GEMM, whose bits depend on its row count
+        bare, recon = models.plain(params), np.zeros(vectors.shape)
+        for item, rows, n in zip(recon, vectors, lengths):
+            item[:n] = models.mlp_forward(bare, rows[:n])[0]
     else:
         raise DataError(f"unknown architecture {arch!r}")
     return anomaly_score(vectors, recon)
@@ -75,19 +90,20 @@ def score_sequences(arch: str, params,
     """One ScoredWindow per element in its sequence's target window, in input order.
 
     The sequences are trailing context (``trailing_sequences``), so each
-    host-window is scored exactly once. Sequences are grouped by length
-    and each group is scored in stacks of at most ``STACK_MAX``.
+    host-window is scored exactly once. They are sorted by length, longest
+    first (stable), and that order is scored in ragged stacks of at most
+    ``STACK_MAX``.
     """
     sequences = list(sequences)
-    by_length: dict[int, list[int]] = {}
-    for i, seq in enumerate(sequences):
-        by_length.setdefault(len(seq), []).append(i)
+    order = sorted(range(len(sequences)), key=lambda i: len(sequences[i]), reverse=True)
     scores: dict[int, np.ndarray] = {}
-    for group in by_length.values():
-        for lo in range(0, len(group), STACK_MAX):
-            stack = group[lo:lo + STACK_MAX]
-            vectors = np.stack([sequences[i].vectors for i in stack])
-            scores.update(zip(stack, score_elements(arch, params, vectors)))
+    for lo in range(0, len(order), STACK_MAX):
+        stack = order[lo:lo + STACK_MAX]
+        lengths = np.array([len(sequences[i]) for i in stack])
+        vectors = np.zeros((len(stack), lengths[0], sequences[stack[0]].vectors.shape[-1]))
+        for item, i in zip(vectors, stack):
+            item[:len(sequences[i])] = sequences[i].vectors
+        scores.update(zip(stack, score_elements(arch, params, vectors, lengths)))
     out: list[ScoredWindow] = []
     for i, seq in enumerate(sequences):
         for r, score in zip(seq.rows, scores[i]):

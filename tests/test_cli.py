@@ -558,6 +558,33 @@ def test_non_finite_model_number_is_a_data_error(chain, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [None, {}, 0, "false"], ids=["null", "object", "zero", "text"])
+@pytest.mark.parametrize("artifact", ["model", "features"])
+def test_normalizer_log1p_element_that_is_not_a_bool_is_a_data_error(chain, tmp_path, capsys,
+                                                                     artifact, value):
+    path = _doctored(chain, tmp_path, artifact, _set_first(("normalizer", "log1p"), value))
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, artifact, path, out)) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}: normalizer log1p must be a list of JSON bools" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [None, [-1], [True]], ids=["null", "inferred", "bool"])
+def test_parameter_shape_that_is_not_a_list_of_ints_is_a_data_error(chain, tmp_path, capsys,
+                                                                     shape):
+    def edit(payload):
+        payload["parameters"]["dec.l0.b_h"]["shape"] = shape
+        return payload
+    path = _doctored(chain, tmp_path, "model", edit)
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, "model", path, out)) == 2
+    err = capsys.readouterr().err
+    assert (f"data error: {path}: parameter dec.l0.b_h shape must be a list of non-negative "
+            f"ints" in err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("place", [("parameters", "dec.l0.b_h", "data"), ("normalizer", "min")])
 def test_stream_with_non_finite_model_number_writes_nothing(chain, fixture_dir, tmp_path,
                                                             capsys, place):

@@ -184,9 +184,9 @@ class TestDecoder:
     def test_one_decode_runs_one_pass_for_all_layers(self, monkeypatch):
         passes, gru_layers = [], m.gru_layers
 
-        def counted(xs, cells, h0s):
+        def counted(xs, cells, h0s, lengths=None):
             passes.append((cells, len(h0s)))
-            return gru_layers(xs, cells, h0s)
+            return gru_layers(xs, cells, h0s, lengths)
 
         def single(*args, **kwargs):
             raise AssertionError("decode ran a single-layer gru_pass")
@@ -562,6 +562,12 @@ LAYER_STACKING = ("models.gru_layers projects each upper decoder layer's input o
                   "states; this numpy/BLAS build breaks that, and the layer pass would drift "
                   "from two single-layer passes")
 
+PREFIX_STACKING = ("a ragged stack (scoring.score_sequences) runs only a prefix of its items "
+                   "at a step, slicing the stack axis of every product, and relies on each "
+                   "item keeping the bits it gets in the whole stack; this numpy/BLAS build "
+                   "breaks that, and ragged scores would drift from scoring one sequence at "
+                   "a time")
+
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 130), hidden=st.integers(1, 130), steps=st.integers(1, 40),
@@ -591,6 +597,7 @@ def test_stacked_products_equal_the_unstacked_ones_bit_for_bit(n, hidden, steps,
         h = rng.standard_normal((directions, stack, b, hidden))
         buf = np.empty((gates + 1, directions, stack, b, hidden))
         np.matmul(h, u_gates, out=buf[:gates])
+        recurrent_gates = buf[:gates].copy()
         assert all(bits(buf[g, d, k]) == bits(h[d, k] @ u_gates[g, d, 0])
                    for g in range(gates) for d in range(directions) for k in range(stack)), \
             f"(D,K,{b},H)@(G,D,1,H,H) into a buffer slice differs from per-item products: " \
@@ -610,3 +617,15 @@ def test_stacked_products_equal_the_unstacked_ones_bit_for_bit(n, hidden, steps,
             assert bits(lifted[:, g, 1]) == bits(precomputed), \
                 f"(1,K,{b},H)@(3,1,1,H,H) into a buffer slice differs from the precomputed " \
                 f"(L,K,{b},H)@(H,H) projection: {LAYER_STACKING}"
+        part, part_lift = np.empty_like(buf), np.empty_like(lifted[0])
+        for k in range(1, stack + 1):  # the items that still run, longest first
+            np.matmul(h[:, :k], u_gates, out=part[:gates, :, :k])
+            np.matmul(h[:, :k], u_gates[0], out=part[gates, :, :k])
+            assert bits(part[:gates, :, :k]) == bits(recurrent_gates[:, :, :k]) and \
+                bits(part[gates, :, :k]) == bits(buf[gates, :, :k]), \
+                f"(D,{k},{b},H) prefix products into buffer slices differ from the whole " \
+                f"stack's: {PREFIX_STACKING}"
+            np.matmul(below[1, 0:1, :k], w_up, out=part_lift[:, 1:2, :k])
+            assert bits(part_lift[:, 1:2, :k]) == bits(lifted[0, :, 1:2, :k]), \
+                f"(1,{k},{b},H)@(3,1,1,H,H) prefix lift differs from the whole stack's: " \
+                f"{PREFIX_STACKING}"

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botdet import scoring, streaming
+from botdet import models, scoring, streaming
 from botdet.errors import DataError
 from botdet.features import FEATURE_NAMES, aggregate_flows, rows_from_aggregates, trailing_sequences, window_index
 from botdet.ingest import FlowRecord, iter_flows
@@ -263,9 +263,9 @@ def test_one_close_scores_several_equal_length_chunks_as_batch_does(fitted, monk
     shapes = []
     score_elements = scoring.score_elements
 
-    def recorded(arch, params, vectors):
+    def recorded(arch, params, vectors, lengths=None):
         shapes.append(vectors.shape)
-        return score_elements(arch, params, vectors)
+        return score_elements(arch, params, vectors, lengths)
 
     monkeypatch.setattr(scoring, "score_elements", recorded)
     streamed, stats = stream_decisions(model, det, flows)
@@ -275,6 +275,33 @@ def test_one_close_scores_several_equal_length_chunks_as_batch_does(fitted, monk
     assert len({d["score"] for d in streamed}) > hosts
     assert ([np.float64(d["score"]).tobytes() for d in streamed] ==
             [np.float64(d["score"]).tobytes() for d in batch])
+
+
+def test_one_close_scores_chunks_of_different_lengths_in_one_forward(fitted, monkeypatch):
+    _, _, model, det = fitted
+    hosts = 6
+    model = replace(model, l_max=4)  # a span of 6, 12 or 18 rows ends in a shorter chunk
+    t0 = 1000.0
+    flows = [make_flow(t0 + w * 60.0 + 1.0 + i, f"10.1.2.{i}")._replace(
+                 tot_bytes=500 + 89 * i + 17 * w, duration=0.1 * (1 + (i + w) % 4))
+             for w in range(6) for i in range(hosts)]
+    rows = rows_from_aggregates(aggregate_flows(flows, t0, model.window_seconds),
+                                model.normalizer)
+    batch = classify_scores(score_rows(model, rows, model.feature_names), det)
+    stacks = []
+    rvae_forward = models.rvae_forward
+
+    def recorded(params, stack, lengths=None, eps=None, ragged=False):
+        stacks.append(None if lengths is None else list(lengths))  # None: equal lengths
+        return rvae_forward(params, stack, lengths, eps, ragged)
+
+    monkeypatch.setattr(models, "rvae_forward", recorded)
+    streamed, stats = stream_decisions(model, det, flows)
+    assert stats.windows_closed == 6 and stats.late_dropped == 0
+    assert stacks == [[4, 2], None] + [[4, 4, 4, 4, 2]] * 4
+    assert ([np.float64(d["score"]).tobytes() for d in streamed] ==
+            [np.float64(d["score"]).tobytes() for d in batch])
+    assert [{k: v for k, v in d.items() if k != "emit_latency"} for d in streamed] == batch
 
 
 @st.composite

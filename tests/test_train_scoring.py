@@ -5,7 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botdet import models, scoring, train
@@ -256,4 +256,37 @@ def test_stacked_scores_equal_one_at_a_time_scores_bit_for_bit(
         sequences.append(Sequence(rows, vectors[i], int(windows[-1])))
     stacked = [(s.src_addr, s.window_index, bits(s.score))
                for s in scoring.score_sequences(arch, params, sequences)]
+    assert stacked == _scored_one_at_a_time(arch, params, sequences)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arch=st.sampled_from(["rvae", "mlp"]), hidden=st.integers(1, 4),
+       lengths=st.lists(st.integers(1, 40), min_size=1, max_size=scoring.STACK_MAX),
+       seed=st.integers(0, 2**32 - 1))
+@example(arch="rvae", hidden=4, lengths=[128, 10], seed=7)
+@example(arch="mlp", hidden=4, lengths=[128, 10], seed=7)
+def test_a_ragged_stack_scores_each_sequence_as_alone_bit_for_bit(arch, hidden, lengths, seed):
+    """Any mix of lengths fits one stack, and every element keeps its batch-of-one bits."""
+    f = 3
+    rng = np.random.default_rng(seed)
+    params = (models.RvaeParams.init(rng, f, hidden, 2) if arch == "rvae" else
+              models.MlpVaeParams.init(rng, f, hidden=(hidden, hidden + 1), latent=2))
+    sequences = []
+    for i, n in enumerate(lengths):
+        vectors = rng.uniform(0, 1, size=(n, f))
+        rows = tuple(FeatureRow(f"h{i}", 0, float(t), GroundTruth.NORMAL, v)
+                     for t, v in enumerate(vectors))
+        sequences.append(Sequence(rows, vectors, 0))
+    stacks, score_elements = [], scoring.score_elements
+
+    def recorded(arch, params, vectors, lengths=None):
+        stacks.append(vectors.shape)
+        return score_elements(arch, params, vectors, lengths)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scoring, "score_elements", recorded)
+        stacked = [(s.src_addr, s.window_index, bits(s.score))
+                   for s in scoring.score_sequences(arch, params, sequences)]
+    assert stacks == [(len(lengths), max(lengths), f)]
+    assert len(stacked) == sum(lengths)
     assert stacked == _scored_one_at_a_time(arch, params, sequences)
