@@ -12,7 +12,10 @@ with the two rows of every 37th data-row pair swapped, so a pair that
 straddles a window boundary gives a flow that is dropped as late), and a
 60-second sweep at the same sizes. An MLP leg then trains
 ``--arch mlp --mlp-hidden 16,8`` on the same features, scores both splits,
-and runs fitpdf and detect on those scores. Each stage's stdout and
+and runs fitpdf and detect on those scores. A padded leg then runs
+preprocess with ``--l-max 50`` into ``demo-l50/``, trains at the same sizes
+and scores both splits: each 3-window span of 60 rows splits into 50 and
+10 rows, so every training batch is padded. Each stage's stdout and
 stderr are kept as ``stages/<stage>.stdout`` and ``.stderr``. An ``ingest``
 stage first writes ``synth-test-odd-times.binetflow``, the test capture
 with every 11th StartTime rewritten into a form that strptime still reads
@@ -84,6 +87,15 @@ STAGES = [
     ("detect-mlp", ["detect", "--scores", "demo/scores-test-mlp.csv",
                     "--detector", "demo/detector-mlp.json",
                     "--decisions-out", "demo/decisions-mlp.jsonl"]),
+    ("preprocess-l50", ["preprocess", *SPLITS, "--l-max", "50", "--out-dir", "demo-l50"]),
+    ("train-l50", ["train", "--features", "demo-l50/features-train.csv",
+                   "--model-out", "demo-l50/model.json", *SIZES]),
+    ("score-train-l50", ["score", "--model", "demo-l50/model.json",
+                         "--features", "demo-l50/features-train.csv",
+                         "--scores-out", "demo-l50/scores-train.csv"]),
+    ("score-test-l50", ["score", "--model", "demo-l50/model.json",
+                        "--features", "demo-l50/features-test.csv",
+                        "--scores-out", "demo-l50/scores-test.csv"]),
 ]
 # FlowRecord's fields in order, named here so the digest reads any record type
 RECORD_FIELDS = (

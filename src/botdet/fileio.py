@@ -119,6 +119,11 @@ def _normalizer_from_payload(entry: dict, names: tuple[str, ...],
         raise DataError(f"{path}: normalizer stats do not match feature names")
     _check_finite(nz.vmin, "normalizer min", path)
     _check_finite(nz.vmax, "normalizer max", path)
+    above = np.flatnonzero(nz.vmin > nz.vmax)
+    if above.size:
+        i = above[0]
+        raise DataError(f"{path}: normalizer min is above max for feature {names[i]!r} "
+                        f"({nz.vmin[i]!r} > {nz.vmax[i]!r})")
     return nz
 
 

@@ -12,7 +12,7 @@ a per-element Bernoulli cross-entropy against [0,1] targets.
 The per-vector baseline is a plain MLP encoder/decoder with ReLU hidden
 layers and the same latent heads and loss.
 
-Inputs, masks and latent draws are plain arrays. The forward functions
+Inputs, lengths and latent draws are plain arrays. The forward functions
 build a tape when given the trainable parameters and none when given
 ``plain(params)``: scoring runs the same code on the same arrays. Passes
 are time-major: a GRU pass projects its whole (L, ..., B, n) input once
@@ -25,11 +25,15 @@ runs layer l's step t - l, so the pass makes L + 1 iterations, not 2L.
 Both kinds of pass run the same GRU step (``_recur``) on a slice of that
 leading axis.
 
-A scoring stack may be ragged: its items, on a leading stack axis, are
-zero-padded to the longest and sorted longest first, and each step runs
-only the prefix of them still that long; the backward direction reverses
-each item within its own length. Training's padded batches are masked
-instead, since their rows share one GEMM.
+Sequences of different lengths share a pass zero-padded to the longest,
+and one rule runs each to its own length (Schuster & Paliwal, IEEE Trans.
+Signal Processing 1997): the backward direction reverses each within its
+own length and leaves its padded steps in place, and its final states are
+those after its own last step. So its states at its own steps and its
+latent do not depend on what its padding holds.
+Training's sequences are the rows of one GEMM and run every step; a
+scoring stack's items lie on a leading stack axis, longest first, and
+each step runs only the prefix of them still that long.
 
 numpy runs a stacked product as one kernel call per leading index, so
 every step, direction, layer and stacked item keeps its unstacked bits,
@@ -47,15 +51,16 @@ copies.
 A taped GRU pass is one tape node whose rule is back-propagation through
 time (Werbos, Proc. IEEE 1990) over the GRU equations of Cho et al.
 (arXiv:1406.1078), run once per direction or layer on that cell's states
-and gates in time order; a layer's input gradient is the states gradient
-of the layer below. A weight's gradient sums its steps in one product, so
-training differs from a per-step tape (``tests/helpers.py``) by float
-reassociation only.
+and gates in its visit order; a layer's input gradient is the states
+gradient of the layer below. A weight's gradient sums its steps, in time
+order, in one product, so training differs from a per-step tape
+(``tests/helpers.py``) by float reassociation only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import accumulate, groupby, repeat
 
 import numpy as np
@@ -110,7 +115,6 @@ class GruCellWeights:
 
 
 def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
-             mask: tuple[np.ndarray, np.ndarray] | None = None,
              h0: Tensor | None = None,
              reverse: bool = False,
              lengths: np.ndarray | None = None):
@@ -119,25 +123,20 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     ``xs`` is the (L, ..., B, n) input. ``w`` is one cell, run in time
     order or, with ``reverse``, against it (D = 1), or a (forward,
     backward) pair of cells run as one recurrence over a leading direction
-    axis (D = 2). The backward direction reads its input and mask
-    time-reversed and its states are flipped back, so each direction's
-    states and final state are those of its own single-direction pass,
-    concatenated on the last axis in cell order. ``h0`` (zeros if None)
-    starts every direction.
+    axis (D = 2). The backward direction reads its input time-reversed and
+    its states are flipped back, so each direction's states and final
+    state are those of its own single-direction pass, concatenated on the
+    last axis in cell order. ``h0`` (zeros if None) starts every direction.
+
+    ``lengths`` gives each item on the axis after time its own length
+    (``_setup``), and its later steps are padding: the backward direction
+    reverses each item within its own length and leaves its padded steps
+    in place, and each item's final states are those after its own last
+    step. An item's states at its own steps and its final states then do
+    not depend on what its padding holds.
 
     Each cell's three input projections are taken once, before the
     recurrence, which ``_recur`` runs.
-
-    ``mask`` is ``make_mask``'s (m, 1-m) pair of (L, B, 1) arrays for padded
-    batches: a padded step keeps the previous state, so the final state
-    equals the state at each sequence's true end regardless of padding.
-    For the reverse direction the padded suffix is visited first and the
-    state simply stays at h0 until real elements begin.
-
-    ``lengths`` makes a ragged stack instead (``_setup``): each item's
-    backward direction reads its input reversed within its own length,
-    its states are flipped back the same way, and its final states are
-    those after its own last step.
 
     The pass is one tape node. Only when an operand is tracked does the
     loop write each step's reset gate, update gate and candidate into
@@ -151,29 +150,25 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     else:
         cells = ((w[0], False), (w[1], True))
     reverses = tuple(rev for _, rev in cells)
-    operands, tracked, cells, x, xp, rows, runs = _setup(xs, [h0], [c for c, _ in cells], 0,
-                                                         lengths, mask is not None)
-    _project(x, cells, reverses, xp, runs)
-    keep = None
-    if mask is not None:
-        keep = np.empty((2, len(xp), *xp.shape[2:-1], 1))  # (m, 1-m) in visit order
-        for d, rev in enumerate(reverses):
-            keep[0, :, d], keep[1, :, d] = (_in_visit_order(m, rev) for m in mask)
+    operands, tracked, cells, x, xp, rows, runs, lengths = _setup(
+        xs, [h0], [c for c, _ in cells], 0, lengths)
+    flip = None if lengths is None else _flip(lengths, len(x))
+    _project(x, cells, reverses, xp, runs, flip)
     h_init = np.zeros(rows.shape[2:]) if h0 is None else _array(h0)
     rows[0] = h_init
     taped = any(tracked)
-    gates = _recur(xp, rows, cells, taped, keep, runs=runs)
+    gates = _recur(xp, rows, cells, taped, runs=runs)
     del xp  # before the states are joined, so the pass's peak is its loop's
-    last = rows[-1] if runs is None else np.concatenate(  # the states after each item's end
-        [rows[n, :, items] for n, items in runs], axis=1)
+    last = rows[-1] if lengths is None else np.swapaxes(  # the states after each item's end
+        rows[lengths, :, np.arange(len(lengths))], 0, 1)
     final = np.concatenate(tuple(last), axis=-1)
-    states = np.concatenate([_in_visit_order(rows[1:, d], rev, runs)
+    states = np.concatenate([_in_visit_order(rows[1:, d], rev, flip)
                              for d, rev in enumerate(reverses)], axis=-1)
     record = ({"saved": (_bptt_directions, (tracked, x, tuple(zip(cells, reverses)), h_init,
-                                            mask, states, gates))}
+                                            flip, states, gates))}
               if taped else None)
     out = ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
-    return out, ad.node(final, (out, _final_grad, (states.shape, reverses)))
+    return out, ad.node(final, (out, _final_grad, (states.shape, reverses, lengths)))
 
 
 def gru_layers(xs, cells: list[GruCellWeights], h0s: list, lengths: np.ndarray | None = None):
@@ -183,12 +178,12 @@ def gru_layers(xs, cells: list[GruCellWeights], h0s: list, lengths: np.ndarray |
     layer's initial state (zeros for None). The layers run as one skewed
     recurrence over a leading layer axis (``_recur``), and each layer's
     states are those of its own ``gru_pass``. The bottom layer's input
-    projections are taken once, before the recurrence. ``lengths`` makes a
-    ragged stack (``_setup``). The pass is one tape node, whose rule runs
+    projections are taken once, before the recurrence. ``lengths`` is
+    ``gru_pass``'s (``_setup``). The pass is one tape node, whose rule runs
     ``_bptt_layers``.
     """
     n = len(cells)
-    operands, tracked, cells, x, xp, rows, runs = _setup(xs, h0s, cells, n - 1, lengths)
+    operands, tracked, cells, x, xp, rows, runs, _ = _setup(xs, h0s, cells, n - 1, lengths)
     _project(x, cells[:1], (False,), xp, runs)
     for layer, h0 in enumerate(h0s):  # layer l's state after its step s: row s + l + 1
         rows[layer, layer] = 0.0 if h0 is None else _array(h0)
@@ -201,22 +196,25 @@ def gru_layers(xs, cells: list[GruCellWeights], h0s: list, lengths: np.ndarray |
     return ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
 
 
-def _setup(xs, h0s, cells, skew, lengths=None, masked=False):
-    """What both passes set up: (operands, tracked, plain cells, x, xp, rows, runs).
+def _setup(xs, h0s, cells, skew, lengths=None):
+    """What both passes set up: (operands, tracked, plain cells, x, xp, rows, runs, lengths).
 
     The cells run as one recurrence over a leading cell axis for L + ``skew``
     iterations. ``xp`` is left for the pass to fill with each iteration's
     (xW_r, xW_u, xW_h) per cell, and row t + 1 of ``rows`` takes the states
     after iteration t.
 
-    ``lengths`` makes the pass ragged: item k of the input's first axis
-    after time, a stack axis ahead of the GEMM rows, runs only its first
-    lengths[k] steps. Lengths must not increase along that axis, so the
-    items that run at a step are a prefix of it, and slicing a stack axis
-    keeps each item's bits. ``runs`` then holds (length, item slice) for
-    each run of equal lengths, longest first, and ``rows`` starts as
-    zeros, so the states the pass returns stay zero past an item's end.
-    A ragged pass is never taped or masked.
+    ``lengths`` gives item k on the input's first axis after time its own
+    length lengths[k] in 1..L; they come back None when all are L. Those
+    items are the GEMM rows of a (L, B, n) input and a stack axis ahead of
+    them otherwise. Along a stack axis lengths must not increase, so the
+    items that still run at a step are a prefix of it, and slicing a stack
+    axis keeps each item's bits: a plain pass runs only that prefix.
+    ``runs`` then holds (length, item slice) for each run of equal lengths,
+    longest first, and ``rows`` starts as zeros, so the states the pass
+    returns stay zero past an item's end. A taped pass runs every item to
+    L, as GEMM rows always do, since a row's bits depend on its GEMM's row
+    count.
     """
     operands = (xs, *h0s, *(getattr(c, k) for c in cells for k in GATE_PARAMS))
     tracked = tuple(map(ad.tracked, operands))
@@ -225,30 +223,34 @@ def _setup(xs, h0s, cells, skew, lengths=None, masked=False):
     steps = x.shape[0]
     runs = None
     if lengths is not None:
-        runs = [(n, len(list(run))) for n, run in groupby(lengths.tolist())]
-        if (any(tracked) or masked or x.ndim < 4 or runs[0][0] > steps or runs[-1][0] < 1
-                or any(a[0] < b[0] for a, b in zip(runs, runs[1:]))):
-            raise ValueError("a ragged pass takes plain arrays and no mask, with its items on "
-                             "a stack axis in non-increasing lengths within 1..L")
-        runs = [(n, slice(stop - k, stop))
-                for (n, k), stop in zip(runs, accumulate(k for _, k in runs))]
+        stack, each = x.ndim > 3, lengths.tolist()  # a list: few items, checked in Python
+        if (lengths.shape != x.shape[1:2] or min(each) < 1 or max(each) > steps
+                or stack and any(a < b for a, b in zip(each, each[1:]))):
+            raise ValueError("lengths give each item after the time axis its own length in "
+                             "1..L, not increasing along a stack axis")
+        if min(each) == steps:
+            lengths = None
+        elif stack and not any(tracked):
+            runs = [(n, len(list(run))) for n, run in groupby(each)]
+            runs = [(n, slice(stop - k, stop))
+                    for (n, k), stop in zip(runs, accumulate(k for _, k in runs))]
     state = (len(cells), *x.shape[1:-1], cells[0].u_r.shape[0])  # one iteration's states
     xp = np.empty((steps + skew, 3, *state))
     rows = (np.empty if runs is None else np.zeros)((steps + skew + 1, *state))
-    return operands, tracked, cells, x, xp, rows, runs
+    return operands, tracked, cells, x, xp, rows, runs, lengths
 
 
-def _project(x, cells, reverses, xp, runs):
+def _project(x, cells, reverses, xp, runs, flip=None):
     """Each cell's (xW_r, xW_u, xW_h) into ``xp[:L, :, d]``, its input read in its visit order.
 
     A ragged stack projects each run of equal lengths over its own steps
     only, and its padded steps' projections are zeros.
     """
     for d, (c, rev) in enumerate(zip(cells, reverses)):
+        x_d = _in_visit_order(x, rev, flip)
         for n, items in runs or [(len(x), slice(None))]:
-            x_d = _in_visit_order(x[:n, items], rev)
             for g, w_in in enumerate(_inputs(c)):
-                xp[:n, g, d, items] = x_d @ w_in
+                xp[:n, g, d, items] = x_d[:n, items] @ w_in
             xp[n:len(x), :, d, items] = 0.0
 
 
@@ -256,7 +258,7 @@ def _inputs(c: GruCellWeights) -> tuple:
     return c.w_r, c.w_u, c.w_h
 
 
-def _recur(xp, rows, cells, taped, keep=None, skewed=False, runs=None):
+def _recur(xp, rows, cells, taped, skewed=False, runs=None):
     """The GRU recurrence over a stack of cells, an iteration per row of ``xp``; gates if taped.
 
     Iteration t runs the step of the active cells: it reads their input
@@ -276,8 +278,7 @@ def _recur(xp, rows, cells, taped, keep=None, skewed=False, runs=None):
     one call each, as ``(xW + hU) + b``, and blends the previous state
     with a tanh candidate. The sigmoid runs ``ad.sigmoid``'s ufunc
     sequence, the tanh is ``np.tanh``, and every temporary goes into a
-    contiguous buffer allocated once per group of iterations. ``keep``
-    holds a masked step's (m, 1-m): a padded step keeps the previous state.
+    contiguous buffer allocated once per group of iterations.
     """
     state, hidden, n = rows.shape[1:], rows.shape[-1], len(cells)
     iterations = len(xp)
@@ -293,9 +294,9 @@ def _recur(xp, rows, cells, taped, keep=None, skewed=False, runs=None):
     saved_cand = np.empty((iterations, *state)) if taped else None
     weights = (u_ru, b_ru), (u_h, b_h)
     steps = iterations - n + 1 if skewed else iterations
-    running = None if runs is None else []  # per step: how many items run it
-    for length, items in reversed(runs or ()):
-        running += [items.stop] * (length - len(running))
+    running = None if runs is None else [0] * steps  # per step: how many items run it
+    for length, items in runs or ():
+        running[:length] = [items.stop] * length
 
     def rectangle(t):  # the active cells, and how many items the earliest step among them runs
         lo, hi = (max(0, t - steps + 1), min(n, t + 1)) if skewed else (0, n)
@@ -323,10 +324,9 @@ def _recur(xp, rows, cells, taped, keep=None, skewed=False, runs=None):
             work[:-1, lo - first:], work[1:, lo - first:], xw[:, :2], xw[:, 2],
             zip(work[:-1, :hi - up], xw[:, :, up - lo:]) if lift else repeat(None),
             zip(np.moveaxis(saved_ru[:, its, cell], 1, 0), saved_cand[its, cell]) if taped
-            else repeat((ru, cand)),
-            repeat(None) if keep is None else zip(keep[0, its], keep[1, its]))
+            else repeat((ru, cand)))
         w_lift = w_up[:, up - 1:hi - 1] if lift else None
-        for h, new, xp_ru, xp_h, below, (ru, cand), kept in zip(*per_step):
+        for h, new, xp_ru, xp_h, below, (ru, cand) in zip(*per_step):
             if below is not None:
                 np.matmul(below[0], w_lift, out=below[1])
             np.matmul(h, u_ru, out=hu)
@@ -348,13 +348,7 @@ def _recur(xp, rows, cells, taped, keep=None, skewed=False, runs=None):
             np.subtract(1.0, u, out=blend)  # h_new = (1 - u) * cand + u * h
             np.multiply(blend, cand, out=blend)
             np.multiply(u, h, out=rhu)
-            if kept is None:
-                np.add(blend, rhu, out=new)
-            else:  # m * h_new + (1 - m) * h
-                np.add(blend, rhu, out=blend)
-                np.multiply(kept[0], blend, out=blend)
-                np.multiply(kept[1], h, out=rhu)
-                np.add(blend, rhu, out=new)
+            np.add(blend, rhu, out=new)
         if work is not rect:
             rect[1:] = work[1:]
     return (saved_ru, saved_cand) if taped else None
@@ -364,34 +358,36 @@ def _array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else x
 
 
-def _visit_order(steps: int, reverse: bool) -> range:
-    return range(steps - 1, -1, -1) if reverse else range(steps)
+def _flip(lengths: np.ndarray, steps: int) -> np.ndarray:
+    """The row gather over flattened (L, N) steps that reverses each item within its own length."""
+    t, n = np.arange(steps)[:, None], lengths[None, :]
+    return (np.where(t < n, n - 1 - t, t) * len(lengths) + np.arange(len(lengths))).ravel()
 
 
-def _in_visit_order(a: np.ndarray, reverse: bool, runs=None) -> np.ndarray:
+def _in_visit_order(a: np.ndarray, reverse: bool, flip=None) -> np.ndarray:
     """A time-major array's steps in the order a pass visits them; its own inverse.
 
-    With ragged ``runs`` (``_setup``), each item on the axis after time is
-    reversed within its own steps, and its padded steps stay where they are.
+    With a ``_flip`` index each item on the axis after time is reversed
+    within its own steps, by one row gather, and its padded steps stay
+    where they are; without one every step is reversed.
     """
     if not reverse:
         return a
-    if runs is None:
+    if flip is None:
         return a[::-1]
-    out = a.copy()
-    for n, items in runs:
-        out[:n, items] = a[n - 1::-1, items]
-    return out
+    return np.take(a.reshape(-1, *a.shape[2:]), flip, axis=0).reshape(a.shape)
 
 
 def _final_grad(g, saved):
-    """The states' gradient from the final ones: each direction's last visited step."""
-    shape, reverses = saved
+    """The states' gradient from the final ones: each item's own last visited step."""
+    shape, reverses, lengths = saved
     hidden = shape[-1] // len(reverses)
+    items = slice(None) if lengths is None else np.arange(len(lengths))
+    last = -1 if lengths is None else lengths - 1
     out = np.zeros(shape)
     for d, rev in enumerate(reverses):
         cols = slice(d * hidden, (d + 1) * hidden)
-        out[0 if rev else -1, ..., cols] += g[..., cols]
+        out[0 if rev else last, items, ..., cols] += g[..., cols]
     return out
 
 
@@ -404,14 +400,14 @@ def _gru_pass_grad(g, saved):
     return record["grads"].pop(i)
 
 
-def _bptt_directions(g, tracked, x, cells, h_init, mask, states, gates):
-    """``_bptt`` once per direction, on its own states and gates in time order.
+def _bptt_directions(g, tracked, x, cells, h_init, flip, states, gates):
+    """``_bptt`` once per direction, on its own states, gates and gradient in its visit order.
 
     Operand ``2 + 9*d + k`` is direction d's k-th gate parameter; ``xs``
     and ``h0`` are shared, so their two directions' gradients are summed.
-    A direction's states and gates are views: ``_bptt`` uses them only in
-    elementwise ops and copies, never as a matrix-product operand, so
-    their strides cannot change its bits.
+    A direction's states and gates are views or gathered copies: ``_bptt``
+    uses them only in elementwise ops and copies, never as a
+    matrix-product operand, so their strides cannot change its bits.
     """
     saved_ru, saved_cand = gates
     hidden, n = states.shape[-1] // len(cells), len(GATE_PARAMS)
@@ -419,10 +415,10 @@ def _bptt_directions(g, tracked, x, cells, h_init, mask, states, gates):
     for d, (c, rev) in enumerate(cells):
         cols = slice(d * hidden, (d + 1) * hidden)
         own = (0, 1, *range(2 + n * d, 2 + n * (d + 1)))
-        gates_d = tuple(_in_visit_order(a[:, d], rev)
-                        for a in (saved_ru[0], saved_ru[1], saved_cand))
-        mine = _bptt(g[..., cols], tuple(tracked[i] for i in own), x, c, h_init, mask, rev,
-                     states[..., cols], gates_d)
+        order = partial(_in_visit_order, reverse=rev, flip=flip)  # its own inverse
+        mine = _bptt(order(g[..., cols]), tuple(tracked[i] for i in own), x, c, h_init,
+                     order(states[..., cols]), (saved_ru[0, :, d], saved_ru[1, :, d],
+                                                saved_cand[:, d]), order)
         for j, grad in mine.items():
             i = own[j]
             grads[i] = grads[i] + grad if i in grads else grad
@@ -450,8 +446,9 @@ def _bptt_layers(g, tracked, x, cells, rows, gates):
         span = slice(layer, layer + steps)  # the rows of this layer's steps' inputs
         mine = _bptt(g, (below, tracked[1 + layer], *(tracked[i] for i in weights)),
                      x if layer == 0 else rows[span, layer - 1], cells[layer],
-                     rows[layer, layer], None, False, rows[layer + 1:layer + 1 + steps, layer],
-                     tuple(a[span, layer] for a in (saved_ru[0], saved_ru[1], saved_cand)))
+                     rows[layer, layer], rows[layer + 1:layer + 1 + steps, layer],
+                     tuple(a[span, layer] for a in (saved_ru[0], saved_ru[1], saved_cand)),
+                     partial(_in_visit_order, reverse=False))  # a layer's visit order is time's
         g = mine.pop(0, None)
         grads.update((i, mine[j]) for j, i in enumerate((0, 1 + layer, *weights)) if j in mine)
         if not below:
@@ -461,40 +458,40 @@ def _bptt_layers(g, tracked, x, cells, rows, gates):
     return grads
 
 
-def _bptt(g, tracked, x, c, h_init, mask, reverse, states, gates):
+def _bptt(g, tracked, x, c, h_init, states, gates, in_time_order):
     """Back-propagation through time: {operand index: gradient} for the tracked operands.
 
-    ``g`` is the loss gradient of every state. Steps are visited in reverse
-    visit order, carrying ``dh``, the gradient of the state entering the
-    step; a padded step passes it through. The factors that do not depend
-    on ``dh`` are taken for all steps before the loop. The reset and update
-    gates' pre-activation gradients share one (L, ..., B, 2H) array, so a
-    step makes one product for both recurrent weights, and each weight's
-    gradient is one product over the flattened (L*...*B) axes.
+    ``g``, the loss gradient of every state, ``states`` and ``gates`` are
+    in the pass's visit order, ``x`` in time order. Steps are visited in
+    reverse, carrying ``dh``, the gradient of the state entering the step.
+    The factors that do not depend on ``dh`` are taken for all steps before
+    the loop. The reset and update gates' pre-activation gradients share
+    one (L, ..., B, 2H) array, so a step makes one product for both
+    recurrent weights. ``in_time_order`` (its own inverse) puts the
+    per-step arrays back in time order, and each weight's gradient is one
+    product over their flattened (L*...*B) rows, whose order sets the
+    sum's bits. Where the visit order is a plain reversal, the per-step
+    arrays are reversed views of time-order buffers, so putting them back
+    in time order copies nothing.
     """
     r, u, cand = gates
     hidden = states.shape[-1]
-    h_prev = np.empty_like(states)
-    if reverse:
-        h_prev[-1], h_prev[:-1] = h_init, states[1:]
-    else:
-        h_prev[0], h_prev[1:] = h_init, states[:-1]
+    h_prev, pre_h, pre_ru = (in_time_order(np.empty((*states.shape[:-1], n)))
+                             for n in (hidden, hidden, 2 * hidden))
+    h_prev[0], h_prev[1:] = h_init, states[:-1]
     d_cand = (1.0 - u) * (1.0 - cand * cand)
     d_update = (h_prev - cand) * u * (1.0 - u)  # h_new = cand + u * (h_prev - cand)
     d_reset = h_prev * r * (1.0 - r)
     recurrent_ru = np.concatenate([c.u_r, c.u_u], axis=1).T
-    pre_ru = np.empty((*states.shape[:-1], 2 * hidden))
-    pre_h = np.empty_like(states)
     dh = np.zeros(states.shape[1:])
-    for t in reversed(_visit_order(states.shape[0], reverse)):
+    for t in reversed(range(len(states))):
         dh = dh + g[t]
-        d_new = dh if mask is None else mask[0][t] * dh
-        np.multiply(d_new, d_cand[t], out=pre_h[t])
-        np.multiply(d_new, d_update[t], out=pre_ru[t, ..., hidden:])
+        np.multiply(dh, d_cand[t], out=pre_h[t])
+        np.multiply(dh, d_update[t], out=pre_ru[t, ..., hidden:])
         d_rh = pre_h[t] @ c.u_h.T
         np.multiply(d_rh, d_reset[t], out=pre_ru[t, ..., :hidden])
-        d_prev = d_new * u[t] + d_rh * r[t] + pre_ru[t] @ recurrent_ru
-        dh = d_prev if mask is None else d_prev + mask[1][t] * dh
+        dh = dh * u[t] + d_rh * r[t] + pre_ru[t] @ recurrent_ru
+    pre_ru, pre_h, h_prev, r = map(in_time_order, (pre_ru, pre_h, h_prev, r))
     grads = {}
     if tracked[0]:
         grads[0] = pre_ru @ np.concatenate([c.w_r, c.w_u], axis=1).T + pre_h @ c.w_h.T
@@ -520,15 +517,6 @@ def _rows(a: np.ndarray) -> np.ndarray:
     and numpy multiplies a strided operand without BLAS, in other bits.
     """
     return np.ascontiguousarray(a).reshape(-1, a.shape[-1])
-
-
-def make_mask(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(m, 1-m) as (L, B, 1) arrays with m[t, b] = 1 iff t < lengths[b]; None if unpadded."""
-    lengths = np.asarray(lengths)
-    if np.all(lengths == steps):
-        return None
-    m = (np.arange(steps)[:, None, None] < lengths[None, :, None]).astype(np.float64)
-    return m, 1.0 - m
 
 
 @dataclass
@@ -601,11 +589,10 @@ class RvaeParams:
         return list(self.named_parameters().values())
 
 
-def encode(p: RvaeParams, seq, mask=None, lengths=None) -> tuple[Tensor, Tensor]:
+def encode(p: RvaeParams, seq, lengths=None) -> tuple[Tensor, Tensor]:
     """Bidirectional pass over the time-major ``seq``; heads read the top layer's final states."""
     for layer in range(ENCODER_LAYERS):
-        seq, fused = gru_pass(seq, (p.enc_fwd[layer], p.enc_bwd[layer]), mask=mask,
-                              lengths=lengths)
+        seq, fused = gru_pass(seq, (p.enc_fwd[layer], p.enc_bwd[layer]), lengths=lengths)
     mu = fused @ p.w_mu + p.b_mu
     logvar = fused @ p.w_logvar + p.b_logvar
     return mu, logvar
@@ -629,24 +616,20 @@ def decode(p: RvaeParams, z: Tensor, targets: np.ndarray, lengths=None) -> Tenso
 
 def rvae_forward(p: RvaeParams, batch: np.ndarray,
                  lengths: np.ndarray | None = None,
-                 eps: np.ndarray | None = None,
-                 ragged: bool = False
+                 eps: np.ndarray | None = None
                  ) -> tuple[Tensor, Tensor, Tensor]:
     """Full pass over a padded batch (..., B, L, F); returns (recons, mu, logvar).
 
     ``recons`` is the time-major (L, ..., B, F) reconstruction. ``lengths``
-    holds each sequence's true length, and the steps past it are masked
-    (``make_mask``). With ``ragged``, they are instead the non-increasing
-    lengths of the items on a (K, ..., B, L, F) batch's leading stack axis,
-    and each item runs only its own steps (plain parameters only); the
-    reconstruction of a padded step means nothing.
+    holds the true length of each sequence on the batch's first axis: the
+    rows of a (B, L, F) batch, or the items of a (K, ..., B, L, F) stack.
+    Every pass runs each sequence to its own length (``gru_pass``), so its
+    latent and its reconstruction at its own steps do not depend on its
+    padding; the reconstruction of a padded step means nothing.
     """
-    steps = batch.shape[-2]
-    mask = None if lengths is None or ragged else make_mask(lengths, steps)
-    own = lengths if ragged else None
-    mu, logvar = encode(p, np.moveaxis(batch, -2, 0), mask, own)
+    mu, logvar = encode(p, np.moveaxis(batch, -2, 0), lengths)
     z = reparameterize(mu, logvar, eps)
-    return decode(p, z, batch, own), mu, logvar
+    return decode(p, z, batch, lengths), mu, logvar
 
 
 @dataclass
@@ -757,12 +740,14 @@ def vae_loss(targets: np.ndarray, recons: Tensor, mu: Tensor,
     """Batch objective: per-sequence (BCE sum + beta * KL), averaged over the batch.
 
     ``targets`` is the (B, L, F) batch and ``recons`` its time-major
-    (L, B, F) reconstruction. Returns the differentiable total plus the
-    plain-float BCE and KL means for logging.
+    (L, B, F) reconstruction; the steps past each sequence's ``lengths``
+    add nothing. Returns the differentiable total plus the plain-float BCE
+    and KL means for logging.
     """
     batch, steps, _ = targets.shape
-    mask = None if lengths is None else make_mask(lengths, steps)
-    total_bce = bce_sum(np.moveaxis(targets, 1, 0), recons, None if mask is None else mask[0])
+    real = (None if lengths is None or np.all(lengths == steps)  # (L, B, 1): 1 at real steps
+            else (np.arange(steps)[:, None, None] < lengths[:, None]).astype(np.float64))
+    total_bce = bce_sum(np.moveaxis(targets, 1, 0), recons, real)
     total_kl = kl_divergence(mu, logvar)
     scale = 1.0 / batch
     total = (total_bce + total_kl * beta) * scale

@@ -65,14 +65,14 @@ def score_elements(arch: str, params, vectors: np.ndarray,
     """Per-element scores of one (L, F) sequence, or (K, L) for a (K, L, F) stack.
 
     A stack is ragged when ``lengths`` gives its items' non-increasing
-    lengths: each item is zero-padded to L, and its padded scores mean
-    nothing.
+    lengths: each item is zero-padded to L and runs to its own length, by
+    the rule training's padded batches follow (``models.gru_pass``), and
+    its padded scores mean nothing.
     """
     if lengths is not None and lengths[-1] == vectors.shape[-2]:
         lengths = None  # equal lengths: the plain stacked pass
     if arch == ARCH_RVAE:
-        recons = models.rvae_forward(models.plain(params), vectors[..., None, :, :], lengths,
-                                     ragged=True)[0]
+        recons = models.rvae_forward(models.plain(params), vectors[..., None, :, :], lengths)[0]
         recon = np.moveaxis(recons[..., 0, :], 0, -2)
     elif arch == ARCH_MLP and lengths is None:
         recon = models.mlp_forward(models.plain(params), vectors)[0]
@@ -92,7 +92,7 @@ def score_sequences(arch: str, params,
     The sequences are trailing context (``trailing_sequences``), so each
     host-window is scored exactly once. They are sorted by length, longest
     first (stable), and that order is scored in ragged stacks of at most
-    ``STACK_MAX``.
+    ``STACK_MAX``, each sequence to its own length (``score_elements``).
     """
     sequences = list(sequences)
     order = sorted(range(len(sequences)), key=lambda i: len(sequences[i]), reverse=True)

@@ -115,6 +115,15 @@ def gru_cell(xp: tuple, h_prev, w):
     return (1.0 - u) * cand + u * h_prev
 
 
+def make_mask(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(m, 1-m) as (L, B, 1) arrays with m[t, b] = 1 iff t < lengths[b]; None if unpadded."""
+    lengths = np.asarray(lengths)
+    if np.all(lengths == steps):
+        return None
+    m = (np.arange(steps)[:, None, None] < lengths[None, :, None]).astype(np.float64)
+    return m, 1.0 - m
+
+
 def per_step_gru_pass(xs, w, mask=None, h0=None, reverse=False):
     """The per-step taped GRU pass: a list of (B, H) states and the final one.
 
@@ -139,7 +148,7 @@ def per_step_rvae_loss(p, batch: np.ndarray, lengths, eps, beta: float):
     total) with ``recons`` a list of (B, F) Tensors.
     """
     steps = batch.shape[1]
-    mask = None if lengths is None else models.make_mask(lengths, steps)
+    mask = None if lengths is None else make_mask(lengths, steps)
     seq = [batch[:, t, :] for t in range(steps)]
     for layer in range(models.ENCODER_LAYERS):
         states_f, hf = per_step_gru_pass(seq, p.enc_fwd[layer], mask)

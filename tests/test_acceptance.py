@@ -54,13 +54,13 @@ def test_criterion_1_gradients_match_finite_differences():
     cell = GruCellWeights.init(rng, n_in=6, n_hidden=7)
     xs = Tensor(rng.uniform(-1.0, 1.0, size=(3, 2, 6)), requires_grad=True)
     h0 = Tensor(rng.uniform(-0.5, 0.5, size=(2, 7)), requires_grad=True)
-    mask = models.make_mask(np.array([3, 2]), 3)
+    lengths = np.array([3, 2])
 
     def pass_loss():
         total = None
-        for reverse, m, h in ((False, None, h0), (True, mask, h0), (False, mask, None),
+        for reverse, n, h in ((False, None, h0), (True, lengths, h0), (False, lengths, None),
                               (True, None, None)):
-            states, final = models.gru_pass(xs, cell, mask=m, h0=h, reverse=reverse)
+            states, final = models.gru_pass(xs, cell, h0=h, reverse=reverse, lengths=n)
             s = models.ad.sum_all(states * states) + models.ad.sum_all(final * final)
             total = s if total is None else total + s
         return total

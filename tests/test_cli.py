@@ -596,6 +596,33 @@ def test_stream_with_non_finite_model_number_writes_nothing(chain, fixture_dir, 
     assert f"data error: {path}: " in captured.err and "non-finite" in captured.err
 
 
+def _min_above_max(payload):
+    payload["normalizer"]["min"][4] = 1e30
+    return payload
+
+
+def test_train_refuses_features_whose_normalizer_min_is_above_its_max(chain, tmp_path,
+                                                                      capsys):
+    path = _doctored(chain, tmp_path, "features", _min_above_max)
+    out = tmp_path / "model.json"
+    assert main(["train", "--features", str(path), "--model-out", str(out), *FAST_TRAIN]) == 2
+    name = json.loads(chain["model"].read_text())["feature_names"][4]
+    assert (f"data error: {path}: normalizer min is above max for feature {name!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_stream_refuses_a_model_whose_normalizer_min_is_above_its_max(chain, fixture_dir,
+                                                                      tmp_path, capsys):
+    path = _doctored(chain, tmp_path, "model", _min_above_max)
+    assert main(["stream", "--model", str(path), "--detector", str(chain["detector"]),
+                 "--input", str(fixture_dir["test"])]) == 2
+    captured = capsys.readouterr()
+    name = json.loads(path.read_text())["feature_names"][4]
+    assert captured.out == ""
+    assert f"data error: {path}: normalizer min is above max for feature {name!r}" in captured.err
+
+
 def _swap_first_and_fifth_names(payload):
     names = payload["feature_names"]
     names[0], names[4] = names[4], names[0]

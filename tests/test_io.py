@@ -202,6 +202,20 @@ def test_model_loader_rejects_f_dim_that_differs_from_feature_names(tmp_path):
         load_model(doctored)
 
 
+def test_model_loader_takes_a_constant_feature_and_refuses_min_above_max(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, _trained_model())
+    payload = json.loads(path.read_text())
+    name, top = payload["feature_names"][4], payload["normalizer"]["max"][4]
+    payload["normalizer"]["min"][4] = top  # a constant feature
+    path.write_text(json.dumps(payload))
+    assert load_model(path).normalizer.vmin[4] == top
+    payload["normalizer"]["min"][4] = 1e30
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"normalizer min is above max for feature '{name}'"):
+        load_model(path)
+
+
 def test_detector_roundtrip(tmp_path):
     det = DetectorModel(
         pdf_normal=FittedPdf("gamma", (2.25,), 0.1, 1.5, 0.003, 400),

@@ -12,7 +12,7 @@ from botdet import autodiff as ad
 from botdet import models as m
 from botdet.autodiff import Tensor, backward, zero_grads
 
-from helpers import (bits, concat, gradcheck, gru_cell, input_projections,
+from helpers import (bits, concat, gradcheck, gru_cell, input_projections, make_mask,
                      per_step_gru_pass, per_step_rvae_loss, tanh)
 
 
@@ -93,7 +93,7 @@ class TestEncoder:
         padded = np.zeros((1, 6, 3))
         padded[:, :3, :] = seq
         xs = Tensor(np.moveaxis(padded, 1, 0))
-        mu_pad, _ = m.encode(p, xs, mask=m.make_mask(np.array([3]), 6))
+        mu_pad, _ = m.encode(p, xs, lengths=np.array([3]))
         npt.assert_allclose(mu_pad.data, mu_short.data, rtol=1e-12)
 
 
@@ -388,14 +388,20 @@ def test_stacked_pass_matches_the_per_step_pass(data, batch, steps, hidden, mask
        reverse=st.booleans(), with_h0=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_gru_pass_gradients_of_xs_and_h0_match_the_per_step_pass(
         data, batch, steps, n_in, hidden, masked, reverse, with_h0, seed):
-    """One pass with tracked ``xs`` and ``h0`` against the per-step reference, under any mask."""
+    """One pass with tracked ``xs`` and ``h0`` against the per-step reference, padded or not.
+
+    The reference's mask keeps a padded step's state, and ``lengths`` runs
+    each row to its own length, so only the real steps' states are
+    compared, and the loss reads no padded state.
+    """
     rng = np.random.default_rng(seed)
     w = m.GruCellWeights.init(rng, n_in, hidden)
     lengths = np.array(data.draw(st.lists(_lengths(steps), min_size=batch, max_size=batch)))
-    mask = m.make_mask(lengths, steps) if masked else None
+    mask = make_mask(lengths, steps) if masked else None
+    real = np.arange(steps)[:, None] < (lengths if masked else np.full(batch, steps))
     xs0 = rng.normal(size=(steps, batch, n_in))
     h00 = rng.normal(size=(batch, hidden)) if with_h0 else None
-    g_states = rng.normal(size=(steps, batch, hidden))
+    g_states = rng.normal(size=(steps, batch, hidden)) * real[..., None]
     g_final = rng.normal(size=(batch, hidden))
     runs = []
     for per_step in (False, True):
@@ -407,14 +413,14 @@ def test_gru_pass_gradients_of_xs_and_h0_match_the_per_step_pass(
                                               reverse)
             states = concat([s_t[None] for s_t in states], axis=0)
         else:
-            states, final = m.gru_pass(xs, w, mask, h0, reverse)
+            states, final = m.gru_pass(xs, w, h0, reverse, lengths if masked else None)
         loss = ad.sum_all(states * g_states) + ad.sum_all(final * g_final)
         backward(loss)
         grads = {k: v.grad.copy() for k, v in w.named("c").items()}
         grads["xs"] = xs.grad
         if h0 is not None:
             grads["h0"] = h0.grad
-        runs.append((bits(states), bits(final), grads))
+        runs.append((bits(states.data[real]), bits(final), grads))
     (states, final, grads), (ref_states, ref_final, ref_grads) = runs
     assert states == ref_states and final == ref_final
     assert grads.keys() == ref_grads.keys()
@@ -429,16 +435,21 @@ def test_gru_pass_gradients_of_xs_and_h0_match_the_per_step_pass(
        seed=st.integers(0, 2**32 - 1))
 def test_two_direction_pass_equals_two_single_direction_passes(
         data, stack, batch, steps, n_in, hidden, masked, with_h0, taped_weights, seed):
-    """States, finals and every gradient bit for bit; a plain pass gives the taped bits."""
+    """States, finals and every gradient bit for bit; a plain pass gives the taped bits.
+
+    Padded items lie on the stack axis, longest first. The taped pass runs
+    every item to L and the plain one only each item's own steps, so
+    there the two are compared at real steps.
+    """
     rng = np.random.default_rng(seed)
     cells = tuple(m.GruCellWeights.init(rng, n_in, hidden) for _ in range(2))
     if not taped_weights:
         cells = tuple(m.plain(c) for c in cells)
     weights = {f"{d}.{k}": v for d, c in enumerate(cells) for k, v in c.named("c").items()}
-    lengths = np.array(data.draw(st.lists(_lengths(steps), min_size=stack * batch,
-                                          max_size=stack * batch))).reshape(stack, batch)
-    keep = (np.arange(steps)[:, None, None, None] < lengths[..., None]).astype(np.float64)
-    mask = (keep, 1.0 - keep) if masked else None
+    lengths = np.array(sorted(data.draw(st.lists(_lengths(steps), min_size=stack,
+                                                 max_size=stack)), reverse=True))
+    lengths = lengths if masked else None
+    real = np.arange(steps)[:, None] < (np.full(stack, steps) if lengths is None else lengths)
     xs0 = rng.normal(size=(steps, stack, batch, n_in))
     h00 = rng.normal(size=(stack, batch, hidden)) if with_h0 else None
     g_states = rng.normal(size=(steps, stack, batch, 2 * hidden))
@@ -451,12 +462,12 @@ def test_two_direction_pass_equals_two_single_direction_passes(
         if taped_weights:
             zero_grads(weights.values())
         if stacked:
-            states, final = m.gru_pass(xs, cells, mask, h0)
+            states, final = m.gru_pass(xs, cells, h0, lengths=lengths)
             loss = ad.sum_all(states * g_states) + ad.sum_all(final * g_final)
-            states, final = bits(states), bits(final)
+            taped_states, states, final = states.data, bits(states), bits(final)
         else:
-            states_f, final_f = m.gru_pass(xs, cells[0], mask, h0)
-            states_b, final_b = m.gru_pass(xs, cells[1], mask, h0, reverse=True)
+            states_f, final_f = m.gru_pass(xs, cells[0], h0, lengths=lengths)
+            states_b, final_b = m.gru_pass(xs, cells[1], h0, reverse=True, lengths=lengths)
             loss = (ad.sum_all(states_f * g_states[..., fwd])
                     + ad.sum_all(states_b * g_states[..., bwd])
                     + ad.sum_all(final_f * g_final[..., fwd])
@@ -473,9 +484,10 @@ def test_two_direction_pass_equals_two_single_direction_passes(
     assert states == ref_states and final == ref_final
     assert len(grads) == (18 if taped_weights else 0) + 1 + with_h0
     assert grads == ref_grads
-    plain_states, plain_final = m.gru_pass(xs0, tuple(m.plain(c) for c in cells), mask, h00)
-    assert type(plain_states) is np.ndarray
-    assert bits(plain_states) == states and bits(plain_final) == final
+    plain_states, plain_final = m.gru_pass(xs0, tuple(m.plain(c) for c in cells), h00,
+                                           lengths=lengths)
+    assert type(plain_states) is np.ndarray and bits(plain_final) == final
+    assert bits(plain_states[real]) == bits(taped_states[real])
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,6 +530,46 @@ def test_layer_pass_equals_two_single_layer_passes(stack, batch, steps, n_in, hi
     assert grads == ref_grads
     plain_states = m.gru_layers(xs0, [m.plain(c) for c in cells], h00)
     assert type(plain_states) is np.ndarray and bits(plain_states) == states
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), batch=st.integers(1, 8), steps=st.integers(1, 12),
+       hidden=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_padded_values_change_no_bit_of_a_training_update(data, batch, steps, hidden, seed):
+    """New values at a batch's padded steps change no bit of the loss, latent or gradients."""
+    rng = np.random.default_rng(seed)
+    p = m.RvaeParams.init(rng, 3, hidden, 2)
+    lengths = np.array(data.draw(st.lists(_lengths(steps), min_size=batch, max_size=batch)))
+    padded = np.arange(steps)[None, :] >= lengths[:, None]
+    x = rng.uniform(0, 1, size=(batch, steps, 3))
+    eps = rng.standard_normal((batch, 2))
+    runs = []
+    for _ in range(2):
+        recons, mu, lv = m.rvae_forward(p, x, lengths, eps)
+        total, _, _ = m.vae_loss(x, recons, mu, lv, beta=0.5, lengths=lengths)
+        zero_grads(p.parameters())
+        backward(total)
+        runs.append((bits(total), bits(mu), bits(lv),
+                     {k: bits(v.grad) for k, v in p.named_parameters().items()}))
+        x = x.copy()
+        x[padded] = rng.uniform(0, 1, size=(int(padded.sum()), 3))
+    assert runs[0] == runs[1]
+
+
+def test_lengths_outside_one_to_l_are_refused():
+    cell = m.GruCellWeights.init(np.random.default_rng(0), 2, 3)
+    for lengths in ([0, 3], [4, 1]):
+        with pytest.raises(ValueError, match=r"1\.\.L"):
+            m.gru_pass(np.zeros((3, 2, 2)), cell, lengths=np.array(lengths))
+
+
+def test_lengths_that_rise_along_a_stack_axis_are_refused():
+    """Items on a stack axis come longest first; GEMM rows may come in any order."""
+    cells = tuple(m.plain(m.GruCellWeights.init(np.random.default_rng(d), 2, 3)) for d in (0, 1))
+    with pytest.raises(ValueError, match="stack axis"):
+        m.gru_pass(np.zeros((3, 2, 1, 2)), cells, lengths=np.array([1, 3]))
+    states, final = m.gru_pass(np.zeros((3, 2, 2)), cells, lengths=np.array([1, 3]))
+    assert states.shape == (3, 2, 6) and final.shape == (2, 6)
 
 
 @settings(max_examples=40, deadline=None)

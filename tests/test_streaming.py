@@ -291,9 +291,9 @@ def test_one_close_scores_chunks_of_different_lengths_in_one_forward(fitted, mon
     stacks = []
     rvae_forward = models.rvae_forward
 
-    def recorded(params, stack, lengths=None, eps=None, ragged=False):
+    def recorded(params, stack, lengths=None, eps=None):
         stacks.append(None if lengths is None else list(lengths))  # None: equal lengths
-        return rvae_forward(params, stack, lengths, eps, ragged)
+        return rvae_forward(params, stack, lengths, eps)
 
     monkeypatch.setattr(models, "rvae_forward", recorded)
     streamed, stats = stream_decisions(model, det, flows)
