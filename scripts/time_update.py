@@ -8,7 +8,8 @@ One update is what ``train._fit`` does per batch: zero the gradients, run
 the taped ``rvae_forward`` and ``vae_loss``, ``backward``, clip the global
 gradient norm and take an Adam step. The batch is B full-length sequences
 of L uniform feature vectors (F = the feature count the pipeline builds),
-with a fixed seed. The script prints the milliseconds of each update, their
+with a fixed seed, built by ``models.pad_batch`` as training builds its
+batches. The script prints the milliseconds of each update, their
 median, the resident set size before the first update and the process's
 peak resident set size (``getrusage``), which bounds what one update
 needs at that size. The times are raw wall clock: on a shared host,
@@ -63,8 +64,8 @@ def main(argv=None) -> int:
     params = models.RvaeParams.init(rng, N_FEATURES, args.hidden, args.latent)
     plist = params.parameters()
     opt = Adam(plist, lr=0.01)
-    batch = rng.uniform(0.0, 1.0, size=(args.batch, args.length, N_FEATURES))
-    lengths = np.full(args.batch, args.length)
+    batch, lengths = models.pad_batch(
+        rng.uniform(0.0, 1.0, size=(args.batch, args.length, N_FEATURES)))
     base_mb = rss_mb()
     times_ms = []
     for _ in range(args.updates):

@@ -31,17 +31,8 @@ class ParseError(DataError):
 
 
 class NumericError(BotdetError):
-    """Non-finite values where finite numbers are required."""
+    """Non-finite values where finite numbers are required.
 
-
-class TrainingAborted(NumericError):
-    """Training hit a non-finite loss or gradient.
-
-    ``last_good`` holds the parameter snapshot from the end of the last
-    completed epoch so callers can checkpoint it before exiting.
+    Training raises one when a loss or gradient goes non-finite, naming
+    the epoch; nothing of the aborted run is kept.
     """
-
-    def __init__(self, message: str, last_good=None, epoch: int = -1):
-        super().__init__(message)
-        self.last_good = last_good
-        self.epoch = epoch

@@ -15,7 +15,10 @@ Every artifact is versioned and self-describing:
 
 Readers verify format_version and artifact kind and raise DataError with
 the offending path on any mismatch, or on a payload that is missing a key
-or holds a value of the wrong type. The features, scores and decisions
+or holds a value of the wrong type: a count (``n_windows``, ``l_max``, a
+model's sizes and seed, a detector's ``bins`` and ``min_samples``) must be
+a JSON integer and a time (``window_seconds``, ``t0``) a JSON number,
+neither of them a bool. The features, scores and decisions
 readers also refuse a host-window (src_addr, window_index) that repeats.
 """
 
@@ -134,10 +137,24 @@ def _check_finite(values: np.ndarray, name: str, path: Path) -> None:
                         f"({values.flat[bad[0]]!r} at flat index {bad[0]})")
 
 
+def _count(value, key: str, path: Path) -> int:
+    """A count read from key ``key``: a JSON integer, not a bool or a fraction."""
+    if type(value) is not int:
+        raise DataError(f"{path}: {key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _seconds(value, key: str, path: Path) -> float:
+    """A time read from key ``key``: a JSON number, not a bool."""
+    if type(value) not in (int, float):
+        raise DataError(f"{path}: {key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _window_config(src: dict, path: Path) -> dict:
-    """``window_seconds``, ``n_windows`` and ``l_max`` of an artifact, range-checked."""
-    cfg = {"window_seconds": float(src["window_seconds"]),
-           "n_windows": int(src["n_windows"]), "l_max": int(src["l_max"])}
+    """``window_seconds``, ``n_windows`` and ``l_max`` of an artifact, type- and range-checked."""
+    cfg = {"window_seconds": _seconds(src["window_seconds"], "window_seconds", path),
+           **{k: _count(src[k], k, path) for k in ("n_windows", "l_max")}}
     if not 0.0 < cfg["window_seconds"] < np.inf or min(cfg["n_windows"], cfg["l_max"]) < 1:
         raise DataError(f"{path}: window config out of range {cfg}: window_seconds must "
                         "be finite and > 0, n_windows and l_max >= 1")
@@ -197,7 +214,7 @@ class FeaturesMeta:
         names = tuple(header["feature_names"])
         normalizer = _normalizer_from_payload(header["normalizer"], names, path)
         return cls(feature_names=names, normalizer=normalizer,
-                   **_window_config(header, path), t0=float(header["t0"]))
+                   **_window_config(header, path), t0=_seconds(header["t0"], "t0", path))
 
 
 def write_features(path: str | Path, meta: FeaturesMeta,
@@ -285,16 +302,16 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
     arch = payload["arch"]
     cfg = payload["config"]
     names = tuple(payload["feature_names"])
-    if int(cfg["f_dim"]) != len(names):
-        raise DataError(f"{p}: config.f_dim {cfg['f_dim']} does not match "
+    f_dim, latent = (_count(cfg[k], k, p) for k in ("f_dim", "latent"))
+    if f_dim != len(names):
+        raise DataError(f"{p}: config.f_dim {f_dim} does not match "
                         f"the {len(names)} feature names")
     rng = np.random.default_rng(0)  # placeholder init, overwritten below
     if arch == "rvae":
-        params = RvaeParams.init(rng, int(cfg["f_dim"]), int(cfg["hidden"]),
-                                 int(cfg["latent"]))
+        params = RvaeParams.init(rng, f_dim, _count(cfg["hidden"], "hidden", p), latent)
     elif arch == "mlp":
-        params = MlpVaeParams.init(rng, int(cfg["f_dim"]),
-                                   tuple(cfg["hidden"]), int(cfg["latent"]))
+        params = MlpVaeParams.init(rng, f_dim, tuple(_count(n, "hidden", p)
+                                                     for n in cfg["hidden"]), latent)
     else:
         raise DataError(f"{p}: unknown arch {arch!r}")
     named = params.named_parameters()
@@ -319,7 +336,7 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
     return TrainedModel(arch=arch, params=params, feature_names=names,
                         normalizer=_normalizer_from_payload(payload["normalizer"],
                                                             names, p),
-                        **_window_config(cfg, p), seed=int(payload["rng_seed"]),
+                        **_window_config(cfg, p), seed=_count(payload["rng_seed"], "rng_seed", p),
                         train_summary=payload["training_log_summary"])
 
 
@@ -370,7 +387,7 @@ def load_detector(path: str | Path) -> DetectorModel:
 
 
 def _detector_from_payload(payload: dict, path: Path) -> DetectorModel:
-    bins, min_samples = int(payload["bins"]), int(payload["min_samples"])
+    bins, min_samples = (_count(payload[k], k, path) for k in ("bins", "min_samples"))
     if bins < 1 or min_samples < 1:
         raise DataError(f"{path}: bins and min_samples must be >= 1, "
                         f"got bins={bins} min_samples={min_samples}")

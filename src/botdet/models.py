@@ -150,7 +150,7 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     else:
         cells = ((w[0], False), (w[1], True))
     reverses = tuple(rev for _, rev in cells)
-    operands, tracked, cells, x, xp, rows, runs, lengths = _setup(
+    operands, tracked, cells, x, xp, rows, runs = _setup(
         xs, [h0], [c for c, _ in cells], 0, lengths)
     flip = None if lengths is None else _flip(lengths, len(x))
     _project(x, cells, reverses, xp, runs, flip)
@@ -183,7 +183,7 @@ def gru_layers(xs, cells: list[GruCellWeights], h0s: list, lengths: np.ndarray |
     ``_bptt_layers``.
     """
     n = len(cells)
-    operands, tracked, cells, x, xp, rows, runs, _ = _setup(xs, h0s, cells, n - 1, lengths)
+    operands, tracked, cells, x, xp, rows, runs = _setup(xs, h0s, cells, n - 1, lengths)
     _project(x, cells[:1], (False,), xp, runs)
     for layer, h0 in enumerate(h0s):  # layer l's state after its step s: row s + l + 1
         rows[layer, layer] = 0.0 if h0 is None else _array(h0)
@@ -197,7 +197,7 @@ def gru_layers(xs, cells: list[GruCellWeights], h0s: list, lengths: np.ndarray |
 
 
 def _setup(xs, h0s, cells, skew, lengths=None):
-    """What both passes set up: (operands, tracked, plain cells, x, xp, rows, runs, lengths).
+    """What both passes set up: (operands, tracked, plain cells, x, xp, rows, runs).
 
     The cells run as one recurrence over a leading cell axis for L + ``skew``
     iterations. ``xp`` is left for the pass to fill with each iteration's
@@ -205,7 +205,7 @@ def _setup(xs, h0s, cells, skew, lengths=None):
     after iteration t.
 
     ``lengths`` gives item k on the input's first axis after time its own
-    length lengths[k] in 1..L; they come back None when all are L. Those
+    length lengths[k] in 1..L (None: every item runs to L). Those
     items are the GEMM rows of a (L, B, n) input and a stack axis ahead of
     them otherwise. Along a stack axis lengths must not increase, so the
     items that still run at a step are a prefix of it, and slicing a stack
@@ -228,16 +228,14 @@ def _setup(xs, h0s, cells, skew, lengths=None):
                 or stack and any(a < b for a, b in zip(each, each[1:]))):
             raise ValueError("lengths give each item after the time axis its own length in "
                              "1..L, not increasing along a stack axis")
-        if min(each) == steps:
-            lengths = None
-        elif stack and not any(tracked):
+        if stack and not any(tracked):
             runs = [(n, len(list(run))) for n, run in groupby(each)]
             runs = [(n, slice(stop - k, stop))
                     for (n, k), stop in zip(runs, accumulate(k for _, k in runs))]
     state = (len(cells), *x.shape[1:-1], cells[0].u_r.shape[0])  # one iteration's states
     xp = np.empty((steps + skew, 3, *state))
     rows = (np.empty if runs is None else np.zeros)((steps + skew + 1, *state))
-    return operands, tracked, cells, x, xp, rows, runs, lengths
+    return operands, tracked, cells, x, xp, rows, runs
 
 
 def _project(x, cells, reverses, xp, runs, flip=None):
@@ -614,15 +612,29 @@ def decode(p: RvaeParams, z: Tensor, targets: np.ndarray, lengths=None) -> Tenso
     return ad.sigmoid(gru_layers(seq, p.dec, h0s, lengths) @ p.w_out + p.b_out)
 
 
+def pad_batch(seqs) -> tuple[np.ndarray, np.ndarray | None]:
+    """(L_i, F) sequences zero-padded into a (K, L, F) batch, L the longest, and their lengths.
+
+    The lengths come back None when all are equal. Every caller gets its
+    batches here, so ``lengths=None`` means unpadded and an array padded.
+    """
+    lengths = np.array([len(s) for s in seqs])
+    batch = np.zeros((len(seqs), lengths.max(), seqs[0].shape[-1]))
+    for item, s in zip(batch, seqs):
+        item[:len(s)] = s
+    return batch, None if lengths.min() == lengths.max() else lengths
+
+
 def rvae_forward(p: RvaeParams, batch: np.ndarray,
                  lengths: np.ndarray | None = None,
                  eps: np.ndarray | None = None
                  ) -> tuple[Tensor, Tensor, Tensor]:
-    """Full pass over a padded batch (..., B, L, F); returns (recons, mu, logvar).
+    """Full pass over a batch (..., B, L, F); returns (recons, mu, logvar).
 
     ``recons`` is the time-major (L, ..., B, F) reconstruction. ``lengths``
-    holds the true length of each sequence on the batch's first axis: the
-    rows of a (B, L, F) batch, or the items of a (K, ..., B, L, F) stack.
+    (``pad_batch``) holds the true length of each sequence on the batch's
+    first axis: the rows of a (B, L, F) batch, or the items of a
+    (K, ..., B, L, F) stack; None runs every sequence to L.
     Every pass runs each sequence to its own length (``gru_pass``), so its
     latent and its reconstruction at its own steps do not depend on its
     padding; the reconstruction of a padded step means nothing.
@@ -741,11 +753,11 @@ def vae_loss(targets: np.ndarray, recons: Tensor, mu: Tensor,
 
     ``targets`` is the (B, L, F) batch and ``recons`` its time-major
     (L, B, F) reconstruction; the steps past each sequence's ``lengths``
-    add nothing. Returns the differentiable total plus the plain-float BCE
-    and KL means for logging.
+    (``pad_batch``; None: no padded step) add nothing. Returns the
+    differentiable total plus the plain-float BCE and KL means for logging.
     """
     batch, steps, _ = targets.shape
-    real = (None if lengths is None or np.all(lengths == steps)  # (L, B, 1): 1 at real steps
+    real = (None if lengths is None  # (L, B, 1): 1 at real steps
             else (np.arange(steps)[:, None, None] < lengths[:, None]).astype(np.float64))
     total_bce = bce_sum(np.moveaxis(targets, 1, 0), recons, real)
     total_kl = kl_divergence(mu, logvar)

@@ -65,12 +65,11 @@ def score_elements(arch: str, params, vectors: np.ndarray,
     """Per-element scores of one (L, F) sequence, or (K, L) for a (K, L, F) stack.
 
     A stack is ragged when ``lengths`` gives its items' non-increasing
-    lengths: each item is zero-padded to L and runs to its own length, by
-    the rule training's padded batches follow (``models.gru_pass``), and
-    its padded scores mean nothing.
+    lengths (``models.pad_batch``; None: all are L): each item is
+    zero-padded to L and runs to its own length, by the rule training's
+    padded batches follow (``models.gru_pass``), and its padded scores mean
+    nothing.
     """
-    if lengths is not None and lengths[-1] == vectors.shape[-2]:
-        lengths = None  # equal lengths: the plain stacked pass
     if arch == ARCH_RVAE:
         recons = models.rvae_forward(models.plain(params), vectors[..., None, :, :], lengths)[0]
         recon = np.moveaxis(recons[..., 0, :], 0, -2)
@@ -91,18 +90,16 @@ def score_sequences(arch: str, params,
 
     The sequences are trailing context (``trailing_sequences``), so each
     host-window is scored exactly once. They are sorted by length, longest
-    first (stable), and that order is scored in ragged stacks of at most
-    ``STACK_MAX``, each sequence to its own length (``score_elements``).
+    first (stable), and that order is scored in stacks of at most
+    ``STACK_MAX`` (``models.pad_batch``), each sequence to its own length
+    (``score_elements``).
     """
     sequences = list(sequences)
     order = sorted(range(len(sequences)), key=lambda i: len(sequences[i]), reverse=True)
     scores: dict[int, np.ndarray] = {}
     for lo in range(0, len(order), STACK_MAX):
         stack = order[lo:lo + STACK_MAX]
-        lengths = np.array([len(sequences[i]) for i in stack])
-        vectors = np.zeros((len(stack), lengths[0], sequences[stack[0]].vectors.shape[-1]))
-        for item, i in zip(vectors, stack):
-            item[:len(sequences[i])] = sequences[i].vectors
+        vectors, lengths = models.pad_batch([sequences[i].vectors for i in stack])
         scores.update(zip(stack, score_elements(arch, params, vectors, lengths)))
     out: list[ScoredWindow] = []
     for i, seq in enumerate(sequences):

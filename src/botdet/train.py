@@ -4,8 +4,8 @@ Sequences are shuffled each epoch, padded per batch, and stepped with
 Adam under KL annealing and global-norm gradient clipping. Everything
 random flows from one seeded generator (init, shuffles, latent draws),
 so a fixed config reproduces the loss trajectory bit for bit on one
-thread. A non-finite loss or gradient aborts training and surfaces the
-last completed epoch's parameters for checkpointing.
+thread. A non-finite loss or gradient aborts training with a
+NumericError that names the epoch.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import models
 from .autodiff import backward, zero_grads
-from .errors import NumericError, TrainingAborted
+from .errors import NumericError
 from .features import Normalizer
 from .models import MlpVaeParams, RvaeParams
 from .optim import Adam, clip_global_norm
@@ -92,23 +92,6 @@ class TrainedModel:
     train_summary: dict
 
 
-def _snapshot(params) -> dict[str, np.ndarray]:
-    return {k: v.data.copy() for k, v in params.named_parameters().items()}
-
-
-def _restore(params, snap: dict[str, np.ndarray]) -> None:
-    for k, v in params.named_parameters().items():
-        v.data[...] = snap[k]
-
-
-def _pad_batch(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-    batch = np.zeros((len(seqs), int(lengths.max()), seqs[0].shape[1]))
-    for i, s in enumerate(seqs):
-        batch[i, : s.shape[0], :] = s
-    return batch, lengths
-
-
 def fit_rvae(sequences: Sequence[np.ndarray], f_dim: int,
              cfg: TrainConfig) -> tuple[RvaeParams, TrainLog]:
     """Train the recurrent VAE on (L, F) arrays of non-malicious vectors."""
@@ -138,11 +121,10 @@ def fit_mlp(vectors: np.ndarray, cfg: TrainConfig) -> tuple[MlpVaeParams, TrainL
 
 def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
          rng: np.random.Generator):
-    """Minibatch loop; ``forward`` maps a padded batch to (recons, mu, logvar)."""
+    """Minibatch loop; ``forward`` maps a ``pad_batch`` batch and lengths to (recons, mu, logvar)."""
     plist = params.parameters()
     opt = Adam(plist, lr=cfg.lr)
     log = TrainLog()
-    last_good = _snapshot(params)
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(items))
@@ -152,7 +134,7 @@ def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
         beta = 0.0
         for lo in range(0, len(items), cfg.batch_size):
             chosen = [items[i] for i in order[lo:lo + cfg.batch_size]]
-            batch, lengths = _pad_batch(chosen)
+            batch, lengths = models.pad_batch(chosen)
             eps = rng.standard_normal((batch.shape[0], cfg.latent))
             beta = models.beta_schedule(step, cfg.anneal_steps, cfg.beta_max)
             try:
@@ -167,10 +149,7 @@ def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
                 grad_norms.append(clip_global_norm(plist, cfg.grad_clip))
                 opt.step()
             except NumericError as exc:
-                _restore(params, last_good)
-                raise TrainingAborted(
-                    f"training aborted at epoch {epoch}: {exc}",
-                    last_good=last_good, epoch=epoch - 1) from exc
+                raise NumericError(f"training aborted at epoch {epoch}: {exc}") from exc
             step += 1
             n_batches += 1
             sum_loss += loss_val
@@ -179,5 +158,4 @@ def _fit(items: list[np.ndarray], params, forward, cfg: TrainConfig,
         log.record(epoch, sum_loss / n_batches, sum_bce / n_batches,
                    sum_kl / n_batches, beta, grad_norms, cfg.grad_clip)
         log.n_updates = step
-        last_good = _snapshot(params)
     return params, log

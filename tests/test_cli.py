@@ -658,6 +658,65 @@ def test_train_on_features_with_l_max_zero_is_a_data_error(chain, tmp_path, caps
     assert not (tmp_path / "model.json").exists()
 
 
+def _set_count_or_time(artifact: str, key: str, value):
+    """A payload edit that puts ``value`` where a count or a time belongs."""
+    def edit(payload):
+        in_config = artifact == "model" and key != "rng_seed"
+        (payload["config"] if in_config else payload)[key] = value
+        return payload
+    return edit
+
+
+@pytest.mark.parametrize("artifact,key,value", [
+    ("model", "window_seconds", True), ("model", "n_windows", True), ("model", "l_max", True),
+    ("model", "n_windows", 3.5), ("model", "hidden", 16.7), ("model", "f_dim", True),
+    ("model", "latent", 4.0), ("model", "rng_seed", True),
+    ("features", "window_seconds", True), ("features", "n_windows", True),
+    ("features", "l_max", 8.5), ("features", "t0", False),
+    ("detector", "bins", True), ("detector", "min_samples", 30.5),
+])
+def test_a_bool_or_fraction_for_a_count_or_time_is_a_data_error(chain, tmp_path, capsys,
+                                                                artifact, key, value):
+    path = _doctored(chain, tmp_path, artifact, _set_count_or_time(artifact, key, value))
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, artifact, path, out)) == 2
+    err = capsys.readouterr().err
+    kind = "number" if key in ("window_seconds", "t0") else "integer"
+    assert f"data error: {path}: {key} must be a JSON {kind}, got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("window_seconds", True), ("n_windows", True), ("l_max", True), ("n_windows", 3.5),
+    ("hidden", 16.7),
+])
+def test_stream_refuses_a_bool_or_fraction_for_a_model_count_or_time(chain, fixture_dir,
+                                                                    tmp_path, capsys, key, value):
+    path = _doctored(chain, tmp_path, "model", _set_count_or_time("model", key, value))
+    assert main(["stream", "--model", str(path), "--detector", str(chain["detector"]),
+                 "--input", str(fixture_dir["test"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"data error: {path}: {key} must be a JSON " in captured.err
+
+
+def test_train_on_features_with_a_bool_n_windows_is_a_data_error(chain, tmp_path, capsys):
+    path = _doctored(chain, tmp_path, "features", lambda header: {**header, "n_windows": True})
+    assert main(["train", "--features", str(path), "--model-out",
+                 str(tmp_path / "model.json"), *FAST_TRAIN]) == 2
+    assert f"{path}: n_windows must be a JSON integer, got True" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_train_exits_3_and_writes_nothing(chain, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert main(["train", "--features", str(chain["features_train"]), "--model-out", str(out),
+                 *FAST_TRAIN, "--lr", "1e9", "--beta-max", "100", "--anneal-steps", "1"]) == 3
+    assert "numeric error: training aborted at epoch" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "model.run.json").exists()
+
+
 @pytest.mark.parametrize("artifact,flag", [("model", "--model"), ("detector", "--detector")])
 def test_non_utf8_json_artifact_is_a_data_error(chain, fixture_dir, tmp_path, capsys,
                                                artifact, flag):

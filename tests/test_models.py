@@ -556,6 +556,44 @@ def test_padded_values_change_no_bit_of_a_training_update(data, batch, steps, hi
     assert runs[0] == runs[1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=16),
+       f=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_pad_batch_zero_pads_and_returns_no_lengths_for_equal_ones(lengths, f, seed):
+    """Each item holds its sequence's bits, then zeros; lengths are None exactly when equal."""
+    rng = np.random.default_rng(seed)
+    seqs = [rng.uniform(0, 1, size=(n, f)) for n in lengths]
+    batch, got = m.pad_batch(seqs)
+    assert batch.shape == (len(seqs), max(lengths), f)
+    for item, seq in zip(batch, seqs):
+        assert bits(item[:len(seq)]) == bits(seq)
+        assert not item[len(seq):].any()
+    if len(set(lengths)) == 1:
+        assert got is None
+    else:
+        assert got.tolist() == lengths
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 8), steps=st.integers(1, 12), f=st.integers(1, 6),
+       hidden=st.sampled_from([1, 3, 8, 16]), seed=st.integers(0, 2**32 - 1))
+def test_lengths_all_l_give_the_unpadded_update_bit_for_bit(batch, steps, f, hidden, seed):
+    """A taped update with ``np.full(B, L)`` gives the bits of ``lengths=None``."""
+    rng = np.random.default_rng(seed)
+    p = m.RvaeParams.init(rng, f, hidden, 2)
+    x = rng.uniform(0, 1, size=(batch, steps, f))
+    eps = rng.standard_normal((batch, 2))
+    runs = []
+    for lengths in (None, np.full(batch, steps)):
+        recons, mu, lv = m.rvae_forward(p, x, lengths, eps)
+        total, _, _ = m.vae_loss(x, recons, mu, lv, beta=0.5, lengths=lengths)
+        zero_grads(p.parameters())
+        backward(total)
+        runs.append((bits(total), bits(recons), bits(mu), bits(lv),
+                     {k: bits(v.grad) for k, v in p.named_parameters().items()}))
+    assert runs[0] == runs[1]
+
+
 def test_lengths_outside_one_to_l_are_refused():
     cell = m.GruCellWeights.init(np.random.default_rng(0), 2, 3)
     for lengths in ([0, 3], [4, 1]):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from botdet import models, scoring, train
 from botdet.autodiff import Tensor
-from botdet.errors import DataError, TrainingAborted
+from botdet.errors import DataError, NumericError
 from botdet.features import FEATURE_NAMES, FeatureRow, Normalizer, Sequence, trailing_sequences
 from botdet.ingest import GroundTruth
 from botdet.train import TrainConfig, TrainedModel
@@ -82,12 +82,10 @@ class TestFitRvae:
         assert summary["final_clipped"] == log.epochs[-1]["clipped"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts_with_last_good(self):
-        with pytest.raises(TrainingAborted) as exc:
+    def test_divergence_aborts_naming_the_epoch(self):
+        with pytest.raises(NumericError, match="training aborted at epoch"):
             train.fit_rvae(tiny_sequences(), 6,
                            small_cfg(epochs=50, lr=1e9, anneal_steps=1, beta_max=100.0))
-        snap = exc.value.last_good
-        assert snap and all(np.all(np.isfinite(v)) for v in snap.values())
 
 
 class TestFitMlp:
