@@ -16,10 +16,13 @@ Every artifact is versioned and self-describing:
 Readers verify format_version and artifact kind and raise DataError with
 the offending path on any mismatch, or on a payload that is missing a key
 or holds a value of the wrong type: a count (``n_windows``, ``l_max``, a
-model's sizes and seed, a detector's ``bins`` and ``min_samples``) must be
-a JSON integer and a time (``window_seconds``, ``t0``) a JSON number,
-neither of them a bool. The features, scores and decisions
-readers also refuse a host-window (src_addr, window_index) that repeats.
+model's sizes and seed, a detector's ``bins`` and ``min_samples``, a
+density's ``n``) must be a JSON integer, and a time (``window_seconds``,
+``t0``) or any other number (normalizer ``min`` and ``max``, a
+parameter's ``data``, a density's ``params``, ``loc``, ``scale`` and
+``sse``) a JSON number; none of them may be a bool. The features,
+scores and decisions readers also refuse a host-window (src_addr,
+window_index) that repeats.
 """
 
 from __future__ import annotations
@@ -115,8 +118,8 @@ def _normalizer_from_payload(entry: dict, names: tuple[str, ...],
     flags = entry["log1p"]
     if not (isinstance(flags, list) and all(type(f) is bool for f in flags)):
         raise DataError(f"{path}: normalizer log1p must be a list of JSON bools, got {flags!r}")
-    nz = Normalizer(vmin=np.asarray(entry["min"], dtype=np.float64),
-                    vmax=np.asarray(entry["max"], dtype=np.float64),
+    nz = Normalizer(vmin=_numbers(entry["min"], "normalizer min", path),
+                    vmax=_numbers(entry["max"], "normalizer max", path),
                     log1p=np.array(flags, dtype=bool))
     if any(a.shape != (len(names),) for a in (nz.vmin, nz.vmax, nz.log1p)):
         raise DataError(f"{path}: normalizer stats do not match feature names")
@@ -144,16 +147,30 @@ def _count(value, key: str, path: Path) -> int:
     return value
 
 
-def _seconds(value, key: str, path: Path) -> float:
-    """A time read from key ``key``: a JSON number, not a bool."""
+def _number(value, key: str, path: Path) -> float:
+    """A number read from key ``key``: a JSON number, not a bool."""
     if type(value) not in (int, float):
         raise DataError(f"{path}: {key} must be a JSON number, got {value!r}")
     return float(value)
 
 
+def _holds_bool(value) -> bool:
+    if type(value) is not list:
+        return type(value) is bool
+    kinds = set(map(type, value))
+    return bool in kinds or (list in kinds and any(map(_holds_bool, value)))
+
+
+def _numbers(value, key: str, path: Path) -> np.ndarray:
+    """A float64 array read from key ``key``: JSON numbers, none of them a bool at any depth."""
+    if _holds_bool(value):
+        raise DataError(f"{path}: {key} must hold JSON numbers, not bools")
+    return np.asarray(value, dtype=np.float64)
+
+
 def _window_config(src: dict, path: Path) -> dict:
     """``window_seconds``, ``n_windows`` and ``l_max`` of an artifact, type- and range-checked."""
-    cfg = {"window_seconds": _seconds(src["window_seconds"], "window_seconds", path),
+    cfg = {"window_seconds": _number(src["window_seconds"], "window_seconds", path),
            **{k: _count(src[k], k, path) for k in ("n_windows", "l_max")}}
     if not 0.0 < cfg["window_seconds"] < np.inf or min(cfg["n_windows"], cfg["l_max"]) < 1:
         raise DataError(f"{path}: window config out of range {cfg}: window_seconds must "
@@ -214,7 +231,7 @@ class FeaturesMeta:
         names = tuple(header["feature_names"])
         normalizer = _normalizer_from_payload(header["normalizer"], names, path)
         return cls(feature_names=names, normalizer=normalizer,
-                   **_window_config(header, path), t0=_seconds(header["t0"], "t0", path))
+                   **_window_config(header, path), t0=_number(header["t0"], "t0", path))
 
 
 def write_features(path: str | Path, meta: FeaturesMeta,
@@ -327,7 +344,7 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise DataError(f"{p}: parameter {name} shape must be a list of non-negative "
                             f"ints, got {shape!r}")
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        arr = _numbers(entry["data"], f"parameter {name} data", p).reshape(shape)
         if arr.shape != tensor.data.shape:
             raise DataError(f"{p}: parameter {name} has shape {arr.shape}, "
                             f"expected {tensor.data.shape}")
@@ -355,8 +372,11 @@ def _pdf_from_payload(entry: dict, name: str, path: Path) -> FittedPdf:
     it gives a traceback or wrong verdicts with exit 0 at detect time.
     """
     fam = family_by_name(entry["family"])
-    shapes = tuple(float(v) for v in entry["params"])
-    loc, scale = float(entry["loc"]), float(entry["scale"])
+    params = entry["params"]
+    if type(params) is not list:
+        raise DataError(f"{path}: {name}.params must be a list, got {params!r}")
+    shapes = tuple(_number(v, f"{name}.params", path) for v in params)
+    loc, scale = (_number(entry[k], f"{name}.{k}", path) for k in ("loc", "scale"))
     if len(shapes) != fam.n_shapes:
         raise DataError(f"{path}: {name} family {fam.name} takes {fam.n_shapes} "
                         f"shape parameter(s), params holds {len(shapes)}")
@@ -366,7 +386,8 @@ def _pdf_from_payload(entry: dict, name: str, path: Path) -> FittedPdf:
     if not math.isfinite(loc):
         raise DataError(f"{path}: {name} loc must be finite, got {loc}")
     return FittedPdf(family=fam.name, shapes=shapes, loc=loc, scale=scale,
-                     sse=float(entry["sse"]), n_samples=int(entry["n"]))
+                     sse=_number(entry["sse"], f"{name}.sse", path),
+                     n_samples=_count(entry["n"], f"{name}.n", path))
 
 
 def save_detector(path: str | Path, det: DetectorModel) -> None:

@@ -4,13 +4,21 @@ Rows carry a timestamped 5-tuple-ish flow summary plus byte/packet totals
 and a free-text label. Ports stay strings: captures contain hex ports and
 empty fields, and nothing downstream needs them numeric except the
 service lookup, which parses defensively.
+
+Two readers share one validation. ``iter_flows`` yields one FlowRecord per
+row, for the stream and the scripts. ``read_dataset`` reads a batch of
+captures into a ``FlowTable``: each chunk of csv rows becomes columns of
+numbers and interned text codes, and is then dropped, so memory grows by
+tens of bytes per flow, not by a record's hundreds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import functools
+import itertools
 import math
 import operator
 import re
@@ -18,6 +26,8 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
@@ -169,6 +179,11 @@ def format_timestamp(t: float) -> str:
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime(TIME_FORMAT)
 
 
+# Counts are refused above this, the int64 maximum, so a table column holds
+# every count that a record does.
+_COUNT_MAX = 2**63 - 1
+
+
 def _row_error(path: str, line_no: int, msg: str) -> ParseError:
     return ParseError(f"{path}:{line_no}: {msg}", path, line_no)
 
@@ -198,6 +213,8 @@ def parse_flow(values: Sequence[str], path: str = "", line_no: int = 0) -> FlowR
     if not 0 <= src_bytes <= tot_bytes:
         raise _row_error(path, line_no, "byte counts violate 0 <= SrcBytes <= TotBytes "
                          f"({src_bytes}, {tot_bytes})")
+    if tot_pkts > _COUNT_MAX or tot_bytes > _COUNT_MAX:
+        raise _row_error(path, line_no, "TotPkts or TotBytes above 2**63 - 1")
     proto = proto.strip().lower()
     src_addr, dst_addr = src_addr.strip(), dst_addr.strip()
     if not src_addr or not dst_addr:
@@ -245,24 +262,9 @@ class IngestStats:
         return sum(f.errors for f in self.files)
 
 
-def iter_flows(path: str | Path, strict: bool = False,
-               stats: IngestStats | None = None) -> Iterator[FlowRecord]:
-    """Yield records in file order.
-
-    Captures are UTF-8 CSV with a header row; columns are found by header
-    name (the last of a repeated name wins) and extra fields are ignored.
-    Blank lines are skipped. A bad row is one that fails parse_flow, has
-    fewer fields than the header, holds bytes that are not UTF-8, or trips
-    the csv reader (an oversized field, say). Lenient mode (default) skips
-    and counts bad rows; strict mode raises a ParseError naming the bad
-    row's last physical line. Ordering is whatever the file has; use
-    read_dataset for a time-sorted list.
-    """
-    path = Path(path)
-    name = str(path)
-    fstats = FileStats(path=name)
-    if stats is not None:
-        stats.files.append(fstats)
+@contextlib.contextmanager
+def _capture(path: Path):
+    """A capture's csv reader past its header, its REQUIRED_COLUMNS picker and header width."""
     try:
         fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
@@ -277,8 +279,57 @@ def iter_flows(path: str | Path, strict: bool = False,
         missing = [c for c in REQUIRED_COLUMNS if c not in columns]
         if missing:
             raise DataError(f"{path}: missing required columns {missing}")
-        pick = operator.itemgetter(*(columns[c] for c in REQUIRED_COLUMNS))
+        yield reader, operator.itemgetter(*(columns[c] for c in REQUIRED_COLUMNS)), len(header)
 
+
+def _is_utf8(text: str) -> bool:
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _parse_row(row: list[str], pick, width: int, path: str, line_no: int) -> FlowRecord:
+    """parse_flow of a non-blank csv row, after the checks that the row is whole UTF-8 text.
+
+    iter_flows makes the same checks inline: a call per row made its read
+    ≈10% slower.
+    """
+    if len(row) < width:
+        raise _row_error(path, line_no, f"row has {len(row)} fields, the header {width}")
+    if not _is_utf8("".join(row)):
+        raise _row_error(path, line_no, "not UTF-8 text")
+    return parse_flow(pick(row), path, line_no)
+
+
+def _bad_row(err: ParseError, strict: bool, fstats: FileStats) -> None:
+    if strict:
+        raise err
+    fstats.errors += 1
+    if not fstats.first_error:
+        fstats.first_error = str(err)
+
+
+def iter_flows(path: str | Path, strict: bool = False,
+               stats: IngestStats | None = None) -> Iterator[FlowRecord]:
+    """Yield records in file order.
+
+    Captures are UTF-8 CSV with a header row; columns are found by header
+    name (the last of a repeated name wins) and extra fields are ignored.
+    Blank lines are skipped. A bad row is one that fails parse_flow, has
+    fewer fields than the header, holds bytes that are not UTF-8, or trips
+    the csv reader (an oversized field, say). Lenient mode (default) skips
+    and counts bad rows; strict mode raises a ParseError naming the bad
+    row's last physical line. Ordering is whatever the file has; use
+    read_dataset for a time-sorted table.
+    """
+    path = Path(path)
+    name = str(path)
+    fstats = FileStats(path=name)
+    if stats is not None:
+        stats.files.append(fstats)
+    with _capture(path) as (reader, pick, width):
         while True:
             try:
                 row = next(reader, None)
@@ -286,9 +337,9 @@ def iter_flows(path: str | Path, strict: bool = False,
                     return
                 if not row:
                     continue
-                if len(row) < len(header):
+                if len(row) < width:
                     raise _row_error(name, reader.line_num,
-                                     f"row has {len(row)} fields, the header {len(header)}")
+                                     f"row has {len(row)} fields, the header {width}")
                 try:
                     "".join(row).encode()
                 except UnicodeEncodeError:
@@ -302,24 +353,295 @@ def iter_flows(path: str | Path, strict: bool = False,
                 fstats.parsed += 1
                 yield rec
                 continue
-            if strict:
-                raise err
-            fstats.errors += 1
-            if not fstats.first_error:
-                fstats.first_error = str(err)
+            _bad_row(err, strict, fstats)
+
+
+# ------------------------------------------------------------- flow table
+
+# Rows per chunk that read_dataset turns into columns at once. Larger chunks
+# spread numpy's per-call cost thinner, but a chunk's csv rows are garbage
+# that stays resident around the text values kept from it: reading the
+# chain's training capture (40k flows) peaked 1.2 MB higher at 1,024 rows
+# than at 512, and 5 MB higher at 4,096.
+_CHUNK_ROWS = 1024
+
+# The table's column types: text fields hold int32 codes into their vocabularies.
+_DTYPES = {**dict.fromkeys(FlowRecord._fields, np.int32), "start_time": np.float64,
+           "duration": np.float64, "tot_pkts": np.int64, "tot_bytes": np.int64,
+           "src_bytes": np.int64}
+# The field that each of a row's REQUIRED_COLUMNS values becomes.
+_VALUE_FIELDS = ("start_time", "duration", "proto", "src_addr", "src_port", "direction",
+                 "dst_addr", "dst_port", "state", "tot_pkts", "tot_bytes", "src_bytes",
+                 "label_raw")
+# Text fields with the function that turns a raw csv value into the record's
+# value; service is derived from proto and dst_port.
+_TEXT_FIELDS = {
+    "proto": lambda s: s.strip().lower(), "src_addr": str.strip, "src_port": str.strip,
+    "direction": str.strip, "dst_addr": str.strip, "dst_port": str.strip,
+    "state": str.strip, "label_raw": str.strip,
+}
+# Stands in for a short or non-UTF-8 row while a chunk's columns are built;
+# such a row is always re-read by _parse_row, which refuses it.
+_STAND_IN = ("1970/01/01 00:00:00", "0", "", "-", "", "", "-", "", "", "0", "0", "0", "")
+
+
+class FlowTable:
+    """Parsed flows as columns, stably sorted by start time: what read_dataset returns.
+
+    ``columns`` holds one array per FlowRecord field: start_time and
+    duration float64, the three counts int64, and each text field int32
+    codes into ``vocab[field]``, that field's distinct values in the order
+    first read. Indexing and iteration give FlowRecords equal to those that
+    parse_flow gives for the same rows, in the order a stable sort of them
+    by start time gives, so a caller may treat the table as that list.
+    """
+
+    __slots__ = ("columns", "vocab")
+
+    def __init__(self, columns: dict[str, np.ndarray], vocab: dict[str, list[str]]):
+        self.columns = columns
+        self.vocab = vocab
+
+    def __len__(self) -> int:
+        return len(self.columns["start_time"])
+
+    def _fields(self):
+        """(column, vocabulary or None) in FlowRecord field order."""
+        return [(self.columns[f], self.vocab.get(f)) for f in FlowRecord._fields]
+
+    def __getitem__(self, i: int) -> FlowRecord:
+        i = range(len(self))[i]
+        return FlowRecord._make(col[i].item() if words is None else words[col[i]]
+                                for col, words in self._fields())
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        values = [col.tolist() if words is None else map(words.__getitem__, col.tolist())
+                  for col, words in self._fields()]
+        return map(FlowRecord._make, zip(*values))
+
+
+class _Interner:
+    """Codes for a text field's values, in the order first seen.
+
+    ``index`` maps every raw value read, and every value, to its value's
+    code. That is sound because each field's canon is idempotent: a value
+    is its own canon.
+    """
+
+    __slots__ = ("canon", "index", "words")
+
+    def __init__(self, canon=None):
+        self.canon = canon
+        self.index: dict[str, int] = {}
+        self.words: list[str] = []
+
+    def code(self, word: str) -> int:
+        c = self.index.get(word)
+        if c is None:
+            c = self.index[word] = len(self.words)
+            self.words.append(word)
+        return c
+
+    def encode(self, raw: Sequence[str]) -> np.ndarray:
+        """The codes of the values of these raw csv texts; canon runs once per new raw text."""
+        index = self.index
+        for r in dict.fromkeys(raw):
+            if r not in index:
+                index[r] = self.code(self.canon(r))
+        return np.fromiter(map(index.__getitem__, raw), np.int32, len(raw))
+
+
+# Byte offsets of the digits and separators of YYYY/MM/DD HH:MM:SS[.ffffff].
+_TIME_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25])
+_TIME_SEPARATORS = {4: "/", 7: "/", 10: " ", 13: ":", 16: ":", 19: "."}
+_EXACT_MICROSECONDS = 2**53  # a float64 holds every integer up to here
+
+
+def _field_value(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    return d[:, lo:hi] @ 10 ** np.arange(hi - lo - 1, -1, -1)
+
+
+def _canonical_times(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """parse_timestamp of each text in the canonical capture form, and which texts those are.
+
+    The same arithmetic as parse_timestamp's canonical branch, on arrays:
+    one _day_seconds lookup per distinct date, and the division of whole
+    microseconds by 10**6 in float64, which is exact where they fit its
+    mantissa and is done in Python ints where they do not. Every other
+    text is left unread (False) for parse_timestamp itself.
+    """
+    n = len(texts)
+    times, ok = np.zeros(n), np.zeros(n, dtype=bool)
+    lengths = np.fromiter(map(len, texts), np.int64, n)
+    for width in (26, 19):
+        at = np.flatnonzero(lengths == width)
+        if not at.size:
+            continue
+        group = texts if at.size == n else [texts[i] for i in at]
+        raw = np.frombuffer("".join(group).encode("ascii", "replace"),
+                            np.uint8).reshape(-1, width)
+        d = raw.astype(np.int64) - ord("0")
+        digits = d[:, _TIME_DIGITS[_TIME_DIGITS < width]]
+        good = ((digits >= 0) & (digits <= 9)).all(axis=1)
+        for pos, sep in _TIME_SEPARATORS.items():
+            if pos < width:
+                good &= raw[:, pos] == ord(sep)
+        h, mi, s = (_field_value(d, lo, lo + 2) for lo in (11, 14, 17))
+        good &= (h <= 23) & (mi <= 59) & (s <= 59)
+        day_key = _field_value(d, 0, 4) * 10_000 + _field_value(d, 5, 7) * 100 + _field_value(d, 8, 10)
+        days, which = np.unique(np.where(good, day_key, 0), return_inverse=True)
+        day_s = np.zeros(len(days), dtype=np.int64)
+        for k, key in enumerate(days.tolist()):
+            try:
+                day_s[k] = _day_seconds(f"{key // 10_000:04d}/{key // 100 % 100:02d}/{key % 100:02d}")
+            except ValueError:
+                good &= days[which] != key
+        us = (((day_s[which] + h * 3600 + mi * 60 + s) * 1_000_000)
+              + (_field_value(d, 20, 26) if width == 26 else 0))
+        t = us / 1_000_000
+        wide = np.flatnonzero(good & (np.abs(us) > _EXACT_MICROSECONDS))
+        t[wide] = [u / 1_000_000 for u in us[wide].tolist()]
+        times[at], ok[at] = t, good
+    return times, ok
+
+
+def _numbers(texts: Sequence[str], kind, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``kind(t)`` of each text as ``dtype``, and which texts gave a value that fits it."""
+    n = len(texts)
+    try:
+        return np.fromiter(map(kind, texts), dtype, n), np.ones(n, dtype=bool)
+    except (ValueError, OverflowError):
+        pass
+    values, ok = np.zeros(n, dtype=dtype), np.zeros(n, dtype=bool)
+    for i, t in enumerate(texts):
+        try:
+            values[i] = kind(t)
+        except (ValueError, OverflowError):
+            continue
+        ok[i] = True
+    return values, ok
+
+
+class _TableBuilder:
+    """Columns of the rows read so far, one chunk at a time, and their interned text."""
+
+    def __init__(self):
+        self.text = {f: _Interner(canon) for f, canon in _TEXT_FIELDS.items()}
+        self.text["service"] = _Interner()
+        self.services: dict[int, int] = {}  # (proto << 32 | dst_port) code -> service code
+        self.parts = {f: [np.zeros(0, dtype)] for f, dtype in _DTYPES.items()}
+
+    def add_chunk(self, rows: list[list[str]], lines: list[int], pick, width: int,
+                  name: str, strict: bool, fstats: FileStats) -> None:
+        """Validate and store non-blank rows, counting or raising each bad one in row order.
+
+        Each column is read with the builtins parse_flow uses. A row that
+        any column cannot vouch for goes through _parse_row itself, so a
+        bad row's message and a good row's values are parse_flow's.
+        """
+        n = len(rows)
+        whole = np.fromiter(map(len, rows), np.int64, n) >= width
+        text = "".join(itertools.chain.from_iterable(rows))
+        if not (text.isascii() or _is_utf8(text)):
+            whole &= [_is_utf8("".join(r)) for r in rows]
+        del text
+        values = (map(pick, rows) if whole.all()
+                  else [pick(r) if ok else _STAND_IN for r, ok in zip(rows, whole)])
+        cols = dict(zip(_VALUE_FIELDS, zip(*values)))
+        out = {}
+        out["start_time"], good = _canonical_times(cols["start_time"])
+        good &= whole
+        for f, kind in (("duration", float), ("tot_pkts", int), ("tot_bytes", int),
+                        ("src_bytes", int)):
+            out[f], ok = _numbers(cols[f], kind, _DTYPES[f])
+            good &= ok
+        dur, src = out["duration"], out["src_bytes"]
+        good &= (np.isfinite(dur) & (dur >= 0) & (out["tot_pkts"] >= 0) & (src >= 0)
+                 & (src <= out["tot_bytes"]))
+        for f in _TEXT_FIELDS:
+            out[f] = self.text[f].encode(cols[f])
+        del cols
+        for f in ("src_addr", "dst_addr"):
+            empty = self.text[f].index.get("")
+            if empty is not None:
+                good &= out[f] != empty
+        out["service"] = self._services(out["proto"], out["dst_port"])
+
+        keep = np.ones(n, dtype=bool)
+        for i in np.flatnonzero(~good).tolist():
+            try:
+                rec = _parse_row(rows[i], pick, width, name, lines[i])
+            except ParseError as err:
+                _bad_row(err, strict, fstats)
+                keep[i] = False
+                continue
+            for f, value in zip(FlowRecord._fields, rec):
+                out[f][i] = self.text[f].code(value) if f in self.text else value
+        fstats.parsed += int(keep.sum())
+        for f, col in out.items():
+            self.parts[f].append(col if keep.all() else col[keep])
+
+    def _services(self, proto: np.ndarray, dst_port: np.ndarray) -> np.ndarray:
+        """service_of codes, with one call per (proto, dst_port) pair ever read."""
+        pairs, which = np.unique((proto.astype(np.int64) << 32) | dst_port, return_inverse=True)
+        known = self.services
+        for p in pairs.tolist():
+            if p not in known:
+                known[p] = self.text["service"].code(service_of(
+                    self.text["proto"].words[p >> 32], self.text["dst_port"].words[p & 0xFFFFFFFF]))
+        return np.fromiter(map(known.__getitem__, pairs.tolist()), np.int32, len(pairs))[which]
+
+    def table(self) -> FlowTable:
+        """The stored rows, stably sorted by start time."""
+        order = np.argsort(np.concatenate(self.parts["start_time"]), kind="stable")
+        columns = {f: np.concatenate(self.parts.pop(f))[order] for f in FlowRecord._fields}
+        return FlowTable(columns, {f: t.words for f, t in self.text.items()})
+
+
+def _row_chunks(reader, name: str) -> Iterator[tuple[list, list, ParseError | None]]:
+    """(non-blank rows, their last line numbers, a csv error that ends the chunk or None).
+
+    Chunks hold at most _CHUNK_ROWS rows; the last may be empty.
+    """
+    rows, lines = [], []
+    while True:
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == _CHUNK_ROWS:
+                        yield rows, lines, None
+                        rows, lines = [], []
+        except csv.Error as exc:
+            yield rows, lines, _row_error(name, reader.line_num, f"unreadable row ({exc})")
+            rows, lines = [], []
+            continue
+        yield rows, lines, None
+        return
 
 
 def read_dataset(paths: Sequence[str | Path], strict: bool = False
-                 ) -> tuple[list[FlowRecord], IngestStats]:
-    """Load one or more capture files as a single time-ordered list.
+                 ) -> tuple[FlowTable, IngestStats]:
+    """Load one or more capture files as a single time-ordered FlowTable.
 
-    Captures are mostly, not strictly, chronological, so the files'
-    records are concatenated in the given order and stably sorted by
+    Each file is read as iter_flows reads it, with the same bad rows,
+    messages and per-file stats, but in chunks of rows that become columns
+    at once. Captures are mostly, not strictly, chronological, so the
+    files' rows are concatenated in the given order and stably sorted by
     start_time: flows with equal times keep their file order, then their
     row order. Everything is read before this returns, so a missing file
     or, in strict mode, a bad row raises here, and the stats are complete.
     """
     stats = IngestStats()
-    flows = [f for p in paths for f in iter_flows(p, strict=strict, stats=stats)]
-    flows.sort(key=operator.itemgetter(0))  # start_time
-    return flows, stats
+    builder = _TableBuilder()
+    for path in map(Path, paths):
+        fstats = FileStats(path=str(path))
+        stats.files.append(fstats)
+        with _capture(path) as (reader, pick, width):
+            for rows, lines, err in _row_chunks(reader, fstats.path):
+                if rows:
+                    builder.add_chunk(rows, lines, pick, width, fstats.path, strict, fstats)
+                if err is not None:
+                    _bad_row(err, strict, fstats)
+    return builder.table(), stats

@@ -27,7 +27,7 @@ from .features import (
     rows_from_aggregates,
 )
 from .fileio import FeaturesMeta
-from .ingest import GroundTruth, IngestStats, read_dataset
+from .ingest import FlowTable, GroundTruth, IngestStats, read_dataset
 from .metrics import MetricsReport, kfold_split, make_report, pr_auc
 from .scoring import ScoredWindow, score_rows
 from .train import ARCH_MLP, ARCH_RVAE, TrainConfig, TrainedModel, fit_mlp, fit_rvae
@@ -81,13 +81,46 @@ class PreprocessResult:
     test: SplitFeatures
 
 
-def _aggregate_split(paths: Sequence[Path], window_seconds: float,
-                     strict: bool):
+def _read_split(paths: Sequence[Path], strict: bool) -> tuple[FlowTable, IngestStats]:
     flows, stats = read_dataset(paths, strict=strict)
     if not flows:
         raise DataError(f"no parseable flows in {[str(p) for p in paths]}")
-    t0 = float(flows[0].start_time)
+    return flows, stats
+
+
+def _aggregate_split(flows: FlowTable, stats: IngestStats, window_seconds: float):
+    """A split's raw rows, stats and window origin: windows count from its first flow."""
+    t0 = float(flows.columns["start_time"][0])
     return aggregate_flows(flows, t0, window_seconds), stats, t0
+
+
+def _split_paths(manifest_path: str | Path, train_ids: Sequence[str],
+                 test_ids: Sequence[str]) -> tuple[list[Path], list[Path]]:
+    overlap = sorted(set(train_ids) & set(test_ids))
+    if overlap:
+        raise UsageError(f"train and test scenarios must be disjoint; both have {overlap}")
+    if not train_ids or not test_ids:
+        raise UsageError("need at least one train and one test scenario id")
+    manifest = load_manifest(manifest_path)
+    return resolve_scenarios(manifest, train_ids), resolve_scenarios(manifest, test_ids)
+
+
+def _normalized(train, test, *, window_seconds: float, n_windows: int, l_max: int,
+                log1p: bool) -> PreprocessResult:
+    """Both splits' rows scaled by a normalizer fitted on the training split's."""
+    (train_aggs, train_stats, t0_train), (test_aggs, test_stats, t0_test) = train, test
+    raw = np.array([a.values for a in train_aggs], dtype=np.float64)
+    flags = np.ones(len(FEATURE_NAMES), dtype=bool) if log1p else None
+    norm = Normalizer.fit(raw, log1p=flags)
+    meta = FeaturesMeta(feature_names=FEATURE_NAMES, normalizer=norm,
+                        window_seconds=float(window_seconds),
+                        n_windows=int(n_windows), l_max=int(l_max),
+                        t0=t0_train)
+    return PreprocessResult(
+        meta=meta,
+        train=SplitFeatures(rows_from_aggregates(train_aggs, norm), train_stats, t0_train),
+        test=SplitFeatures(rows_from_aggregates(test_aggs, norm), test_stats, t0_test),
+    )
 
 
 def preprocess(manifest_path: str | Path, train_ids: Sequence[str],
@@ -100,35 +133,14 @@ def preprocess(manifest_path: str | Path, train_ids: Sequence[str],
     is the first populated window on either side. Min/max (and the
     optional log1p pre-transform, applied to every feature when enabled;
     all are non-negative counts) are fitted on the training aggregates
-    only and reused verbatim for the test split.
+    only and reused verbatim for the test split. Each split is read into
+    a FlowTable and aggregated before the next is read.
     """
-    overlap = sorted(set(train_ids) & set(test_ids))
-    if overlap:
-        raise UsageError(f"train and test scenarios must be disjoint; both have {overlap}")
-    if not train_ids or not test_ids:
-        raise UsageError("need at least one train and one test scenario id")
-    manifest = load_manifest(manifest_path)
-    train_paths = resolve_scenarios(manifest, train_ids)
-    test_paths = resolve_scenarios(manifest, test_ids)
-
-    train_aggs, train_stats, t0_train = _aggregate_split(
-        train_paths, window_seconds, strict)
-    test_aggs, test_stats, t0_test = _aggregate_split(
-        test_paths, window_seconds, strict)
-
-    raw = np.array([a.values for a in train_aggs], dtype=np.float64)
-    flags = np.ones(len(FEATURE_NAMES), dtype=bool) if log1p else None
-    norm = Normalizer.fit(raw, log1p=flags)
-
-    meta = FeaturesMeta(feature_names=FEATURE_NAMES, normalizer=norm,
-                        window_seconds=float(window_seconds),
-                        n_windows=int(n_windows), l_max=int(l_max),
-                        t0=t0_train)
-    return PreprocessResult(
-        meta=meta,
-        train=SplitFeatures(rows_from_aggregates(train_aggs, norm), train_stats, t0_train),
-        test=SplitFeatures(rows_from_aggregates(test_aggs, norm), test_stats, t0_test),
-    )
+    train_paths, test_paths = _split_paths(manifest_path, train_ids, test_ids)
+    train = _aggregate_split(*_read_split(train_paths, strict), window_seconds)
+    test = _aggregate_split(*_read_split(test_paths, strict), window_seconds)
+    return _normalized(train, test, window_seconds=window_seconds, n_windows=n_windows,
+                       l_max=l_max, log1p=log1p)
 
 
 # ------------------------------------------------------------------ train
@@ -327,15 +339,20 @@ def window_sweep(manifest_path: str | Path, train_ids: Sequence[str],
                  exclude_background: bool = False) -> list[SweepResult]:
     """Run the full chain once per window duration, all else held fixed.
 
-    Sequences hold at most ``cfg.l_max`` elements, in training and scoring.
+    Each split's captures are read once, into a FlowTable that every
+    duration re-aggregates; each duration's features equal those of a
+    ``preprocess`` at that duration. Sequences hold at most ``cfg.l_max``
+    elements, in training and scoring.
     """
     if not durations:
         raise UsageError("sweep: need at least one window duration")
+    splits = [_read_split(paths, strict)
+              for paths in _split_paths(manifest_path, train_ids, test_ids)]
     results = []
     for t in durations:
-        pre = preprocess(manifest_path, train_ids, test_ids,
-                         window_seconds=float(t), n_windows=n_windows,
-                         l_max=cfg.l_max, log1p=log1p, strict=strict)
+        pre = _normalized(*(_aggregate_split(flows, stats, float(t)) for flows, stats in splits),
+                          window_seconds=float(t), n_windows=n_windows, l_max=cfg.l_max,
+                          log1p=log1p)
         model = train_model(pre.meta, pre.train.rows, cfg, arch)
         train_scored = score_split(model, pre.meta, pre.train.rows)
         det = fit_detector_from_training(train_scored, min_samples=min_samples,

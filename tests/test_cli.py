@@ -686,6 +686,52 @@ def test_a_bool_or_fraction_for_a_count_or_time_is_a_data_error(chain, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["min", "max"])
+def test_a_bool_in_the_normalizer_stats_is_a_data_error(chain, tmp_path, capsys, key):
+    def edit(payload):
+        payload["normalizer"][key][0] = key == "max"  # false as a min, true as a max
+        return payload
+    path = _doctored(chain, tmp_path, "model", edit)
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, "model", path, out)) == 2
+    assert (f"data error: {path}: normalizer {key} must hold JSON numbers, not bools"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_bool_in_a_parameter_is_a_data_error(chain, tmp_path, capsys):
+    name = sorted(json.loads(chain["model"].read_text())["parameters"])[0]
+
+    def edit(payload):
+        payload["parameters"][name]["data"][0] = False
+        return payload
+    path = _doctored(chain, tmp_path, "model", edit)
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, "model", path, out)) == 2
+    assert (f"data error: {path}: parameter {name} data must hold JSON numbers, not bools"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,message", [
+    ("params", "pdf_normal.params must be a JSON number, got True"),
+    ("loc", "pdf_normal.loc must be a JSON number, got True"),
+    ("scale", "pdf_normal.scale must be a JSON number, got True"),
+    ("sse", "pdf_normal.sse must be a JSON number, got True"),
+    ("n", "pdf_normal.n must be a JSON integer, got True"),
+])
+def test_a_bool_in_a_density_is_a_data_error(chain, tmp_path, capsys, key, message):
+    def edit(payload):
+        pdf = payload["pdf_normal"]
+        pdf[key] = [True] * len(pdf["params"]) if key == "params" else True
+        return payload
+    path = _doctored(chain, tmp_path, "detector", edit)
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, "detector", path, out)) == 2
+    assert f"data error: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("window_seconds", True), ("n_windows", True), ("l_max", True), ("n_windows", 3.5),
     ("hidden", 16.7),

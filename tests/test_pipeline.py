@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from botdet import ingest
 from botdet.errors import DataError, UsageError
 from botdet.features import FEATURE_NAMES
 from botdet.ingest import GroundTruth
@@ -221,3 +222,25 @@ def test_window_sweep_rejects_empty_durations(fixture_dir):
     with pytest.raises(UsageError):
         window_sweep(fixture_dir["manifest"], ["synth-train"], ["synth-test"],
                      [], FAST_CFG)
+
+
+def test_window_sweep_reads_each_capture_once_and_matches_preprocess(fixture_dir, monkeypatch):
+    opened = []
+    capture = ingest._capture
+    monkeypatch.setattr(ingest, "_capture", lambda path: opened.append(path) or capture(path))
+    durations = [30.0, 60.0]
+    swept = window_sweep(fixture_dir["manifest"], ["synth-train"], ["synth-test"],
+                         durations, FAST_CFG, min_samples=30, bins=60)
+    assert sorted(opened) == sorted([fixture_dir["train"], fixture_dir["test"]])
+    for res, t in zip(swept, durations):
+        pre = preprocess(fixture_dir["manifest"], ["synth-train"], ["synth-test"],
+                         window_seconds=t, n_windows=3, l_max=FAST_CFG.l_max)
+        model = train_model(pre.meta, pre.train.rows, FAST_CFG)
+        det = fit_detector_from_training(score_split(model, pre.meta, pre.train.rows),
+                                         min_samples=30, bins=60)
+        test_scored = score_split(model, pre.meta, pre.test.rows)
+        report = evaluate_decisions(test_scored, classify_scores(test_scored, det),
+                                    config={"T": t, "N": 3, "arch": "rvae"})
+        assert res.duration == t
+        assert res.report == report
+    assert len(opened) == 2 + 2 * len(durations)  # each preprocess reads both again
