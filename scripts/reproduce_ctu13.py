@@ -47,8 +47,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from botdet import fileio, pipeline
-from botdet.ingest import iter_flows, write_flows_csv
+from botdet.features import aggregate_flows, rows_from_aggregates
+from botdet.ingest import iter_flows, read_dataset, write_flows_csv
 from botdet.metrics import report_table
+from botdet.scoring import score_rows
 from botdet.train import TrainConfig
 
 TEST_SCENARIOS = ("1", "2", "6", "8", "9")
@@ -86,29 +88,42 @@ def subsample_scenarios(scenarios: dict[str, Path], fraction: float,
     return trimmed
 
 
-def run_duration(manifest: Path, train_ids, test_ids, duration: float,
-                 cfg: TrainConfig, arch: str, out: Path):
-    """One full preprocess->train->score->fitpdf->classify->evaluate chain."""
+def run_sweep(manifest: Path, train_ids, test_ids, durations: list[float],
+              cfg: TrainConfig, arch: str, out: Path) -> list[pipeline.SweepResult]:
+    """The full preprocess->train->score->fitpdf->classify->evaluate chain per duration.
+
+    One window_sweep reads each split's captures once for every duration.
+    """
     t_start = time.time()
-    [res] = pipeline.window_sweep(manifest, train_ids, test_ids, [duration],
-                                  cfg, arch)
-    tag = f"{arch}-T{duration:g}"
-    fileio.save_model(out / f"model-{tag}.json", res.model)
-    fileio.save_detector(out / f"detector-{tag}.json", res.detector)
-    fileio.save_report(out / f"report-{tag}.json", res.report)
-    pipeline.write_histogram_csv(out / f"hist-{tag}.csv", res.histogram)
-    print(f"[{arch} T={duration:g}s] done in {(time.time() - t_start) / 3600:.2f} h")
-    return res.model, res.report
+    results = pipeline.window_sweep(manifest, train_ids, test_ids, durations, cfg, arch)
+    for res in results:
+        tag = f"{arch}-T{res.duration:g}"
+        fileio.save_model(out / f"model-{tag}.json", res.model)
+        fileio.save_detector(out / f"detector-{tag}.json", res.detector)
+        fileio.save_report(out / f"report-{tag}.json", res.report)
+        pipeline.write_histogram_csv(out / f"hist-{tag}.csv", res.histogram)
+    runs = ", ".join(f"T={d:g}s" for d in durations)
+    print(f"[{arch} {runs}] done in {(time.time() - t_start) / 3600:.2f} h")
+    return results
 
 
-def per_scenario_diagnostic(manifest: Path, train_ids, test_ids, model) -> None:
+def per_scenario_diagnostic(scenarios: dict[str, Path], test_ids, model) -> None:
+    """Each test scenario's share of host-windows that the model reconstructs well.
+
+    A scenario is read alone, windowed from its own first flow and scaled
+    by the model's normalizer: the rows that a preprocess with it as the
+    test split gives, without reading the training split again.
+    """
     print(f"\nper-scenario fraction of host-windows with score < "
           f"{SCORE_DIAG_THRESHOLD:g}:")
     for sid in test_ids:
-        pre = pipeline.preprocess(manifest, train_ids, [sid],
-                                  window_seconds=model.window_seconds,
-                                  n_windows=model.n_windows, l_max=model.l_max)
-        scored = pipeline.score_split(model, pre.meta, pre.test.rows)
+        flows, _ = read_dataset([scenarios[sid]])
+        if not len(flows):
+            print(f"  scenario {sid}: no parseable flow")
+            continue
+        t0 = float(flows.columns["start_time"][0])
+        aggs = aggregate_flows(flows, t0, model.window_seconds)
+        scored = score_rows(model, rows_from_aggregates(aggs, model.normalizer))
         frac = sum(1 for s in scored if s.score < SCORE_DIAG_THRESHOLD) / len(scored)
         print(f"  scenario {sid}: {frac:.3f}  ({len(scored)} host-windows)")
 
@@ -152,27 +167,21 @@ def main() -> int:
                       hidden=args.hidden, latent=args.latent, l_max=128)
 
     durations = [float(d) for d in args.durations.split(",")]
-    rows, by_duration = [], {}
-    model_60 = None
-    for duration in durations:
-        model, report = run_duration(manifest_path, train_ids, test_ids,
-                                     duration, cfg, "rvae", out)
-        rows.append((f"RVAE T={duration:g}s", report))
-        by_duration[duration] = report
-        if duration == 60.0:
-            model_60 = model
+    sweep = run_sweep(manifest_path, train_ids, test_ids, durations, cfg, "rvae", out)
+    rows = [(f"RVAE T={res.duration:g}s", res.report) for res in sweep]
+    by_duration = {res.duration: res.report for res in sweep}
+    model_60 = next((res.model for res in sweep if res.duration == 60.0), None)
 
     if args.with_mlp:
-        _, mlp_report = run_duration(manifest_path, train_ids, test_ids,
-                                     60.0, cfg, "mlp", out)
-        rows.append(("MLP-VAE T=60s", mlp_report))
+        [mlp] = run_sweep(manifest_path, train_ids, test_ids, [60.0], cfg, "mlp", out)
+        rows.append(("MLP-VAE T=60s", mlp.report))
 
     table = report_table(rows)
     (out / "summary-table.txt").write_text(table + "\n")
     print("\n" + table)
 
     if model_60 is not None:
-        per_scenario_diagnostic(manifest_path, train_ids, test_ids, model_60)
+        per_scenario_diagnostic(scenarios, test_ids, model_60)
 
     ok = True
     r60 = by_duration.get(60.0)

@@ -9,8 +9,8 @@ these rows for the batch and the streaming path alike, in two ways that
 give the same bits:
 
 - a ``FlowTable`` (the batch path, from ``read_dataset``) is reduced with
-  array operations over its (host, window) groups: ``np.unique``,
-  ``bincount`` and ``reduceat``, with no object per flow;
+  array operations over its (host, window) groups at any window length:
+  ``np.unique``, ``bincount`` and ``reduceat``, with no object per flow;
 - any other iterable of records (the stream's closed windows, synthetic
   flows) goes through ``AggBuilder``, which adds each flow straight into
   a row's columns. On the stream's small windows a few hundred adds cost
@@ -223,9 +223,7 @@ def aggregate_flows(records: Iterable[FlowRecord], t0: float,
     the same rows, bit for bit.
     """
     if isinstance(records, FlowTable):
-        rows = _aggregate_table(records, t0, window_seconds)
-        if rows is not None:
-            return rows
+        return _aggregate_table(records, t0, window_seconds)
     builders: dict[tuple[str, int], AggBuilder] = {}
     for flow in records:
         w = window_index(flow.start_time, t0, window_seconds)
@@ -253,15 +251,14 @@ def _group_sums(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np
     return np.add.reduceat(values[order], starts).astype(np.float64)
 
 
-def _aggregate_table(table: FlowTable, t0: float, window_seconds: float
-                     ) -> list[FeatureRow] | None:
+def _aggregate_table(table: FlowTable, t0: float, window_seconds: float) -> list[FeatureRow]:
     """aggregate_flows of a FlowTable by array reductions over its (host, window) groups.
 
-    Window numbers are ``(t - t0) // T`` as window_index computes them;
-    None if one does not fit an int64, which the records' path handles.
-    ``sum_dur`` is a ``bincount`` in table order, which adds each group's
-    durations one by one in the order AggBuilder would. Nothing allocated
-    here scales with the span of window numbers.
+    Window numbers are ``(t - t0) // T`` as window_index computes them, and
+    stay float64, which holds each of them exactly at any size; a row's
+    number is its ``int``. ``sum_dur`` is a ``bincount`` in table order,
+    which adds each group's durations one by one in the order AggBuilder
+    would. Nothing allocated here scales with the span of window numbers.
     """
     cols, vocab = table.columns, table.vocab
     start = cols["start_time"]
@@ -270,9 +267,6 @@ def _aggregate_table(table: FlowTable, t0: float, window_seconds: float
         return []
     window_index(float(start.min()), t0, window_seconds)  # raises as the records' path would
     windows = np.floor_divide(start - t0, window_seconds)
-    if not windows.max() < 2.0**63:
-        return None
-    windows = windows.astype(np.int64)
     # Group by (window, host): the window's rank among the distinct ones,
     # times the host count, plus the host code.
     key = np.unique(windows, return_inverse=True)[1] * len(vocab["src_addr"]) + cols["src_addr"]
@@ -314,7 +308,7 @@ def _aggregate_table(table: FlowTable, t0: float, window_seconds: float
     host_order = np.empty(len(vocab["src_addr"]), dtype=np.int64)
     host_order[np.argsort(np.array(vocab["src_addr"], dtype=object))] = np.arange(len(host_order))
     out = np.lexsort((host_order[hosts], first_seen, windows[first]))
-    return [FeatureRow(vocab["src_addr"][h], w, t, _LABEL_RANK[label], v)
+    return [FeatureRow(vocab["src_addr"][h], int(w), t, _LABEL_RANK[label], v)
             for h, w, t, label, v in zip(hosts[out].tolist(), windows[first][out].tolist(),
                                          first_seen[out].tolist(), labels[out].tolist(),
                                          values[out])]

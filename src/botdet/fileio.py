@@ -316,6 +316,8 @@ def load_model(path: str | Path) -> TrainedModel:
 
 
 def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
+    """The stored model; each stored shape is checked against the config's before any
+    array of the config's size exists (``init(None, ...)`` gives placeholders)."""
     arch = payload["arch"]
     cfg = payload["config"]
     names = tuple(payload["feature_names"])
@@ -323,12 +325,11 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
     if f_dim != len(names):
         raise DataError(f"{p}: config.f_dim {f_dim} does not match "
                         f"the {len(names)} feature names")
-    rng = np.random.default_rng(0)  # placeholder init, overwritten below
     if arch == "rvae":
-        params = RvaeParams.init(rng, f_dim, _count(cfg["hidden"], "hidden", p), latent)
+        params = RvaeParams.init(None, f_dim, _count(cfg["hidden"], "hidden", p), latent)
     elif arch == "mlp":
-        params = MlpVaeParams.init(rng, f_dim, tuple(_count(n, "hidden", p)
-                                                     for n in cfg["hidden"]), latent)
+        params = MlpVaeParams.init(None, f_dim, tuple(_count(n, "hidden", p)
+                                                      for n in cfg["hidden"]), latent)
     else:
         raise DataError(f"{p}: unknown arch {arch!r}")
     named = params.named_parameters()

@@ -9,7 +9,10 @@ Two readers share one validation. ``iter_flows`` yields one FlowRecord per
 row, for the stream and the scripts. ``read_dataset`` reads a batch of
 captures into a ``FlowTable``: each chunk of csv rows becomes columns of
 numbers and interned text codes, and is then dropped, so memory grows by
-tens of bytes per flow, not by a record's hundreds.
+tens of bytes per flow, not by a record's hundreds. A row that the column
+checks do not vouch for, a time in another form or far from 1970 among
+them, is read by parse_flow itself, so both readers give the same values
+and the same errors.
 """
 
 from __future__ import annotations
@@ -391,9 +394,9 @@ class FlowTable:
     ``columns`` holds one array per FlowRecord field: start_time and
     duration float64, the three counts int64, and each text field int32
     codes into ``vocab[field]``, that field's distinct values in the order
-    first read. Indexing and iteration give FlowRecords equal to those that
-    parse_flow gives for the same rows, in the order a stable sort of them
-    by start time gives, so a caller may treat the table as that list.
+    first read. Iteration gives FlowRecords equal to those that parse_flow
+    gives for the same rows, in the order a stable sort of them by start
+    time gives, so a caller may treat the table as that list.
     """
 
     __slots__ = ("columns", "vocab")
@@ -405,18 +408,10 @@ class FlowTable:
     def __len__(self) -> int:
         return len(self.columns["start_time"])
 
-    def _fields(self):
-        """(column, vocabulary or None) in FlowRecord field order."""
-        return [(self.columns[f], self.vocab.get(f)) for f in FlowRecord._fields]
-
-    def __getitem__(self, i: int) -> FlowRecord:
-        i = range(len(self))[i]
-        return FlowRecord._make(col[i].item() if words is None else words[col[i]]
-                                for col, words in self._fields())
-
     def __iter__(self) -> Iterator[FlowRecord]:
-        values = [col.tolist() if words is None else map(words.__getitem__, col.tolist())
-                  for col, words in self._fields()]
+        values = [self.columns[f].tolist() if f not in self.vocab
+                  else map(self.vocab[f].__getitem__, self.columns[f].tolist())
+                  for f in FlowRecord._fields]
         return map(FlowRecord._make, zip(*values))
 
 
@@ -466,9 +461,9 @@ def _canonical_times(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
     The same arithmetic as parse_timestamp's canonical branch, on arrays:
     one _day_seconds lookup per distinct date, and the division of whole
-    microseconds by 10**6 in float64, which is exact where they fit its
-    mantissa and is done in Python ints where they do not. Every other
-    text is left unread (False) for parse_timestamp itself.
+    microseconds by 10**6 in float64, which gives its bits where they fit
+    the mantissa. Every other text, a time before July 1684 or after June
+    2255 among them, is left unread (False) for parse_timestamp itself.
     """
     n = len(texts)
     times, ok = np.zeros(n), np.zeros(n, dtype=bool)
@@ -498,10 +493,8 @@ def _canonical_times(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
                 good &= days[which] != key
         us = (((day_s[which] + h * 3600 + mi * 60 + s) * 1_000_000)
               + (_field_value(d, 20, 26) if width == 26 else 0))
-        t = us / 1_000_000
-        wide = np.flatnonzero(good & (np.abs(us) > _EXACT_MICROSECONDS))
-        t[wide] = [u / 1_000_000 for u in us[wide].tolist()]
-        times[at], ok[at] = t, good
+        good &= np.abs(us) <= _EXACT_MICROSECONDS
+        times[at], ok[at] = us / 1_000_000, good
     return times, ok
 
 

@@ -74,7 +74,11 @@ ENCODER_LAYERS = 2
 DECODER_LAYERS = 2
 
 
-def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
+def _uniform(rng: np.random.Generator | None, shape: tuple, fan_in: int) -> Tensor:
+    """A parameter drawn from U(-b, b), b = 1/sqrt(fan_in); given no generator, the
+    model loader's stand-in: a zero-stride placeholder with no gradient, no memory."""
+    if rng is None:
+        return Tensor(np.broadcast_to(0.0, shape))
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
@@ -97,7 +101,8 @@ class GruCellWeights:
     b_h: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, n_in: int, n_hidden: int) -> "GruCellWeights":
+    def init(cls, rng: np.random.Generator | None, n_in: int,
+             n_hidden: int) -> "GruCellWeights":
         def mat(n, m):
             return _uniform(rng, (n, m), n)
 
@@ -537,7 +542,7 @@ class RvaeParams:
     b_out: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, f_dim: int, hidden: int,
+    def init(cls, rng: np.random.Generator | None, f_dim: int, hidden: int,
              latent: int) -> "RvaeParams":
         enc_fwd, enc_bwd = [], []
         n_in = f_dim
@@ -661,7 +666,7 @@ class MlpVaeParams:
     b_out: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, f_dim: int,
+    def init(cls, rng: np.random.Generator | None, f_dim: int,
              hidden: tuple[int, ...] = (512, 512, 1024),
              latent: int = 100) -> "MlpVaeParams":
         def layer(n, m):

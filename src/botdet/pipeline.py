@@ -199,7 +199,7 @@ def train_model_kfold(meta: FeaturesMeta, rows: Sequence[FeatureRow],
             reports.append({"fold": fold_idx, "auprc": None, "skipped": True})
             continue
         model = train_model(meta, tr_rows, cfg, arch)
-        scored = score_rows(model, va_rows, meta.feature_names)
+        scored = score_rows(model, va_rows)
         auprc = pr_auc([s.score for s in scored], labels)
         reports.append({"fold": fold_idx, "auprc": auprc, "skipped": False,
                         "n_train_rows": len(tr_rows), "n_val_rows": len(va_rows)})
@@ -217,17 +217,17 @@ def score_split(model: TrainedModel, meta: FeaturesMeta,
                 rows: Sequence[FeatureRow]) -> list[ScoredWindow]:
     """Score rows whose features come from the preprocess run the model was trained on.
 
-    Window config and normalizer must equal the model's, names too (``score_rows``):
-    the stream, which uses the model's normalizer, could not reproduce other scores.
+    Feature names, window config and normalizer must equal the model's: the
+    stream, which uses the model's normalizer, could not reproduce other scores.
     """
-    differ = [k for k in ("window_seconds", "n_windows", "l_max")
+    differ = [k for k in ("feature_names", "window_seconds", "n_windows", "l_max")
               if getattr(meta, k) != getattr(model, k)]
     differ += [f"normalizer {k}" for k in ("vmin", "vmax", "log1p")
                if not np.array_equal(getattr(meta.normalizer, k), getattr(model.normalizer, k))]
     if differ:
         raise DataError("feature layout mismatch between features file and model: "
                         f"{', '.join(differ)} differ (another preprocess run?)")
-    return score_rows(model, rows, meta.feature_names)
+    return score_rows(model, rows)
 
 
 # ----------------------------------------------------------------- fitpdf

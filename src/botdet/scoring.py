@@ -110,17 +110,13 @@ def score_sequences(arch: str, params,
     return out
 
 
-def score_rows(model: TrainedModel, rows: Seq[FeatureRow],
-               feature_names: tuple[str, ...]) -> list[ScoredWindow]:
-    """Deployment-order scoring of host-window rows.
+def score_rows(model: TrainedModel, rows: Seq[FeatureRow]) -> list[ScoredWindow]:
+    """Deployment-order scoring of host-window rows in the model's feature layout.
 
     Rows are scored inside the trailing N-window context ending at their
     own window, matching what the streaming path sees when the window
-    closes. The feature layout must match the model's.
+    closes. The caller vouches for the layout: ``pipeline.score_split``
+    checks a features file's against the model's.
     """
-    if tuple(feature_names) != tuple(model.feature_names):
-        raise DataError(
-            "feature layout mismatch between features file and model: "
-            f"{list(feature_names)[:3]}... vs {list(model.feature_names)[:3]}...")
     seqs = trailing_sequences(rows, model.n_windows, model.l_max)
     return score_sequences(model.arch, model.params, seqs)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+import botdet
 from botdet.cli import main
 from botdet.fileio import FORMAT_VERSION, read_features
 from botdet.ingest import read_dataset
@@ -81,7 +85,8 @@ def test_each_features_file_records_its_own_split_t0(tmp_path):
     first_flow = {}
     for split, cfg in (("train", train_cfg), ("test", test_cfg)):
         write_scenario(tmp_path / f"{split}.binetflow", cfg)
-        first_flow[split] = read_dataset([tmp_path / f"{split}.binetflow"])[0][0].start_time
+        table, _ = read_dataset([tmp_path / f"{split}.binetflow"])
+        first_flow[split] = next(iter(table)).start_time
     (tmp_path / "manifest.json").write_text(json.dumps(
         {"scenarios": {"a": "train.binetflow", "b": "test.binetflow"}}))
     assert main(["preprocess", "--manifest", str(tmp_path / "manifest.json"),
@@ -648,6 +653,39 @@ def test_stream_refuses_a_model_with_a_foreign_feature_layout(chain, fixture_dir
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("data error: ") and message in captured.err
+
+
+# A child that loads a model under this address-space cap, so a loader that
+# allocates at the config's sizes fails there instead of exhausting the host.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from botdet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["score", "stream"])
+@pytest.mark.parametrize("key,size,name,stored", [
+    ("hidden", 1_000_000, "enc.l0.fwd.w_r", "(25, 10), expected (25, 1000000)"),
+    ("latent", 10_000_000, "head.mu.w", "(20, 4), expected (20, 10000000)"),
+], ids=["hidden", "latent"])
+def test_a_model_config_above_its_stored_shapes_is_a_data_error_under_a_memory_cap(
+        chain, fixture_dir, tmp_path, command, key, size, name, stored):
+    path = _doctored(chain, tmp_path, "model",
+                     lambda payload: {**payload, "config": {**payload["config"], key: size}})
+    argv = (["score", "--model", str(path), "--features", str(chain["features_test"]),
+             "--scores-out", str(tmp_path / "s.csv")] if command == "score" else
+            ["stream", "--model", str(path), "--detector", str(chain["detector"]),
+             "--input", str(fixture_dir["test"])])
+    src = str(Path(botdet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"data error: {path}: parameter {name} has shape {stored}")
+    assert proc.stdout == "" and not (tmp_path / "s.csv").exists()
 
 
 def test_train_on_features_with_l_max_zero_is_a_data_error(chain, tmp_path, capsys):

@@ -149,6 +149,7 @@ def test_model_roundtrip_is_bit_exact(tmp_path, arch):
     assert list(named_a) == list(named_b)
     for name in named_a:
         assert np.array_equal(named_a[name].data, named_b[name].data), name
+        assert named_b[name].grad is None, name  # a loaded model is only scored
     assert np.array_equal(loaded.normalizer.vmin, model.normalizer.vmin)
     # a second save produces identical bytes (determinism contract)
     path2 = tmp_path / "model2.json"

@@ -34,6 +34,7 @@ def test_reproduction_script_runs_the_chain(tmp_path):
     assert table[0].split() == ["Run", "Recall", "Precision", "F1", "AUPRC", "AUROC"]
     assert table[1].startswith("RVAE T=60s")
     assert "scenario 2: kept up to t0+1800s" in proc.stdout
+    assert "\n  scenario 1: 0.000  (720 host-windows)\n" in proc.stdout
     assert "target AUROC(60s) >= 0.92: PASS" in proc.stdout
 
 

@@ -178,7 +178,7 @@ def test_stream_with_gaps_matches_batch(fitted, windows):
              for w in windows for i in range(1 + w % 3)]
     rows = rows_from_aggregates(aggregate_flows(flows, t0, model.window_seconds),
                                 model.normalizer)
-    batch = classify_scores(score_rows(model, rows, model.feature_names), det)
+    batch = classify_scores(score_rows(model, rows), det)
     streamed, stats = stream_decisions(model, det, flows)
     assert stats.windows_closed == windows[-1] + 1
     assert [{k: v for k, v in d.items() if k != "emit_latency"} for d in streamed] == batch
@@ -259,7 +259,7 @@ def test_one_close_scores_several_equal_length_chunks_as_batch_does(fitted, monk
              for w in range(8) for i in range(hosts)]
     rows = rows_from_aggregates(aggregate_flows(flows, t0, model.window_seconds),
                                 model.normalizer)
-    batch = classify_scores(score_rows(model, rows, model.feature_names), det)
+    batch = classify_scores(score_rows(model, rows), det)
     shapes = []
     score_elements = scoring.score_elements
 
@@ -287,7 +287,7 @@ def test_one_close_scores_chunks_of_different_lengths_in_one_forward(fitted, mon
              for w in range(6) for i in range(hosts)]
     rows = rows_from_aggregates(aggregate_flows(flows, t0, model.window_seconds),
                                 model.normalizer)
-    batch = classify_scores(score_rows(model, rows, model.feature_names), det)
+    batch = classify_scores(score_rows(model, rows), det)
     stacks = []
     rvae_forward = models.rvae_forward
 
@@ -344,7 +344,7 @@ def test_stream_equals_batch_on_drawn_captures(fitted, flows, data):
     rows = rows_from_aggregates(aggregate_flows(flows, flows[0].start_time,
                                                 model.window_seconds),
                                 model.normalizer)
-    batch = classify_scores(score_rows(model, rows, model.feature_names), det)
+    batch = classify_scores(score_rows(model, rows), det)
     streamed, stats = stream_decisions(model, det, flows)
     assert stats.late_dropped == 0
     assert [{k: v for k, v in d.items() if k != "emit_latency"} for d in streamed] == batch

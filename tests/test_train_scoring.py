@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from botdet import models, scoring, train
 from botdet.autodiff import Tensor
-from botdet.errors import DataError, NumericError
+from botdet.errors import NumericError
 from botdet.features import FEATURE_NAMES, FeatureRow, Normalizer, Sequence, trailing_sequences
 from botdet.ingest import GroundTruth
 from botdet.train import TrainConfig, TrainedModel
@@ -165,13 +165,13 @@ class TestScoreSequences:
     def test_scores_finite(self):
         model = make_model()
         rows = [make_row(f"h{i}", w, value=0.1 * i) for w in range(4) for i in range(3)]
-        scored = scoring.score_rows(model, rows, model.feature_names)
+        scored = scoring.score_rows(model, rows)
         assert all(math.isfinite(s.score) for s in scored)
 
     def test_one_score_per_row(self):
         model = make_model()
         rows = [make_row(f"h{i}", w) for w in range(5) for i in range(3)]
-        scored = scoring.score_rows(model, rows, model.feature_names)
+        scored = scoring.score_rows(model, rows)
         assert len(scored) == len(rows)
         keys = {(s.src_addr, s.window_index) for s in scored}
         assert len(keys) == len(rows)
@@ -187,7 +187,7 @@ class TestScoreSequences:
             init(tensor, data, requires_grad)
 
         monkeypatch.setattr(Tensor, "__init__", counted)
-        scored = scoring.score_rows(model, rows, model.feature_names)
+        scored = scoring.score_rows(model, rows)
         monkeypatch.undo()
         assert built == []
         expected = []
@@ -198,12 +198,6 @@ class TestScoreSequences:
             expected += [float(x) for r, x in zip(seq.rows, scores)
                          if r.window_index == seq.target_window]
         assert [s.score for s in scored] == expected
-
-    def test_layout_mismatch_fatal(self):
-        model = make_model()
-        rows = [make_row("h", 0)]
-        with pytest.raises(DataError, match="layout mismatch"):
-            scoring.score_rows(model, rows, ("a", "b", "c", "d", "e", "f"))
 
     def test_mlp_scoring_ignores_context(self):
         f = 6
