@@ -19,35 +19,35 @@ from botdet.train import TrainConfig
 
 
 def main() -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="botdet-demo-"))
-    fx = make_fixture(tmp, train_cfg=SynthConfig(
-        seed=3, n_normal_hosts=6, n_botnet_hosts=2, n_background_hosts=1,
-        n_windows=24))
-    cfg = TrainConfig(epochs=8, batch_size=16, lr=0.01, anneal_steps=40,
-                      seed=0, hidden=12, latent=4, l_max=64)
-    results = window_sweep(fx["manifest"], ["synth-train"], ["synth-test"],
-                           durations=[30.0, 60.0], cfg=cfg,
-                           min_samples=30, bins=40)
+    with tempfile.TemporaryDirectory(prefix="botdet-demo-") as tmp:
+        fx = make_fixture(tmp, train_cfg=SynthConfig(
+            seed=3, n_normal_hosts=6, n_botnet_hosts=2, n_background_hosts=1,
+            n_windows=24))
+        cfg = TrainConfig(epochs=8, batch_size=16, lr=0.01, anneal_steps=40,
+                          seed=0, hidden=12, latent=4, l_max=64)
+        results = list(window_sweep(fx["manifest"], ["synth-train"], ["synth-test"],
+                                    durations=[30.0, 60.0], cfg=cfg,
+                                    min_samples=30, bins=40))
 
-    print(report_table([(f"T={r.duration:g}s", r.report) for r in results]))
+        print(report_table([(f"T={r.duration:g}s", r.report) for r in results]))
 
-    r = next(x for x in results if x.duration == 60.0)
-    print("\nscore histogram at T=60s (n=normal mass, b=botnet mass per bin):")
-    hist = r.histogram
-    step = max(len(hist) // 20, 1)
-    for i in range(0, len(hist), step):
-        chunk = hist[i:i + step]
-        width = sum(c["bin_right"] - c["bin_left"] for c in chunk)
-        mass_n = sum(c["density_normal"] * (c["bin_right"] - c["bin_left"])
-                     for c in chunk)
-        mass_b = sum(c["density_botnet"] * (c["bin_right"] - c["bin_left"])
-                     for c in chunk)
-        lo = chunk[0]["bin_left"]
-        bar_n = "n" * round(40 * mass_n)
-        bar_b = "b" * round(40 * mass_b)
-        print(f"  {lo:8.2f}+ |{bar_n}{bar_b}")
-    print("\n(the two populations barely overlap, which is what makes the"
-          "\n likelihood comparison in demo 03 work without a threshold)")
+        r = next(x for x in results if x.duration == 60.0)
+        print("\nscore histogram at T=60s (n=normal mass, b=botnet mass per bin):")
+        hist = r.histogram
+        step = max(len(hist) // 20, 1)
+        for i in range(0, len(hist), step):
+            chunk = hist[i:i + step]
+            width = sum(c["bin_right"] - c["bin_left"] for c in chunk)
+            mass_n = sum(c["density_normal"] * (c["bin_right"] - c["bin_left"])
+                         for c in chunk)
+            mass_b = sum(c["density_botnet"] * (c["bin_right"] - c["bin_left"])
+                         for c in chunk)
+            lo = chunk[0]["bin_left"]
+            bar_n = "n" * round(40 * mass_n)
+            bar_b = "b" * round(40 * mass_b)
+            print(f"  {lo:8.2f}+ |{bar_n}{bar_b}")
+        print("\n(the two populations barely overlap, which is what makes the"
+              "\n likelihood comparison in demo 03 work without a threshold)")
 
 
 if __name__ == "__main__":

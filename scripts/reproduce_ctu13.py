@@ -47,6 +47,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from botdet import fileio, pipeline
+from botdet.errors import BotdetError
 from botdet.features import aggregate_flows, rows_from_aggregates
 from botdet.ingest import iter_flows, read_dataset, write_flows_csv
 from botdet.metrics import report_table
@@ -93,17 +94,24 @@ def run_sweep(manifest: Path, train_ids, test_ids, durations: list[float],
     """The full preprocess->train->score->fitpdf->classify->evaluate chain per duration.
 
     One window_sweep reads each split's captures once for every duration.
+    Each duration's artifacts are saved as soon as it finishes; a duration
+    that fails stops the run with an error that names it.
     """
     t_start = time.time()
-    results = pipeline.window_sweep(manifest, train_ids, test_ids, durations, cfg, arch)
-    for res in results:
-        tag = f"{arch}-T{res.duration:g}"
+    sweep = pipeline.window_sweep(manifest, train_ids, test_ids, durations, cfg, arch)
+    results = []
+    for t in durations:
+        tag = f"{arch}-T{t:g}"
+        try:
+            res = next(sweep)
+        except BotdetError as exc:
+            raise SystemExit(f"{arch} T={t:g}s failed: {exc}") from None
         fileio.save_model(out / f"model-{tag}.json", res.model)
         fileio.save_detector(out / f"detector-{tag}.json", res.detector)
         fileio.save_report(out / f"report-{tag}.json", res.report)
         pipeline.write_histogram_csv(out / f"hist-{tag}.csv", res.histogram)
-    runs = ", ".join(f"T={d:g}s" for d in durations)
-    print(f"[{arch} {runs}] done in {(time.time() - t_start) / 3600:.2f} h")
+        print(f"[{arch} T={t:g}s] done after {(time.time() - t_start) / 3600:.2f} h")
+        results.append(res)
     return results
 
 

@@ -283,19 +283,19 @@ def cmd_sweep(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _train_config(args, args.l_max)
-    results = pipeline.window_sweep(
-        args.manifest, args.train_scenarios, args.test_scenarios, args.durations, cfg,
-        arch=args.arch, n_windows=args.n_windows, log1p=args.log1p,
-        strict=args.strict, min_samples=args.min_samples, bins=args.bins,
-        tie_rule=args.tie_rule, exclude_background=args.exclude_background)
-    outputs = []
-    for r in results:
+    results, outputs = [], []
+    for r in pipeline.window_sweep(
+            args.manifest, args.train_scenarios, args.test_scenarios, args.durations, cfg,
+            arch=args.arch, n_windows=args.n_windows, log1p=args.log1p,
+            strict=args.strict, min_samples=args.min_samples, bins=args.bins,
+            tie_rule=args.tie_rule, exclude_background=args.exclude_background):
         tag = f"{r.duration:g}s"
         report_path = out / f"report-T{tag}.json"
         hist_path = out / f"hist-T{tag}.csv"
         fileio.save_report(report_path, r.report)
         pipeline.write_histogram_csv(hist_path, r.histogram)
         outputs += [report_path, hist_path]
+        results.append(r)
     table = report_table([(f"T={r.duration:g}s", r.report) for r in results])
     table_path = out / "sweep-table.txt"
     table_path.write_text(table + "\n")

@@ -306,7 +306,7 @@ def _aggregate_table(table: FlowTable, t0: float, window_seconds: float) -> list
     labels = np.maximum.reduceat(rank[cols["label_raw"]][order], starts)
     hosts = cols["src_addr"][first]
     host_order = np.empty(len(vocab["src_addr"]), dtype=np.int64)
-    host_order[np.argsort(np.array(vocab["src_addr"], dtype=object))] = np.arange(len(host_order))
+    host_order[np.argsort(vocab["src_addr"])] = np.arange(len(host_order))
     out = np.lexsort((host_order[hosts], first_seen, windows[first]))
     return [FeatureRow(vocab["src_addr"][h], int(w), t, _LABEL_RANK[label], v)
             for h, w, t, label, v in zip(hosts[out].tolist(), windows[first][out].tolist(),

@@ -8,11 +8,13 @@ service lookup, which parses defensively.
 Two readers share one validation. ``iter_flows`` yields one FlowRecord per
 row, for the stream and the scripts. ``read_dataset`` reads a batch of
 captures into a ``FlowTable``: each chunk of csv rows becomes columns of
-numbers and interned text codes, and is then dropped, so memory grows by
-tens of bytes per flow, not by a record's hundreds. A row that the column
-checks do not vouch for, a time in another form or far from 1970 among
-them, is read by parse_flow itself, so both readers give the same values
-and the same errors.
+numbers, interned text codes and, for the ports and the destination,
+which a scan makes new in nearly every flow, numpy string arrays. The
+chunk is then dropped, so memory grows by tens of bytes per flow, not by
+a record's hundreds, and no Python object is kept per distinct port or
+destination. A row that the column checks do not vouch for, a time in
+another form or far from 1970 among them, is read by parse_flow itself,
+so both readers give the same values and the same errors.
 """
 
 from __future__ import annotations
@@ -372,17 +374,25 @@ _CHUNK_ROWS = 1024
 _DTYPES = {**dict.fromkeys(FlowRecord._fields, np.int32), "start_time": np.float64,
            "duration": np.float64, "tot_pkts": np.int64, "tot_bytes": np.int64,
            "src_bytes": np.int64}
+# Variable-width text: an element holds up to 15 bytes in place, and a longer
+# value takes only its own length, so no value widens the others.
+_TEXT = np.dtypes.StringDType()
 # The field that each of a row's REQUIRED_COLUMNS values becomes.
 _VALUE_FIELDS = ("start_time", "duration", "proto", "src_addr", "src_port", "direction",
                  "dst_addr", "dst_port", "state", "tot_pkts", "tot_bytes", "src_bytes",
                  "label_raw")
-# Text fields with the function that turns a raw csv value into the record's
-# value; service is derived from proto and dst_port.
-_TEXT_FIELDS = {
-    "proto": lambda s: s.strip().lower(), "src_addr": str.strip, "src_port": str.strip,
-    "direction": str.strip, "dst_addr": str.strip, "dst_port": str.strip,
+# Text fields of few distinct values, with the function that turns a raw csv
+# value into the record's value; service is derived from proto and dst_port.
+_INTERNED_FIELDS = {
+    "proto": lambda s: s.strip().lower(), "src_addr": str.strip, "direction": str.strip,
     "state": str.strip, "label_raw": str.strip,
 }
+# Text fields that scans and spam fan-out make nearly one value per flow. A
+# chunk keeps their str.strip values as string arrays, which the table codes
+# once, so no Python object outlives a chunk for each distinct value.
+_STRING_FIELDS = ("src_port", "dst_addr", "dst_port")
+# The values service_of returns, "other" first.
+_SERVICES = ("other", *dict.fromkeys(_SERVICE_TABLE.values()))
 # Stands in for a short or non-UTF-8 row while a chunk's columns are built;
 # such a row is always re-read by _parse_row, which refuses it.
 _STAND_IN = ("1970/01/01 00:00:00", "0", "", "-", "", "", "-", "", "", "0", "0", "0", "")
@@ -393,15 +403,18 @@ class FlowTable:
 
     ``columns`` holds one array per FlowRecord field: start_time and
     duration float64, the three counts int64, and each text field int32
-    codes into ``vocab[field]``, that field's distinct values in the order
-    first read. Iteration gives FlowRecords equal to those that parse_flow
-    gives for the same rows, in the order a stable sort of them by start
-    time gives, so a caller may treat the table as that list.
+    codes into ``vocab[field]``, a string array of that field's distinct
+    values. src_port, dst_addr and dst_port list theirs in sorted order;
+    the other text fields in the order first read. Iteration gives
+    FlowRecords equal to those that parse_flow gives for the same rows, in
+    the order a stable sort of them by start time gives, so a caller may
+    treat the table as that list; only iteration turns the vocabularies
+    into Python strings.
     """
 
     __slots__ = ("columns", "vocab")
 
-    def __init__(self, columns: dict[str, np.ndarray], vocab: dict[str, list[str]]):
+    def __init__(self, columns: dict[str, np.ndarray], vocab: dict[str, np.ndarray]):
         self.columns = columns
         self.vocab = vocab
 
@@ -410,7 +423,7 @@ class FlowTable:
 
     def __iter__(self) -> Iterator[FlowRecord]:
         values = [self.columns[f].tolist() if f not in self.vocab
-                  else map(self.vocab[f].__getitem__, self.columns[f].tolist())
+                  else map(self.vocab[f].tolist().__getitem__, self.columns[f].tolist())
                   for f in FlowRecord._fields]
         return map(FlowRecord._make, zip(*values))
 
@@ -515,14 +528,31 @@ def _numbers(texts: Sequence[str], kind, dtype) -> tuple[np.ndarray, np.ndarray]
     return values, ok
 
 
+def _short_port_numbers(ports: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """int() of each port of one to five ASCII digits, and which ports those are."""
+    n = len(ports)
+    lengths = np.fromiter(map(len, ports), np.int64, n)
+    # Each port's first five code points, NUL-padded: a NUL within a port is no digit.
+    d = np.array(ports, dtype="U5").view(np.uint32).reshape(n, 5).astype(np.int64) - ord("0")
+    size = np.minimum(lengths, 5)[:, None]
+    within = np.arange(5) < size
+    short = (lengths >= 1) & (lengths <= 5) & (((d >= 0) & (d <= 9)) | ~within).all(axis=1)
+    scale = 10 ** np.maximum(size - 1 - np.arange(5), 0)
+    return (np.where(within, d, 0) * scale).sum(axis=1), short
+
+
 class _TableBuilder:
-    """Columns of the rows read so far, one chunk at a time, and their interned text."""
+    """Columns of the rows read so far, one chunk at a time.
+
+    The interned fields hold codes as they are read; the string fields hold
+    their values until table() codes them.
+    """
 
     def __init__(self):
-        self.text = {f: _Interner(canon) for f, canon in _TEXT_FIELDS.items()}
+        self.text = {f: _Interner(canon) for f, canon in _INTERNED_FIELDS.items()}
         self.text["service"] = _Interner()
-        self.services: dict[int, int] = {}  # (proto << 32 | dst_port) code -> service code
-        self.parts = {f: [np.zeros(0, dtype)] for f, dtype in _DTYPES.items()}
+        self.parts = {f: [np.zeros(0, _TEXT if f in _STRING_FIELDS else dtype)]
+                      for f, dtype in _DTYPES.items()}
 
     def add_chunk(self, rows: list[list[str]], lines: list[int], pick, width: int,
                   name: str, strict: bool, fstats: FileStats) -> None:
@@ -551,14 +581,17 @@ class _TableBuilder:
         dur, src = out["duration"], out["src_bytes"]
         good &= (np.isfinite(dur) & (dur >= 0) & (out["tot_pkts"] >= 0) & (src >= 0)
                  & (src <= out["tot_bytes"]))
-        for f in _TEXT_FIELDS:
+        for f in _INTERNED_FIELDS:
             out[f] = self.text[f].encode(cols[f])
+        for f in _STRING_FIELDS:
+            cols[f] = list(map(str.strip, cols[f]))
+            out[f] = np.array(cols[f], dtype=_TEXT)
+        empty = self.text["src_addr"].index.get("")
+        if empty is not None:
+            good &= out["src_addr"] != empty
+        good &= out["dst_addr"] != ""
+        out["service"] = self._services(out["proto"], cols["dst_port"])
         del cols
-        for f in ("src_addr", "dst_addr"):
-            empty = self.text[f].index.get("")
-            if empty is not None:
-                good &= out[f] != empty
-        out["service"] = self._services(out["proto"], out["dst_port"])
 
         keep = np.ones(n, dtype=bool)
         for i in np.flatnonzero(~good).tolist():
@@ -574,21 +607,34 @@ class _TableBuilder:
         for f, col in out.items():
             self.parts[f].append(col if keep.all() else col[keep])
 
-    def _services(self, proto: np.ndarray, dst_port: np.ndarray) -> np.ndarray:
-        """service_of codes, with one call per (proto, dst_port) pair ever read."""
-        pairs, which = np.unique((proto.astype(np.int64) << 32) | dst_port, return_inverse=True)
-        known = self.services
-        for p in pairs.tolist():
-            if p not in known:
-                known[p] = self.text["service"].code(service_of(
-                    self.text["proto"].words[p >> 32], self.text["dst_port"].words[p & 0xFFFFFFFF]))
-        return np.fromiter(map(known.__getitem__, pairs.tolist()), np.int32, len(pairs))[which]
+    def _services(self, proto: np.ndarray, dst_port: list[str]) -> np.ndarray:
+        """service_of codes: by arrays for ports of one to five ASCII digits, else by service_of."""
+        num, short = _short_port_numbers(dst_port)
+        which = np.zeros(len(proto), dtype=np.int64)  # indices into _SERVICES
+        protos = self.text["proto"].words
+        for (port, proto_name), service in _SERVICE_TABLE.items():
+            for c, word in enumerate(protos):
+                if word.lower() == proto_name:
+                    which[short & (num == port) & (proto == c)] = _SERVICES.index(service)
+        for i in np.flatnonzero(~short).tolist():
+            which[i] = _SERVICES.index(service_of(protos[proto[i]], dst_port[i]))
+        used, first = np.unique(which, return_index=True)
+        codes = np.zeros(len(_SERVICES), dtype=np.int32)
+        for k in used[np.argsort(first)].tolist():  # in the order first read
+            codes[k] = self.text["service"].code(_SERVICES[k])
+        return codes[which]
 
     def table(self) -> FlowTable:
-        """The stored rows, stably sorted by start time."""
+        """The stored rows, stably sorted by start time, each string field coded by one sort."""
         order = np.argsort(np.concatenate(self.parts["start_time"]), kind="stable")
-        columns = {f: np.concatenate(self.parts.pop(f))[order] for f in FlowRecord._fields}
-        return FlowTable(columns, {f: t.words for f, t in self.text.items()})
+        vocab = {f: np.array(t.words, dtype=_TEXT) for f, t in self.text.items()}
+        columns = {}
+        for f in FlowRecord._fields:
+            col = np.concatenate(self.parts.pop(f))
+            if f in _STRING_FIELDS:
+                vocab[f], col = np.unique(col, return_inverse=True)
+            columns[f] = col[order].astype(_DTYPES[f], copy=False)
+        return FlowTable(columns, vocab)
 
 
 def _row_chunks(reader, name: str) -> Iterator[tuple[list, list, ParseError | None]]:

@@ -501,12 +501,12 @@ def _bptt(g, tracked, x, c, h_init, states, gates, in_time_order):
     if tracked[1]:
         grads[1] = dh
     if any(tracked[2:]):
-        rows_ru, rows_h = _rows(pre_ru), _rows(pre_h)
-        g_w, g_u, g_b = _rows(x).T @ rows_ru, _rows(h_prev).T @ rows_ru, rows_ru.sum(axis=0)
+        rows_x, rows_ru, rows_h = _rows(x), _rows(pre_ru), _rows(pre_h)
+        g_w, g_u, g_b = rows_x.T @ rows_ru, _rows(h_prev).T @ rows_ru, rows_ru.sum(axis=0)
         weights = {
             "w_r": g_w[:, :hidden], "u_r": g_u[:, :hidden], "b_r": g_b[:hidden],
             "w_u": g_w[:, hidden:], "u_u": g_u[:, hidden:], "b_u": g_b[hidden:],
-            "w_h": _rows(x).T @ rows_h, "u_h": _rows(r * h_prev).T @ rows_h,
+            "w_h": rows_x.T @ rows_h, "u_h": _rows(r * h_prev).T @ rows_h,
             "b_h": rows_h.sum(axis=0),
         }
         grads.update((i, weights[k]) for i, k in enumerate(GATE_PARAMS, start=2) if tracked[i])

@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -336,22 +336,24 @@ def window_sweep(manifest_path: str | Path, train_ids: Sequence[str],
                  n_windows: int = 3, log1p: bool = False,
                  strict: bool = False, min_samples: int = 100,
                  bins: int = 200, tie_rule: str = "malicious",
-                 exclude_background: bool = False) -> list[SweepResult]:
+                 exclude_background: bool = False) -> Iterator[SweepResult]:
     """Run the full chain once per window duration, all else held fixed.
 
-    Each split's captures are read once, into a FlowTable that every
+    Each split's captures are read once, here, into a FlowTable that every
     duration re-aggregates; each duration's features equal those of a
-    ``preprocess`` at that duration. Sequences hold at most ``cfg.l_max``
-    elements, in training and scoring.
+    ``preprocess`` at that duration. A duration runs when the returned
+    iterator reaches it, so a caller keeps each result before the next
+    duration starts. Sequences hold at most ``cfg.l_max`` elements, in
+    training and scoring.
     """
     if not durations:
         raise UsageError("sweep: need at least one window duration")
     splits = [_read_split(paths, strict)
               for paths in _split_paths(manifest_path, train_ids, test_ids)]
-    results = []
-    for t in durations:
-        pre = _normalized(*(_aggregate_split(flows, stats, float(t)) for flows, stats in splits),
-                          window_seconds=float(t), n_windows=n_windows, l_max=cfg.l_max,
+
+    def run(t: float) -> SweepResult:
+        pre = _normalized(*(_aggregate_split(flows, stats, t) for flows, stats in splits),
+                          window_seconds=t, n_windows=n_windows, l_max=cfg.l_max,
                           log1p=log1p)
         model = train_model(pre.meta, pre.train.rows, cfg, arch)
         train_scored = score_split(model, pre.meta, pre.train.rows)
@@ -360,12 +362,10 @@ def window_sweep(manifest_path: str | Path, train_ids: Sequence[str],
         test_scored = score_split(model, pre.meta, pre.test.rows)
         decisions = classify_scores(test_scored, det)
         report = evaluate_decisions(
-            test_scored, decisions,
-            config={"T": float(t), "N": n_windows, "arch": arch},
+            test_scored, decisions, config={"T": t, "N": n_windows, "arch": arch},
             exclude_background=exclude_background)
-        results.append(SweepResult(duration=float(t), model=model, detector=det,
-                                   report=report,
-                                   histogram=score_histogram_rows(test_scored,
-                                                                  bins=bins)))
         log.info("sweep T=%gs: auroc=%.4f f1=%.4f", t, report.auroc, report.f1)
-    return results
+        return SweepResult(duration=t, model=model, detector=det, report=report,
+                           histogram=score_histogram_rows(test_scored, bins=bins))
+
+    return map(run, map(float, durations))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -52,6 +53,14 @@ class SynthConfig:
     profile: str = "train"
 
 
+def _cdf(p):
+    """Generator.choice's cumulative weights: bisect_right(cdf, rng.random()) draws as it does."""
+    cdf = np.cumsum(p)
+    return (cdf / cdf[-1]).tolist()
+
+
+_SCAN_STATES, _SCAN_STATE_CDF = ("S_", "S_RA", "INT"), _cdf((0.5, 0.3, 0.2))
+_BACKGROUND_PROTOS, _BACKGROUND_PROTO_CDF = ("tcp", "udp", "icmp"), _cdf((0.6, 0.3, 0.1))
 _DNS_SERVER = "198.18.0.9"
 _SSL_SERVER = "198.18.3.4"
 
@@ -110,7 +119,7 @@ def _botnet_host_flows(rng, cfg, profile, host_idx, window, base_t):
         n = int(rng.integers(*profile.scan_flows))
         net_a, net_b = int(rng.integers(1, 250)), int(rng.integers(1, 250))
         for k in range(n):
-            state = ("S_", "S_RA", "INT")[int(rng.choice(3, p=(0.5, 0.3, 0.2)))]
+            state = _SCAN_STATES[bisect_right(_SCAN_STATE_CDF, rng.random())]
             flows.append(_flow(base_t + float(rng.uniform(0.1, cfg.window_seconds * 0.6)),
                                float(rng.uniform(0.0, 0.01)), "tcp", src,
                                scan_sports[k % 3], f"185.{net_a}.{net_b}.{1 + k % 250}",
@@ -136,14 +145,14 @@ def _background_host_flows(rng, cfg, host_idx, window, base_t):
     src = f"172.16.0.{30 + host_idx}"
     flows = []
     for _ in range(int(rng.integers(2, 9))):
-        proto = ("tcp", "udp", "icmp")[int(rng.choice(3, p=(0.6, 0.3, 0.1)))]
+        proto = _BACKGROUND_PROTOS[bisect_right(_BACKGROUND_PROTO_CDF, rng.random())]
         if proto == "icmp":
             state, dport, pkts = "URP", 0, 2
         elif proto == "udp":
-            state, dport, pkts = "CON", int(rng.choice([53, 123, 6881])), 2
+            state, dport, pkts = "CON", (53, 123, 6881)[int(rng.integers(0, 3))], 2
         else:
             state = ("FSPA_FSPA", "S_RA", "SPA_SPA")[int(rng.integers(0, 3))]
-            dport, pkts = int(rng.choice([80, 443, 8080, 6667])), int(rng.integers(4, 18))
+            dport, pkts = (80, 443, 8080, 6667)[int(rng.integers(0, 4))], int(rng.integers(4, 18))
         byts = pkts * int(rng.integers(60, 150))
         flows.append(_flow(base_t + float(rng.uniform(0.2, cfg.window_seconds - 0.5)),
                            float(rng.uniform(0.01, 2.0)), proto, src,

@@ -232,3 +232,82 @@ def test_byte_sums_past_2_53_and_past_int64_keep_the_exact_sums_bits(tmp_path):
     assert sums == {"a": float(3 * (2**53 + 1)), "b": float(3 * (2**62 + 1))}
     assert sums["a"] != 3 * float(2**53 + 1)
     assert _row_bits(got) == _row_bits(feat.aggregate_flows(flows, flows[0].start_time, 60.0))
+
+
+# Kinds of DstAddr, Sport and Dport values, which the table keeps as string
+# arrays and codes by sorting. Each is drawn with Unicode whitespace around
+# it, which str.strip removes; a NUL is not whitespace, and stays.
+_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"
+_VALUE_KINDS = [
+    st.sampled_from(["147.32.80.9", "1.2.3.4", "53", "80", "443", "25", "6881"]),
+    st.sampled_from(["é", "fe80::é", "日本", "٥٣", "８０", "²", "\u200b80"]),
+    st.sampled_from(["\x00", "a\x00", "\x00b", "1.2\x003", "80\x00", "\x0053", "53\x00\x00"]),
+    st.sampled_from(["0x0035", "0X50", "0x1bb", "000053", "0000080", "65536", "123456",
+                     "1_0", "+80", "-1", "0x", "", "9" * 30]),
+    st.text(max_size=6),
+]
+
+
+@st.composite
+def _text_value(draw):
+    pad = st.text(st.sampled_from(_SPACE), max_size=2)
+    return draw(pad) + draw(st.one_of(_VALUE_KINDS)) + draw(pad)
+
+
+@st.composite
+def _string_field_captures(draw):
+    """1-2 files whose DstAddr, Sport and Dport are drawn; maybe one value is 100,000 characters."""
+    files = []
+    for _ in range(draw(st.integers(1, 2))):
+        lines = []
+        for _ in range(draw(st.integers(0, 10))):
+            values = {"StartTime": draw(st.sampled_from(_TIMES[:6])), "Dur": "0.5",
+                      "Proto": draw(st.sampled_from(["tcp", "udp", "TCP "])),
+                      "SrcAddr": draw(st.sampled_from(["10.0.0.1", "10.0.0.2"])),
+                      "Dir": "->", "State": "CON", "sTos": "0", "dTos": "0",
+                      "TotPkts": "2", "TotBytes": "100", "SrcBytes": "40", "Label": "x",
+                      **{c: draw(_text_value()) for c in ("Sport", "DstAddr", "Dport")}}
+            lines.append([values[c] for c in ingest.CSV_FIELD_ORDER])
+        files.append(lines)
+    column = draw(st.sampled_from([None, "Sport", "DstAddr", "Dport"]))
+    if column is not None and files[0]:
+        files[0][0][ingest.CSV_FIELD_ORDER.index(column)] = draw(
+            st.sampled_from(["x", "9", "é"])) * 100_000
+    out = []
+    for lines in files:
+        text = io.StringIO()
+        csv.writer(text).writerows([ingest.CSV_FIELD_ORDER, *lines])
+        out.append(text.getvalue().encode())
+    return out
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_string_field_captures(), st.sampled_from([1.0, 60.0]))
+def test_string_fields_read_and_aggregate_as_the_record_path(tmp_path, files, window_seconds):
+    paths = _write(tmp_path, files)
+    want, want_stats, _ = _record_path(paths)
+    table, stats, _ = _table_path(paths)
+    assert _table_path(paths, True)[2] == _record_path(paths, True)[2]
+    assert stats.files == want_stats.files
+    assert list(table) == want
+    if want:
+        t0 = want[0].start_time
+        assert (_row_bits(feat.aggregate_flows(table, t0, window_seconds))
+                == _row_bits(feat.aggregate_flows(want, t0, window_seconds)))
+
+
+def test_a_long_value_costs_its_own_length_not_its_chunks(tmp_path):
+    # One 100,000-character DstAddr among 1,000 flows: a fixed-width array
+    # as wide as it would take 100 MB for the chunk.
+    rows = [f"2011/08/10 09:00:00,1,tcp,a,{i},->,{'x' * 100_000 if i == 0 else i},80,"
+            "CON,0,0,1,10,5,x" for i in range(1000)]
+    (path,) = _write(tmp_path, [(HEADER + "\n" + "\n".join(rows) + "\n").encode()])
+    tracemalloc.start()
+    try:
+        table, _ = ingest.read_dataset([path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1000 and len(table.vocab["dst_addr"]) == 1000
+    assert peak < 5_000_000

@@ -210,8 +210,8 @@ def test_histogram_csv_roundtrip(tmp_path, pre, trained):
 
 
 def test_window_sweep_single_duration(fixture_dir):
-    res = window_sweep(fixture_dir["manifest"], ["synth-train"], ["synth-test"],
-                       [60.0], FAST_CFG, min_samples=30, bins=60)
+    res = list(window_sweep(fixture_dir["manifest"], ["synth-train"], ["synth-test"],
+                            [60.0], FAST_CFG, min_samples=30, bins=60))
     assert len(res) == 1
     assert res[0].duration == 60.0
     assert res[0].report.config["T"] == 60.0
