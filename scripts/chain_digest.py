@@ -97,7 +97,9 @@ STAGES = [
                         "--features", "demo-l50/features-test.csv",
                         "--scores-out", "demo-l50/scores-test.csv"]),
 ]
-# FlowRecord's fields in order, named here so the digest reads any record type
+# FlowRecord's fields in order, named here so the digest reads any record type.
+# ``service`` is a property derived from proto and dst_port, not a field; it is
+# still hashed, in its old place, so listings compare across checkouts.
 RECORD_FIELDS = (
     "start_time", "duration", "proto", "src_addr", "src_port", "direction", "dst_addr",
     "dst_port", "state", "service", "tot_pkts", "tot_bytes", "src_bytes", "label_raw",

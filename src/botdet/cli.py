@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -86,7 +87,7 @@ class Opt:
 
 def _load_config_file(path: str) -> dict:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     except ValueError as exc:
@@ -298,7 +299,7 @@ def cmd_sweep(args) -> int:
         results.append(r)
     table = report_table([(f"T={r.duration:g}s", r.report) for r in results])
     table_path = out / "sweep-table.txt"
-    table_path.write_text(table + "\n")
+    table_path.write_text(table + "\n", encoding="utf-8")
     outputs.append(table_path)
     manifest = pipeline.load_manifest(args.manifest)
     _record_run(args, out / "sweep.run.json",
@@ -315,9 +316,12 @@ def cmd_stream(args) -> int:
     flows = (f for p in args.input
              for f in iter_flows(p, strict=args.strict, stats=ingest_stats))
     decisions, stats = run_stream(model, det, flows)
-    for record in decisions:
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-        sys.stdout.flush()
+    try:
+        for record in decisions:
+            sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early (| head): stop, and flush nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"flows={stats.flows_in} windows={stats.windows_closed} "
           f"decisions={stats.decisions} late_dropped={stats.late_dropped} "
           f"bad_rows={ingest_stats.errors}", file=sys.stderr)

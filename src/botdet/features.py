@@ -10,11 +10,13 @@ give the same bits:
 
 - a ``FlowTable`` (the batch path, from ``read_dataset``) is reduced with
   array operations over its (host, window) groups at any window length:
-  ``np.unique``, ``bincount`` and ``reduceat``, with no object per flow;
+  ``np.unique``, ``bincount`` and ``reduceat``, with no object per flow
+  and one ``service_of`` call per distinct (protocol, port) pair;
 - any other iterable of records (the stream's closed windows, synthetic
   flows) goes through ``AggBuilder``, which adds each flow straight into
-  a row's columns. On the stream's small windows a few hundred adds cost
-  less than the array reduction's fixed cost per call.
+  a row's columns, one ``service_of`` call per flow. On the stream's
+  small windows a few hundred adds cost less than the array reduction's
+  fixed cost per call.
 
 The rows are then min-max scaled to [0,1] with statistics fitted on the
 training split, and chained into model-ready sequences.
@@ -23,13 +25,14 @@ training split, and chained into model-ready sequences.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence as Seq
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import FlowRecord, FlowTable, GroundTruth
+from .ingest import FlowRecord, FlowTable, GroundTruth, service_of
 
 FEATURE_NAMES: tuple[str, ...] = (
     "n_connections",
@@ -153,10 +156,11 @@ class AggBuilder:
     """Incremental accumulator behind a (host, window) row.
 
     ``counts`` holds the features in FEATURE_NAMES order; every flow adds
-    to its count, sum and category columns. Only ``aggregate_flows``
-    creates builders, for flows given as records (the streaming
-    detector's windows); the batch preprocessor's FlowTable takes its
-    array path, which gives the same rows from the same flows.
+    to its count, sum and category columns, its service derived from its
+    protocol and port. Only ``aggregate_flows`` creates builders, for flows
+    given as records (the streaming detector's windows); the batch
+    preprocessor's FlowTable takes its array path, which gives the same
+    rows from the same flows.
     """
 
     __slots__ = ("src_addr", "window_index", "first_seen", "label", "counts",
@@ -177,8 +181,9 @@ class AggBuilder:
         self.services: set[str] = set()
 
     def add(self, flow: FlowRecord) -> None:
-        (start, dur, proto, _, src_port, _, dst_addr, dst_port, state, service,
+        (start, dur, proto, _, src_port, _, dst_addr, dst_port, state,
          pkts, nbytes, _, label_raw) = flow
+        service = service_of(proto, dst_port)
         proto_col, state_col, service_col, proto_low = _category_columns(proto, state, service)
         counts = self.counts
         counts[_N_COL] += 1
@@ -258,7 +263,9 @@ def _aggregate_table(table: FlowTable, t0: float, window_seconds: float) -> list
     stay float64, which holds each of them exactly at any size; a row's
     number is its ``int``. ``sum_dur`` is a ``bincount`` in table order,
     which adds each group's durations one by one in the order AggBuilder
-    would. Nothing allocated here scales with the span of window numbers.
+    would. Each distinct (proto, dst_port) pair's service is derived once;
+    its column, one per service, gives the pair's flows both counts.
+    Nothing allocated here scales with the span of window numbers.
     """
     cols, vocab = table.columns, table.vocab
     start = cols["start_time"]
@@ -285,18 +292,21 @@ def _aggregate_table(table: FlowTable, t0: float, window_seconds: float) -> list
     values[:, _BYTES_COL] = _group_sums(cols["tot_bytes"], order, starts)
     values[:, _PKTS_COL] = _group_sums(cols["tot_pkts"], order, starts)
     values[:, _DUR_COL] = np.bincount(group, weights=cols["duration"], minlength=g)
-    category = {
-        "proto": np.array([_PROTO_COLS[proto_category(p)] for p in vocab["proto"]]),
-        "state": np.array([_STATE_COLS[state_category(s)] for s in vocab["state"]]),
-        "service": np.array([_SERVICE_COLS[s] for s in vocab["service"]]),
-    }
+    n_ports = len(vocab["dst_port"])
+    pairs, pair = np.unique(cols["proto"] * np.int64(n_ports) + cols["dst_port"],
+                            return_inverse=True)
+    services = np.array([_SERVICE_COLS[service_of(p, d)] for p, d in zip(
+        vocab["proto"][pairs // n_ports].tolist(), vocab["dst_port"][pairs % n_ports].tolist())])
+    category = ((np.array([_PROTO_COLS[proto_category(p)] for p in vocab["proto"]]), cols["proto"]),
+                (np.array([_STATE_COLS[state_category(s)] for s in vocab["state"]]), cols["state"]),
+                (services, pair))
     flat = values.reshape(-1)
-    for f, column in category.items():
-        flat += np.bincount(group * N_FEATURES + column[cols[f]], minlength=g * N_FEATURES)
+    for column, codes in category:
+        flat += np.bincount(group * N_FEATURES + column[codes], minlength=g * N_FEATURES)
     # A table's protos are parse_flow's, already lowercased, so their codes
     # count the distinct proto.lower() values that AggBuilder counts.
     distinct = (cols["dst_addr"], cols["dst_port"], cols["src_port"],
-                cols["proto"], cols["state"], cols["service"])
+                cols["proto"], cols["state"], services[pair])
     for col, codes in zip(_DISTINCT_COLS, distinct):
         m = int(codes.max()) + 1
         values[:, col] = np.bincount(np.unique(group * m + codes) // m, minlength=g)
@@ -382,17 +392,19 @@ def _span_sequences(rows: Seq[FeatureRow], n_windows: int, l_max: int,
 
     A span is (first window, target window or None) and covers ``n_windows``
     windows; its members sort by (first_seen, src_addr), unique since a host
-    has one row per window, into chunks of at most ``l_max``.
+    has one row per window, into chunks of at most ``l_max``. Only populated
+    windows are visited, so the cost does not grow with ``n_windows``.
     """
     if n_windows < 1 or l_max < 1:
         raise ValueError("n_windows and l_max must be >= 1")
     by_window: dict[int, list[FeatureRow]] = {}
     for r in rows:
         by_window.setdefault(r.window_index, []).append(r)
+    windows = sorted(by_window)
     out: list[Sequence] = []
-    for first, target in spans(sorted(by_window)):
-        members = sorted((r for w in range(first, first + n_windows)
-                          for r in by_window.get(w, ())),
+    for first, target in spans(windows):
+        inside = windows[bisect_left(windows, first):bisect_left(windows, first + n_windows)]
+        members = sorted((r for w in inside for r in by_window[w]),
                          key=lambda r: (r.first_seen, r.src_addr))
         for lo in range(0, len(members), l_max):
             chunk = tuple(members[lo:lo + l_max])

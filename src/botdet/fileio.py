@@ -55,7 +55,7 @@ FORMAT_VERSION = 1
 
 def dump_json(payload: dict, path: str | Path) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _decode(payload, kind: str, path: Path, decode: Callable):
@@ -237,7 +237,7 @@ class FeaturesMeta:
 def write_features(path: str | Path, meta: FeaturesMeta,
                    rows: Iterable[FeatureRow]) -> None:
     header_json = json.dumps(meta.to_header(), sort_keys=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"#META {header_json}\n")
         writer = csv.writer(fh)
         writer.writerow(["src_addr", "window_index", "first_seen", "label",
@@ -435,7 +435,7 @@ SCORES_HEADER = ("src_addr", "window_index", "first_seen", "label", "score")
 
 
 def write_scores_csv(path: str | Path, scored: Iterable[ScoredWindow]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_HEADER)
         for s in scored:
@@ -467,7 +467,7 @@ def read_scores_csv(path: str | Path) -> list[ScoredWindow]:
 # -------------------------------------------------------------- decisions
 
 def write_decisions_jsonl(path: str | Path, decisions: Iterable[dict]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for record in decisions:
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")

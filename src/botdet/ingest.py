@@ -6,7 +6,8 @@ empty fields, and nothing downstream needs them numeric except the
 service lookup, which parses defensively.
 
 Two readers share one validation. ``iter_flows`` yields one FlowRecord per
-row, for the stream and the scripts. ``read_dataset`` reads a batch of
+row, for the stream and the scripts: its 13 parsed fields, from which the
+label and the service derive. ``read_dataset`` reads a batch of
 captures into a ``FlowTable``: each chunk of csv rows becomes columns of
 numbers, interned text codes and, for the ports and the destination,
 which a scan makes new in nearly every flow, numpy string arrays. The
@@ -101,8 +102,9 @@ def service_of(proto: str, dst_port: str) -> str:
 class FlowRecord(NamedTuple):
     """One parsed capture row: a tuple, so building one is a single allocation.
 
-    It is immutable, hashes as its field tuple, and equals only another
-    FlowRecord with equal fields, never a plain tuple.
+    Its fields are the row's REQUIRED_COLUMNS values; ``label`` and
+    ``service`` derive from them. It is immutable, hashes as its field
+    tuple, and equals only another FlowRecord with equal fields, never a plain tuple.
     """
 
     start_time: float  # epoch seconds (capture timestamps read as UTC)
@@ -114,7 +116,6 @@ class FlowRecord(NamedTuple):
     dst_addr: str
     dst_port: str
     state: str
-    service: str
     tot_pkts: int
     tot_bytes: int
     src_bytes: int
@@ -123,6 +124,10 @@ class FlowRecord(NamedTuple):
     @property
     def label(self) -> GroundTruth:
         return GroundTruth.from_label(self.label_raw)
+
+    @property
+    def service(self) -> str:
+        return service_of(self.proto, self.dst_port)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is FlowRecord and tuple.__eq__(self, other)
@@ -224,11 +229,9 @@ def parse_flow(values: Sequence[str], path: str = "", line_no: int = 0) -> FlowR
     src_addr, dst_addr = src_addr.strip(), dst_addr.strip()
     if not src_addr or not dst_addr:
         raise _row_error(path, line_no, "missing SrcAddr/DstAddr")
-    dst_port = dst_port.strip()
     return FlowRecord(start, duration, proto, src_addr, src_port.strip(),
-                      direction.strip(), dst_addr, dst_port, state.strip(),
-                      service_of(proto, dst_port), tot_pkts, tot_bytes, src_bytes,
-                      label.strip())
+                      direction.strip(), dst_addr, dst_port.strip(), state.strip(),
+                      tot_pkts, tot_bytes, src_bytes, label.strip())
 
 
 def flow_to_row(rec: FlowRecord) -> list[str]:
@@ -377,12 +380,8 @@ _DTYPES = {**dict.fromkeys(FlowRecord._fields, np.int32), "start_time": np.float
 # Variable-width text: an element holds up to 15 bytes in place, and a longer
 # value takes only its own length, so no value widens the others.
 _TEXT = np.dtypes.StringDType()
-# The field that each of a row's REQUIRED_COLUMNS values becomes.
-_VALUE_FIELDS = ("start_time", "duration", "proto", "src_addr", "src_port", "direction",
-                 "dst_addr", "dst_port", "state", "tot_pkts", "tot_bytes", "src_bytes",
-                 "label_raw")
 # Text fields of few distinct values, with the function that turns a raw csv
-# value into the record's value; service is derived from proto and dst_port.
+# value into the record's value.
 _INTERNED_FIELDS = {
     "proto": lambda s: s.strip().lower(), "src_addr": str.strip, "direction": str.strip,
     "state": str.strip, "label_raw": str.strip,
@@ -391,8 +390,6 @@ _INTERNED_FIELDS = {
 # chunk keeps their str.strip values as string arrays, which the table codes
 # once, so no Python object outlives a chunk for each distinct value.
 _STRING_FIELDS = ("src_port", "dst_addr", "dst_port")
-# The values service_of returns, "other" first.
-_SERVICES = ("other", *dict.fromkeys(_SERVICE_TABLE.values()))
 # Stands in for a short or non-UTF-8 row while a chunk's columns are built;
 # such a row is always re-read by _parse_row, which refuses it.
 _STAND_IN = ("1970/01/01 00:00:00", "0", "", "-", "", "", "-", "", "", "0", "0", "0", "")
@@ -405,7 +402,8 @@ class FlowTable:
     duration float64, the three counts int64, and each text field int32
     codes into ``vocab[field]``, a string array of that field's distinct
     values. src_port, dst_addr and dst_port list theirs in sorted order;
-    the other text fields in the order first read. Iteration gives
+    the other text fields in the order first read. No column holds the
+    service: aggregation derives it per (proto, dst_port) pair. Iteration gives
     FlowRecords equal to those that parse_flow gives for the same rows, in
     the order a stable sort of them by start time gives, so a caller may
     treat the table as that list; only iteration turns the vocabularies
@@ -528,19 +526,6 @@ def _numbers(texts: Sequence[str], kind, dtype) -> tuple[np.ndarray, np.ndarray]
     return values, ok
 
 
-def _short_port_numbers(ports: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """int() of each port of one to five ASCII digits, and which ports those are."""
-    n = len(ports)
-    lengths = np.fromiter(map(len, ports), np.int64, n)
-    # Each port's first five code points, NUL-padded: a NUL within a port is no digit.
-    d = np.array(ports, dtype="U5").view(np.uint32).reshape(n, 5).astype(np.int64) - ord("0")
-    size = np.minimum(lengths, 5)[:, None]
-    within = np.arange(5) < size
-    short = (lengths >= 1) & (lengths <= 5) & (((d >= 0) & (d <= 9)) | ~within).all(axis=1)
-    scale = 10 ** np.maximum(size - 1 - np.arange(5), 0)
-    return (np.where(within, d, 0) * scale).sum(axis=1), short
-
-
 class _TableBuilder:
     """Columns of the rows read so far, one chunk at a time.
 
@@ -550,7 +535,6 @@ class _TableBuilder:
 
     def __init__(self):
         self.text = {f: _Interner(canon) for f, canon in _INTERNED_FIELDS.items()}
-        self.text["service"] = _Interner()
         self.parts = {f: [np.zeros(0, _TEXT if f in _STRING_FIELDS else dtype)]
                       for f, dtype in _DTYPES.items()}
 
@@ -570,7 +554,7 @@ class _TableBuilder:
         del text
         values = (map(pick, rows) if whole.all()
                   else [pick(r) if ok else _STAND_IN for r, ok in zip(rows, whole)])
-        cols = dict(zip(_VALUE_FIELDS, zip(*values)))
+        cols = dict(zip(FlowRecord._fields, zip(*values)))
         out = {}
         out["start_time"], good = _canonical_times(cols["start_time"])
         good &= whole
@@ -584,13 +568,11 @@ class _TableBuilder:
         for f in _INTERNED_FIELDS:
             out[f] = self.text[f].encode(cols[f])
         for f in _STRING_FIELDS:
-            cols[f] = list(map(str.strip, cols[f]))
-            out[f] = np.array(cols[f], dtype=_TEXT)
+            out[f] = np.array(list(map(str.strip, cols[f])), dtype=_TEXT)
         empty = self.text["src_addr"].index.get("")
         if empty is not None:
             good &= out["src_addr"] != empty
         good &= out["dst_addr"] != ""
-        out["service"] = self._services(out["proto"], cols["dst_port"])
         del cols
 
         keep = np.ones(n, dtype=bool)
@@ -606,23 +588,6 @@ class _TableBuilder:
         fstats.parsed += int(keep.sum())
         for f, col in out.items():
             self.parts[f].append(col if keep.all() else col[keep])
-
-    def _services(self, proto: np.ndarray, dst_port: list[str]) -> np.ndarray:
-        """service_of codes: by arrays for ports of one to five ASCII digits, else by service_of."""
-        num, short = _short_port_numbers(dst_port)
-        which = np.zeros(len(proto), dtype=np.int64)  # indices into _SERVICES
-        protos = self.text["proto"].words
-        for (port, proto_name), service in _SERVICE_TABLE.items():
-            for c, word in enumerate(protos):
-                if word.lower() == proto_name:
-                    which[short & (num == port) & (proto == c)] = _SERVICES.index(service)
-        for i in np.flatnonzero(~short).tolist():
-            which[i] = _SERVICES.index(service_of(protos[proto[i]], dst_port[i]))
-        used, first = np.unique(which, return_index=True)
-        codes = np.zeros(len(_SERVICES), dtype=np.int32)
-        for k in used[np.argsort(first)].tolist():  # in the order first read
-            codes[k] = self.text["service"].code(_SERVICES[k])
-        return codes[which]
 
     def table(self) -> FlowTable:
         """The stored rows, stably sorted by start time, each string field coded by one sort."""

@@ -41,7 +41,7 @@ def load_manifest(path: str | Path) -> dict[str, Path]:
     """Scenario id -> capture path, resolved relative to the manifest file."""
     p = Path(path)
     try:
-        payload = json.loads(p.read_text())
+        payload = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DataError(f"{p}: cannot read manifest: {exc}") from exc
     scenarios = payload.get("scenarios") if isinstance(payload, dict) else None
@@ -312,7 +312,7 @@ def score_histogram_rows(scored: Sequence[ScoredWindow],
 
 
 def write_histogram_csv(path: str | Path, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["bin_left", "bin_right", "density_normal", "density_botnet"])
         for r in rows:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import FlowRecord, parse_timestamp, service_of, write_flows_csv
+from .ingest import FlowRecord, parse_timestamp, write_flows_csv
 
 DEFAULT_START = parse_timestamp("2011/08/10 09:00:00.000000")
 
@@ -68,8 +68,7 @@ _SSL_SERVER = "198.18.3.4"
 def _flow(t, dur, proto, src, sport, dst, dport, state, pkts, byts, src_bytes, label):
     return FlowRecord(start_time=t, duration=dur, proto=proto, src_addr=src,
                       src_port=str(sport), direction="->", dst_addr=dst,
-                      dst_port=str(dport), state=state,
-                      service=service_of(proto, str(dport)), tot_pkts=pkts,
+                      dst_port=str(dport), state=state, tot_pkts=pkts,
                       tot_bytes=byts, src_bytes=src_bytes, label_raw=label)
 
 
@@ -208,6 +207,6 @@ def make_fixture(out_dir: str | Path, train_cfg: SynthConfig | None = None) -> d
     manifest = {"scenarios": {"synth-train": train_path.name,
                               "synth-test": test_path.name}}
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return {"manifest": manifest_path, "train": train_path, "test": test_path,
             "train_cfg": train_cfg, "test_cfg": test_cfg}

@@ -665,6 +665,13 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports this botdet on one BLAS thread."""
+    src = str(Path(botdet.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "OPENBLAS_NUM_THREADS": "1"}
+
+
 @pytest.mark.parametrize("command", ["score", "stream"])
 @pytest.mark.parametrize("key,size,name,stored", [
     ("hidden", 1_000_000, "enc.l0.fwd.w_r", "(25, 10), expected (25, 1000000)"),
@@ -678,10 +685,7 @@ def test_a_model_config_above_its_stored_shapes_is_a_data_error_under_a_memory_c
              "--scores-out", str(tmp_path / "s.csv")] if command == "score" else
             ["stream", "--model", str(path), "--detector", str(chain["detector"]),
              "--input", str(fixture_dir["test"])])
-    src = str(Path(botdet.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"data error: {path}: parameter {name} has shape {stored}")
@@ -842,3 +846,74 @@ def test_non_utf8_decisions_are_a_data_error(chain, tmp_path, capsys):
     assert main(["evaluate", "--scores", str(chain["scores_test"]),
                  "--decisions", str(path), "--report-out", str(tmp_path / "r.json")]) == 2
     assert f"data error: {path}:{rows + 1}: not UTF-8 text" in capsys.readouterr().err
+
+
+# The README chain, plus one --config file, as a child that turns every text
+# open without an explicit encoding into an error.
+_CHAIN_WITH_EXPLICIT_ENCODINGS = """
+import json, sys
+from pathlib import Path
+from botdet.cli import main
+from botdet.synth import SynthConfig, make_fixture
+make_fixture(Path("fx"), train_cfg=SynthConfig(
+    seed=3, n_normal_hosts=6, n_botnet_hosts=2, n_background_hosts=1, n_windows=24))
+sizes = ["--epochs", "2", "--batch-size", "16", "--hidden", "6", "--latent", "3", "--seed", "0"]
+Path("train.json").write_text(json.dumps(
+    {"features": "features-train.csv", "model_out": "model.json", "epochs": 2,
+     "batch_size": 16, "hidden": 6, "latent": 3, "seed": 0}), encoding="utf-8")
+splits = ["--manifest", "fx/manifest.json", "--train-scenarios", "synth-train",
+          "--test-scenarios", "synth-test"]
+for argv in (
+        ["preprocess", *splits, "--out-dir", "."],
+        ["train", "--config", "train.json"],
+        ["score", "--model", "model.json", "--features", "features-train.csv",
+         "--scores-out", "scores-train.csv"],
+        ["score", "--model", "model.json", "--features", "features-test.csv",
+         "--scores-out", "scores-test.csv"],
+        ["fitpdf", "--scores", "scores-train.csv", "--detector-out", "detector.json",
+         "--min-samples", "30", "--bins", "40"],
+        ["detect", "--scores", "scores-test.csv", "--detector", "detector.json",
+         "--decisions-out", "decisions.jsonl"],
+        ["evaluate", "--scores", "scores-test.csv", "--decisions", "decisions.jsonl",
+         "--report-out", "report.json", "--model", "model.json"],
+        ["stream", "--model", "model.json", "--detector", "detector.json",
+         "--input", "fx/synth-test.binetflow"],
+        ["sweep", *splits, "--durations", "60", "--out-dir", "sweep", *sizes,
+         "--min-samples", "30", "--bins", "40"]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_every_text_artifact_and_input_names_its_encoding(tmp_path):
+    # A locale's encoding (cp1252, say) would write artifacts that the
+    # strictly UTF-8 readers refuse; every open must say UTF-8 itself.
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-c", _CHAIN_WITH_EXPLICIT_ENCODINGS],
+                          cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "EncodingWarning" not in proc.stderr
+    assert (tmp_path / "sweep" / "sweep-table.txt").exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sizes the pipe with F_SETPIPE_SZ")
+def test_a_stream_reader_that_stops_early_is_no_error(chain, fixture_dir):
+    import fcntl
+
+    read_end, write_end = os.pipe()
+    # One page of pipe: the child blocks on its decisions long before the
+    # last, so closing the read end after one line breaks its next write.
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "botdet.cli", "stream", "--model", str(chain["model"]),
+         "--detector", str(chain["detector"]), "--input", str(fixture_dir["test"])],
+        stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), text=True)
+    os.close(write_end)
+    with os.fdopen(read_end, encoding="utf-8") as out:
+        first = out.readline()
+    stderr = proc.communicate(timeout=120)[1]
+    assert json.loads(first)["src_addr"]
+    assert proc.returncode == 0, stderr
+    assert "i/o error" not in stderr and "Traceback" not in stderr
+    assert stderr.startswith("flows=") and "bad_rows=0" in stderr

@@ -1,6 +1,7 @@
 """Windowing, aggregation, normalization, and sequence assembly."""
 
 import math
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botdet import features as feat
+from botdet import ingest
 from botdet.errors import DataError
 from botdet.features import FEATURE_NAMES, FeatureRow, Normalizer
-from botdet.ingest import FlowRecord, GroundTruth, service_of
+from botdet.ingest import FlowRecord, GroundTruth
 
 
 def make_flow(t=0.0, src="10.0.0.1", dst="10.0.0.2", sport="1024", dport="80",
@@ -20,7 +22,7 @@ def make_flow(t=0.0, src="10.0.0.1", dst="10.0.0.2", sport="1024", dport="80",
     return FlowRecord(
         start_time=t, duration=dur, proto=proto, src_addr=src, src_port=sport,
         direction="->", dst_addr=dst, dst_port=dport, state=state,
-        service=service_of(proto, dport), tot_pkts=pkts, tot_bytes=tot,
+        tot_pkts=pkts, tot_bytes=tot,
         src_bytes=sb, label_raw=label,
     )
 
@@ -481,6 +483,24 @@ def test_trailing_sequences_target_every_row_once(host_windows, n, l_max):
                    for r in s.rows)
 
 
+def _sequence_key(seqs):
+    return [([(r.src_addr, r.window_index) for r in s.rows], s.target_window,
+             s.vectors.tobytes()) for s in seqs]
+
+
+def test_sequence_cost_follows_the_populated_windows_not_n_windows():
+    # 24 windows, each holding 1-3 hosts: a span of 10**7 windows reaches
+    # no further than one of 10**4, and is walked no longer.
+    rows = [make_row(src=h, w=w, t=w * 60.0 + i, vec=np.full(feat.N_FEATURES, w / 24))
+            for w in range(24) for i, h in enumerate("abc"[:1 + w % 3])]
+    builds = (feat.build_sequences, feat.trailing_sequences)
+    started = time.perf_counter()
+    got = [build(rows, 10**7, 16) for build in builds]
+    assert time.perf_counter() - started < 1.0
+    assert [_sequence_key(g) for g in got] == [_sequence_key(build(rows, 10**4, 16))
+                                               for build in builds]
+
+
 @pytest.mark.parametrize("build", [feat.build_sequences, feat.trailing_sequences])
 @pytest.mark.parametrize("n,l_max", [(0, 4), (3, 0)])
 def test_sequence_sizes_must_be_positive(build, n, l_max):
@@ -493,6 +513,11 @@ def test_non_malicious_filter():
             make_row(label=GroundTruth.BACKGROUND)]
     kept = feat.non_malicious(rows)
     assert [r.label for r in kept] == [GroundTruth.NORMAL, GroundTruth.BACKGROUND]
+
+
+def test_the_service_vocabulary_is_ingests():
+    assert ({"other", *ingest._SERVICE_TABLE.values()}
+            == {"other", *feat.SERVICE_CATEGORIES})
 
 
 def test_feature_name_count():

@@ -262,7 +262,7 @@ def _string_field_captures(draw):
         lines = []
         for _ in range(draw(st.integers(0, 10))):
             values = {"StartTime": draw(st.sampled_from(_TIMES[:6])), "Dur": "0.5",
-                      "Proto": draw(st.sampled_from(["tcp", "udp", "TCP "])),
+                      "Proto": draw(st.sampled_from(["tcp", "udp", "TCP ", "UDP", " tcp "])),
                       "SrcAddr": draw(st.sampled_from(["10.0.0.1", "10.0.0.2"])),
                       "Dir": "->", "State": "CON", "sTos": "0", "dTos": "0",
                       "TotPkts": "2", "TotBytes": "100", "SrcBytes": "40", "Label": "x",
@@ -291,10 +291,36 @@ def test_string_fields_read_and_aggregate_as_the_record_path(tmp_path, files, wi
     assert _table_path(paths, True)[2] == _record_path(paths, True)[2]
     assert stats.files == want_stats.files
     assert list(table) == want
+    for rec in [*want, *table]:
+        assert rec.service == ingest.service_of(rec.proto, rec.dst_port)
     if want:
         t0 = want[0].start_time
         assert (_row_bits(feat.aggregate_flows(table, t0, window_seconds))
                 == _row_bits(feat.aggregate_flows(want, t0, window_seconds)))
+
+
+def test_a_table_derives_each_protocol_and_port_pairs_service_once(tmp_path, monkeypatch):
+    # 60 flows over 2 hosts and 4 (proto, port) pairs, each pair repeated;
+    # hex and spaced forms of port 53 are pairs of their own.
+    pairs = [("tcp", "80"), ("udp", "0x0035"), ("TCP", " 53"), ("udp", "53")]
+    rows = [f"2011/08/10 09:00:{i % 60:02d},1,{pairs[i % 4][0]},h{i % 2},1,->,b,"
+            f"{pairs[i % 4][1]},CON,0,0,1,10,5,x" for i in range(60)]
+    (path,) = _write(tmp_path, [(HEADER + "\n" + "\n".join(rows) + "\n").encode()])
+    table, _ = ingest.read_dataset([path])
+    flows = list(table)
+    want = feat.aggregate_flows(flows, flows[0].start_time, 30.0)
+    calls = []
+
+    def counted(proto, dst_port):
+        calls.append((proto, dst_port))
+        return ingest.service_of(proto, dst_port)
+
+    monkeypatch.setattr(feat, "service_of", counted)
+    got = feat.aggregate_flows(table, flows[0].start_time, 30.0)
+    assert sorted(calls) == sorted({(f.proto, f.dst_port) for f in flows})
+    assert len(calls) == 4 < len(table)
+    assert _row_bits(got) == _row_bits(want)
+    assert {r.value("service_dns") for r in got} != {0.0}
 
 
 def test_a_long_value_costs_its_own_length_not_its_chunks(tmp_path):

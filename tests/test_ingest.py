@@ -147,8 +147,16 @@ class TestFlowRecordContract:
     def test_hash_is_the_hash_of_the_field_tuple(self, tmp_path):
         rec = self.record(tmp_path)
         fields = tuple(getattr(rec, name) for name in FlowRecord._fields)
-        assert len(fields) == 14 and hash(rec) == hash(fields)
+        assert len(fields) == 13 and hash(rec) == hash(fields)
         assert len({rec, rec._replace()}) == 1
+
+    def test_fields_are_the_required_columns_in_order(self):
+        field_of = {"StartTime": "start_time", "Dur": "duration", "Proto": "proto",
+                    "SrcAddr": "src_addr", "Sport": "src_port", "Dir": "direction",
+                    "DstAddr": "dst_addr", "Dport": "dst_port", "State": "state",
+                    "TotPkts": "tot_pkts", "TotBytes": "tot_bytes", "SrcBytes": "src_bytes",
+                    "Label": "label_raw"}
+        assert FlowRecord._fields == tuple(field_of[c] for c in ingest.REQUIRED_COLUMNS)
 
     def test_equals_only_a_flow_record_with_equal_fields(self, tmp_path):
         rec = self.record(tmp_path)
@@ -330,14 +338,12 @@ def _reference_parse_flow(row, path="", line_no=0):
     if not row.get("SrcAddr") or not row.get("DstAddr"):
         raise bad("missing SrcAddr/DstAddr")
 
-    dst_port = row.get("Dport", "").strip()
     return FlowRecord(
         start_time=start, duration=duration, proto=proto,
         src_addr=row["SrcAddr"].strip(), src_port=row.get("Sport", "").strip(),
         direction=row.get("Dir", "").strip(), dst_addr=row["DstAddr"].strip(),
-        dst_port=dst_port, state=row.get("State", "").strip(),
-        service=ingest.service_of(proto, dst_port), tot_pkts=tot_pkts,
-        tot_bytes=tot_bytes, src_bytes=src_bytes,
+        dst_port=row.get("Dport", "").strip(), state=row.get("State", "").strip(),
+        tot_pkts=tot_pkts, tot_bytes=tot_bytes, src_bytes=src_bytes,
         label_raw=row.get("Label", "").strip(),
     )
 

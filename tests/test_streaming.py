@@ -35,7 +35,7 @@ def make_flow(t: float, src: str, dst: str = "198.18.0.9",
               label: str = "flow=From-Normal-V44-HTTP") -> FlowRecord:
     return FlowRecord(start_time=t, duration=0.2, proto="tcp", src_addr=src,
                       src_port="1024", direction="<->", dst_addr=dst,
-                      dst_port="80", state="FSPA_FSPA", service="http",
+                      dst_port="80", state="FSPA_FSPA",
                       tot_pkts=8, tot_bytes=900, src_bytes=400,
                       label_raw=label)
 
