@@ -27,7 +27,7 @@ def main() -> None:
 
         print(f"capture: {capture}")
         print("first three lines of the file:")
-        for line in capture.read_text().splitlines()[:3]:
+        for line in capture.read_text(encoding="utf-8").splitlines()[:3]:
             print(f"  {line[:110]}")
 
         stats = IngestStats()

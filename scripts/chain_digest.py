@@ -117,19 +117,19 @@ ODD_FORMS = (
 
 def write_swapped(src: Path, dst: Path, every: int) -> None:
     """Copy a capture with the two rows of every ``every``-th data-row pair swapped."""
-    header, *rows = src.read_text().splitlines(keepends=True)
+    header, *rows = src.read_text(encoding="utf-8").splitlines(keepends=True)
     for i in range(2 * every - 2, len(rows) - 1, 2 * every):
         rows[i], rows[i + 1] = rows[i + 1], rows[i]
-    dst.write_text(header + "".join(rows))
+    dst.write_text(header + "".join(rows), encoding="utf-8")
 
 
 def write_odd_times(src: Path, dst: Path, every: int) -> None:
     """Copy a capture with every ``every``-th StartTime in the next of ODD_FORMS."""
-    header, *rows = src.read_text().splitlines(keepends=True)
+    header, *rows = src.read_text(encoding="utf-8").splitlines(keepends=True)
     for k, i in enumerate(range(every - 1, len(rows), every)):
         start, rest = rows[i].split(",", 1)
         rows[i] = ODD_FORMS[k % len(ODD_FORMS)](start) + "," + rest
-    dst.write_text(header + "".join(rows))
+    dst.write_text(header + "".join(rows), encoding="utf-8")
 
 
 def record_digest(path: Path) -> str:
@@ -156,13 +156,13 @@ def run(out_dir: Path) -> int:
     Path("stages").mkdir(exist_ok=True)
     Path("stages/ingest.stdout").write_text("".join(
         record_digest(Path(name)) + "\n"
-        for name in ("synth-test.binetflow", "synth-test-odd-times.binetflow")))
+        for name in ("synth-test.binetflow", "synth-test-odd-times.binetflow")), encoding="utf-8")
     for name, argv in STAGES:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = main(argv)
-        Path(f"stages/{name}.stdout").write_text(stdout.getvalue())
-        Path(f"stages/{name}.stderr").write_text(stderr.getvalue())
+        Path(f"stages/{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
+        Path(f"stages/{name}.stderr").write_text(stderr.getvalue(), encoding="utf-8")
         if rc != 0:
             print(f"{name} exited {rc}: {stderr.getvalue().strip()}", file=sys.stderr)
             return 1

@@ -90,9 +90,10 @@ def main(argv=None) -> int:
                                args.seed + 1000, "test")
         manifest = work / "manifest.json"
         manifest.write_text(json.dumps({"scenarios": {"synth-train": "synth-train.binetflow",
-                                                      "synth-test": "synth-test.binetflow"}}))
+                                                      "synth-test": "synth-test.binetflow"}}),
+                            encoding="utf-8")
         proc = subprocess.run([sys.executable, "-c", CHILD, str(manifest), str(ROOT / "src")],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, encoding="utf-8")
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr, end="")
         return 1

@@ -163,7 +163,7 @@ def main() -> int:
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(
         {"scenarios": {sid: str(p.resolve()) for sid, p in scenarios.items()}},
-        indent=2, sort_keys=True) + "\n")
+        indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     test_ids = [s.strip() for s in args.test_scenarios.split(",") if s.strip()]
     train_ids = [sid for sid in sorted(scenarios, key=int)
@@ -185,7 +185,7 @@ def main() -> int:
         rows.append(("MLP-VAE T=60s", mlp.report))
 
     table = report_table(rows)
-    (out / "summary-table.txt").write_text(table + "\n")
+    (out / "summary-table.txt").write_text(table + "\n", encoding="utf-8")
     print("\n" + table)
 
     if model_60 is not None:

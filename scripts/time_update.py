@@ -44,7 +44,7 @@ from botdet.optim import Adam, clip_global_norm
 
 def rss_mb() -> float:
     """Current resident set size in MB, from /proc/self/statm."""
-    with open("/proc/self/statm") as f:
+    with open("/proc/self/statm", encoding="utf-8") as f:
         return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 1e6
 
 

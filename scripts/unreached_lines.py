@@ -71,7 +71,8 @@ def trace(frame, event, arg):
     return trace
 
 def dump():
-    with open(os.path.join(out_dir, f"lines-{os.getpid()}.json"), "w") as fh:
+    with open(os.path.join(out_dir, f"lines-{os.getpid()}.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(sorted({(os.path.realpath(f), n) for f, n in reached}), fh)
 
 real_exit = os._exit
@@ -122,7 +123,7 @@ def run(script: str, args: list[str], tmp: Path, env: dict) -> None:
     proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp / "lines"), str(PACKAGE),
                            str(base / script), *argv],
                           cwd=tmp / "work", env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
+                          stderr=subprocess.PIPE, text=True, encoding="utf-8")
     if proc.returncode != 0:
         raise SystemExit(f"{script} {' '.join(argv)} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
@@ -153,7 +154,7 @@ def main() -> int:
             run(script, script_args, tmp, env)
         reached: set[tuple[str, int]] = set()
         for dump in (tmp / "lines").glob("lines-*.json"):
-            reached.update(map(tuple, json.loads(dump.read_text())))
+            reached.update(map(tuple, json.loads(dump.read_text(encoding="utf-8"))))
 
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):

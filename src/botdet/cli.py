@@ -5,7 +5,8 @@ fitpdf, detect, evaluate, sweep) plus on-line detection (stream). Every
 flag has a config-file equivalent: pass ``--config file.json`` holding an
 object keyed by the flag names with underscores; explicit flags win over
 config values, which win over built-in defaults, and a value from either
-source is cast and checked by the same option table. Each batch stage writes
+source is checked by its option's ``fileio`` rule, which a reader applies
+to the artifact field that records it. Each batch stage writes
 its artifact plus a ``*.run.json`` reproducibility manifest (config hash,
 input hashes, seed, library versions). Exit codes: 0 ok, 1 usage error,
 2 data error, 3 numeric failure.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 from . import __version__, fileio, pipeline
 from .detector import TIE_RULES
 from .errors import DataError, NumericError, UsageError
+from .fileio import BOOL, COUNT, INDEX, INTEGER, NONNEGATIVE, POSITIVE, TEXT, rule
 from .ingest import IngestStats, iter_flows
 from .metrics import report_table
 from .streaming import run_stream
@@ -37,49 +38,23 @@ class _CliParser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- opt merging
 
-def _cast(what: str, convert: Callable, *accepts: type,
-          ok: Callable = lambda x: True) -> Callable:
-    """A cast of the listed JSON types (a flag is a str) to a value passing ``ok``."""
-    def cast(v):
-        if type(v) not in accepts:
-            raise TypeError(f"expected {what}, got {v!r}")
-        x = convert(v)
-        if isinstance(x, float) and not math.isfinite(x):
-            raise ValueError(f"expected a finite number, got {v!r}")
-        if not ok(x):
-            raise ValueError(f"expected {what}, got {v!r}")
-        return x
-    return cast
-
-
-_as_text = _cast("a string", str, str)
-_as_int = _cast("an integer", int, int, str)
-_as_count = _cast("an integer >= 1", int, int, str, ok=lambda x: x >= 1)
-_as_seed = _cast("an integer >= 0", int, int, str, ok=lambda x: x >= 0)
-_as_folds = _cast("0 or an integer >= 2", int, int, str, ok=lambda x: x == 0 or x >= 2)
-_as_positive = _cast("a number > 0", float, int, float, str, ok=lambda x: x > 0)
-_as_nonnegative = _cast("a number >= 0", float, int, float, str, ok=lambda x: x >= 0)
-_as_bool = _cast("true or false", bool, bool)
-_as_id = _cast("a string or an integer", str, str, int)
-
-
 def _listed(item: Callable) -> Callable:
-    """Cast for a list option: a comma-separated string or a JSON list."""
-    def cast(v) -> tuple:
+    """The rule of a list option: a comma-separated string or a JSON list of ``item``s."""
+    def check(v, text: bool = False) -> tuple:
         if isinstance(v, str):
             v = [s.strip() for s in v.split(",") if s.strip()]
         elif not isinstance(v, (list, tuple)):
             raise TypeError(f"expected a comma-separated string or a list, got {v!r}")
-        return tuple(item(s) for s in v)
-    return cast
+        return tuple(item(s, text) for s in v)
+    return check
 
 
 @dataclass(frozen=True)
 class Opt:
-    """One option; its cast and choices apply to flag and config values alike."""
+    """One option; its rule and choices apply to flag and config values alike."""
 
     default: object = None
-    cast: Callable = _as_text
+    cast: Callable = TEXT
     required: bool = False
     help: str | None = None
     choices: tuple[str, ...] | None = None
@@ -115,8 +90,8 @@ def _finalize(args: argparse.Namespace) -> argparse.Namespace:
                 raise UsageError(f"missing required option {flag}")
         else:
             try:
-                v = opt.cast(v)
-            except (TypeError, ValueError) as exc:
+                v = opt.cast(v, text=True)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(f"{flag}: {exc}") from None
             if opt.choices and v not in opt.choices:
                 raise UsageError(f"{flag}: invalid choice {v!r} "
@@ -129,8 +104,8 @@ def _finalize(args: argparse.Namespace) -> argparse.Namespace:
 _TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "l_max"]
 # sizes and widths are counts; lr and grad_clip are > 0 (<= 0 climbs the loss or
 # zeroes every gradient); anneal_steps <= 0 turns annealing off; beta_max 0 drops KL
-_CAST_BY_TYPE = {int: _as_count, float: _as_positive, tuple: _listed(_as_count)}
-_CAST_BY_NAME = {"anneal_steps": _as_int, "seed": _as_seed, "beta_max": _as_nonnegative}
+_CAST_BY_TYPE = {int: COUNT, float: POSITIVE, tuple: _listed(COUNT)}
+_CAST_BY_NAME = {"anneal_steps": INTEGER, "seed": INDEX, "beta_max": NONNEGATIVE}
 
 _TRAIN_HYPER: dict[str, Opt] = {
     "arch": Opt("rvae", choices=("rvae", "mlp")),
@@ -139,20 +114,20 @@ _TRAIN_HYPER: dict[str, Opt] = {
 }
 
 _PDF_OPTS: dict[str, Opt] = {
-    "bins": Opt(200, _as_count),
-    "min_samples": Opt(100, _as_count),
+    "bins": Opt(200, COUNT),
+    "min_samples": Opt(100, COUNT),
     "tie_rule": Opt("malicious", choices=TIE_RULES),
 }
 
 # sweep takes T from --durations alone, so window_seconds is preprocess's
 _WINDOW_OPTS: dict[str, Opt] = {
-    "n_windows": Opt(3, _as_count, help="sequence length N in windows"),
-    "l_max": Opt(128, _as_count, help="max elements per sequence"),
-    "log1p": Opt(False, _as_bool),
-    "strict": Opt(False, _as_bool),
+    "n_windows": Opt(3, COUNT, help="sequence length N in windows"),
+    "l_max": Opt(128, COUNT, help="max elements per sequence"),
+    "log1p": Opt(False, BOOL),
+    "strict": Opt(False, BOOL),
 }
 
-_IDS = _listed(_as_id)
+_IDS = _listed(rule("a string or an integer", str, str, int))
 _SCENARIO_OPTS: dict[str, Opt] = {
     "manifest": Opt(required=True),
     "train_scenarios": Opt(cast=_IDS, required=True, help="comma-separated scenario ids"),
@@ -358,14 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub("preprocess", cmd_preprocess, {
         **_SCENARIO_OPTS,
         "out_dir": Opt(required=True),
-        "window_seconds": Opt(60.0, _as_positive, help="window duration T in seconds"),
+        "window_seconds": Opt(60.0, POSITIVE, help="window duration T in seconds"),
         **_WINDOW_OPTS,
     }, "aggregate scenarios into normalized host-window features")
 
     sub("train", cmd_train, {
         "features": Opt(required=True),
         "model_out": Opt(required=True),
-        "kfold": Opt(0, _as_folds, help="folds for time-blocked model selection (0: off)"),
+        "kfold": Opt(0, rule("0 or an integer >= 2", int, int, ok=lambda x: x == 0 or x >= 2),
+                      help="folds for time-blocked model selection (0: off)"),
         **_TRAIN_HYPER,
     }, "fit the VAE on non-malicious training rows")
 
@@ -392,24 +368,24 @@ def build_parser() -> argparse.ArgumentParser:
         "decisions": Opt(required=True),
         "report_out": Opt(required=True),
         "model": Opt(),
-        "exclude_background": Opt(False, _as_bool),
+        "exclude_background": Opt(False, BOOL),
     }, "metrics report from scores plus decisions")
 
     sub("sweep", cmd_sweep, {
         **_SCENARIO_OPTS,
-        "durations": Opt(cast=_listed(_as_positive), required=True,
+        "durations": Opt(cast=_listed(POSITIVE), required=True,
                          help="comma-separated window durations in seconds"),
         "out_dir": Opt(required=True),
-        "exclude_background": Opt(False, _as_bool),
+        "exclude_background": Opt(False, BOOL),
         **_WINDOW_OPTS, **_TRAIN_HYPER, **_PDF_OPTS,
     }, "re-run the whole pipeline per window duration")
 
     sub("stream", cmd_stream, {
         "model": Opt(required=True),
         "detector": Opt(required=True),
-        "input": Opt(cast=_listed(_as_text), required=True,
+        "input": Opt(cast=_listed(TEXT), required=True,
                      help="comma-separated flow capture paths"),
-        "strict": Opt(False, _as_bool),
+        "strict": Opt(False, BOOL),
     }, "emit JSON-lines decisions from a time-ordered flow stream")
 
     return parser

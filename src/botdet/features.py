@@ -100,12 +100,16 @@ def state_category(state: str) -> str:
 
 
 def window_index(t: float, t0: float, window_seconds: float) -> int:
-    """Zero-based window number of timestamp ``t`` relative to ``t0``."""
+    """Zero-based window number of ``t`` from ``t0``; DataError if it overflows float64."""
     if window_seconds <= 0:
         raise ValueError(f"window_seconds must be positive, got {window_seconds}")
     if t < t0:
         raise ValueError(f"timestamp {t} precedes stream origin {t0}")
-    return int((t - t0) // window_seconds)
+    w = (t - t0) // window_seconds
+    if w == np.inf:
+        raise DataError(f"window_seconds {window_seconds!r} is too short: window numbers "
+                        f"overflow float64 {t - t0!r} s after the first flow")
+    return int(w)
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,11 +264,13 @@ def _aggregate_table(table: FlowTable, t0: float, window_seconds: float) -> list
     """aggregate_flows of a FlowTable by array reductions over its (host, window) groups.
 
     Window numbers are ``(t - t0) // T`` as window_index computes them, and
-    stay float64, which holds each of them exactly at any size; a row's
-    number is its ``int``. ``sum_dur`` is a ``bincount`` in table order,
-    which adds each group's durations one by one in the order AggBuilder
-    would. Each distinct (proto, dst_port) pair's service is derived once;
-    its column, one per service, gives the pair's flows both counts.
+    stay float64, which holds each finite one exactly; a row's number is
+    its ``int``; the table is sorted by start time, so window_index checks
+    them all on its first and last flows. ``sum_dur`` is a ``bincount`` in
+    table order, which adds each group's durations one by one in the order
+    AggBuilder would. Each distinct (proto, dst_port) pair's service is
+    derived once; its column, one per service, gives the pair's flows both
+    counts.
     Nothing allocated here scales with the span of window numbers.
     """
     cols, vocab = table.columns, table.vocab
@@ -272,7 +278,8 @@ def _aggregate_table(table: FlowTable, t0: float, window_seconds: float) -> list
     n = len(start)
     if not n:
         return []
-    window_index(float(start.min()), t0, window_seconds)  # raises as the records' path would
+    for t in (start[0], start[-1]):  # raises as the records' path would
+        window_index(float(t), t0, window_seconds)
     windows = np.floor_divide(start - t0, window_seconds)
     # Group by (window, host): the window's rank among the distinct ones,
     # times the host count, plus the host code.

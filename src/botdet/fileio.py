@@ -15,14 +15,13 @@ Every artifact is versioned and self-describing:
 
 Readers verify format_version and artifact kind and raise DataError with
 the offending path on any mismatch, or on a payload that is missing a key
-or holds a value of the wrong type: a count (``n_windows``, ``l_max``, a
-model's sizes and seed, a detector's ``bins`` and ``min_samples``, a
-density's ``n``) must be a JSON integer, and a time (``window_seconds``,
-``t0``) or any other number (normalizer ``min`` and ``max``, a
-parameter's ``data``, a density's ``params``, ``loc``, ``scale`` and
-``sse``) a JSON number; none of them may be a bool. The features,
-scores and decisions readers also refuse a host-window (src_addr,
-window_index) that repeats.
+or holds a value of the wrong type. Each kind of value has one rule below
+(COUNT, INDEX, POSITIVE, ...): the CLI checks its options with them, and a
+reader checks each scalar field with the rule of the option that records
+it, naming the path and the key of a value it refuses. An array of numbers
+(normalizer ``min`` and ``max``, a parameter's ``data``) must hold finite
+JSON numbers, none of them a bool. The features, scores and decisions
+readers also refuse a host-window (src_addr, window_index) that repeats.
 """
 
 from __future__ import annotations
@@ -51,6 +50,45 @@ from .scoring import ScoredWindow
 from .train import TrainedModel
 
 FORMAT_VERSION = 1
+
+
+# ------------------------------------------------------------------ rules
+
+def rule(what: str, convert: Callable, *accepts: type,
+         ok: Callable = lambda x: True) -> Callable:
+    """The check of one kind of value: a JSON type in ``accepts``, converted, passing ``ok``.
+
+    ``check(v, text=True)`` also takes the str of an int or float (a flag, a config value, a
+    CSV cell). A refused value raises TypeError or ValueError saying what was expected, and
+    a JSON integer beyond float64 raises OverflowError."""
+    def check(v, text: bool = False):
+        if type(v) not in accepts and not (text and type(v) is str and convert in (int, float)):
+            raise TypeError(f"expected {what}, got {v!r}")
+        x = convert(v)
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"expected a finite number, got {v!r}")
+        if not ok(x):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return x
+    return check
+
+
+TEXT = rule("a string", str, str)
+BOOL = rule("true or false", bool, bool)
+INTEGER = rule("an integer", int, int)
+COUNT = rule("an integer >= 1", int, int, ok=lambda x: x >= 1)
+INDEX = rule("an integer >= 0", int, int, ok=lambda x: x >= 0)
+NUMBER = rule("a number", float, int, float)
+POSITIVE = rule("a number > 0", float, int, float, ok=lambda x: x > 0)
+NONNEGATIVE = rule("a number >= 0", float, int, float, ok=lambda x: x >= 0)
+
+
+def _field(value, rule: Callable, key: str, where, text: bool = False):
+    """``rule(value, text)``; a refused value is a DataError naming ``where`` (path[:line]) and key."""
+    try:
+        return rule(value, text)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: {key}: {exc}") from None
 
 
 def dump_json(payload: dict, path: str | Path) -> None:
@@ -140,20 +178,6 @@ def _check_finite(values: np.ndarray, name: str, path: Path) -> None:
                         f"({values.flat[bad[0]]!r} at flat index {bad[0]})")
 
 
-def _count(value, key: str, path: Path) -> int:
-    """A count read from key ``key``: a JSON integer, not a bool or a fraction."""
-    if type(value) is not int:
-        raise DataError(f"{path}: {key} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _number(value, key: str, path: Path) -> float:
-    """A number read from key ``key``: a JSON number, not a bool."""
-    if type(value) not in (int, float):
-        raise DataError(f"{path}: {key} must be a JSON number, got {value!r}")
-    return float(value)
-
-
 def _holds_bool(value) -> bool:
     if type(value) is not list:
         return type(value) is bool
@@ -169,21 +193,9 @@ def _numbers(value, key: str, path: Path) -> np.ndarray:
 
 
 def _window_config(src: dict, path: Path) -> dict:
-    """``window_seconds``, ``n_windows`` and ``l_max`` of an artifact, type- and range-checked."""
-    cfg = {"window_seconds": _number(src["window_seconds"], "window_seconds", path),
-           **{k: _count(src[k], k, path) for k in ("n_windows", "l_max")}}
-    if not 0.0 < cfg["window_seconds"] < np.inf or min(cfg["n_windows"], cfg["l_max"]) < 1:
-        raise DataError(f"{path}: window config out of range {cfg}: window_seconds must "
-                        "be finite and > 0, n_windows and l_max >= 1")
-    return cfg
-
-
-def _window(text: str) -> int:
-    """A host-window row's window_index: windows count from 0 at t0."""
-    w = int(text)
-    if w < 0:
-        raise ValueError(f"negative window_index {w}")
-    return w
+    """``window_seconds``, ``n_windows`` and ``l_max`` of an artifact, each checked by its rule."""
+    return {"window_seconds": _field(src["window_seconds"], POSITIVE, "window_seconds", path),
+            **{k: _field(src[k], COUNT, k, path) for k in ("n_windows", "l_max")}}
 
 
 def _check_new(seen: dict, src_addr: str, window: int, line: int, p: Path) -> None:
@@ -192,13 +204,6 @@ def _check_new(seen: dict, src_addr: str, window: int, line: int, p: Path) -> No
     if first != line:
         raise DataError(f"{p}:{line}: host-window ({src_addr!r}, {window}) "
                         f"repeats line {first}")
-
-
-def _finite(text: str, name: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite {name} {text!r}")
-    return x
 
 
 # ---------------------------------------------------------------- features
@@ -231,7 +236,7 @@ class FeaturesMeta:
         names = tuple(header["feature_names"])
         normalizer = _normalizer_from_payload(header["normalizer"], names, path)
         return cls(feature_names=names, normalizer=normalizer,
-                   **_window_config(header, path), t0=_number(header["t0"], "t0", path))
+                   **_window_config(header, path), t0=_field(header["t0"], NUMBER, "t0", path))
 
 
 def write_features(path: str | Path, meta: FeaturesMeta,
@@ -267,14 +272,16 @@ def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
         rows, seen = [], {}
         for rec in reader:
             line = reader.line_num + 1  # the reader started after the #META line
+            at = f"{p}:{line}"
             try:
                 if len(rec) != len(expected):
                     raise ValueError(f"{len(rec)} columns, expected {len(expected)}")
                 values = np.array([float(v) for v in rec[4:]], dtype=np.float64)
                 if not ((values >= 0.0) & (values <= 1.0)).all():
                     raise ValueError("feature values must be finite and in [0, 1]")
-                row = FeatureRow(src_addr=rec[0], window_index=_window(rec[1]),
-                                 first_seen=_finite(rec[2], "first_seen"),
+                row = FeatureRow(src_addr=rec[0],
+                                 window_index=_field(rec[1], INDEX, "window_index", at, text=True),
+                                 first_seen=_field(rec[2], NUMBER, "first_seen", at, text=True),
                                  label=GroundTruth(rec[3]), values=values)
             except ValueError as exc:
                 raise DataError(f"{p}:{line}: bad features row ({exc})")
@@ -321,14 +328,14 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
     arch = payload["arch"]
     cfg = payload["config"]
     names = tuple(payload["feature_names"])
-    f_dim, latent = (_count(cfg[k], k, p) for k in ("f_dim", "latent"))
+    f_dim, latent = (_field(cfg[k], COUNT, k, p) for k in ("f_dim", "latent"))
     if f_dim != len(names):
         raise DataError(f"{p}: config.f_dim {f_dim} does not match "
                         f"the {len(names)} feature names")
     if arch == "rvae":
-        params = RvaeParams.init(None, f_dim, _count(cfg["hidden"], "hidden", p), latent)
+        params = RvaeParams.init(None, f_dim, _field(cfg["hidden"], COUNT, "hidden", p), latent)
     elif arch == "mlp":
-        params = MlpVaeParams.init(None, f_dim, tuple(_count(n, "hidden", p)
+        params = MlpVaeParams.init(None, f_dim, tuple(_field(n, COUNT, "hidden", p)
                                                       for n in cfg["hidden"]), latent)
     else:
         raise DataError(f"{p}: unknown arch {arch!r}")
@@ -354,7 +361,8 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
     return TrainedModel(arch=arch, params=params, feature_names=names,
                         normalizer=_normalizer_from_payload(payload["normalizer"],
                                                             names, p),
-                        **_window_config(cfg, p), seed=_count(payload["rng_seed"], "rng_seed", p),
+                        **_window_config(cfg, p), seed=_field(payload["rng_seed"], INDEX,
+                                                              "rng_seed", p),
                         train_summary=payload["training_log_summary"])
 
 
@@ -376,19 +384,15 @@ def _pdf_from_payload(entry: dict, name: str, path: Path) -> FittedPdf:
     params = entry["params"]
     if type(params) is not list:
         raise DataError(f"{path}: {name}.params must be a list, got {params!r}")
-    shapes = tuple(_number(v, f"{name}.params", path) for v in params)
-    loc, scale = (_number(entry[k], f"{name}.{k}", path) for k in ("loc", "scale"))
+    shapes = tuple(_field(v, POSITIVE, f"{name}.params", path) for v in params)
     if len(shapes) != fam.n_shapes:
         raise DataError(f"{path}: {name} family {fam.name} takes {fam.n_shapes} "
                         f"shape parameter(s), params holds {len(shapes)}")
-    if not all(math.isfinite(v) and v > 0 for v in (*shapes, scale)):
-        raise DataError(f"{path}: {name} shapes and scale must be finite and > 0, "
-                        f"got params={list(shapes)} scale={scale}")
-    if not math.isfinite(loc):
-        raise DataError(f"{path}: {name} loc must be finite, got {loc}")
-    return FittedPdf(family=fam.name, shapes=shapes, loc=loc, scale=scale,
-                     sse=_number(entry["sse"], f"{name}.sse", path),
-                     n_samples=_count(entry["n"], f"{name}.n", path))
+    return FittedPdf(family=fam.name, shapes=shapes,
+                     loc=_field(entry["loc"], NUMBER, f"{name}.loc", path),
+                     scale=_field(entry["scale"], POSITIVE, f"{name}.scale", path),
+                     sse=_field(entry["sse"], NONNEGATIVE, f"{name}.sse", path),
+                     n_samples=_field(entry["n"], COUNT, f"{name}.n", path))
 
 
 def save_detector(path: str | Path, det: DetectorModel) -> None:
@@ -409,16 +413,12 @@ def load_detector(path: str | Path) -> DetectorModel:
 
 
 def _detector_from_payload(payload: dict, path: Path) -> DetectorModel:
-    bins, min_samples = (_count(payload[k], k, path) for k in ("bins", "min_samples"))
-    if bins < 1 or min_samples < 1:
-        raise DataError(f"{path}: bins and min_samples must be >= 1, "
-                        f"got bins={bins} min_samples={min_samples}")
     return DetectorModel(
         pdf_normal=_pdf_from_payload(payload["pdf_normal"], "pdf_normal", path),
         pdf_botnet=_pdf_from_payload(payload["pdf_botnet"], "pdf_botnet", path),
         tie_rule=payload["tie_rule"],
-        bins=bins,
-        min_samples=min_samples,
+        bins=_field(payload["bins"], COUNT, "bins", path),
+        min_samples=_field(payload["min_samples"], COUNT, "min_samples", path),
     )
 
 
@@ -454,9 +454,12 @@ def read_scores_csv(path: str | Path) -> list[ScoredWindow]:
         for rec in reader:
             try:
                 src_addr, window, first_seen, label, score = rec
-                s = ScoredWindow(src_addr=src_addr, window_index=_window(window),
-                                 first_seen=_finite(first_seen, "first_seen"),
-                                 label=GroundTruth(label), score=_finite(score, "score"))
+                at = f"{p}:{reader.line_num}"
+                s = ScoredWindow(src_addr=src_addr,
+                                 window_index=_field(window, INDEX, "window_index", at, text=True),
+                                 first_seen=_field(first_seen, NUMBER, "first_seen", at, text=True),
+                                 label=GroundTruth(label),
+                                 score=_field(score, NUMBER, "score", at, text=True))
             except ValueError as exc:
                 raise DataError(f"{p}:{reader.line_num}: bad scores row ({exc})")
             _check_new(seen, s.src_addr, s.window_index, reader.line_num, p)
@@ -474,7 +477,7 @@ def write_decisions_jsonl(path: str | Path, decisions: Iterable[dict]) -> None:
 
 
 def read_decisions_jsonl(path: str | Path) -> list[dict]:
-    """One decision record per host-window: a str src_addr, an int window_index and a verdict."""
+    """One decision record per host-window: a str src_addr, a window_index >= 0 and a verdict."""
     p = Path(path)
     out, seen = [], {}
     with _open_text(p) as fh:
@@ -484,14 +487,16 @@ def read_decisions_jsonl(path: str | Path) -> list[dict]:
                 continue
             try:
                 record = json.loads(line)
+                INDEX(record["window_index"])
+                if not (type(record["src_addr"]) is str
+                        and record["verdict"] in ("Malicious", "NonMalicious")):
+                    raise ValueError
             except json.JSONDecodeError as exc:
                 raise DataError(f"{p}:{i}: bad decision record ({exc})")
-            if not (isinstance(record, dict) and isinstance(record.get("src_addr"), str)
-                    and type(record.get("window_index")) is int
-                    and record.get("verdict") in ("Malicious", "NonMalicious")):
+            except (KeyError, TypeError, ValueError):
                 raise DataError(f"{p}:{i}: a decision record needs a string src_addr, an "
-                                "integer window_index and a verdict of Malicious or "
-                                "NonMalicious")
+                                "integer window_index >= 0 and a verdict of Malicious or "
+                                "NonMalicious") from None
             _check_new(seen, record["src_addr"], record["window_index"], i, p)
             out.append(record)
     return out

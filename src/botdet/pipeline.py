@@ -96,13 +96,22 @@ def _aggregate_split(flows: FlowTable, stats: IngestStats, window_seconds: float
 
 def _split_paths(manifest_path: str | Path, train_ids: Sequence[str],
                  test_ids: Sequence[str]) -> tuple[list[Path], list[Path]]:
-    overlap = sorted(set(train_ids) & set(test_ids))
-    if overlap:
-        raise UsageError(f"train and test scenarios must be disjoint; both have {overlap}")
+    """Each split's captures: each id is listed once, in one split, and names its own file."""
+    ids = [*train_ids, *test_ids]
+    repeated = sorted({s for s in ids if ids.count(s) > 1})
+    if repeated:
+        raise UsageError(f"scenario ids must be disjoint and listed once; repeated: {repeated}")
     if not train_ids or not test_ids:
         raise UsageError("need at least one train and one test scenario id")
     manifest = load_manifest(manifest_path)
-    return resolve_scenarios(manifest, train_ids), resolve_scenarios(manifest, test_ids)
+    train, test = resolve_scenarios(manifest, train_ids), resolve_scenarios(manifest, test_ids)
+    named = {}  # (device, inode) -> the first id that names the capture
+    for s, path in zip(ids, (*train, *test)):
+        st = path.stat()
+        first = named.setdefault((st.st_dev, st.st_ino), s)
+        if first != s:
+            raise DataError(f"scenarios {first!r} and {s!r} name one capture, {path}")
+    return train, test
 
 
 def _normalized(train, test, *, window_seconds: float, n_windows: int, l_max: int,

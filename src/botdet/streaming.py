@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .detector import DetectorModel, classify
 from .errors import DataError
 from .features import (FEATURE_NAMES, FeatureRow, aggregate_flows, rows_from_aggregates,
-                       trailing_sequences)
+                       trailing_sequences, window_index)
 from .ingest import FlowRecord
 from .scoring import score_sequences
 from .train import TrainedModel
@@ -71,8 +71,7 @@ def run_stream(model: TrainedModel, det: DetectorModel,
                 stats.flows_in += 1
                 if t0 is None:
                     t0 = flow.start_time
-                w = int((flow.start_time - t0) // T)
-                if w < open_w:
+                if flow.start_time < t0 or (w := window_index(flow.start_time, t0, T)) < open_w:
                     stats.late_dropped += 1
                     continue
                 open_w, last = w, flow.start_time

@@ -487,14 +487,15 @@ def test_detector_with_unknown_tie_rule_is_a_data_error(chain, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("edit,reason", [
-    (lambda d: d["pdf_botnet"].update(scale=-1), "pdf_botnet shapes and scale must be finite and > 0"),
-    (lambda d: d["pdf_normal"].update(loc=float("nan")), "pdf_normal loc must be finite"),
+    (lambda d: d["pdf_botnet"].update(scale=-1), "pdf_botnet.scale: expected a number > 0, got -1"),
+    (lambda d: d["pdf_normal"].update(loc=float("nan")),
+     "pdf_normal.loc: expected a finite number, got nan"),
     (lambda d: d["pdf_normal"].update(params=[-abs(v) for v in d["pdf_normal"]["params"]]),
-     "pdf_normal shapes and scale must be finite and > 0"),
+     "pdf_normal.params: expected a number > 0, got -"),
     (lambda d: d["pdf_botnet"].update(params=d["pdf_botnet"]["params"][:-1]),
      "shape parameter(s), params holds"),
-    (lambda d: d.update(bins=0), "bins and min_samples must be >= 1"),
-    (lambda d: d.update(min_samples=0), "bins and min_samples must be >= 1"),
+    (lambda d: d.update(bins=0), "bins: expected an integer >= 1, got 0"),
+    (lambda d: d.update(min_samples=0), "min_samples: expected an integer >= 1, got 0"),
 ], ids=["negative-scale", "nan-loc", "negative-shapes", "short-params", "zero-bins",
         "zero-min-samples"])
 def test_detector_that_cannot_be_evaluated_is_a_data_error(chain, tmp_path, capsys,
@@ -530,7 +531,7 @@ def test_window_config_out_of_range_is_a_data_error(chain, tmp_path, capsys,
     path = _doctored(chain, tmp_path, artifact, edit)
     assert main(_loading_argv(chain, artifact, path, tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert f"{path}: window config out of range" in err and key in err
+    assert f"{path}: {key}: expected " in err
     assert not (tmp_path / "out").exists()
 
 
@@ -696,7 +697,7 @@ def test_train_on_features_with_l_max_zero_is_a_data_error(chain, tmp_path, caps
     path = _doctored(chain, tmp_path, "features", lambda header: {**header, "l_max": 0})
     assert main(["train", "--features", str(path), "--model-out",
                  str(tmp_path / "model.json"), *FAST_TRAIN]) == 2
-    assert f"{path}: window config out of range" in capsys.readouterr().err
+    assert f"{path}: l_max: expected an integer >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
 
 
@@ -723,8 +724,9 @@ def test_a_bool_or_fraction_for_a_count_or_time_is_a_data_error(chain, tmp_path,
     out = tmp_path / "out"
     assert main(_loading_argv(chain, artifact, path, out)) == 2
     err = capsys.readouterr().err
-    kind = "number" if key in ("window_seconds", "t0") else "integer"
-    assert f"data error: {path}: {key} must be a JSON {kind}, got {value!r}" in err
+    what = {"window_seconds": "a number > 0", "t0": "a number",
+            "rng_seed": "an integer >= 0"}.get(key, "an integer >= 1")
+    assert f"data error: {path}: {key}: expected {what}, got {value!r}" in err
     assert not out.exists()
 
 
@@ -756,11 +758,11 @@ def test_a_bool_in_a_parameter_is_a_data_error(chain, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,message", [
-    ("params", "pdf_normal.params must be a JSON number, got True"),
-    ("loc", "pdf_normal.loc must be a JSON number, got True"),
-    ("scale", "pdf_normal.scale must be a JSON number, got True"),
-    ("sse", "pdf_normal.sse must be a JSON number, got True"),
-    ("n", "pdf_normal.n must be a JSON integer, got True"),
+    ("params", "pdf_normal.params: expected a number > 0, got True"),
+    ("loc", "pdf_normal.loc: expected a number, got True"),
+    ("scale", "pdf_normal.scale: expected a number > 0, got True"),
+    ("sse", "pdf_normal.sse: expected a number >= 0, got True"),
+    ("n", "pdf_normal.n: expected an integer >= 1, got True"),
 ])
 def test_a_bool_in_a_density_is_a_data_error(chain, tmp_path, capsys, key, message):
     def edit(payload):
@@ -785,15 +787,164 @@ def test_stream_refuses_a_bool_or_fraction_for_a_model_count_or_time(chain, fixt
                  "--input", str(fixture_dir["test"])]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"data error: {path}: {key} must be a JSON " in captured.err
+    assert f"data error: {path}: {key}: expected " in captured.err
 
 
 def test_train_on_features_with_a_bool_n_windows_is_a_data_error(chain, tmp_path, capsys):
     path = _doctored(chain, tmp_path, "features", lambda header: {**header, "n_windows": True})
     assert main(["train", "--features", str(path), "--model-out",
                  str(tmp_path / "model.json"), *FAST_TRAIN]) == 2
-    assert f"{path}: n_windows must be a JSON integer, got True" in capsys.readouterr().err
+    assert f"{path}: n_windows: expected an integer >= 1, got True" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
+
+
+# What each rule refuses among true, "3", 0, -1, 2.5, NaN and Infinity; the
+# CLI option that records a field checks it with the same rule.
+_ODD = {"true": True, "text": "3", "zero": 0, "minus-one": -1, "fraction": 2.5,
+        "nan": float("nan"), "inf": float("inf")}
+_REFUSES = {
+    "count": list(_ODD),
+    "index": ["true", "text", "minus-one", "fraction", "nan", "inf"],
+    "number": ["true", "text", "nan", "inf"],
+    "positive": ["true", "text", "zero", "minus-one", "nan", "inf"],
+    "nonnegative": ["true", "text", "minus-one", "nan", "inf"],
+}
+
+
+def _refusals(fields: dict) -> list:
+    return [pytest.param(key, _ODD[odd], id=f"{key}-{odd}")
+            for key, kind in fields.items() for odd in _REFUSES[kind]]
+
+
+def _assert_refused(chain, tmp_path, capsys, artifact, edit, key):
+    path = _doctored(chain, tmp_path, artifact, edit)
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, artifact, path, out)) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}: {key}: expected " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", _refusals({
+    "window_seconds": "positive", "n_windows": "count", "l_max": "count", "t0": "number"}))
+def test_the_features_header_is_checked_by_the_option_rules(chain, tmp_path, capsys,
+                                                            key, value):
+    _assert_refused(chain, tmp_path, capsys, "features",
+                    lambda header: {**header, key: value}, key)
+
+
+@pytest.mark.parametrize("key,value", _refusals({
+    "f_dim": "count", "hidden": "count", "latent": "count", "l_max": "count",
+    "n_windows": "count", "window_seconds": "positive", "rng_seed": "index"}))
+def test_the_model_config_and_seed_are_checked_by_the_option_rules(chain, tmp_path, capsys,
+                                                                   key, value):
+    _assert_refused(chain, tmp_path, capsys, "model",
+                    _set_count_or_time("model", key, value), key)
+
+
+@pytest.mark.parametrize("key,value", _refusals({
+    "bins": "count", "min_samples": "count", "params": "positive", "loc": "number",
+    "scale": "positive", "sse": "nonnegative", "n": "count"}))
+def test_the_detector_is_checked_by_the_option_rules(chain, tmp_path, capsys, key, value):
+    def edit(payload):
+        if key in ("bins", "min_samples"):
+            payload[key] = value
+        elif key == "params":
+            payload["pdf_normal"]["params"][0] = value
+        else:
+            payload["pdf_normal"][key] = value
+        return payload
+    _assert_refused(chain, tmp_path, capsys, "detector", edit,
+                    key if key in ("bins", "min_samples") else f"pdf_normal.{key}")
+
+
+def test_a_flag_and_the_model_field_it_records_share_one_rule(chain, tmp_path, capsys):
+    assert main(["train", "--features", str(chain["features_train"]),
+                 "--model-out", str(tmp_path / "m.json"), *FAST_TRAIN, "--hidden", "0"]) == 1
+    usage = capsys.readouterr().err
+    path = _doctored(chain, tmp_path, "model", _set_count_or_time("model", "hidden", 0))
+    assert main(_loading_argv(chain, "model", path, tmp_path / "out")) == 2
+    data = capsys.readouterr().err
+    assert usage == "usage error: --hidden: expected an integer >= 1, got '0'\n"
+    assert data == f"data error: {path}: hidden: expected an integer >= 1, got 0\n"
+
+
+def test_an_integer_beyond_float64_is_refused_where_a_number_belongs(chain, fixture_dir,
+                                                                    tmp_path, capsys):
+    huge = 10 ** 400
+    required = _required(chain, fixture_dir, tmp_path, "preprocess")
+    assert main(["preprocess", "--config",
+                 _config(tmp_path, {**required, "window_seconds": huge})]) == 1
+    assert (capsys.readouterr().err
+            == "usage error: --window-seconds: int too large to convert to float\n")
+    path = _doctored(chain, tmp_path, "model",
+                     _set_count_or_time("model", "window_seconds", huge))
+    assert main(_loading_argv(chain, "model", path, tmp_path / "s.csv")) == 2
+    assert (capsys.readouterr().err
+            == f"data error: {path}: window_seconds: int too large to convert to float\n")
+
+
+def _overflow_argv(command: str, fixture_dir, tmp_path, chain) -> list[str]:
+    scenarios = ["--manifest", str(fixture_dir["manifest"]), "--train-scenarios", "synth-train",
+                 "--test-scenarios", "synth-test", "--out-dir", str(tmp_path / "out")]
+    if command == "preprocess":
+        return ["preprocess", *scenarios, "--window-seconds", "1e-320"]
+    if command == "sweep":
+        return ["sweep", *scenarios, "--durations", "1e-320", *FAST_TRAIN]
+    path = _doctored(chain, tmp_path, "model",
+                     _set_count_or_time("model", "window_seconds", 5e-324))
+    return ["stream", "--model", str(path), "--detector", str(chain["detector"]),
+            "--input", str(fixture_dir["test"])]
+
+
+@pytest.mark.parametrize("command", ["preprocess", "sweep", "stream"])
+def test_a_window_too_short_to_number_is_a_data_error(chain, fixture_dir, tmp_path, capsys,
+                                                      command):
+    assert main(_overflow_argv(command, fixture_dir, tmp_path, chain)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: window_seconds ")
+    assert "too short: window numbers overflow float64" in captured.err
+    assert captured.out == "" and not list((tmp_path / "out").glob("*"))  # nothing written
+
+
+def test_a_window_short_but_numberable_still_preprocesses(fixture_dir, tmp_path, capsys):
+    """1e-305 s numbers the fixture's 1,440 s span below float64's maximum."""
+    out = tmp_path / "out"
+    assert main(["preprocess", "--manifest", str(fixture_dir["manifest"]),
+                 "--train-scenarios", "synth-train", "--test-scenarios", "synth-test",
+                 "--out-dir", str(out), "--window-seconds", "1e-305"]) == 0
+    meta, rows = read_features(out / "features-test.csv")
+    assert meta.window_seconds == 1e-305 and max(r.window_index for r in rows) > 10**307
+
+
+def _alias_manifest(fixture_dir, tmp_path) -> Path:
+    """A manifest where ``alias`` names the training capture a second time."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"scenarios": {
+        "synth-train": str(fixture_dir["train"]), "synth-test": str(fixture_dir["test"]),
+        "alias": str(fixture_dir["train"])}}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["preprocess", "sweep"])
+@pytest.mark.parametrize("train,test,code,message", [
+    ("synth-train,synth-train", "synth-test", 1,
+     "usage error: scenario ids must be disjoint and listed once; repeated: ['synth-train']"),
+    ("synth-train,alias", "synth-test", 2,
+     "data error: scenarios 'synth-train' and 'alias' name one capture"),
+    ("synth-train", "alias", 2,
+     "data error: scenarios 'synth-train' and 'alias' name one capture"),
+], ids=["repeated-id", "alias-in-a-split", "alias-across-splits"])
+def test_a_capture_is_read_once(fixture_dir, tmp_path, capsys, command, train, test, code,
+                                message):
+    argv = [command, "--manifest", str(_alias_manifest(fixture_dir, tmp_path)),
+            "--train-scenarios", train, "--test-scenarios", test,
+            "--out-dir", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--durations", "60", *FAST_TRAIN]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not list((tmp_path / "out").glob("*"))  # nothing written
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
