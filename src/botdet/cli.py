@@ -285,6 +285,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    pipeline.distinct_captures("--input paths", args.input, args.input)
     model = fileio.load_model(args.model)
     det = fileio.load_detector(args.detector)
     ingest_stats = IngestStats()

@@ -2,13 +2,13 @@
 
 Every artifact is versioned and self-describing:
 
-- features file: CSV with a ``#META`` first line holding the header JSON
-  (feature names, normalizer stats, window config, t0), then one record
-  per host-window
+- features and scores files: one host-window table, a CSV of the key
+  columns src_addr,window_index,first_seen,label, then the values: the
+  features (each in [0, 1]) after a ``#META`` line holding the header JSON
+  (names, normalizer stats, window config, t0), or a score, with no header
 - model file: JSON with named flat parameter arrays; floats survive a
   save/load round trip bit for bit (shortest-repr encoding)
 - detector file: JSON with the two fitted densities
-- scores file: CSV src_addr,window_index,first_seen,label,score
 - decisions file: JSON lines
 - run manifest: config hash, input digests, seed, library versions; no
   timestamps, so reruns produce identical bytes
@@ -20,8 +20,8 @@ or holds a value of the wrong type. Each kind of value has one rule below
 reader checks each scalar field with the rule of the option that records
 it, naming the path and the key of a value it refuses. An array of numbers
 (normalizer ``min`` and ``max``, a parameter's ``data``) must hold finite
-JSON numbers, none of them a bool. The features, scores and decisions
-readers also refuse a host-window (src_addr, window_index) that repeats.
+JSON numbers, none of them a bool. The table and decisions readers also
+refuse a host-window (src_addr, window_index) that repeats.
 """
 
 from __future__ import annotations
@@ -206,6 +206,56 @@ def _check_new(seen: dict, src_addr: str, window: int, line: int, p: Path) -> No
                         f"repeats line {first}")
 
 
+# ------------------------------------------ host-window table: features, scores
+
+_KEYS = ("src_addr", "window_index", "first_seen", "label")
+
+
+def _write_table(path: str | Path, head: str, value_names: Sequence[str],
+                 records: Iterable, values: Callable) -> None:
+    """``head``, the column header, then per record its key cells and ``values(record)``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(head)
+        writer = csv.writer(fh)
+        writer.writerow([*_KEYS, *value_names])
+        writer.writerows([r.src_addr, r.window_index, repr(r.first_seen), r.label.value,
+                          *[repr(float(v)) for v in values(r)]] for r in records)
+
+
+def _read_table(p: Path, fh, kind: str, value_names: Sequence[str], make: Callable,
+                values: Callable, head_lines: int = 0) -> list:
+    """``make(*key cells, values(value cells, "path:line"))`` per row of ``fh``, whose column
+    header follows ``head_lines`` lines already read; any refusal names the path (and line)."""
+    reader = csv.reader(fh)
+    columns = [*_KEYS, *value_names]
+    if next(reader, None) != columns:
+        raise DataError(f"{p}: not a {kind} file (bad column header)")
+    out, seen = [], {}
+    for rec in reader:
+        line = reader.line_num + head_lines
+        at = f"{p}:{line}"
+        try:
+            if len(rec) != len(columns):
+                raise ValueError(f"{len(rec)} columns, expected {len(columns)}")
+            window = _field(rec[1], INDEX, "window_index", at, text=True)
+            out.append(make(rec[0], window, _field(rec[2], NUMBER, "first_seen", at, text=True),
+                            GroundTruth(rec[3]), values(rec[4:], at)))
+        except ValueError as exc:
+            raise DataError(f"{at}: bad {kind} row ({exc})")
+        _check_new(seen, rec[0], window, line, p)
+    return out
+
+
+def write_scores_csv(path: str | Path, scored: Iterable[ScoredWindow]) -> None:
+    _write_table(path, "", ("score",), scored, lambda s: (s.score,))
+
+
+def read_scores_csv(path: str | Path) -> list[ScoredWindow]:
+    with _open_text(p := Path(path)) as fh:
+        return _read_table(p, fh, "scores", ("score",), ScoredWindow,
+                           lambda cells, at: _field(cells[0], NUMBER, "score", at, text=True))
+
+
 # ---------------------------------------------------------------- features
 
 @dataclass(frozen=True)
@@ -239,22 +289,13 @@ class FeaturesMeta:
                    **_window_config(header, path), t0=_field(header["t0"], NUMBER, "t0", path))
 
 
-def write_features(path: str | Path, meta: FeaturesMeta,
-                   rows: Iterable[FeatureRow]) -> None:
+def write_features(path: str | Path, meta: FeaturesMeta, rows: Iterable[FeatureRow]) -> None:
     header_json = json.dumps(meta.to_header(), sort_keys=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"#META {header_json}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["src_addr", "window_index", "first_seen", "label",
-                         *meta.feature_names])
-        for row in rows:
-            writer.writerow([row.src_addr, row.window_index, repr(row.first_seen),
-                             row.label.value, *[repr(float(v)) for v in row.values]])
+    _write_table(path, f"#META {header_json}\n", meta.feature_names, rows, lambda r: r.values)
 
 
 def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
-    p = Path(path)
-    with _open_text(p) as fh:
+    with _open_text(p := Path(path)) as fh:
         first = fh.readline()
         if not first.startswith("#META "):
             raise DataError(f"{p}: missing #META header line")
@@ -263,31 +304,16 @@ def read_features(path: str | Path) -> tuple[FeaturesMeta, list[FeatureRow]]:
         except json.JSONDecodeError as exc:
             raise DataError(f"{p}:1: #META header is not valid JSON ({exc})")
         meta = _decode(header, "features", p, FeaturesMeta.from_header)
-        reader = csv.reader(fh)
-        columns = next(reader, None)
-        expected = ["src_addr", "window_index", "first_seen", "label",
-                    *meta.feature_names]
-        if columns != expected:
-            raise DataError(f"{p}: column header does not match feature names")
-        rows, seen = [], {}
-        for rec in reader:
-            line = reader.line_num + 1  # the reader started after the #META line
-            at = f"{p}:{line}"
-            try:
-                if len(rec) != len(expected):
-                    raise ValueError(f"{len(rec)} columns, expected {len(expected)}")
-                values = np.array([float(v) for v in rec[4:]], dtype=np.float64)
-                if not ((values >= 0.0) & (values <= 1.0)).all():
-                    raise ValueError("feature values must be finite and in [0, 1]")
-                row = FeatureRow(src_addr=rec[0],
-                                 window_index=_field(rec[1], INDEX, "window_index", at, text=True),
-                                 first_seen=_field(rec[2], NUMBER, "first_seen", at, text=True),
-                                 label=GroundTruth(rec[3]), values=values)
-            except ValueError as exc:
-                raise DataError(f"{p}:{line}: bad features row ({exc})")
-            _check_new(seen, row.src_addr, row.window_index, line, p)
-            rows.append(row)
+        rows = _read_table(p, fh, "features", meta.feature_names, FeatureRow, _feature_values,
+                           head_lines=1)
     return meta, rows
+
+
+def _feature_values(cells: list[str], at: str) -> np.ndarray:
+    values = np.array([float(v) for v in cells], dtype=np.float64)
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise ValueError("feature values must be finite and in [0, 1]")
+    return values
 
 
 # ------------------------------------------------------------------ model
@@ -427,44 +453,6 @@ def _detector_from_payload(payload: dict, path: Path) -> DetectorModel:
 def save_report(path: str | Path, report: MetricsReport) -> None:
     dump_json({"format_version": FORMAT_VERSION, "kind": "metrics-report",
                **asdict(report)}, path)
-
-
-# ----------------------------------------------------------------- scores
-
-SCORES_HEADER = ("src_addr", "window_index", "first_seen", "label", "score")
-
-
-def write_scores_csv(path: str | Path, scored: Iterable[ScoredWindow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_HEADER)
-        for s in scored:
-            writer.writerow([s.src_addr, s.window_index, repr(s.first_seen),
-                             s.label.value, repr(s.score)])
-
-
-def read_scores_csv(path: str | Path) -> list[ScoredWindow]:
-    p = Path(path)
-    with _open_text(p) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(SCORES_HEADER):
-            raise DataError(f"{p}: not a scores file (bad column header)")
-        out, seen = [], {}
-        for rec in reader:
-            try:
-                src_addr, window, first_seen, label, score = rec
-                at = f"{p}:{reader.line_num}"
-                s = ScoredWindow(src_addr=src_addr,
-                                 window_index=_field(window, INDEX, "window_index", at, text=True),
-                                 first_seen=_field(first_seen, NUMBER, "first_seen", at, text=True),
-                                 label=GroundTruth(label),
-                                 score=_field(score, NUMBER, "score", at, text=True))
-            except ValueError as exc:
-                raise DataError(f"{p}:{reader.line_num}: bad scores row ({exc})")
-            _check_new(seen, s.src_addr, s.window_index, reader.line_num, p)
-            out.append(s)
-    return out
 
 
 # -------------------------------------------------------------- decisions

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -105,13 +106,21 @@ def _split_paths(manifest_path: str | Path, train_ids: Sequence[str],
         raise UsageError("need at least one train and one test scenario id")
     manifest = load_manifest(manifest_path)
     train, test = resolve_scenarios(manifest, train_ids), resolve_scenarios(manifest, test_ids)
-    named = {}  # (device, inode) -> the first id that names the capture
-    for s, path in zip(ids, (*train, *test)):
-        st = path.stat()
-        first = named.setdefault((st.st_dev, st.st_ino), s)
-        if first != s:
-            raise DataError(f"scenarios {first!r} and {s!r} name one capture, {path}")
+    distinct_captures("scenarios", ids, (*train, *test))
     return train, test
+
+
+def distinct_captures(what: str, names: Sequence[str], paths: Sequence[str | Path]) -> None:
+    """Refuse one capture (``os.stat`` device and inode) under two of ``names``, naming both."""
+    first = {}  # (device, inode) -> the position of its first name
+    for i, (name, path) in enumerate(zip(names, paths)):
+        try:
+            st = os.stat(path)
+        except OSError as exc:
+            raise DataError(f"cannot open {path}: {exc}") from exc
+        j = first.setdefault((st.st_dev, st.st_ino), i)
+        if j != i:
+            raise DataError(f"{what} {names[j]!r} and {name!r} name one capture, {path}")
 
 
 def _normalized(train, test, *, window_seconds: float, n_windows: int, l_max: int,

@@ -947,6 +947,44 @@ def test_a_capture_is_read_once(fixture_dir, tmp_path, capsys, command, train, t
     assert not list((tmp_path / "out").glob("*"))  # nothing written
 
 
+@pytest.mark.parametrize("inputs", ["same-path", "hard-link"])
+def test_stream_refuses_a_capture_named_twice(chain, fixture_dir, tmp_path, capsys, inputs):
+    """Before any flow is read: one capture would count its open window's flows twice."""
+    capture = tmp_path / "test.binetflow"
+    capture.write_bytes(fixture_dir["test"].read_bytes())
+    other = capture
+    if inputs == "hard-link":
+        other = tmp_path / "link.binetflow"
+        os.link(capture, other)
+    assert main(["stream", "--model", str(chain["model"]), "--detector", str(chain["detector"]),
+                 "--input", f"{capture},{other}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: --input paths {str(capture)!r} and "
+                                   f"{str(other)!r} name one capture")
+
+
+def test_stream_reads_distinct_captures_as_before(chain, fixture_dir, capsys):
+    assert main(["stream", "--model", str(chain["model"]), "--detector", str(chain["detector"]),
+                 "--input", f"{fixture_dir['train']},{fixture_dir['test']}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and "late_dropped=" in captured.err
+
+
+@pytest.mark.parametrize("command,flag,artifact,message", [
+    ("fitpdf", "--scores", "features_train", "not a scores file (bad column header)"),
+    ("score", "--features", "scores_train", "missing #META header line"),
+])
+def test_a_table_of_the_other_kind_is_a_data_error(chain, tmp_path, capsys, command, flag,
+                                                    artifact, message):
+    out = tmp_path / "out"
+    argv = {"fitpdf": ["--detector-out", str(out)],
+            "score": ["--model", str(chain["model"]), "--scores-out", str(out)]}[command]
+    assert main([command, flag, str(chain[artifact]), *argv]) == 2
+    assert capsys.readouterr().err == f"data error: {chain[artifact]}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_train_exits_3_and_writes_nothing(chain, tmp_path, capsys):
     out = tmp_path / "model.json"

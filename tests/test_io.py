@@ -1,9 +1,12 @@
 """Artifact round trips: features, model, detector, scores, decisions, manifests."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from botdet.detector import DetectorModel, FittedPdf
 from botdet.errors import DataError
@@ -120,6 +123,51 @@ def test_features_reader_rejects_a_repeated_host_window(tmp_path):
     with pytest.raises(DataError, match=r"dup.csv:8: host-window \('192.168.0.0', 0\) "
                                         "repeats line 3"):
         read_features(path)
+
+
+# a host-window's key cells: any text for src_addr (commas, quotes, CR/LF and
+# non-ASCII drawn often), any window_index up to int64's maximum, any finite first_seen
+_KEY = st.tuples(
+    st.text(st.one_of(st.sampled_from(',"\r\n #é\u2028'), st.characters(codec="utf-8"))),
+    st.integers(0, 2**63 - 1), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(GroundTruth))
+
+
+def _records(value):
+    """Host-windows with unique (src_addr, window_index), each a key and a drawn value."""
+    return st.lists(st.tuples(_KEY, value), max_size=8, unique_by=lambda r: r[0][:2])
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _key_bits(r) -> tuple:
+    return r.src_addr, r.window_index, _bits(r.first_seen), r.label
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_records(st.lists(st.floats(-0.0, 1.0), min_size=N_FEATURES,
+                                 max_size=N_FEATURES)))
+def test_features_table_round_trips_bit_for_bit(tmp_path, records):
+    rows = [FeatureRow(*key, values=np.array(values)) for key, values in records]
+    path = tmp_path / "features.csv"
+    write_features(path, _meta(np.random.default_rng(0)), rows)
+    _, back = read_features(path)
+    assert ([(*_key_bits(r), r.values.tobytes()) for r in back]
+            == [(*_key_bits(r), r.values.tobytes()) for r in rows])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_records(st.floats(allow_nan=False, allow_infinity=False)))
+def test_scores_table_round_trips_bit_for_bit(tmp_path, records):
+    scored = [ScoredWindow(*key, score) for key, score in records]
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, scored)
+    assert ([(*_key_bits(s), _bits(s.score)) for s in read_scores_csv(path)]
+            == [(*_key_bits(s), _bits(s.score)) for s in scored])
 
 
 def _trained_model(arch="rvae"):
@@ -267,7 +315,8 @@ def test_scores_roundtrip(tmp_path):
 def test_scores_reader_rejects_corrupt_rows(tmp_path):
     header = "src_addr,window_index,first_seen,label,score\n"
     for name, row, reason in [
-        ("truncated", "10.0.0.1,2,1.0", "not enough values"),
+        ("truncated", "10.0.0.1,2,1.0", "3 columns, expected 5"),
+        ("extra", "10.0.0.1,2,1.0,Normal,0.5,0.5", "6 columns, expected 5"),
         ("window", "10.0.0.1,two,1.0,Normal,0.5", "invalid literal"),
         ("label", "10.0.0.1,2,1.0,Suspect,0.5", "not a valid GroundTruth"),
         ("negwindow", "10.0.0.1,-3,1.0,Normal,0.5",
