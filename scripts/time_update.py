@@ -6,14 +6,18 @@
 
 One update is what ``train._fit`` does per batch: zero the gradients, run
 the taped ``rvae_forward`` and ``vae_loss``, ``backward``, clip the global
-gradient norm and take an Adam step. The batch is B full-length sequences
+gradient norm and take an Adam step, all inside one ``models.Workspace``
+as ``train.fit_rvae`` opens. The batch is B full-length sequences
 of L uniform feature vectors (F = the feature count the pipeline builds),
 with a fixed seed, built by ``models.pad_batch`` as training builds its
 batches. The script prints the milliseconds of each update, their
 median, the resident set size before the first update and the process's
 peak resident set size (``getrusage``), which bounds what one update
-needs at that size. The times are raw wall clock: on a shared host,
-compare two versions by alternating their runs in one session.
+needs at that size, and the minor page faults per update (the
+``ru_minflt`` delta over the timed updates, divided by their count),
+which count the fresh pages an update touches. The times are raw wall
+clock: on a shared host, compare two versions by alternating their runs,
+each in its own process.
 
 BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` (or its OpenMP/MKL
 peers) is already set, so the figures compare with the benchmark's.
@@ -68,24 +72,29 @@ def main(argv=None) -> int:
         rng.uniform(0.0, 1.0, size=(args.batch, args.length, N_FEATURES)))
     base_mb = rss_mb()
     times_ms = []
-    for _ in range(args.updates):
-        eps = rng.standard_normal((args.batch, args.latent))
-        start = time.perf_counter()
-        zero_grads(plist)
-        recons, mu, lv = models.rvae_forward(params, batch, lengths, eps)
-        total, _, _ = models.vae_loss(batch, recons, mu, lv, beta=1.0, lengths=lengths)
-        backward(total)
-        clip_global_norm(plist, 5.0)
-        opt.step()
-        end = time.perf_counter()
-        times_ms.append((end - start) * 1000.0)
-        del recons, mu, lv, total
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # KiB on Linux
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with models.Workspace() as workspace:
+        for _ in range(args.updates):
+            eps = rng.standard_normal((args.batch, args.latent))
+            start = time.perf_counter()
+            zero_grads(plist)
+            recons, mu, lv = models.rvae_forward(params, batch, lengths, eps, workspace)
+            total, _, _ = models.vae_loss(batch, recons, mu, lv, beta=1.0, lengths=lengths)
+            backward(total)
+            clip_global_norm(plist, 5.0)
+            opt.step()
+            end = time.perf_counter()
+            times_ms.append((end - start) * 1000.0)
+            del recons, mu, lv, total
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    faults = (usage.ru_minflt - faults) / args.updates
+    peak_mb = usage.ru_maxrss * 1024 / 1e6  # KiB on Linux
     print(f"H={args.hidden} latent={args.latent} L={args.length} B={args.batch} "
           f"F={N_FEATURES} updates={args.updates}")
     print("ms per update: " + " ".join(f"{t:.0f}" for t in times_ms)
           + f" (median {statistics.median(times_ms):.0f})")
     print(f"RSS before the first update {base_mb:.0f} MB, peak {peak_mb:.0f} MB")
+    print(f"minor page faults per update {faults:.0f}")
     return 0
 
 

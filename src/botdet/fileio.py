@@ -192,6 +192,23 @@ def _numbers(value, key: str, path: Path) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+# The keys of ``TrainLog.summary()``, each with the rule of the value it holds.
+_SUMMARY_RULES = {"epochs": COUNT, "updates": COUNT,
+                  **dict.fromkeys(("final_loss", "final_bce", "final_kl", "final_grad_norm_mean",
+                                   "final_grad_norm_max"), NUMBER),
+                  "final_clipped": INDEX}
+
+
+def _train_summary(summary, path: Path) -> dict:
+    """A model's ``training_log_summary``: an object of exactly the summary's keys, each
+    read by its rule."""
+    key = "training_log_summary"
+    if type(summary) is not dict or set(summary) != set(_SUMMARY_RULES):
+        raise DataError(f"{path}: {key}: expected an object with the keys "
+                        f"{', '.join(_SUMMARY_RULES)}, got {summary!r}")
+    return {k: _field(summary[k], rule, f"{key}.{k}", path) for k, rule in _SUMMARY_RULES.items()}
+
+
 def _window_config(src: dict, path: Path) -> dict:
     """``window_seconds``, ``n_windows`` and ``l_max`` of an artifact, each checked by its rule."""
     return {"window_seconds": _field(src["window_seconds"], POSITIVE, "window_seconds", path),
@@ -389,7 +406,7 @@ def _model_from_payload(payload: dict, p: Path) -> TrainedModel:
                                                             names, p),
                         **_window_config(cfg, p), seed=_field(payload["rng_seed"], INDEX,
                                                               "rng_seed", p),
-                        train_summary=payload["training_log_summary"])
+                        train_summary=_train_summary(payload["training_log_summary"], p))
 
 
 # --------------------------------------------------------------- detector

@@ -537,6 +537,7 @@ class _TableBuilder:
         self.text = {f: _Interner(canon) for f, canon in _INTERNED_FIELDS.items()}
         self.parts = {f: [np.zeros(0, _TEXT if f in _STRING_FIELDS else dtype)]
                       for f, dtype in _DTYPES.items()}
+        self.nul = False  # numpy's StringDType compares two strings only up to a NUL
 
     def add_chunk(self, rows: list[list[str]], lines: list[int], pick, width: int,
                   name: str, strict: bool, fstats: FileStats) -> None:
@@ -549,6 +550,7 @@ class _TableBuilder:
         n = len(rows)
         whole = np.fromiter(map(len, rows), np.int64, n) >= width
         text = "".join(itertools.chain.from_iterable(rows))
+        self.nul |= "\x00" in text
         if not (text.isascii() or _is_utf8(text)):
             whole &= [_is_utf8("".join(r)) for r in rows]
         del text
@@ -597,7 +599,9 @@ class _TableBuilder:
         for f in FlowRecord._fields:
             col = np.concatenate(self.parts.pop(f))
             if f in _STRING_FIELDS:
-                vocab[f], col = np.unique(col, return_inverse=True)
+                words, col = np.unique(col.astype(object) if self.nul else col,
+                                       return_inverse=True)
+                vocab[f] = words.astype(_TEXT, copy=False)
             columns[f] = col[order].astype(_DTYPES[f], copy=False)
         return FlowTable(columns, vocab)
 

@@ -55,13 +55,24 @@ and gates in its visit order; a layer's input gradient is the states
 gradient of the layer below. A weight's gradient sums its steps, in time
 order, in one product, so training differs from a per-step tape
 (``tests/helpers.py``) by float reassociation only.
+
+A fit's taped passes take their large arrays from a ``Workspace`` that
+lives as long as the fit, so an update reuses the memory of the one
+before: a pass's gates (and a layer pass's states), which its BPTT reads,
+under a slot it holds until that BPTT has run, and the arrays that die
+with the pass or its BPTT (input projections, BPTT's per-step factors)
+in one shared scratch buffer. Every one of them is written before it is
+read, and each operation runs on the same operands as on fresh arrays,
+so training keeps its bits. Nothing a pass returns is a workspace
+buffer, and plain passes, which scoring runs, never use one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, count, groupby, repeat
 
 import numpy as np
 
@@ -119,10 +130,50 @@ class GruCellWeights:
         return {f"{prefix}.{k}": getattr(self, k) for k in GATE_PARAMS}
 
 
+class Workspace:
+    """Float64 buffers that one fit's taped passes reuse from update to update.
+
+    Each name keeps one flat buffer that only grows: ``take`` hands out
+    consecutive views of its leading part, since a batch's B and padded L
+    change from batch to batch, so the workspace is bounded by the fit's
+    largest update. A view is valid until the next ``take`` of its name.
+    A taped pass names its saved arrays by a slot from ``hold``, which no
+    other pass gets until ``release``. Leaving the ``with`` block drops
+    every buffer.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+        self._held: set[int] = set()
+
+    def __enter__(self) -> "Workspace":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._flat.clear()
+
+    def take(self, name: str, *shapes: tuple) -> tuple[np.ndarray, ...]:
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = self._flat.get(name)
+        if flat is None or flat.size < sum(sizes):
+            flat = self._flat[name] = np.empty(sum(sizes))
+        return tuple(flat[stop - size:stop].reshape(shape)
+                     for shape, size, stop in zip(shapes, sizes, accumulate(sizes)))
+
+    def hold(self) -> int:
+        slot = next(k for k in count() if k not in self._held)
+        self._held.add(slot)
+        return slot
+
+    def release(self, slot: int) -> None:
+        self._held.discard(slot)
+
+
 def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
              h0: Tensor | None = None,
              reverse: bool = False,
-             lengths: np.ndarray | None = None):
+             lengths: np.ndarray | None = None,
+             workspace: Workspace | None = None):
     """Run a GRU over time-major inputs; returns the (L, ..., B, D*H) states and the final ones.
 
     ``xs`` is the (L, ..., B, n) input. ``w`` is one cell, run in time
@@ -146,7 +197,8 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     The pass is one tape node. Only when an operand is tracked does the
     loop write each step's reset gate, update gate and candidate into
     saved arrays; ``_gru_pass_grad`` then runs back-propagation through
-    time over them once per direction, for every tracked operand.
+    time over them once per direction, for every tracked operand. Such a
+    taped pass takes its arrays from ``workspace`` if one is given.
     """
     if isinstance(w, GruCellWeights):
         cells = ((w, reverse),)
@@ -155,59 +207,57 @@ def gru_pass(xs, w: GruCellWeights | tuple[GruCellWeights, GruCellWeights],
     else:
         cells = ((w[0], False), (w[1], True))
     reverses = tuple(rev for _, rev in cells)
-    operands, tracked, cells, x, xp, rows, runs = _setup(
-        xs, [h0], [c for c, _ in cells], 0, lengths)
+    operands, tracked, cells, x, runs = _setup(xs, [h0], [c for c, _ in cells], lengths)
+    taped = any(tracked)
+    xp, rows, gates, release = _buffers(x, cells, 0, runs, taped, workspace)
     flip = None if lengths is None else _flip(lengths, len(x))
     _project(x, cells, reverses, xp, runs, flip)
     h_init = np.zeros(rows.shape[2:]) if h0 is None else _array(h0)
     rows[0] = h_init
-    taped = any(tracked)
-    gates = _recur(xp, rows, cells, taped, runs=runs)
+    _recur(xp, rows, cells, gates, runs=runs)
     del xp  # before the states are joined, so the pass's peak is its loop's
     last = rows[-1] if lengths is None else np.swapaxes(  # the states after each item's end
         rows[lengths, :, np.arange(len(lengths))], 0, 1)
     final = np.concatenate(tuple(last), axis=-1)
     states = np.concatenate([_in_visit_order(rows[1:, d], rev, flip)
                              for d, rev in enumerate(reverses)], axis=-1)
-    record = ({"saved": (_bptt_directions, (tracked, x, tuple(zip(cells, reverses)), h_init,
-                                            flip, states, gates))}
+    record = ({"saved": (_bptt_directions, (workspace, tracked, x, tuple(zip(cells, reverses)),
+                                            h_init, flip, states, gates)), "release": release}
               if taped else None)
     out = ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
     return out, ad.node(final, (out, _final_grad, (states.shape, reverses, lengths)))
 
 
-def gru_layers(xs, cells: list[GruCellWeights], h0s: list, lengths: np.ndarray | None = None):
+def gru_layers(xs, cells: list[GruCellWeights], h0s: list, lengths: np.ndarray | None = None,
+               workspace: Workspace | None = None):
     """Run stacked GRU layers, each on the one below's states; returns the top (L, ..., B, H) ones.
 
     ``xs`` is the bottom layer's (L, ..., B, n) input and ``h0s`` holds each
     layer's initial state (zeros for None). The layers run as one skewed
     recurrence over a leading layer axis (``_recur``), and each layer's
     states are those of its own ``gru_pass``. The bottom layer's input
-    projections are taken once, before the recurrence. ``lengths`` is
-    ``gru_pass``'s (``_setup``). The pass is one tape node, whose rule runs
-    ``_bptt_layers``.
+    projections are taken once, before the recurrence. ``lengths`` and
+    ``workspace`` are ``gru_pass``'s. The pass is one tape node, whose rule
+    runs ``_bptt_layers``.
     """
     n = len(cells)
-    operands, tracked, cells, x, xp, rows, runs = _setup(xs, h0s, cells, n - 1, lengths)
+    operands, tracked, cells, x, runs = _setup(xs, h0s, cells, lengths)
+    taped = any(tracked)
+    xp, rows, gates, release = _buffers(x, cells, n - 1, runs, taped, workspace, keep_rows=True)
     _project(x, cells[:1], (False,), xp, runs)
     for layer, h0 in enumerate(h0s):  # layer l's state after its step s: row s + l + 1
         rows[layer, layer] = 0.0 if h0 is None else _array(h0)
-    taped = any(tracked)
-    gates = _recur(xp, rows, cells, taped, skewed=True, runs=runs)
+    _recur(xp, rows, cells, gates, skewed=True, runs=runs)
     del xp
     states = rows[n:, n - 1].copy()  # contiguous, like a single-layer pass's states
-    record = ({"saved": (_bptt_layers, (tracked, x, cells, rows, gates))}
+    record = ({"saved": (_bptt_layers, (workspace, tracked, x, cells, rows, gates)),
+               "release": release}
               if taped else None)
     return ad.node(states, *((o, _gru_pass_grad, (record, i)) for i, o in enumerate(operands)))
 
 
-def _setup(xs, h0s, cells, skew, lengths=None):
-    """What both passes set up: (operands, tracked, plain cells, x, xp, rows, runs).
-
-    The cells run as one recurrence over a leading cell axis for L + ``skew``
-    iterations. ``xp`` is left for the pass to fill with each iteration's
-    (xW_r, xW_u, xW_h) per cell, and row t + 1 of ``rows`` takes the states
-    after iteration t.
+def _setup(xs, h0s, cells, lengths=None):
+    """What both passes set up: (operands, tracked, plain cells, x, runs).
 
     ``lengths`` gives item k on the input's first axis after time its own
     length lengths[k] in 1..L (None: every item runs to L). Those
@@ -216,10 +266,9 @@ def _setup(xs, h0s, cells, skew, lengths=None):
     items that still run at a step are a prefix of it, and slicing a stack
     axis keeps each item's bits: a plain pass runs only that prefix.
     ``runs`` then holds (length, item slice) for each run of equal lengths,
-    longest first, and ``rows`` starts as zeros, so the states the pass
-    returns stay zero past an item's end. A taped pass runs every item to
-    L, as GEMM rows always do, since a row's bits depend on its GEMM's row
-    count.
+    longest first (``_buffers`` then zeroes ``rows``). A taped pass runs
+    every item to L, as GEMM rows always do, since a row's bits depend on
+    its GEMM's row count.
     """
     operands = (xs, *h0s, *(getattr(c, k) for c in cells for k in GATE_PARAMS))
     tracked = tuple(map(ad.tracked, operands))
@@ -237,10 +286,39 @@ def _setup(xs, h0s, cells, skew, lengths=None):
             runs = [(n, len(list(run))) for n, run in groupby(each)]
             runs = [(n, slice(stop - k, stop))
                     for (n, k), stop in zip(runs, accumulate(k for _, k in runs))]
+    return operands, tracked, cells, x, runs
+
+
+def _buffers(x, cells, skew, runs, taped, workspace, keep_rows=False):
+    """A pass's (xp, rows, gates, release): the arrays ``_recur`` fills; gates only if taped.
+
+    The cells run as one recurrence over a leading cell axis for L + ``skew``
+    iterations. ``xp`` is left for the pass to fill with each iteration's
+    (xW_r, xW_u, xW_h) per cell, row t + 1 of ``rows`` takes the states
+    after iteration t, and ``gates`` each iteration's (reset and update
+    gates, candidate). A plain pass allocates ``xp`` and ``rows``, the
+    latter as zeros for ragged ``runs``, so the states it returns stay zero
+    past an item's end. A taped pass takes all three from ``workspace`` (or
+    fresh ones): its gates, and its rows when its BPTT reads them
+    (``keep_rows``), under a slot it holds until ``release``; the rest from
+    the scratch buffer that BPTT reuses.
+    """
     state = (len(cells), *x.shape[1:-1], cells[0].u_r.shape[0])  # one iteration's states
-    xp = np.empty((steps + skew, 3, *state))
-    rows = (np.empty if runs is None else np.zeros)((steps + skew + 1, *state))
-    return operands, tracked, cells, x, xp, rows, runs
+    iterations = len(x) + skew
+    xp_shape, rows_shape = (iterations, 3, *state), (iterations + 1, *state)
+    if not taped:
+        return (np.empty(xp_shape), (np.empty if runs is None else np.zeros)(rows_shape),
+                None, None)
+    workspace = workspace or Workspace()
+    slot = workspace.hold()
+    saved, gate_shapes = f"saved{slot}", ((2, iterations, *state), (iterations, *state))
+    if keep_rows:
+        *gates, rows = workspace.take(saved, *gate_shapes, rows_shape)
+        (xp,) = workspace.take("scratch", xp_shape)
+    else:
+        gates = workspace.take(saved, *gate_shapes)
+        xp, rows = workspace.take("scratch", xp_shape, rows_shape)
+    return xp, rows, tuple(gates), partial(workspace.release, slot)
 
 
 def _project(x, cells, reverses, xp, runs, flip=None):
@@ -261,20 +339,22 @@ def _inputs(c: GruCellWeights) -> tuple:
     return c.w_r, c.w_u, c.w_h
 
 
-def _recur(xp, rows, cells, taped, skewed=False, runs=None):
-    """The GRU recurrence over a stack of cells, an iteration per row of ``xp``; gates if taped.
+def _recur(xp, rows, cells, gates=None, skewed=False, runs=None):
+    """The GRU recurrence over a stack of cells, an iteration per row of ``xp``.
 
     Iteration t runs the step of the active cells: it reads their input
     projections from ``xp[t]`` and states from ``rows[t]``, and writes
-    their new states to ``rows[t + 1]``. Every cell is active at every
-    iteration unless ``skewed``: then the cells are layers, layer l runs
-    at iterations l to l + L - 1, and each active layer above the first
-    first projects into ``xp[t]`` the state ``rows[t]`` holds for the
-    layer below. The active cells always form one slice of the cell axis.
-    With ragged ``runs`` only a prefix of the items runs: those that
-    any active cell still needs, so a skewed pass's lower layer may run an
-    item one step past its end, into rows that nothing reads. Iterations
-    with the same (cell slice, item prefix) share their views.
+    their new states to ``rows[t + 1]`` and, for a taped pass, their gates
+    to ``gates`` (``_buffers``, from the fit's workspace). Every cell is
+    active at every iteration unless ``skewed``: then the cells are
+    layers, layer l runs at iterations l to l + L - 1, and each active
+    layer above the first first projects into ``xp[t]`` the state
+    ``rows[t]`` holds for the layer below. The active cells always form
+    one slice of the cell axis. With ragged ``runs`` only a prefix of the
+    items runs: those that any active cell still needs, so a skewed pass's
+    lower layer may run an item one step past its end, into rows that
+    nothing reads. Iterations with the same (cell slice, item prefix)
+    share their views.
 
     A step makes one product of the states against U_r and U_u stacked on
     a leading axis, adds both gates' input projections and both biases in
@@ -293,8 +373,7 @@ def _recur(xp, rows, cells, taped, skewed=False, runs=None):
     w_up = (np.stack([_inputs(c) for c in cells[1:]], axis=1).reshape(3, n - 1, *lead[1:],
                                                                       hidden, hidden)
             if skewed and n > 1 else None)  # layer l > 0's (W_r, W_u, W_h) at index l - 1
-    saved_ru = np.empty((2, iterations, *state)) if taped else None
-    saved_cand = np.empty((iterations, *state)) if taped else None
+    saved_ru, saved_cand = gates or (None, None)
     weights = (u_ru, b_ru), (u_h, b_h)
     steps = iterations - n + 1 if skewed else iterations
     running = None if runs is None else [0] * steps  # per step: how many items run it
@@ -326,7 +405,7 @@ def _recur(xp, rows, cells, taped, skewed=False, runs=None):
         per_step = (
             work[:-1, lo - first:], work[1:, lo - first:], xw[:, :2], xw[:, 2],
             zip(work[:-1, :hi - up], xw[:, :, up - lo:]) if lift else repeat(None),
-            zip(np.moveaxis(saved_ru[:, its, cell], 1, 0), saved_cand[its, cell]) if taped
+            zip(np.moveaxis(saved_ru[:, its, cell], 1, 0), saved_cand[its, cell]) if gates
             else repeat((ru, cand)))
         w_lift = w_up[:, up - 1:hi - 1] if lift else None
         for h, new, xp_ru, xp_h, below, (ru, cand) in zip(*per_step):
@@ -354,7 +433,6 @@ def _recur(xp, rows, cells, taped, skewed=False, runs=None):
             np.add(blend, rhu, out=new)
         if work is not rect:
             rect[1:] = work[1:]
-    return (saved_ru, saved_cand) if taped else None
 
 
 def _array(x) -> np.ndarray:
@@ -400,10 +478,11 @@ def _gru_pass_grad(g, saved):
     if "grads" not in record:
         bptt, args = record.pop("saved")
         record["grads"] = bptt(g, *args)
+        record.pop("release")()  # the pass's saved arrays are free for the next pass
     return record["grads"].pop(i)
 
 
-def _bptt_directions(g, tracked, x, cells, h_init, flip, states, gates):
+def _bptt_directions(g, workspace, tracked, x, cells, h_init, flip, states, gates):
     """``_bptt`` once per direction, on its own states, gates and gradient in its visit order.
 
     Operand ``2 + 9*d + k`` is direction d's k-th gate parameter; ``xs``
@@ -421,14 +500,17 @@ def _bptt_directions(g, tracked, x, cells, h_init, flip, states, gates):
         order = partial(_in_visit_order, reverse=rev, flip=flip)  # its own inverse
         mine = _bptt(order(g[..., cols]), tuple(tracked[i] for i in own), x, c, h_init,
                      order(states[..., cols]), (saved_ru[0, :, d], saved_ru[1, :, d],
-                                                saved_cand[:, d]), order)
+                                                saved_cand[:, d]), order, workspace)
         for j, grad in mine.items():
             i = own[j]
-            grads[i] = grads[i] + grad if i in grads else grad
+            if i in grads:
+                np.add(grads[i], grad, out=grads[i])  # grads[i] + grad, into the first's array
+            else:
+                grads[i] = grad
     return grads
 
 
-def _bptt_layers(g, tracked, x, cells, rows, gates):
+def _bptt_layers(g, workspace, tracked, x, cells, rows, gates):
     """``_bptt`` once per layer, top first, on its own input, states and gates in time order.
 
     Operand 0 is ``xs``, operand ``1 + l`` is layer l's ``h0`` and
@@ -451,7 +533,8 @@ def _bptt_layers(g, tracked, x, cells, rows, gates):
                      x if layer == 0 else rows[span, layer - 1], cells[layer],
                      rows[layer, layer], rows[layer + 1:layer + 1 + steps, layer],
                      tuple(a[span, layer] for a in (saved_ru[0], saved_ru[1], saved_cand)),
-                     partial(_in_visit_order, reverse=False))  # a layer's visit order is time's
+                     partial(_in_visit_order, reverse=False),  # a layer's visit order is time's
+                     workspace)
         g = mine.pop(0, None)
         grads.update((i, mine[j]) for j, i in enumerate((0, 1 + layer, *weights)) if j in mine)
         if not below:
@@ -461,7 +544,7 @@ def _bptt_layers(g, tracked, x, cells, rows, gates):
     return grads
 
 
-def _bptt(g, tracked, x, c, h_init, states, gates, in_time_order):
+def _bptt(g, tracked, x, c, h_init, states, gates, in_time_order, workspace=None):
     """Back-propagation through time: {operand index: gradient} for the tracked operands.
 
     ``g``, the loss gradient of every state, ``states`` and ``gates`` are
@@ -476,28 +559,49 @@ def _bptt(g, tracked, x, c, h_init, states, gates, in_time_order):
     sum's bits. Where the visit order is a plain reversal, the per-step
     arrays are reversed views of time-order buffers, so putting them back
     in time order copies nothing.
+
+    The per-step arrays come from ``workspace``'s scratch buffer (fresh
+    ones without a workspace), and every operation writes into one of them
+    or into a step-sized buffer, with the operands and order of the plain
+    expressions in the comments.
     """
     r, u, cand = gates
     hidden = states.shape[-1]
-    h_prev, pre_h, pre_ru = (in_time_order(np.empty((*states.shape[:-1], n)))
-                             for n in (hidden, hidden, 2 * hidden))
+    h_prev, pre_h, pre_ru, d_cand, d_update, d_reset = (workspace or Workspace()).take(
+        "scratch", *((*states.shape[:-1], n) for n in (hidden, hidden, 2 * hidden,
+                                                       hidden, hidden, hidden)))
+    h_prev, pre_h, pre_ru, d_cand = map(in_time_order, (h_prev, pre_h, pre_ru, d_cand))
     h_prev[0], h_prev[1:] = h_init, states[:-1]
-    d_cand = (1.0 - u) * (1.0 - cand * cand)
-    d_update = (h_prev - cand) * u * (1.0 - u)  # h_new = cand + u * (h_prev - cand)
-    d_reset = h_prev * r * (1.0 - r)
+    one_minus = pre_h  # 1 - u, then 1 - r, until the loop writes pre_h
+    np.subtract(1.0, u, out=one_minus)
+    np.multiply(cand, cand, out=d_cand)
+    np.subtract(1.0, d_cand, out=d_cand)
+    np.multiply(one_minus, d_cand, out=d_cand)  # (1 - u) * (1 - cand * cand)
+    np.subtract(h_prev, cand, out=d_update)
+    np.multiply(d_update, u, out=d_update)
+    np.multiply(d_update, one_minus, out=d_update)  # (h_prev - cand) * u * (1 - u)
+    np.subtract(1.0, r, out=one_minus)
+    np.multiply(h_prev, r, out=d_reset)
+    np.multiply(d_reset, one_minus, out=d_reset)  # h_prev * r * (1 - r)
     recurrent_ru = np.concatenate([c.u_r, c.u_u], axis=1).T
     dh = np.zeros(states.shape[1:])
+    d_rh = np.empty(dh.shape)
     for t in reversed(range(len(states))):
-        dh = dh + g[t]
+        np.add(dh, g[t], out=dh)
         np.multiply(dh, d_cand[t], out=pre_h[t])
         np.multiply(dh, d_update[t], out=pre_ru[t, ..., hidden:])
-        d_rh = pre_h[t] @ c.u_h.T
+        np.matmul(pre_h[t], c.u_h.T, out=d_rh)
         np.multiply(d_rh, d_reset[t], out=pre_ru[t, ..., :hidden])
-        dh = dh * u[t] + d_rh * r[t] + pre_ru[t] @ recurrent_ru
-    pre_ru, pre_h, h_prev, r = map(in_time_order, (pre_ru, pre_h, h_prev, r))
+        np.multiply(dh, u[t], out=dh)  # dh = dh * u + d_rh * r + pre_ru @ recurrent_ru
+        np.multiply(d_rh, r[t], out=d_rh)
+        np.add(dh, d_rh, out=dh)
+        np.matmul(pre_ru[t], recurrent_ru, out=d_rh)
+        np.add(dh, d_rh, out=dh)
+    pre_ru, pre_h, h_prev, r, rh = map(in_time_order, (pre_ru, pre_h, h_prev, r, d_cand))
     grads = {}
-    if tracked[0]:
-        grads[0] = pre_ru @ np.concatenate([c.w_r, c.w_u], axis=1).T + pre_h @ c.w_h.T
+    if tracked[0]:  # pre_ru @ W_ru.T + pre_h @ W_h.T
+        grads[0] = pre_ru @ np.concatenate([c.w_r, c.w_u], axis=1).T
+        np.add(grads[0], pre_h @ c.w_h.T, out=grads[0])
     if tracked[1]:
         grads[1] = dh
     if any(tracked[2:]):
@@ -506,7 +610,7 @@ def _bptt(g, tracked, x, c, h_init, states, gates, in_time_order):
         weights = {
             "w_r": g_w[:, :hidden], "u_r": g_u[:, :hidden], "b_r": g_b[:hidden],
             "w_u": g_w[:, hidden:], "u_u": g_u[:, hidden:], "b_u": g_b[hidden:],
-            "w_h": rows_x.T @ rows_h, "u_h": _rows(r * h_prev).T @ rows_h,
+            "w_h": rows_x.T @ rows_h, "u_h": _rows(np.multiply(r, h_prev, out=rh)).T @ rows_h,
             "b_h": rows_h.sum(axis=0),
         }
         grads.update((i, weights[k]) for i, k in enumerate(GATE_PARAMS, start=2) if tracked[i])
@@ -592,10 +696,11 @@ class RvaeParams:
         return list(self.named_parameters().values())
 
 
-def encode(p: RvaeParams, seq, lengths=None) -> tuple[Tensor, Tensor]:
+def encode(p: RvaeParams, seq, lengths=None, workspace=None) -> tuple[Tensor, Tensor]:
     """Bidirectional pass over the time-major ``seq``; heads read the top layer's final states."""
     for layer in range(ENCODER_LAYERS):
-        seq, fused = gru_pass(seq, (p.enc_fwd[layer], p.enc_bwd[layer]), lengths=lengths)
+        seq, fused = gru_pass(seq, (p.enc_fwd[layer], p.enc_bwd[layer]), lengths=lengths,
+                              workspace=workspace)
     mu = fused @ p.w_mu + p.b_mu
     logvar = fused @ p.w_logvar + p.b_logvar
     return mu, logvar
@@ -608,13 +713,14 @@ def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray | None) -> Tensor
     return mu + ad.exp(logvar * 0.5) * eps
 
 
-def decode(p: RvaeParams, z: Tensor, targets: np.ndarray, lengths=None) -> Tensor:
+def decode(p: RvaeParams, z: Tensor, targets: np.ndarray, lengths=None,
+           workspace=None) -> Tensor:
     """Teacher-forced (L, ..., B, F) reconstruction of ``targets`` (..., B, L, F)."""
     shifted = np.moveaxis(targets, -2, 0)
     seq = np.zeros(shifted.shape)
     seq[1:] = shifted[:-1]
     h0s = [z @ w + b for w, b in zip(p.zproj_w, p.zproj_b)]
-    return ad.sigmoid(gru_layers(seq, p.dec, h0s, lengths) @ p.w_out + p.b_out)
+    return ad.sigmoid(gru_layers(seq, p.dec, h0s, lengths, workspace) @ p.w_out + p.b_out)
 
 
 def pad_batch(seqs) -> tuple[np.ndarray, np.ndarray | None]:
@@ -632,8 +738,8 @@ def pad_batch(seqs) -> tuple[np.ndarray, np.ndarray | None]:
 
 def rvae_forward(p: RvaeParams, batch: np.ndarray,
                  lengths: np.ndarray | None = None,
-                 eps: np.ndarray | None = None
-                 ) -> tuple[Tensor, Tensor, Tensor]:
+                 eps: np.ndarray | None = None,
+                 workspace: Workspace | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Full pass over a batch (..., B, L, F); returns (recons, mu, logvar).
 
     ``recons`` is the time-major (L, ..., B, F) reconstruction. ``lengths``
@@ -642,11 +748,12 @@ def rvae_forward(p: RvaeParams, batch: np.ndarray,
     (K, ..., B, L, F) stack; None runs every sequence to L.
     Every pass runs each sequence to its own length (``gru_pass``), so its
     latent and its reconstruction at its own steps do not depend on its
-    padding; the reconstruction of a padded step means nothing.
+    padding; the reconstruction of a padded step means nothing. A taped
+    pass takes its arrays from ``workspace`` if one is given (``gru_pass``).
     """
-    mu, logvar = encode(p, np.moveaxis(batch, -2, 0), lengths)
+    mu, logvar = encode(p, np.moveaxis(batch, -2, 0), lengths, workspace)
     z = reparameterize(mu, logvar, eps)
-    return decode(p, z, batch, lengths), mu, logvar
+    return decode(p, z, batch, lengths, workspace), mu, logvar
 
 
 @dataclass

@@ -9,10 +9,11 @@ import pytest
 
 import botdet
 from botdet.cli import main
-from botdet.fileio import FORMAT_VERSION, read_features
+from botdet.fileio import FORMAT_VERSION, load_model, read_features, save_model
 from botdet.ingest import read_dataset
 from botdet.metrics import MetricsReport
 from botdet.synth import SynthConfig, make_fixture, write_scenario
+from botdet.train import TrainLog
 
 FAST_TRAIN = ["--epochs", "6", "--batch-size", "16", "--hidden", "10",
               "--latent", "4", "--anneal-steps", "30", "--seed", "0"]
@@ -840,6 +841,51 @@ def test_the_model_config_and_seed_are_checked_by_the_option_rules(chain, tmp_pa
                                                                    key, value):
     _assert_refused(chain, tmp_path, capsys, "model",
                     _set_count_or_time("model", key, value), key)
+
+
+_SUMMARY = "training_log_summary"
+
+
+@pytest.mark.parametrize("key,value", _refusals({
+    "epochs": "count", "updates": "count", "final_loss": "number", "final_bce": "number",
+    "final_kl": "number", "final_grad_norm_mean": "number", "final_grad_norm_max": "number",
+    "final_clipped": "index"}))
+def test_the_training_log_summary_is_checked_by_the_option_rules(chain, tmp_path, capsys,
+                                                                 key, value):
+    def edit(payload):
+        payload[_SUMMARY][key] = value
+        return payload
+    _assert_refused(chain, tmp_path, capsys, "model", edit, f"{_SUMMARY}.{key}")
+
+
+@pytest.mark.parametrize("form", [
+    "garbage", [1, 2], None, {"epochs": -5, "final_loss": "NaN"}, "missing", "extra"])
+def test_a_training_log_summary_of_other_keys_is_a_data_error(chain, tmp_path, capsys, form):
+    def edit(payload):
+        summary = payload[_SUMMARY]
+        if form == "missing":
+            del summary["final_kl"]
+        elif form == "extra":
+            summary["final_lr"] = 0.01
+        else:
+            payload[_SUMMARY] = form
+        return payload
+    path = _doctored(chain, tmp_path, "model", edit)
+    out = tmp_path / "out"
+    assert main(_loading_argv(chain, "model", path, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: {_SUMMARY}: expected an object with the keys "
+                          "epochs, updates, final_loss, ")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_a_trained_models_log_summary_survives_a_round_trip(chain, tmp_path):
+    stored = json.loads(chain["model"].read_text())[_SUMMARY]
+    model = load_model(chain["model"])
+    assert model.train_summary == stored
+    assert list(model.train_summary) == list(TrainLog().summary())
+    save_model(tmp_path / "again.json", model)
+    assert (tmp_path / "again.json").read_bytes() == chain["model"].read_bytes()
 
 
 @pytest.mark.parametrize("key,value", _refusals({

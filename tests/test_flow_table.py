@@ -299,6 +299,18 @@ def test_string_fields_read_and_aggregate_as_the_record_path(tmp_path, files, wi
                 == _row_bits(feat.aggregate_flows(want, t0, window_seconds)))
 
 
+def test_text_values_that_differ_only_after_a_nul_keep_their_own_codes(tmp_path):
+    """numpy's StringDType compares two strings only up to a NUL, so \\x00\\x80 == \\x0053 there."""
+    row = "2011/08/10 09:00:00,1,tcp,a,{},->,{},{},CON,0,0,2,100,40,x"
+    values = ["\x00\x80", "\x0053", "a\x00b", "a\x00c", "53"]
+    (path,) = _write(tmp_path, [(HEADER + "\n" + "".join(row.format(v, f"b{v}", v) + "\n"
+                                                        for v in values)).encode()])
+    table, _ = ingest.read_dataset([path])
+    flows, _, _ = _record_path([path])
+    assert [f.src_port for f in flows] == values
+    assert list(table) == flows
+
+
 def test_a_table_derives_each_protocol_and_port_pairs_service_once(tmp_path, monkeypatch):
     # 60 flows over 2 hosts and 4 (proto, port) pairs, each pair repeated;
     # hex and spaced forms of port 53 are pairs of their own.

@@ -30,7 +30,7 @@ from botdet.fileio import (
 from botdet.ingest import GroundTruth
 from botdet.models import MlpVaeParams, RvaeParams
 from botdet.scoring import ScoredWindow
-from botdet.train import TrainedModel
+from botdet.train import TrainedModel, TrainLog
 
 
 def _meta(rng):
@@ -178,10 +178,12 @@ def _trained_model(arch="rvae"):
         params = RvaeParams.init(rng, N_FEATURES, 6, 3)
     else:
         params = MlpVaeParams.init(rng, N_FEATURES, (8, 8), 4)
+    log = TrainLog(n_updates=4)
+    for epoch in range(2):
+        log.record(epoch, 1.25, 1.0, 0.25, 0.5, [3.0, 7.5], 5.0)
     return TrainedModel(arch=arch, params=params, feature_names=FEATURE_NAMES,
                         normalizer=nz, window_seconds=60.0, n_windows=3,
-                        l_max=128, seed=5,
-                        train_summary={"epochs": 2, "final_loss": 1.25})
+                        l_max=128, seed=5, train_summary=log.summary())
 
 
 @pytest.mark.parametrize("arch", ["rvae", "mlp"])

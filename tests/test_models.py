@@ -184,9 +184,9 @@ class TestDecoder:
     def test_one_decode_runs_one_pass_for_all_layers(self, monkeypatch):
         passes, gru_layers = [], m.gru_layers
 
-        def counted(xs, cells, h0s, lengths=None):
+        def counted(xs, cells, h0s, lengths=None, workspace=None):
             passes.append((cells, len(h0s)))
-            return gru_layers(xs, cells, h0s, lengths)
+            return gru_layers(xs, cells, h0s, lengths, workspace)
 
         def single(*args, **kwargs):
             raise AssertionError("decode ran a single-layer gru_pass")

@@ -12,7 +12,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from botdet.train import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -68,3 +71,16 @@ def test_every_botdet_name_the_workloads_use_resolves(perfbench):
         checked.add(".".join(chain))
     assert {"botdet.ingest.read_dataset", "botdet.ingest.iter_flows",
             "pipeline.train_model", "fileio.read_features", "cli.main"} <= checked
+
+
+def test_the_train_job_times_one_step_per_update(perfbench):
+    """train_job times each update from its beta_schedule call to its Adam step; a change
+    to that call pattern in ``train._fit`` would leave the ``train`` metric empty."""
+    workloads = perfbench["workloads"]
+    rng = np.random.default_rng(0)
+    ctx = {"seqs": [rng.uniform(0, 1, (n, len(workloads.FEATURE_NAMES))) for n in (3, 5, 4)],
+           "cfg": TrainConfig(epochs=workloads.TRAIN_UPDATES, batch_size=4, hidden=4, latent=2)}
+    job = workloads.train_job(ctx)
+    assert len(job.steps) == workloads.TRAIN_UPDATES
+    assert all(start < end for start, end in job.steps)
+    assert job.failed == 0

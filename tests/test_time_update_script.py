@@ -17,7 +17,8 @@ def test_time_update_reports_each_update_and_peak_rss():
     assert lines[0] == "H=4 latent=2 L=3 B=2 F=25 updates=2"
     assert re.fullmatch(r"ms per update: \d+ \d+ \(median \d+\)", lines[1])
     assert re.fullmatch(r"RSS before the first update \d+ MB, peak \d+ MB", lines[2])
-    assert len(lines) == 3
+    assert re.fullmatch(r"minor page faults per update \d+", lines[3])
+    assert len(lines) == 4
 
 
 def test_time_update_rejects_an_empty_size():

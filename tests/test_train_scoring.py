@@ -1,6 +1,11 @@
 """Training loop behavior and anomaly scoring."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,13 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botdet import models, scoring, train
-from botdet.autodiff import Tensor
+from botdet.autodiff import Tensor, backward, zero_grads
 from botdet.errors import NumericError
 from botdet.features import FEATURE_NAMES, FeatureRow, Normalizer, Sequence, trailing_sequences
 from botdet.ingest import GroundTruth
+from botdet.optim import Adam
 from botdet.train import TrainConfig, TrainedModel
 
 from helpers import bits
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_sequences(n=12, length=5, f=6, seed=0):
@@ -86,6 +94,76 @@ class TestFitRvae:
         with pytest.raises(NumericError, match="training aborted at epoch"):
             train.fit_rvae(tiny_sequences(), 6,
                            small_cfg(epochs=50, lr=1e9, anneal_steps=1, beta_max=100.0))
+
+
+# Fits run one after another in one process, each against itself in a fresh one: the
+# batches of "ragged" vary in B (4, 4, 1) and in padded L, "other H" changes every
+# shape, and "diverges" aborts with NumericError mid-fit.
+_FITS = {
+    "ragged": ((5, 9, 2, 7, 4, 11, 3, 6, 9), dict(epochs=3, hidden=8)),
+    "other H": ((4, 4, 4, 4, 4, 4), dict(epochs=2, hidden=5, latent=2)),
+    "diverges": (None, dict(epochs=50, lr=1e9, anneal_steps=1, beta_max=100.0)),
+    "clean": ((6, 3, 6, 5, 2), dict(epochs=3, batch_size=2)),
+}
+
+
+def _fit_digest(name: str) -> str:
+    """sha256 of a ``_FITS`` fit's parameters and epoch log, or its NumericError."""
+    lengths, cfg = _FITS[name]
+    rng = np.random.default_rng(len(name))
+    seqs = tiny_sequences() if lengths is None else [rng.uniform(0, 1, (n, 6)) for n in lengths]
+    try:
+        params, log = train.fit_rvae(seqs, 6, small_cfg(**cfg))
+    except NumericError as exc:
+        return f"NumericError: {exc}"
+    digest = hashlib.sha256(repr(log.epochs).encode())
+    for key, t in params.named_parameters().items():
+        digest.update(key.encode() + t.data.tobytes())
+    return digest.hexdigest()
+
+
+class TestTrainingWorkspace:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fits_in_one_process_give_the_bits_of_fresh_processes(self):
+        here = [_fit_digest(name) for name in _FITS]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])}
+        fresh = [subprocess.run(
+            [sys.executable, "-W", "ignore", "-c",
+             f"import test_train_scoring as t; print(t._fit_digest({name!r}))"],
+            capture_output=True, text=True, env=env, timeout=120, check=True).stdout.strip()
+            for name in _FITS]
+        assert here == fresh
+        assert here[2].startswith("NumericError: training aborted at epoch")
+
+    def test_shared_buffers_give_the_bits_of_fresh_nan_arrays(self, monkeypatch):
+        """Each array is written before it is read, and no two live ones share memory."""
+        want = [_fit_digest(name) for name in ("ragged", "clean")]
+        monkeypatch.setattr(models.Workspace, "take", lambda workspace, name, *shapes: tuple(
+            np.full(shape, np.nan) for shape in shapes))
+        assert [_fit_digest(name) for name in ("ragged", "clean")] == want
+
+    def test_no_update_output_shares_memory_with_the_workspace(self):
+        rng = np.random.default_rng(3)
+        params = models.RvaeParams.init(rng, 6, 8, 3)
+        plist = params.parameters()
+        opt = Adam(plist, lr=0.01)
+        outputs, copies = [], []
+        with models.Workspace() as workspace:
+            for lengths in ((5, 3, 4), (7, 7, 6)):  # the second grows every buffer
+                batch, lens = models.pad_batch([rng.uniform(0, 1, (n, 6)) for n in lengths])
+                zero_grads(plist)
+                recons, mu, lv = models.rvae_forward(
+                    params, batch, lens, rng.standard_normal((len(lengths), 3)), workspace)
+                total, _, _ = models.vae_loss(batch, recons, mu, lv, 1.0, lens)
+                backward(total)
+                opt.step()
+                outputs.append([recons.data, mu.data, lv.data])
+                copies = copies or [a.copy() for a in outputs[0]]  # as the first update left them
+            buffers = list(workspace._flat.values())
+        first = [*outputs[0], *(p.grad for p in plist)]
+        assert buffers and not any(np.shares_memory(a, b) for a in first for b in buffers)
+        assert all(np.array_equal(a, b) for a, b in zip(outputs[0], copies))
 
 
 class TestFitMlp:
