@@ -6,8 +6,7 @@
 
 One update is what ``train._fit`` does per batch: zero the gradients, run
 the taped ``rvae_forward`` and ``vae_loss``, ``backward``, clip the global
-gradient norm and take an Adam step, all inside one ``models.Workspace``
-as ``train.fit_rvae`` opens. The batch is B full-length sequences
+gradient norm and take an Adam step. The batch is B full-length sequences
 of L uniform feature vectors (F = the feature count the pipeline builds),
 with a fixed seed, built by ``models.pad_batch`` as training builds its
 batches. The script prints the milliseconds of each update, their
@@ -73,19 +72,18 @@ def main(argv=None) -> int:
     base_mb = rss_mb()
     times_ms = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    with models.Workspace() as workspace:
-        for _ in range(args.updates):
-            eps = rng.standard_normal((args.batch, args.latent))
-            start = time.perf_counter()
-            zero_grads(plist)
-            recons, mu, lv = models.rvae_forward(params, batch, lengths, eps, workspace)
-            total, _, _ = models.vae_loss(batch, recons, mu, lv, beta=1.0, lengths=lengths)
-            backward(total)
-            clip_global_norm(plist, 5.0)
-            opt.step()
-            end = time.perf_counter()
-            times_ms.append((end - start) * 1000.0)
-            del recons, mu, lv, total
+    for _ in range(args.updates):
+        eps = rng.standard_normal((args.batch, args.latent))
+        start = time.perf_counter()
+        zero_grads(plist)
+        recons, mu, lv = models.rvae_forward(params, batch, lengths, eps)
+        total, _, _ = models.vae_loss(batch, recons, mu, lv, beta=1.0, lengths=lengths)
+        backward(total)
+        clip_global_norm(plist, 5.0)
+        opt.step()
+        end = time.perf_counter()
+        times_ms.append((end - start) * 1000.0)
+        del recons, mu, lv, total
     usage = resource.getrusage(resource.RUSAGE_SELF)
     faults = (usage.ru_minflt - faults) / args.updates
     peak_mb = usage.ru_maxrss * 1024 / 1e6  # KiB on Linux

@@ -256,6 +256,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    first = {}  # a duration's outputs are named by its %g tag
+    for i, t in enumerate(args.durations):
+        j = first.setdefault(f"{t:g}", i)
+        if j != i:
+            raise UsageError(f"--durations {args.durations[j]!r} and {t!r} would write "
+                             f"the same outputs, tagged T{t:g}s")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _train_config(args, args.l_max)

@@ -99,9 +99,7 @@ def fit_rvae(sequences: Sequence[np.ndarray], f_dim: int,
         raise ValueError("fit_rvae: no training sequences")
     rng = np.random.default_rng(cfg.seed)
     params = RvaeParams.init(rng, f_dim, cfg.hidden, cfg.latent)
-    with models.Workspace() as workspace:  # the updates' large arrays, dropped on return or raise
-        forward = partial(models.rvae_forward, params, workspace=workspace)
-        return _fit(list(sequences), params, forward, cfg, rng)
+    return _fit(list(sequences), params, partial(models.rvae_forward, params), cfg, rng)
 
 
 def fit_mlp(vectors: np.ndarray, cfg: TrainConfig) -> tuple[MlpVaeParams, TrainLog]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import botdet
+from botdet import pipeline
 from botdet.cli import main
 from botdet.fileio import FORMAT_VERSION, load_model, read_features, save_model
 from botdet.ingest import read_dataset
@@ -991,6 +992,26 @@ def test_a_capture_is_read_once(fixture_dir, tmp_path, capsys, command, train, t
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(message)
     assert not list((tmp_path / "out").glob("*"))  # nothing written
+
+
+@pytest.mark.parametrize("durations,first,second", [
+    ("60,60.0000001", "60.0", "60.0000001"),
+    ("60,30,60", "60.0", "60.0"),
+])
+def test_sweep_refuses_durations_that_share_an_output_tag(fixture_dir, tmp_path, capsys,
+                                                          monkeypatch, durations, first, second):
+    """Each duration names its report and histogram T<%g>s: two with one tag would overwrite."""
+    def unread(*args, **kwargs):
+        raise AssertionError("a capture was read before the durations were checked")
+
+    monkeypatch.setattr(pipeline, "read_dataset", unread)
+    assert main(["sweep", "--manifest", str(fixture_dir["manifest"]),
+                 "--train-scenarios", "synth-train", "--test-scenarios", "synth-test",
+                 "--out-dir", str(tmp_path / "out"), "--durations", durations,
+                 *FAST_TRAIN]) == 1
+    assert capsys.readouterr().err == (f"usage error: --durations {first} and {second} would "
+                                       "write the same outputs, tagged T60s\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("inputs", ["same-path", "hard-link"])

@@ -1,10 +1,12 @@
 """Training loop behavior and anomaly scoring."""
 
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botdet import models, scoring, train
-from botdet.autodiff import Tensor, backward, zero_grads
+from botdet.autodiff import Tensor
 from botdet.errors import NumericError
 from botdet.features import FEATURE_NAMES, FeatureRow, Normalizer, Sequence, trailing_sequences
 from botdet.ingest import GroundTruth
-from botdet.optim import Adam
 from botdet.train import TrainConfig, TrainedModel
 
 from helpers import bits
@@ -122,7 +123,7 @@ def _fit_digest(name: str) -> str:
     return digest.hexdigest()
 
 
-class TestTrainingWorkspace:
+class TestFitCarriesNoState:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fits_in_one_process_give_the_bits_of_fresh_processes(self):
         here = [_fit_digest(name) for name in _FITS]
@@ -136,34 +137,40 @@ class TestTrainingWorkspace:
         assert here == fresh
         assert here[2].startswith("NumericError: training aborted at epoch")
 
-    def test_shared_buffers_give_the_bits_of_fresh_nan_arrays(self, monkeypatch):
-        """Each array is written before it is read, and no two live ones share memory."""
-        want = [_fit_digest(name) for name in ("ragged", "clean")]
-        monkeypatch.setattr(models.Workspace, "take", lambda workspace, name, *shapes: tuple(
-            np.full(shape, np.nan) for shape in shapes))
-        assert [_fit_digest(name) for name in ("ragged", "clean")] == want
+    def test_a_fit_holds_no_update_sized_memory_between_updates(self, monkeypatch):
+        """Traced memory between updates comes back to its level before the first.
 
-    def test_no_update_output_shares_memory_with_the_workspace(self):
-        rng = np.random.default_rng(3)
-        params = models.RvaeParams.init(rng, 6, 8, 3)
-        plist = params.parameters()
-        opt = Adam(plist, lr=0.01)
-        outputs, copies = [], []
-        with models.Workspace() as workspace:
-            for lengths in ((5, 3, 4), (7, 7, 6)):  # the second grows every buffer
-                batch, lens = models.pad_batch([rng.uniform(0, 1, (n, 6)) for n in lengths])
-                zero_grads(plist)
-                recons, mu, lv = models.rvae_forward(
-                    params, batch, lens, rng.standard_normal((len(lengths), 3)), workspace)
-                total, _, _ = models.vae_loss(batch, recons, mu, lv, 1.0, lens)
-                backward(total)
-                opt.step()
-                outputs.append([recons.data, mu.data, lv.data])
-                copies = copies or [a.copy() for a in outputs[0]]  # as the first update left them
-            buffers = list(workspace._flat.values())
-        first = [*outputs[0], *(p.grad for p in plist)]
-        assert buffers and not any(np.shares_memory(a, b) for a in first for b in buffers)
-        assert all(np.array_equal(a, b) for a, b in zip(outputs[0], copies))
+        At H=16, L=12, B=4 (one unit = L*B*H*8 bytes = 6 KiB) the level is
+        sampled at each update's ``beta_schedule`` call, after a collection
+        (``plain``'s closures form reference cycles). The first update is a
+        warm-up. The slack of 4 units covers what ``_fit`` still binds from
+        the last update (its batch, latent draw and reconstruction, about
+        1.4 units at F=6); an update's own arrays are 50-odd units at peak,
+        and the peak must stay under 64.
+        """
+        hidden, length, batch = 16, 12, 4
+        unit = length * batch * hidden * 8
+        rng = np.random.default_rng(5)
+        seqs = [rng.uniform(0, 1, (length, 6)) for _ in range(3 * batch)]
+        levels, beta_schedule = [], models.beta_schedule
+
+        def sampled(*args):
+            gc.collect()
+            levels.append(tracemalloc.get_traced_memory()[0])
+            if len(levels) == 2:  # after the warm-up update
+                tracemalloc.reset_peak()
+            return beta_schedule(*args)
+
+        monkeypatch.setattr(models, "beta_schedule", sampled)
+        tracemalloc.start()
+        try:
+            train.fit_rvae(seqs, 6, small_cfg(epochs=2, batch_size=batch, hidden=hidden))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = [(level - levels[0]) / unit for level in levels[2:]]
+        assert len(held) == 4 and max(held) < 4, held
+        assert (peak - levels[0]) / unit < 64
 
 
 class TestFitMlp:
